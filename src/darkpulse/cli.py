@@ -34,8 +34,8 @@ from .errors import ConfigError, PositivityViolation, StepSizeUnderflow, Unstabl
 from .liouville import (build_liouvillian, slowest_rate, transpose_convention_diagnostic,
                         zero_subspace)
 from .maps import PulseSequence, compose_sequence, hs_distance, mismatch, sequence_affine
-from .optimize import (initial_state_grid, optimize_sequence, purity_sweep,
-                       random_pure_states)
+from .optimize import (initial_state_grid, optimize_sequence, pure_state_vectors,
+                       purity_sweep, random_pure_states, state_distances)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,19 +75,6 @@ def _stats(distances: np.ndarray) -> dict:
         "rms_mismatch": float(np.sqrt(np.mean(mis ** 2))),
         "max_mismatch": float(mis.max()),
     }
-
-
-def _distances_for_states(states: np.ndarray, seq_steps, mode, target: TargetState) -> np.ndarray:
-    k, c = sequence_affine(seq_steps, mode)
-    full = np.zeros((states.shape[0], 4), dtype=complex)
-    full[:, :3] = states
-    vecs = (full[:, :, None] * full.conj()[:, None, :]).reshape(-1, 16)
-    out = vecs @ k.T + c
-    tv = target.density_matrix().matrix.reshape(16)
-    diff = out - tv
-    hs = np.sqrt(np.einsum("gi,gi->g", diff, diff.conj()).real)
-    mis = np.sqrt(np.clip(1.0 - np.einsum("gi,i->g", out, tv.conj()).real, 0.0, None))
-    return np.column_stack([hs, mis])
 
 
 def _sequence_doc(seq: PulseSequence) -> dict:
@@ -142,7 +129,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     seq = PulseSequence(steps=tuple(steps), mode=cfg.mode)
 
     test_states = random_pure_states(cfg.optimizer.test_states, [cfg.optimizer.seed, 1])
-    test_distances = _distances_for_states(test_states, seq.steps, cfg.mode, cfg.target)
+    test_distances = state_distances(test_states, seq.steps, cfg.target, cfg.mode)
 
     doc = {
         "sequence": _sequence_doc(seq),
@@ -151,6 +138,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
         "train_stats": _stats(result.per_state_distances),
         "test_stats": {**_stats(test_distances), "n_states": int(test_states.shape[0])},
         "iterations": result.iterations,
+        "restarts": [record._asdict() for record in result.restarts],
         "seed": result.seed,
         "converged": result.converged,
         "grid_resolution": cfg.grid_resolution,
@@ -284,9 +272,7 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
     if not steps:
         raise ConfigError(f"sequence file {sequence_path}: needs at least one step")
     grid = initial_state_grid(cfg.grid_resolution)
-    full = np.zeros((len(grid), 4), dtype=complex)
-    full[:, :3] = grid.states
-    vecs = (full[:, :, None] * full.conj()[:, None, :]).reshape(-1, 16)
+    vecs = pure_state_vectors(grid.states)
 
     point_rows: list[list[str]] = []
     radius_rows: list[list[str]] = []
@@ -391,9 +377,12 @@ def _parse_angles(text: str) -> tuple[float, ...]:
     if len(parts) != 4:
         raise ConfigError("--angles expects 'theta,phi,mu_minus,mu_plus'")
     try:
-        return tuple(float(p) for p in parts)
+        angles = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--angles: {exc}") from exc
+    if not all(np.isfinite(angles)):
+        raise ConfigError(f"--angles: every angle must be finite, got {text!r}")
+    return angles
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,6 +432,10 @@ def main(argv=None) -> int:
         if config_path is None:
             config_path = bundled_config_path()
         cfg = load_config(config_path)
+        if args.threads < 1:
+            raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
+        if args.command == "verify" and args.states < 1:
+            raise ConfigError(f"--states: must be at least 1, got {args.states}")
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed: must be nonnegative")

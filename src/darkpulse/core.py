@@ -35,6 +35,8 @@ __all__ = [
     "BlochPoint",
     "embed_ground",
     "build_hamiltonian",
+    "bright_vector",
+    "bright_vector_jacobian",
     "dark_basis",
     "orthogonal_state",
     "field_for_span",
@@ -287,6 +289,39 @@ def build_hamiltonian(fp: FieldParams, envelope_value: float = 1.0) -> np.ndarra
     return h
 
 
+def bright_vector(angles: np.ndarray) -> np.ndarray:
+    """Bright ground vector for rows of angles (theta, phi, mu-, mu+).
+
+    The unit vector that couples to the excited state,
+    ``[e^{i mu-} sin(theta) sin(phi), -cos(theta), e^{i mu+} sin(theta) cos(phi)]``;
+    shape (..., 4) -> (..., 3).  Raw angles need no canonicalization: the
+    reflection FieldParams applies to theta leaves this vector unchanged.
+    """
+    th, ph, mm, mp = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    return np.stack([
+        np.exp(1j * mm) * np.sin(th) * np.sin(ph),
+        -np.cos(th),
+        np.exp(1j * mp) * np.sin(th) * np.cos(ph),
+    ], axis=-1)
+
+
+def bright_vector_jacobian(angles: np.ndarray) -> np.ndarray:
+    """Derivatives of :func:`bright_vector` by (theta, phi, mu-, mu+).
+
+    Shape (..., 4) -> (..., 4, 3): entry [..., a, :] is d(bright vector)/d(angle a).
+    """
+    th, ph, mm, mp = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    em, ep = np.exp(1j * mm), np.exp(1j * mp)
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    out = np.zeros(th.shape + (4, 3), dtype=complex)
+    out[..., 0, :] = np.stack([em * ct * sp, st, ep * ct * cp], axis=-1)
+    out[..., 1, 0] = em * st * cp
+    out[..., 1, 2] = -ep * st * sp
+    out[..., 2, 0] = 1j * em * st * sp
+    out[..., 3, 2] = 1j * ep * st * cp
+    return out
+
+
 def dark_basis(fp: FieldParams) -> DarkBasis:
     """Dark vectors, bright vector, and dark projector for a field configuration.
 
@@ -304,11 +339,7 @@ def dark_basis(fp: FieldParams) -> DarkBasis:
         0.0,
         np.exp(-1j * mm) * np.sin(ph),
     ])
-    perp = np.array([
-        np.exp(1j * mm) * np.sin(th) * np.sin(ph),
-        -np.cos(th),
-        np.exp(1j * mp) * np.sin(th) * np.cos(ph),
-    ])
+    perp = bright_vector(np.array(fp.angles))
     v1, v2 = embed_ground(n1), embed_ground(n2)
     projector = np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())
     return DarkBasis(n1=n1, n2=n2, phi_perp=perp, projector=projector)

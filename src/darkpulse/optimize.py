@@ -1,39 +1,51 @@
 """Search for a fixed pulse sequence steering every initial state to one target.
 
 The search space is the 4N polarization/phase angles of an N-step sequence.
-Because each step acts as an affine map, a candidate sequence collapses to a
-single affine pair (K, c) that is applied to the whole grid of initial states
-at once; the objective is the root-mean-square Hilbert-Schmidt distance to
-the target over that grid (the maximum is reported alongside).
+On trace-one ground-state inputs one step is the linear map
+rho -> P rho P + (b^dagger rho b) P / 2 of the 3x3 ground block, where b is
+the bright vector and P = I - b b^dagger; the map is the same in both
+relaxation regimes.  A candidate sequence therefore collapses to one 9x9
+matrix A, and the objective, the root-mean-square Hilbert-Schmidt distance to
+the target over a grid of initial states, needs only the grid's first and
+second moments (the maximum is reported alongside).
 
-Descent is multi-start nonlinear conjugate gradient with central-difference
-gradients; every restart draws fresh random angles except the last pulse,
-which is seeded (optionally pinned) from the inverse dark-span solver so the
-final dark subspace starts out containing the target span.  Results are
-deterministic for a fixed seed.
+Descent is multi-start nonlinear conjugate gradient.  The gradient is
+analytic and computed in reverse mode through the N-step composition from
+prefix and suffix products of the step maps, as in GRAPE (Khaneja et al.,
+J. Magn. Reson. 172, 296 (2005)); one kernel returns value and gradient from
+the angle array alone.  Every restart draws fresh random angles except the
+last pulse, which is seeded (optionally pinned) from the inverse dark-span
+solver so the final dark subspace starts out containing the target span.
+Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Envelope, FieldParams, Mode, TargetState, field_for_span
+from .core import (Envelope, FieldParams, Mode, TargetState, bright_vector,
+                   bright_vector_jacobian, field_for_span)
 from .maps import PulseSequence, sequence_affine
 
 __all__ = [
     "StateGrid",
+    "RestartRecord",
     "OptimizationResult",
     "initial_state_grid",
     "random_pure_states",
+    "pure_state_vectors",
+    "state_distances",
     "sequence_objective",
     "optimize_sequence",
     "purity_sweep",
 ]
 
-GRADIENT_STEP = 1e-6
+# positions of the 3x3 ground block in a row-major vectorized 4x4 matrix
+_GROUND = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,15 @@ class StateGrid:
         return self.states.shape[0]
 
 
+class RestartRecord(NamedTuple):
+    """Work done by one optimizer restart and why it stopped."""
+
+    iterations: int
+    function_evals: int  # each one is a value and its gradient
+    final_value: float
+    termination: str  # "tol", "maxiter", "no free angles", or scipy's message
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     """Best sequence found, its objective, and per-state quality on the grid."""
@@ -69,6 +90,7 @@ class OptimizationResult:
     seed: int
     converged: bool
     restart_history: tuple[float, ...]  # best-so-far after each restart
+    restarts: tuple[RestartRecord, ...]
 
     def __post_init__(self) -> None:
         d = np.asarray(self.per_state_distances, dtype=float)
@@ -102,7 +124,7 @@ def random_pure_states(n: int, seed) -> np.ndarray:
     return psis / np.linalg.norm(psis, axis=1)[:, None]
 
 
-def _vectorized_pure_states(states: np.ndarray) -> np.ndarray:
+def pure_state_vectors(states: np.ndarray) -> np.ndarray:
     """Row-major vectorized dyads of pure ground states, shape (G, 16)."""
     full = np.zeros((states.shape[0], 4), dtype=complex)
     full[:, :3] = states
@@ -110,23 +132,29 @@ def _vectorized_pure_states(states: np.ndarray) -> np.ndarray:
     return dyads.reshape(states.shape[0], 16)
 
 
-def _params_to_steps(params: np.ndarray, *, omega_peak: float = 1.0,
-                     envelope: Envelope = Envelope.SQUARE, duration: float = 1.0
-                     ) -> list[FieldParams]:
+def _as_params(params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or params.size % 4 != 0 or params.size == 0:
         raise ValueError("params must be a flat vector of length 4N")
+    return params
+
+
+def _params_to_steps(params: np.ndarray, *, omega_peak: float = 1.0,
+                     envelope: Envelope = Envelope.SQUARE, duration: float = 1.0
+                     ) -> list[FieldParams]:
+    params = _as_params(params)
     return [FieldParams(theta=params[4 * l], phi=params[4 * l + 1],
                         mu_minus=params[4 * l + 2], mu_plus=params[4 * l + 3],
                         omega_peak=omega_peak, envelope=envelope, duration=duration)
             for l in range(params.size // 4)]
 
 
-def _distances(params: np.ndarray, vecs: np.ndarray, target_vec: np.ndarray,
-               mode: Mode) -> np.ndarray:
-    """Per-state (hs_distance, mismatch) for a parameter vector, columns stacked."""
-    k, c = sequence_affine(_params_to_steps(params), mode)
-    out = vecs @ k.T + c
+def state_distances(states: np.ndarray, steps, target: TargetState,
+                    mode: Mode = Mode.ALPHA) -> np.ndarray:
+    """Per-state (hs_distance, mismatch) to the target after the steps, columns stacked."""
+    k, c = sequence_affine(steps, mode)
+    out = pure_state_vectors(states) @ k.T + c
+    target_vec = target.density_matrix().matrix.reshape(16)
     diff = out - target_vec
     hs = np.sqrt(np.einsum("gi,gi->g", diff, diff.conj()).real)
     overlap = np.einsum("gi,i->g", out, target_vec.conj()).real
@@ -134,43 +162,87 @@ def _distances(params: np.ndarray, vecs: np.ndarray, target_vec: np.ndarray,
     return np.column_stack([hs, mis])
 
 
+def _grid_moments(states: np.ndarray, target: TargetState
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second moment C, mean m of the grid's ground blocks, and the target block t."""
+    vecs = pure_state_vectors(states)[:, _GROUND]
+    moment = vecs.T @ vecs.conj() / vecs.shape[0]
+    target_vec = target.density_matrix().matrix.reshape(16)[_GROUND]
+    return moment, vecs.mean(axis=0), target_vec
+
+
+def _kron_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Batched x kron y^T of 3x3 matrices: the row-major vec form of rho -> x rho y."""
+    e = x[..., :, None, :, None] * np.swapaxes(y, -1, -2)[..., None, :, None, :]
+    return e.reshape(e.shape[:-4] + (9, 9))
+
+
+def _rms_and_gradient(free: np.ndarray, moment: np.ndarray, mean_vec: np.ndarray,
+                      target_vec: np.ndarray, pinned: np.ndarray | None
+                      ) -> tuple[float, np.ndarray]:
+    """Grid RMS distance to the target and its gradient in the free angles.
+
+    ``free`` holds four angles per step; ``pinned``, when given, is appended
+    as the fixed last step and gets no gradient.  With step maps A_l, prefix
+    products Pre_l = A_{l-1}...A_1 and suffix products Suf_l = A_N...A_{l+1},
+    the mean squared distance is Q = tr(A C A^dagger) - 2 Re(t^dagger A m) + |t|^2
+    for A = A_N...A_1, and dQ/dx = 2 Re tr(dA_l/dx Pre_l G Suf_l) with
+    G = C A^dagger - m t^dagger.
+    """
+    angles = (free if pinned is None else np.concatenate([free, pinned])).reshape(-1, 4)
+    n = angles.shape[0]
+    b = bright_vector(angles)                    # (n, 3)
+    db = bright_vector_jacobian(angles)          # (n, 4, 3)
+    bc, dbc = b.conj(), db.conj()
+    proj = np.eye(3) - b[:, :, None] * bc[:, None, :]
+    dproj = -(db[..., :, None] * bc[:, None, None, :] + b[:, None, :, None] * dbc[..., None, :])
+    # vec of conj(b) b^T, so that b^dagger rho b = w . vec(rho)
+    w = (bc[:, :, None] * b[:, None, :]).reshape(n, 9)
+    dw = (dbc[..., :, None] * b[:, None, None, :]
+          + bc[:, None, :, None] * db[..., None, :]).reshape(n, 4, 9)
+    vproj, dvproj = proj.reshape(n, 9), dproj.reshape(n, 4, 9)
+    steps = _kron_t(proj, proj) + 0.5 * vproj[:, :, None] * w[:, None, :]
+    dsteps = (_kron_t(dproj, proj[:, None]) + _kron_t(proj[:, None], dproj)
+              + 0.5 * (dvproj[..., :, None] * w[:, None, None, :]
+                       + vproj[:, None, :, None] * dw[..., None, :]))
+
+    prefix = np.empty((n, 9, 9), dtype=complex)
+    suffix = np.empty((n, 9, 9), dtype=complex)
+    total = np.eye(9, dtype=complex)
+    for l in range(n):
+        prefix[l] = total
+        total = steps[l] @ total
+    suffix[n - 1] = np.eye(9)
+    for l in range(n - 1, 0, -1):
+        suffix[l - 1] = suffix[l] @ steps[l]
+
+    quad = np.vdot(total, total @ moment).real
+    cross = np.vdot(target_vec, total @ mean_vec).real
+    value = float(np.sqrt(max(quad - 2.0 * cross + np.vdot(target_vec, target_vec).real, 0.0)))
+
+    g = moment @ total.conj().T - np.outer(mean_vec, target_vec.conj())
+    dq = 2.0 * np.einsum("lapq,lqp->la", dsteps, prefix @ g @ suffix).real
+    grad = dq / (2.0 * value) if value > 0.0 else np.zeros_like(dq)
+    if pinned is not None:
+        grad = grad[:-1]
+    return value, grad.ravel()
+
+
 def sequence_objective(params: np.ndarray, grid: StateGrid, target: TargetState,
                        mode: Mode = Mode.ALPHA) -> float:
-    """RMS Hilbert-Schmidt distance to the target over the whole grid."""
-    vecs = _vectorized_pure_states(grid.states)
-    target_vec = target.density_matrix().matrix.reshape(16)
-    hs = _distances(np.asarray(params, dtype=float), vecs, target_vec, mode)[:, 0]
-    return float(np.sqrt(np.mean(hs ** 2)))
+    """RMS Hilbert-Schmidt distance to the target over the whole grid.
 
-
-def _moment_objective(vecs: np.ndarray, target_vec: np.ndarray, mode: Mode):
-    """Grid objective through second moments; exact and grid-size independent.
-
-    mean ||K v + b||^2 = Tr(K C K^dagger) + 2 Re(b^dagger K vbar) + |b|^2 with
-    C = mean(v v^dagger) and vbar = mean(v).
+    Both relaxation regimes give the same value, so ``mode`` does not change it.
     """
-    moment = vecs.T @ vecs.conj() / vecs.shape[0]
-    mean_vec = vecs.mean(axis=0)
-
-    def objective(params: np.ndarray) -> float:
-        k, c = sequence_affine(_params_to_steps(params), mode)
-        b = c - target_vec
-        quad = np.einsum("ij,jk,ik->", k, moment, k.conj()).real
-        cross = 2.0 * np.real(np.vdot(b, k @ mean_vec))
-        return float(np.sqrt(max(quad + cross + np.vdot(b, b).real, 0.0)))
-
-    return objective
+    return _rms_and_gradient(_as_params(params), *_grid_moments(grid.states, target), None)[0]
 
 
-def _central_gradient(fun, x: np.ndarray, step: float = GRADIENT_STEP) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        grad[i] = (fun(xp) - fun(xm)) / (2.0 * step)
-    return grad
+def _termination(res, tol: float) -> str:
+    if res.fun < tol:
+        return "tol"
+    if res.status == 1:
+        return "maxiter"
+    return str(res.message)
 
 
 def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: int,
@@ -189,42 +261,34 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: 
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    vecs = _vectorized_pure_states(grid.states)
-    target_vec = target.density_matrix().matrix.reshape(16)
-    objective = _moment_objective(vecs, target_vec, mode)
-    last = field_for_span(target.psi1, target.psi2)
-    last_angles = np.array(last.angles)
+    moments = _grid_moments(grid.states, target)
+    last_angles = np.array(field_for_span(target.psi1, target.psi2).angles)
+    pinned = last_angles if pin_last else None
+
+    def stop_below_tol(intermediate_result):
+        if intermediate_result.fun < tol:
+            raise StopIteration
 
     rng = np.random.default_rng(seed)
     best_value, best_params = np.inf, None
     history: list[float] = []
-    total_iterations = 0
+    records: list[RestartRecord] = []
     for _ in range(restarts):
         x0 = rng.uniform(0.0, 2.0 * np.pi, size=4 * n_steps)
         x0[-4:] = last_angles
-        if pin_last:
-            free0 = x0[:-4]
-
-            def fun(free):
-                return objective(np.concatenate([free, last_angles]))
-        else:
-            free0 = x0
-            fun = objective
-
+        free0 = x0[:-4] if pin_last else x0
         if free0.size == 0:
-            value, params, nit = fun(free0), x0.copy(), 0
+            value = _rms_and_gradient(free0, *moments, pinned)[0]
+            params = x0
+            records.append(RestartRecord(0, 1, value, "no free angles"))
         else:
-            def stop_below_tol(xk):
-                if fun(xk) < tol:
-                    raise StopIteration
-
-            res = minimize(fun, free0, method="CG",
-                           jac=lambda x: _central_gradient(fun, x),
-                           callback=stop_below_tol,
+            res = minimize(_rms_and_gradient, free0, args=(*moments, pinned), method="CG",
+                           jac=True, callback=stop_below_tol,
                            options={"maxiter": max_iter, "gtol": 1e-14})
-            value, nit = float(fun(res.x)), int(res.nit)
+            value = float(res.fun)
             params = np.concatenate([res.x, last_angles]) if pin_last else res.x.copy()
-        total_iterations += nit
+            records.append(RestartRecord(int(res.nit), int(res.nfev), value,
+                                         _termination(res, tol)))
         if value < best_value:
             best_value, best_params = value, params
         history.append(best_value)
@@ -232,16 +296,17 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: 
             break
 
     steps = _params_to_steps(best_params, omega_peak=omega_peak, envelope=envelope)
-    per_state = _distances(best_params, vecs, target_vec, mode)
+    per_state = state_distances(grid.states, steps, target, mode)
     objective_value = float(np.sqrt(np.mean(per_state[:, 0] ** 2)))
     return OptimizationResult(
         sequence=PulseSequence(steps=tuple(steps), mode=mode),
         objective_value=objective_value,
         per_state_distances=per_state,
-        iterations=total_iterations,
+        iterations=sum(r.iterations for r in records),
         seed=int(seed),
         converged=bool(objective_value <= tol),
         restart_history=tuple(history),
+        restarts=tuple(records),
     )
 
 

@@ -53,6 +53,11 @@ class TestOptimizeCommand:
         assert set(doc["train_stats"]) == {"rms_hs", "max_hs", "rms_mismatch", "max_mismatch"}
         assert doc["test_stats"]["n_states"] == 20
         assert doc["objective_history"]
+        assert len(doc["restarts"]) == len(doc["objective_history"])
+        for record in doc["restarts"]:
+            assert set(record) == {"iterations", "function_evals", "final_value",
+                                   "termination"}
+        assert sum(r["iterations"] for r in doc["restarts"]) == doc["iterations"]
         assert "wall_time_s" in doc["meta"]
 
     def test_deterministic_artifacts(self, tmp_path, config_path):
@@ -91,6 +96,14 @@ class TestOptimizeCommand:
                      "--strict"]) == 3
         # without --strict the same run exits 0
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 0
+        doc = json.loads((tmp_path / "o2" / "result.json").read_text())
+        assert [r["termination"] for r in doc["restarts"]] == ["maxiter"]
+
+    def test_threads_below_one_exit_2_naming_flag(self, tmp_path, config_path, capsys):
+        for threads in ("0", "-2"):
+            assert main(["optimize", "--config", str(config_path), "--out",
+                         str(tmp_path / "o"), "--threads", threads]) == 2
+            assert "--threads" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -174,6 +187,12 @@ class TestVerifyCommand:
         assert doc["n_states"] == 3
         assert doc["max_distance"] < 1e-5
 
+    def test_states_below_one_exit_2_naming_flag(self, tmp_path, config_path, capsys):
+        for states in ("0", "-3"):
+            assert main(["verify", "--config", str(config_path), "--out",
+                         str(tmp_path / "v"), "--states", states]) == 2
+            assert "--states" in capsys.readouterr().err
+
 
 class TestBlochExportCommand:
     def test_points_and_radii(self, tmp_path, config_path, optimized):
@@ -227,6 +246,12 @@ class TestSpectrumCommand:
         assert doc["zero_dimension"] == 3
         assert doc["left_right_spans_coincide"]
         assert doc["field"]["theta"] == pytest.approx(0.7)
+
+    def test_non_finite_angles_exit_2_naming_flag(self, tmp_path, config_path, capsys):
+        for angles in ("nan,0,0,0", "0,inf,0,0"):
+            assert main(["spectrum", "--config", str(config_path), "--out",
+                         str(tmp_path / "spec"), "--angles", angles]) == 2
+            assert "--angles" in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path, config_path):
         texts = []

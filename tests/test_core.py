@@ -6,6 +6,7 @@ import pytest
 from darkpulse import (AngleUnderdetermined, DegenerateSpan, DensityOperator,
                        Envelope, FieldParams, TargetState, bloch_coords, build_hamiltonian,
                        dark_basis, embed_ground, field_for_span, orthogonal_state)
+from darkpulse.core import bright_vector
 from conftest import random_field, random_pure_ground
 
 
@@ -164,6 +165,15 @@ class TestOrthogonalState:
             perp = orthogonal_state(fp)
             assert abs(perp.conj() @ basis.n1) < 1e-12
             assert abs(perp.conj() @ basis.n2) < 1e-12
+
+    def test_batched_raw_angles_match_canonical_fields(self, rng):
+        # the optimizer feeds raw angles in any range; theta folding must not matter
+        angles = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, size=(200, 4))
+        batch = bright_vector(angles)
+        assert batch.shape == (200, 3)
+        for row, perp in zip(angles, batch):
+            fp = FieldParams(theta=row[0], phi=row[1], mu_minus=row[2], mu_plus=row[3])
+            assert np.abs(perp - orthogonal_state(fp)).max() < 1e-13
 
 
 class TestFieldForSpan:

@@ -7,8 +7,21 @@ from darkpulse import (DensityOperator, FieldParams, Mode, PulseSequence, Target
                        compose_sequence, dark_basis, field_for_span, hs_distance,
                        initial_state_grid, optimize_sequence, purity_sweep,
                        sequence_objective)
-from darkpulse.optimize import StateGrid, random_pure_states
+from darkpulse.optimize import (StateGrid, _grid_moments, _rms_and_gradient,
+                                random_pure_states)
 from conftest import random_field
+
+
+def _central_gradient(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient: the oracle for the analytic one."""
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += step
+        xm = x.copy()
+        xm[i] -= step
+        grad[i] = (fun(xp) - fun(xm)) / (2.0 * step)
+    return grad
 
 
 def small_target() -> TargetState:
@@ -66,18 +79,45 @@ class TestSequenceObjective:
         grid = initial_state_grid(2)
         target = small_target()
         rho_f = target.density_matrix()
-        params = rng.uniform(0, 2 * np.pi, size=8)
-        for mode in (Mode.ALPHA, Mode.BETA):
+        for n_steps in (1, 2, 4):
+            params = rng.uniform(0, 2 * np.pi, size=4 * n_steps)
             steps = tuple(
                 FieldParams(theta=params[4 * l], phi=params[4 * l + 1],
                             mu_minus=params[4 * l + 2], mu_plus=params[4 * l + 3])
-                for l in range(2))
-            seq = PulseSequence(steps=steps, mode=mode)
-            distances = [hs_distance(compose_sequence(DensityOperator.pure(psi), seq), rho_f)
-                         for psi in grid.states]
-            expected = float(np.sqrt(np.mean(np.square(distances))))
-            value = sequence_objective(params, grid, target, mode)
-            assert value == pytest.approx(expected, abs=1e-12)
+                for l in range(n_steps))
+            for mode in (Mode.ALPHA, Mode.BETA):
+                seq = PulseSequence(steps=steps, mode=mode)
+                distances = [hs_distance(compose_sequence(DensityOperator.pure(psi), seq),
+                                         rho_f)
+                             for psi in grid.states]
+                expected = float(np.sqrt(np.mean(np.square(distances))))
+                value = sequence_objective(params, grid, target, mode)
+                assert value == pytest.approx(expected, abs=1e-12)
+
+
+class TestAnalyticGradient:
+    @pytest.mark.parametrize("n_steps", [1, 4, 8])
+    @pytest.mark.parametrize("pin_last", [False, True])
+    @pytest.mark.parametrize("theta_range", [(0.0, 2 * np.pi), (1e-4, 1e-2),
+                                             (np.pi - 1e-2, np.pi - 1e-4)])
+    def test_matches_central_differences(self, rng, n_steps, pin_last, theta_range):
+        grid = initial_state_grid(3)
+        target = small_target()
+        params = rng.uniform(0, 2 * np.pi, size=(n_steps, 4))
+        params[:, 0] = rng.uniform(*theta_range, size=n_steps)
+        params = params.ravel()
+        pinned = params[-4:] if pin_last else None
+        free = params[:-4] if pin_last else params
+
+        def value(x):
+            full = x if pinned is None else np.concatenate([x, pinned])
+            return sequence_objective(full, grid, target)
+
+        rms, grad = _rms_and_gradient(free, *_grid_moments(grid.states, target), pinned)
+        assert rms == pytest.approx(value(free), abs=1e-14)
+        expected = _central_gradient(value, free)
+        assert grad.shape == free.shape
+        assert np.linalg.norm(grad - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
 class TestOptimizeSequence:
@@ -90,6 +130,7 @@ class TestOptimizeSequence:
         assert a.objective_value == b.objective_value
         assert a.iterations == b.iterations
         assert a.restart_history == b.restart_history
+        assert a.restarts == b.restarts
         for fa, fb in zip(a.sequence.steps, b.sequence.steps):
             assert fa.angles == fb.angles
         assert np.array_equal(a.per_state_distances, b.per_state_distances)
@@ -100,6 +141,13 @@ class TestOptimizeSequence:
                                    restarts=4, max_iter=30, tol=1e-12)
         history = np.array(result.restart_history)
         assert np.all(np.diff(history) <= 0)
+        assert len(result.restarts) == len(history)
+        assert sum(r.iterations for r in result.restarts) == result.iterations
+        best = np.minimum.accumulate([r.final_value for r in result.restarts])
+        assert tuple(best) == result.restart_history
+        for record in result.restarts:
+            assert record.function_evals >= record.iterations
+            assert record.termination == "maxiter"  # tol 1e-12 is out of reach in 30
 
     def test_objective_value_consistent_with_distances(self):
         grid = initial_state_grid(3)
@@ -115,10 +163,13 @@ class TestOptimizeSequence:
     def test_pinned_last_pulse_keeps_target_span(self):
         grid = initial_state_grid(3)
         target = small_target()
-        result = optimize_sequence(2, target, grid, seed=3, restarts=1, max_iter=20,
-                                   tol=1e-9, pin_last=True)
         pinned = field_for_span(target.psi1, target.psi2)
-        assert result.sequence.steps[-1].angles == pytest.approx(pinned.angles, abs=1e-14)
+        for n_steps in (1, 2):
+            result = optimize_sequence(n_steps, target, grid, seed=3, restarts=1,
+                                       max_iter=20, tol=1e-9, pin_last=True)
+            assert result.sequence.steps[-1].angles == pytest.approx(pinned.angles, abs=1e-14)
+            if n_steps == 1:  # a single pinned pulse leaves nothing to optimize
+                assert [r.termination for r in result.restarts] == ["no free angles"]
 
     def test_rejects_bad_step_count(self):
         with pytest.raises(ValueError):
