@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import subspace_angles
 
 from .config import ExperimentConfig, atomic_write_text, dumps17, load_config
-from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, bloch_coords,
+from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, bloch_coords_array,
                    dark_basis, embed_ground, field_for_span)
 from .dynamics import integrate_master, recommended_duration, verify_map, write_trajectory_csv
 from .errors import ConfigError, PositivityViolation, StepSizeUnderflow, UnstableSpectrum
@@ -79,7 +79,6 @@ def _stats(distances: np.ndarray) -> dict:
 
 def _sequence_doc(seq: PulseSequence) -> dict:
     return {
-        "mode": seq.mode.value,
         "steps": [{
             "theta": fp.theta, "phi": fp.phi,
             "mu_minus": fp.mu_minus, "mu_plus": fp.mu_plus,
@@ -118,7 +117,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     result = optimize_sequence(
         cfg.steps, cfg.target, grid, cfg.optimizer.seed,
         restarts=cfg.optimizer.restarts, max_iter=cfg.optimizer.max_iter,
-        tol=cfg.optimizer.tol, mode=cfg.mode, pin_last=cfg.optimizer.pin_last,
+        tol=cfg.optimizer.tol, pin_last=cfg.optimizer.pin_last,
         omega_peak=cfg.omega_peak, envelope=cfg.envelope)
 
     # concretize per-step durations from the spectral gap at the config residual
@@ -126,13 +125,13 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     for fp in result.sequence.steps:
         liou = build_liouvillian(fp, cfg.rates, 1.0)
         steps.append(replace(fp, duration=recommended_duration(liou, cfg.integrator.residual)))
-    seq = PulseSequence(steps=tuple(steps), mode=cfg.mode)
+    seq = PulseSequence(steps=tuple(steps))
 
     test_states = random_pure_states(cfg.optimizer.test_states, [cfg.optimizer.seed, 1])
-    test_distances = state_distances(test_states, seq.steps, cfg.target, cfg.mode)
+    test_distances = state_distances(test_states, seq.steps, cfg.target)
 
     doc = {
-        "sequence": _sequence_doc(seq),
+        "sequence": {"mode": cfg.mode.value, **_sequence_doc(seq)},
         "objective_rms": result.objective_value,
         "objective_history": list(result.restart_history),
         "train_stats": _stats(result.per_state_distances),
@@ -169,7 +168,7 @@ def _simulate_one(index: int, psi: np.ndarray, steps, cfg: ExperimentConfig, out
         durations.append(duration)
         rho = traj.final
     if steps:
-        mapped = compose_sequence(rho0, PulseSequence(steps=tuple(steps), mode=cfg.mode))
+        mapped = compose_sequence(rho0, PulseSequence(steps=tuple(steps)))
     else:
         mapped = rho0
     target = cfg.target.density_matrix()
@@ -185,6 +184,14 @@ def _simulate_one(index: int, psi: np.ndarray, steps, cfg: ExperimentConfig, out
     }
 
 
+def _map_in_order(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, spread over ``threads`` worker threads when above 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path, threads: int) -> int:
     started = time.perf_counter()
     steps = _load_sequence(sequence_path, cfg)
@@ -193,13 +200,8 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path, threads: i
     else:
         states = np.array([[1.0, 0.0, 0.0]], dtype=complex)
 
-    jobs = [(i, states[i]) for i in range(states.shape[0])]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda job: _simulate_one(job[0], job[1], steps, cfg, out_dir), jobs))
-    else:
-        rows = [_simulate_one(i, psi, steps, cfg, out_dir) for i, psi in jobs]
+    rows = _map_in_order(lambda i: _simulate_one(i, states[i], steps, cfg, out_dir),
+                         range(states.shape[0]), threads)
 
     doc = {
         "n_pulses": len(steps),
@@ -232,12 +234,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int,
         return {"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
                 "mu_plus": fp.mu_plus, "distance": distance}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(n_states)))
-    else:
-        rows = [one(i) for i in range(n_states)]
-
+    rows = _map_in_order(one, range(n_states), threads)
     distances = np.array([r["distance"] for r in rows])
     doc = {
         "mode": cfg.mode.value,
@@ -277,20 +274,16 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
     point_rows: list[list[str]] = []
     radius_rows: list[list[str]] = []
     for stage in range(1, len(steps) + 1):
-        k, c = sequence_affine(steps[:stage], cfg.mode)
-        out = vecs @ k.T + c
+        k, c = sequence_affine(steps[:stage])
+        out = (vecs @ k.T + c).reshape(-1, 4, 4)
+        out = 0.5 * (out + out.swapaxes(-1, -2).conj())
+        DensityOperator.validate(out)
         if stage < len(steps):
             basis = dark_basis(steps[stage - 1])
         else:
             basis = _target_span_basis(cfg.target)
-        coords = np.empty((len(grid), 4))
-        for g in range(len(grid)):
-            matrix = out[g].reshape(4, 4)
-            matrix = 0.5 * (matrix + matrix.conj().T)
-            point = bloch_coords(DensityOperator(matrix), basis)
-            coords[g] = (point.x, point.y, point.z, point.in_span_weight)
-            point_rows.append([str(stage), _fmt(point.x), _fmt(point.y), _fmt(point.z),
-                               _fmt(point.in_span_weight)])
+        coords = bloch_coords_array(out, basis)
+        point_rows += [[str(stage), *map(_fmt, point)] for point in coords]
         centroid = coords[:, :3].mean(axis=0)
         radius = float(np.linalg.norm(coords[:, :3] - centroid, axis=1).max())
         radius_rows.append([str(stage), _fmt(radius)])
@@ -346,8 +339,7 @@ def cmd_sweep_purity(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = initial_state_grid(cfg.grid_resolution)
     rows = purity_sweep((cfg.target.psi1, cfg.target.psi2), cfg.weight_list, cfg.n_list,
                         cfg.optimizer.seed, grid=grid, restarts=cfg.optimizer.restarts,
-                        max_iter=cfg.optimizer.max_iter, tol=cfg.optimizer.tol,
-                        mode=cfg.mode)
+                        max_iter=cfg.optimizer.max_iter, tol=cfg.optimizer.tol)
     csv_rows = [[_fmt(r["p1"]), str(r["n_steps"]), _fmt(r["rms_objective"]),
                  _fmt(r["max_distance"]), str(r["iterations"])] for r in rows]
     _write_csv(out_dir / "purity_sweep.csv",
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "four-level lambda system via relaxation pulse sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True, sequence=False):
+    def common(p, config_required=True, sequence=False, seed=False, strict=False):
         p.add_argument("--config", required=config_required,
                        help="experiment config JSON" + ("" if config_required
                             else " (default: bundled reference scenario)"))
@@ -400,16 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sequence", required=True,
                            help="result.json produced by the optimize command")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="worker threads")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when the optimizer does not converge")
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="exit 3 when the optimizer does not converge")
 
-    common(sub.add_parser("optimize", help="search for a steering pulse sequence"))
+    common(sub.add_parser("optimize", help="search for a steering pulse sequence"),
+           seed=True, strict=True)
     common(sub.add_parser("simulate", help="integrate the master equation through a sequence"),
            sequence=True)
     p = sub.add_parser("verify", help="certify analytic maps against the full dynamics")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--states", type=int, default=20, help="number of random cases")
     p = sub.add_parser("bloch-export", help="export staged Bloch point clouds")
     common(p, sequence=True)
@@ -418,10 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", default=None,
                    help="field angles 'theta,phi,mu_minus,mu_plus' "
                         "(default: config field block, else the target-span field)")
-    common(sub.add_parser("sweep-purity", help="objective vs target purity and step count"))
+    common(sub.add_parser("sweep-purity", help="objective vs target purity and step count"),
+           seed=True)
     common(sub.add_parser("reproduce-paper",
                           help="run the bundled reference scenario end to end"),
-           config_required=False)
+           config_required=False, seed=True, strict=True)
     return parser
 
 
@@ -436,7 +432,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         if args.command == "verify" and args.states < 1:
             raise ConfigError(f"--states: must be at least 1, got {args.states}")
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             if args.seed < 0:
                 raise ConfigError("--seed: must be nonnegative")
             cfg = replace(cfg, optimizer=replace(cfg.optimizer, seed=args.seed))

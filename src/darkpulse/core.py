@@ -41,6 +41,7 @@ __all__ = [
     "orthogonal_state",
     "field_for_span",
     "bloch_coords",
+    "bloch_coords_array",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -144,17 +145,28 @@ class DensityOperator:
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm >= self.HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -(psd_tol if psd_tol is not None else self.PSD_TOL):
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
-        tr = float(np.trace(m).real)
-        slack = trace_tol if trace_tol is not None else self.TRACE_TOL
-        if not (0.0 < tr <= 1.0 + slack):
-            raise ValueError(f"trace {tr!r} outside (0, 1]")
+        self.validate(m, psd_tol=psd_tol, trace_tol=trace_tol)
         object.__setattr__(self, "matrix", _readonly(m))
+
+    @classmethod
+    def validate(cls, matrices: np.ndarray, *, psd_tol: float | None = None,
+                 trace_tol: float | None = None) -> None:
+        """Check a (..., 4, 4) stack of matrices as the constructor checks one.
+
+        Raises the constructor's ValueError, naming the largest asymmetry, the
+        smallest eigenvalue, or the smallest or largest trace of the stack.
+        """
+        herm = np.max(np.abs(matrices - matrices.swapaxes(-1, -2).conj()))
+        if herm >= cls.HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
+        min_eig = float(np.linalg.eigvalsh(matrices).min())
+        if min_eig < -(psd_tol if psd_tol is not None else cls.PSD_TOL):
+            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        traces = np.trace(matrices, axis1=-2, axis2=-1).real
+        low, high = float(traces.min()), float(traces.max())
+        slack = trace_tol if trace_tol is not None else cls.TRACE_TOL
+        if not (0.0 < low and high <= 1.0 + slack):
+            raise ValueError(f"trace {(high if 0.0 < low else low)!r} outside (0, 1]")
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "DensityOperator":
@@ -412,14 +424,17 @@ def bloch_coords(rho: DensityOperator, basis: DarkBasis) -> BlochPoint:
     Pauli operators with the z axis aligned to ``n1`` (z = +1 at |n1><n1|).
     The map is affine in ``rho``.
     """
+    return BlochPoint(*(float(v) for v in bloch_coords_array(rho.matrix, basis)))
+
+
+def bloch_coords_array(matrices: np.ndarray, basis: DarkBasis) -> np.ndarray:
+    """:func:`bloch_coords` of a (..., 4, 4) stack as columns (x, y, z, in_span_weight).
+
+    The matrices are not validated; check them once with
+    :meth:`DensityOperator.validate`.
+    """
     v1, v2 = embed_ground(basis.n1), embed_ground(basis.n2)
-    m = rho.matrix
-    r11 = complex(v1.conj() @ m @ v1)
-    r22 = complex(v2.conj() @ m @ v2)
-    r12 = complex(v1.conj() @ m @ v2)
-    return BlochPoint(
-        x=float(2.0 * r12.real),
-        y=float(-2.0 * r12.imag),
-        z=float((r11 - r22).real),
-        in_span_weight=float((r11 + r22).real),
-    )
+    rows = np.stack([v1.conj(), v2.conj()]) @ matrices  # <n1| rho and <n2| rho
+    r11, r22, r12 = rows[..., 0, :] @ v1, rows[..., 1, :] @ v2, rows[..., 0, :] @ v2
+    return np.stack([2.0 * r12.real, -2.0 * r12.imag, (r11 - r22).real, (r11 + r22).real],
+                    axis=-1)

@@ -5,22 +5,23 @@ trajectory solves ``dr/dt = (M0 + E(t) Mdrive) r + d`` with an embedded
 adaptive Runge-Kutta pair (Dormand-Prince 5(4)) under local error control.
 Pulse durations come from the spectral gap: integrating for
 ``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the ODE
-endpoint and the corresponding analytic relaxation map at roughly the
-requested residual, which :func:`verify_map` measures directly.
+endpoint and the analytic relaxation map at roughly the requested residual,
+which :func:`verify_map` measures directly.  The map is the same in both
+relaxation regimes; only the integrated dynamics differ.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import DarkBasis, DensityOperator, Envelope, FieldParams, Mode, dark_basis
+from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
 from .errors import PositivityViolation, StepSizeUnderflow
 from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
-from .maps import hs_distance, relax_closed, relax_repumped
+from .maps import hs_distance, relax_closed
 
 __all__ = [
     "Trajectory",
@@ -121,22 +122,15 @@ def verify_map(rho0: DensityOperator, fp: FieldParams, rates: Rates,
                atol: float = DEFAULT_ATOL) -> float:
     """Distance between the ODE endpoint and the analytic relaxation map.
 
-    Integrates for the recommended duration at the given residual and returns
-    the Hilbert-Schmidt distance between the endpoint and the map output
-    (closed-manifold map in mode alpha, repumped map in mode beta).
+    Integrates the dynamics of ``rates`` for the recommended duration at the
+    given residual and returns the Hilbert-Schmidt distance between the
+    endpoint and the relaxation map, which both regimes share.
     """
     liou = build_liouvillian(fp, rates, 1.0)
     t_final = recommended_duration(liou, residual)
-    run_fp = fp if fp.duration == t_final else FieldParams(
-        theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus, mu_plus=fp.mu_plus,
-        xi=fp.xi, omega_peak=fp.omega_peak, delta=fp.delta,
-        envelope=fp.envelope, duration=t_final)
-    traj = integrate_master(rho0, run_fp, rates, t_final, rtol=rtol, atol=atol)
-    if rates.mode is Mode.ALPHA:
-        mapped = relax_closed(rho0, dark_basis(fp))
-    else:
-        mapped = relax_repumped(rho0, fp)
-    return hs_distance(traj.final, mapped)
+    traj = integrate_master(rho0, replace(fp, duration=t_final), rates, t_final,
+                            rtol=rtol, atol=atol)
+    return hs_distance(traj.final, relax_closed(rho0, dark_basis(fp)))
 
 
 def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:

@@ -4,9 +4,12 @@ For a fixed drive the system relaxes into the dark subspace of that drive.
 The t -> infinity limit is an affine map of the input state: with a closed
 ground manifold the dark block survives and the lost weight is refilled as
 the maximally mixed dark state; with external loss plus repump the same map
-emerges once the constant offset state (the second dark dyad) is accounted
-for.  Both maps depend only on the four polarization/phase angles, never on
-amplitude, global phase, detuning, envelope, or duration.
+emerges, because the constant offset state (the second dark dyad) lies inside
+the dark block and cancels.  The map therefore depends only on the four
+polarization/phase angles, never on the relaxation regime, amplitude, global
+phase, detuning, envelope, or duration.  Sequences and affine forms use the
+closed-manifold map; :func:`relax_repumped` keeps the literal lossy-regime
+form as the reference that the tests check it against.
 
 A pulse sequence is the composition of these maps, one per step; because each
 step is affine on the trace-one hyperplane, convex mixtures commute with the
@@ -20,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DarkBasis, DensityOperator, FieldParams, Mode, dark_basis
+from .core import DarkBasis, DensityOperator, FieldParams, dark_basis
 from .errors import NegativeRadicand, TraceMismatch
 
 __all__ = [
@@ -42,10 +45,9 @@ _TRACE_ROW = np.eye(4).reshape(16)
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """An ordered list of pulses applied in one relaxation regime."""
+    """An ordered list of pulses."""
 
     steps: tuple[FieldParams, ...]
-    mode: Mode = Mode.ALPHA
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)
@@ -113,10 +115,7 @@ def compose_sequence(rho_in: DensityOperator, seq: PulseSequence) -> DensityOper
     """Fold the per-step relaxation maps over the sequence, in order."""
     rho = rho_in
     for fp in seq.steps:
-        if seq.mode is Mode.ALPHA:
-            rho = relax_closed(rho, dark_basis(fp))
-        else:
-            rho = relax_repumped(rho, fp)
+        rho = relax_closed(rho, dark_basis(fp))
     return rho
 
 
@@ -145,32 +144,27 @@ def hs_distance(rho_bar: DensityOperator, rho_f: DensityOperator) -> float:
     return float(np.linalg.norm(diff))
 
 
-def relaxation_affine(fp: FieldParams, mode: Mode = Mode.ALPHA) -> tuple[np.ndarray, np.ndarray]:
+def relaxation_affine(fp: FieldParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized affine form (K, c) of one relaxation step: vec_out = K vec_in + c.
 
-    Exact rewrite of the map for row-major vectorization; used to evaluate
-    whole sequences on batches of states and by cross-checks against the
-    spectral projection onto the zero subspace.
+    Exact rewrite of the map for row-major vectorization, the same in both
+    relaxation regimes; used to evaluate whole sequences on batches of states
+    and by cross-checks against the spectral projection onto the zero subspace.
     """
     p = dark_basis(fp).projector
     # vec(P rho P) = (P kron P^T) vec(rho)
     sandwich = np.kron(p, p.T)
     pd = p.reshape(16)
     k = sandwich - 0.5 * np.outer(pd, sandwich.T @ _TRACE_ROW)
-    c = 0.5 * pd
-    if mode is Mode.BETA:
-        tilde = repump_steady_state(fp).matrix.reshape(16)
-        c = c + tilde - sandwich @ tilde
-    return k, c
+    return k, 0.5 * pd
 
 
-def sequence_affine(steps: Iterable[FieldParams], mode: Mode = Mode.ALPHA
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def sequence_affine(steps: Iterable[FieldParams]) -> tuple[np.ndarray, np.ndarray]:
     """Affine form of a whole sequence, composed step by step."""
     k_total = np.eye(16, dtype=complex)
     c_total = np.zeros(16, dtype=complex)
     for fp in steps:
-        k, c = relaxation_affine(fp, mode)
+        k, c = relaxation_affine(fp)
         k_total = k @ k_total
         c_total = k @ c_total + c
     return k_total, c_total

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darkpulse import DensityOperator, FieldParams
+from darkpulse import DensityOperator, FieldParams, relax_repumped
 
 
 @pytest.fixture
@@ -38,3 +38,10 @@ def random_density(rng, ground_only: bool = False) -> DensityOperator:
     full = np.zeros((4, 4), dtype=complex)
     full[:dim, :dim] = m
     return DensityOperator(full)
+
+
+def fold_repumped(rho: DensityOperator, steps) -> DensityOperator:
+    """The steps applied with the literal lossy + repumped map, the beta-regime reference."""
+    for fp in steps:
+        rho = relax_repumped(rho, fp)
+    return rho

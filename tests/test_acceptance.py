@@ -20,7 +20,7 @@ from darkpulse import (DensityOperator, Mode, PulseSequence, Rates,
 from darkpulse.cli import _sequence_doc, bundled_config_path, main
 from darkpulse.config import dumps17, load_config
 from darkpulse.optimize import random_pure_states
-from conftest import random_density, random_field
+from conftest import fold_repumped, random_density, random_field
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -42,7 +42,7 @@ def main_run(bundled_config):
     result = optimize_sequence(cfg.steps, cfg.target, grid, cfg.optimizer.seed,
                                restarts=cfg.optimizer.restarts,
                                max_iter=cfg.optimizer.max_iter,
-                               tol=cfg.optimizer.tol, mode=cfg.mode)
+                               tol=cfg.optimizer.tol)
     return cfg, grid, result
 
 
@@ -173,16 +173,16 @@ def test_criterion_6_stage_geometry(main_run, tmp_path):
 
 def test_criterion_7_linearity(rng):
     steps = tuple(random_field(rng) for _ in range(4))
+    seq = PulseSequence(steps=steps)
     worst = 0.0
-    for mode in (Mode.ALPHA, Mode.BETA):
-        seq = PulseSequence(steps=steps, mode=mode)
+    # the mode-free composition (alpha) and the literal lossy-regime fold (beta)
+    for fold in (lambda rho: compose_sequence(rho, seq), lambda rho: fold_repumped(rho, steps)):
         for _ in range(500):
             rho1, rho2 = random_density(rng), random_density(rng)
             p1 = rng.uniform()
             mixed = DensityOperator(p1 * rho1.matrix + (1.0 - p1) * rho2.matrix)
-            lhs = compose_sequence(mixed, seq).matrix
-            rhs = (p1 * compose_sequence(rho1, seq).matrix
-                   + (1.0 - p1) * compose_sequence(rho2, seq).matrix)
+            lhs = fold(mixed).matrix
+            rhs = p1 * fold(rho1).matrix + (1.0 - p1) * fold(rho2).matrix
             worst = max(worst, np.abs(lhs - rhs).max())
     report(7, worst < 1e-12,
            f"composition vs convex mixing over 10^3 mixtures: {worst:.3e} (< 1e-12)")

@@ -1,13 +1,18 @@
 """CLI surface: exit codes, artifact formats, and byte-exact determinism."""
 
 import csv
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from darkpulse.cli import main
+from darkpulse.cli import build_parser, main
 from darkpulse.config import dumps17
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -293,3 +298,37 @@ class TestReproduceCommand:
         assert (out / "simulate" / "summary.json").exists()
         assert (out / "bloch" / "bloch_points.csv").exists()
         assert (out / "bloch" / "bloch_radii.csv").exists()
+
+
+class TestFlagAttachment:
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--strict"), ("verify", "--strict"), ("bloch-export", "--strict"),
+        ("spectrum", "--strict"), ("sweep-purity", "--strict"),
+        ("simulate", "--seed"), ("bloch-export", "--seed"), ("spectrum", "--seed"),
+    ])
+    def test_unused_flag_is_an_argparse_error(self, tmp_path, config_path, command, flag):
+        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o")]
+        if command in ("simulate", "bloch-export"):
+            argv += ["--sequence", str(tmp_path / "result.json")]
+        argv += [flag] + (["3"] if flag == "--seed" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_benchmark_argv_still_parses(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        # the optimize call of perfbench/make_sequence.py
+        argvs = [["optimize", "--config", "config.json", "--out", "out", "--threads", "1"]]
+        for workload in workloads.WORKLOADS.values():
+            for warm in (True, False):
+                argvs += workload.make_pass(tmp_path, 11, warm)
+        assert {argv[0] for argv in argvs} == {"optimize", "reproduce-paper", "verify",
+                                                "simulate", "bloch-export"}
+        parser = build_parser()
+        for argv in argvs:
+            parser.parse_args([arg.replace("{out}", str(tmp_path / "out")) for arg in argv])

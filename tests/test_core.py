@@ -6,8 +6,8 @@ import pytest
 from darkpulse import (AngleUnderdetermined, DegenerateSpan, DensityOperator,
                        Envelope, FieldParams, TargetState, bloch_coords, build_hamiltonian,
                        dark_basis, embed_ground, field_for_span, orthogonal_state)
-from darkpulse.core import bright_vector
-from conftest import random_field, random_pure_ground
+from darkpulse.core import bloch_coords_array, bright_vector
+from conftest import random_density, random_field, random_pure_ground
 
 
 class TestFieldParams:
@@ -55,6 +55,21 @@ class TestDensityOperator:
     def test_rejects_trace_above_one(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(np.eye(4, dtype=complex) / 2.0)
+
+    @pytest.mark.parametrize("bad", [
+        np.eye(4) / 4.0 + 0.1 * np.eye(4, k=1),
+        np.diag([0.6, 0.5, -0.1, 0.0]),
+        np.eye(4) / 2.0,
+    ], ids=["non_hermitian", "non_psd", "trace_above_one"])
+    def test_stack_check_raises_the_constructor_error(self, rng, bad):
+        stack = np.stack([random_density(rng).matrix for _ in range(5)])
+        DensityOperator.validate(stack)
+        stack[3] = bad
+        with pytest.raises(ValueError) as single:
+            DensityOperator(bad)
+        with pytest.raises(ValueError) as batched:
+            DensityOperator.validate(stack)
+        assert str(batched.value) == str(single.value)
 
     def test_pure_accepts_ground_and_full_vectors(self):
         rho3 = DensityOperator.pure(np.array([1.0, 0.0, 0.0]))
@@ -276,6 +291,22 @@ class TestBlochCoords:
             for attr in ("x", "y", "z", "in_span_weight"):
                 expected = a * getattr(p1, attr) + (1 - a) * getattr(p2, attr)
                 assert getattr(pm, attr) == pytest.approx(expected, abs=1e-12)
+
+    def test_stack_matches_per_state(self, rng):
+        basis = dark_basis(random_field(rng))
+        v1, v2 = embed_ground(basis.n1), embed_ground(basis.n2)
+        states = [random_density(rng) for _ in range(50)]
+        coords = bloch_coords_array(np.stack([rho.matrix for rho in states]), basis)
+        assert coords.shape == (50, 4)
+        for rho, row in zip(states, coords):
+            # per-state reference: the 2x2 dark block, one matrix element at a time
+            m = rho.matrix
+            r11, r22, r12 = v1.conj() @ m @ v1, v2.conj() @ m @ v2, v1.conj() @ m @ v2
+            expected = (2.0 * r12.real, -2.0 * r12.imag, (r11 - r22).real, (r11 + r22).real)
+            assert np.abs(row - expected).max() <= 1e-15
+            point = bloch_coords(rho, basis)
+            assert np.abs(np.array([point.x, point.y, point.z, point.in_span_weight])
+                          - expected).max() <= 1e-15
 
     def test_radius_bounded_by_weight(self, rng):
         from conftest import random_density

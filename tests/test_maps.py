@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darkpulse import (DensityOperator, Envelope, FieldParams, Mode, NegativeRadicand,
+from darkpulse import (DensityOperator, Envelope, FieldParams, NegativeRadicand,
                        PulseSequence, Rates, TraceMismatch, build_liouvillian,
                        compose_sequence, dark_basis, embed_ground, hs_distance, mismatch,
                        relax_closed, relax_repumped, relaxation_affine,
                        repump_steady_state, sequence_affine, unvec, vec, zero_subspace)
-from conftest import random_density, random_field, random_pure_ground
+from conftest import fold_repumped, random_density, random_field, random_pure_ground
+
+TWO_PI = 2.0 * np.pi
 
 
 class TestRelaxClosed:
@@ -131,21 +135,21 @@ class TestRelaxRepumped:
 class TestComposeSequence:
     def test_single_step_dark_input_unchanged(self, rng):
         fp = random_field(rng)
-        seq = PulseSequence(steps=(fp,), mode=Mode.ALPHA)
+        seq = PulseSequence(steps=(fp,))
         rho = DensityOperator.pure(dark_basis(fp).n1)
         assert np.abs(compose_sequence(rho, seq).matrix - rho.matrix).max() < 1e-13
 
     def test_mixture_linearity(self, rng):
         steps = tuple(random_field(rng) for _ in range(3))
-        for mode in (Mode.ALPHA, Mode.BETA):
-            seq = PulseSequence(steps=steps, mode=mode)
+        seq = PulseSequence(steps=steps)
+        for fold in (lambda rho: compose_sequence(rho, seq),
+                     lambda rho: fold_repumped(rho, steps)):
             for _ in range(10):
                 rho1, rho2 = random_density(rng), random_density(rng)
                 p1 = rng.uniform()
                 mixed = DensityOperator(p1 * rho1.matrix + (1 - p1) * rho2.matrix)
-                lhs = compose_sequence(mixed, seq).matrix
-                rhs = (p1 * compose_sequence(rho1, seq).matrix
-                       + (1 - p1) * compose_sequence(rho2, seq).matrix)
+                lhs = fold(mixed).matrix
+                rhs = p1 * fold(rho1).matrix + (1 - p1) * fold(rho2).matrix
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_empty_sequence_rejected(self):
@@ -197,21 +201,37 @@ class TestMetrics:
 
 class TestAffineForms:
     def test_single_step_matches_map(self, rng):
-        for mode in (Mode.ALPHA, Mode.BETA):
+        for _ in range(2):
             fp = random_field(rng)
-            k, c = relaxation_affine(fp, mode)
+            k, c = relaxation_affine(fp)
             for _ in range(10):
                 rho = random_density(rng)
-                direct = (relax_closed(rho, dark_basis(fp)) if mode is Mode.ALPHA
-                          else relax_repumped(rho, fp)).matrix
-                assert np.linalg.norm(unvec(k @ vec(rho.matrix) + c) - direct) < 1e-12
+                for direct in (relax_closed(rho, dark_basis(fp)), relax_repumped(rho, fp)):
+                    assert np.linalg.norm(unvec(k @ vec(rho.matrix) + c)
+                                          - direct.matrix) < 1e-12
 
     def test_sequence_matches_composition(self, rng):
         steps = tuple(random_field(rng) for _ in range(4))
-        for mode in (Mode.ALPHA, Mode.BETA):
-            k, c = sequence_affine(steps, mode)
-            seq = PulseSequence(steps=steps, mode=mode)
-            for _ in range(10):
-                rho = random_density(rng)
-                direct = compose_sequence(rho, seq).matrix
-                assert np.linalg.norm(unvec(k @ vec(rho.matrix) + c) - direct) < 1e-12
+        k, c = sequence_affine(steps)
+        seq = PulseSequence(steps=steps)
+        for _ in range(10):
+            rho = random_density(rng)
+            for direct in (compose_sequence(rho, seq), fold_repumped(rho, steps)):
+                assert np.linalg.norm(unvec(k @ vec(rho.matrix) + c) - direct.matrix) < 1e-12
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(theta=st.one_of(st.floats(0.0, 1e-6), st.floats(np.pi - 1e-6, np.pi),
+                           st.floats(0.0, np.pi)),
+           phi=st.floats(0.0, TWO_PI), mu_minus=st.floats(0.0, TWO_PI),
+           mu_plus=st.floats(0.0, TWO_PI), seed=st.integers(0, 2 ** 32 - 1))
+    def test_mode_free_step_matches_both_regimes(self, theta, phi, mu_minus, mu_plus, seed):
+        # theta within 1e-6 of 0 or pi is where the angles phi, mu+- stop
+        # being observable; the map must still agree with both regimes there
+        fp = FieldParams(theta=theta, phi=phi, mu_minus=mu_minus, mu_plus=mu_plus)
+        k, c = relaxation_affine(fp)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            rho = random_density(rng)
+            out = unvec(k @ vec(rho.matrix) + c)
+            assert np.linalg.norm(out - relax_closed(rho, dark_basis(fp)).matrix) < 1e-12
+            assert np.linalg.norm(out - relax_repumped(rho, fp).matrix) < 1e-12

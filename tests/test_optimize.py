@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from darkpulse import (DensityOperator, FieldParams, Mode, PulseSequence, TargetState,
+from darkpulse import (DensityOperator, FieldParams, PulseSequence, TargetState,
                        compose_sequence, dark_basis, field_for_span, hs_distance,
                        initial_state_grid, optimize_sequence, purity_sweep,
                        sequence_objective)
 from darkpulse.optimize import (StateGrid, _grid_moments, _rms_and_gradient,
                                 random_pure_states)
-from conftest import random_field
+from conftest import fold_repumped, random_field
 
 
 def _central_gradient(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -56,6 +56,24 @@ class TestInitialStateGrid:
         with pytest.raises(ValueError):
             initial_state_grid(1)
 
+    @pytest.mark.parametrize("resolution", range(2, 8))
+    def test_matches_nested_loop_bytes(self, resolution):
+        chi = np.linspace(0.0, np.pi / 2.0, resolution)
+        beta = np.arange(resolution) * 2.0 * np.pi / resolution
+        expected = np.empty((resolution ** 4, 3), dtype=complex)
+        g = 0
+        for c1 in chi:
+            for c2 in chi:
+                for b2 in beta:
+                    for b3 in beta:
+                        expected[g] = (np.cos(c1),
+                                       np.sin(c1) * np.cos(c2) * np.exp(1j * b2),
+                                       np.sin(c1) * np.sin(c2) * np.exp(1j * b3))
+                        g += 1
+        states = initial_state_grid(resolution).states
+        assert states.dtype == expected.dtype and states.shape == expected.shape
+        assert states.tobytes() == expected.tobytes()
+
 
 class TestSequenceObjective:
     def test_exact_zero_for_bright_state_and_mixed_dark_target(self, rng):
@@ -66,14 +84,14 @@ class TestSequenceObjective:
         grid = StateGrid(states=basis.phi_perp[None, :], resolution=1)
         target = TargetState(weights=(0.5, 0.5), psi1=basis.n1, psi2=basis.n2)
         params = np.array(fp.angles)
-        assert sequence_objective(params, grid, target, Mode.ALPHA) < 1e-12
+        assert sequence_objective(params, grid, target) < 1e-12
 
     def test_nonnegative(self, rng):
         grid = initial_state_grid(2)
         target = small_target()
         for _ in range(10):
             params = rng.uniform(0, 2 * np.pi, size=8)
-            assert sequence_objective(params, grid, target, Mode.ALPHA) >= 0.0
+            assert sequence_objective(params, grid, target) >= 0.0
 
     def test_matches_per_state_composition(self, rng):
         grid = initial_state_grid(2)
@@ -85,13 +103,14 @@ class TestSequenceObjective:
                 FieldParams(theta=params[4 * l], phi=params[4 * l + 1],
                             mu_minus=params[4 * l + 2], mu_plus=params[4 * l + 3])
                 for l in range(n_steps))
-            for mode in (Mode.ALPHA, Mode.BETA):
-                seq = PulseSequence(steps=steps, mode=mode)
-                distances = [hs_distance(compose_sequence(DensityOperator.pure(psi), seq),
-                                         rho_f)
+            seq = PulseSequence(steps=steps)
+            value = sequence_objective(params, grid, target)
+            # the closed-manifold composition (alpha) and the lossy fold (beta)
+            for fold in (lambda rho: compose_sequence(rho, seq),
+                         lambda rho: fold_repumped(rho, steps)):
+                distances = [hs_distance(fold(DensityOperator.pure(psi)), rho_f)
                              for psi in grid.states]
                 expected = float(np.sqrt(np.mean(np.square(distances))))
-                value = sequence_objective(params, grid, target, mode)
                 assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -157,8 +176,29 @@ class TestOptimizeSequence:
         assert result.objective_value == pytest.approx(
             float(np.sqrt(np.mean(hs ** 2))), abs=1e-12)
         params = np.concatenate([fp.angles for fp in result.sequence.steps])
-        assert sequence_objective(params, grid, small_target(), Mode.ALPHA) == pytest.approx(
+        assert sequence_objective(params, grid, small_target()) == pytest.approx(
             result.objective_value, abs=1e-12)
+
+    def test_converged_is_the_stopping_test(self):
+        # converged must read the value the restarts stop on, not the
+        # per-state recomputation; a tol between the two separates them
+        grid = initial_state_grid(3)
+        kwargs = dict(restarts=2, max_iter=40)
+        outcomes = set()
+        for seed in (3, 5, 7):
+            probe = optimize_sequence(2, small_target(), grid, seed=seed, tol=1e-9, **kwargs)
+            stop_value = min(r.final_value for r in probe.restarts)
+            assert stop_value != probe.objective_value
+            between = 0.5 * (stop_value + probe.objective_value)
+            for tol in (0.2, between, 1e-9):
+                result = optimize_sequence(2, small_target(), grid, seed=seed, tol=tol,
+                                           **kwargs)
+                best = min(r.final_value for r in result.restarts)
+                assert result.converged == (best < tol)
+                assert result.converged == any(r.termination == "tol"
+                                               for r in result.restarts)
+                outcomes.add(result.converged)
+        assert outcomes == {True, False}
 
     def test_pinned_last_pulse_keeps_target_span(self):
         grid = initial_state_grid(3)
