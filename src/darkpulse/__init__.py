@@ -10,7 +10,8 @@ pulse-sequence optimizer (:mod:`optimize`), and the CLI (:mod:`cli`).
 from .core import (BlochPoint, DarkBasis, DensityOperator, Envelope, FieldParams, Mode,
                    TargetState, bloch_coords, build_hamiltonian, dark_basis, embed_ground,
                    field_for_span, orthogonal_state)
-from .dynamics import Trajectory, integrate_master, recommended_duration, verify_map
+from .dynamics import (PulseRecord, Trajectory, integrate_master, propagate_exact,
+                       recommended_duration, run_pulse, verify_map)
 from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, DegenerateSpan,
                      NegativeRadicand, PositivityViolation, SingularSystem,
                      StepSizeUnderflow, TraceMismatch, UnexpectedDimension,
@@ -27,15 +28,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleUnderdetermined", "BlochPoint", "ConfigError", "DarkBasis", "DarkpulseError",
-    "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "Liouvillian", "Mode",
-    "NegativeRadicand", "OptimizationResult", "PositivityViolation", "PulseSequence",
-    "Rates", "SingularSystem", "StateGrid", "StepSizeUnderflow", "TargetState",
-    "TraceMismatch", "Trajectory", "UnexpectedDimension", "UnstableSpectrum",
-    "ZeroSubspace", "bloch_coords", "build_hamiltonian", "build_liouvillian",
-    "closed_form_zero_modes", "compose_sequence", "dark_basis", "embed_ground",
-    "field_for_span", "hs_distance", "initial_state_grid", "integrate_master", "mismatch",
-    "optimize_sequence", "orthogonal_state", "purity_sweep", "random_pure_states",
+    "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "Liouvillian",
+    "Mode", "NegativeRadicand", "OptimizationResult", "PositivityViolation",
+    "PulseRecord", "PulseSequence", "Rates", "SingularSystem", "StateGrid",
+    "StepSizeUnderflow", "TargetState", "TraceMismatch", "Trajectory",
+    "UnexpectedDimension", "UnstableSpectrum", "ZeroSubspace", "bloch_coords",
+    "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
+    "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",
+    "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
+    "orthogonal_state", "propagate_exact", "purity_sweep", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
-    "repump_steady_state", "sequence_affine", "sequence_objective", "slowest_rate",
-    "steady_affine", "unvec", "vec", "verify_map", "zero_subspace",
+    "repump_steady_state", "run_pulse", "sequence_affine", "sequence_objective",
+    "slowest_rate", "steady_affine", "unvec", "vec", "verify_map", "zero_subspace",
 ]

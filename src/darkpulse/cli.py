@@ -29,7 +29,8 @@ from scipy.linalg import subspace_angles
 from .config import ExperimentConfig, atomic_write_text, dumps17, load_config
 from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, bloch_coords_array,
                    dark_basis, embed_ground, field_for_span)
-from .dynamics import integrate_master, recommended_duration, verify_map, write_trajectory_csv
+from .dynamics import (propagator_name, recommended_duration, run_pulse, verify_map,
+                       write_trajectory_csv)
 from .errors import ConfigError, PositivityViolation, StepSizeUnderflow, UnstableSpectrum
 from .liouville import (build_liouvillian, slowest_rate, transpose_convention_diagnostic,
                         zero_subspace)
@@ -156,16 +157,15 @@ def _simulate_one(index: int, psi: np.ndarray, steps, cfg: ExperimentConfig, out
     rho0 = rho
     durations = []
     csv_paths = []
+    pulses = []
     for l, fp in enumerate(steps):
-        liou = build_liouvillian(fp, cfg.rates, 1.0)
-        duration = recommended_duration(liou, cfg.integrator.residual)
-        run_fp = replace(fp, duration=duration)
-        traj = integrate_master(rho, run_fp, cfg.rates, duration,
-                                rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
+        traj = run_pulse(rho, fp, cfg.rates, cfg.integrator.residual,
+                         rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
         path = out_dir / f"trajectory_state{index:03d}_pulse{l:02d}.csv"
         write_trajectory_csv(traj, dark_basis(fp), path)
         csv_paths.append(path.name)
-        durations.append(duration)
+        durations.append(float(traj.times[-1]))
+        pulses.append(traj.record._asdict())
         rho = traj.final
     if steps:
         mapped = compose_sequence(rho0, PulseSequence(steps=tuple(steps)))
@@ -176,6 +176,7 @@ def _simulate_one(index: int, psi: np.ndarray, steps, cfg: ExperimentConfig, out
         "state_index": index,
         "durations": durations,
         "trajectories": csv_paths,
+        "pulses": pulses,
         "hs_ode_vs_map": hs_distance(rho, mapped),
         "hs_ode_vs_target": hs_distance(rho, target),
         "hs_map_vs_target": hs_distance(mapped, target),
@@ -238,6 +239,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int,
     distances = np.array([r["distance"] for r in rows])
     doc = {
         "mode": cfg.mode.value,
+        "propagator": propagator_name(cfg.envelope),
         "residual": cfg.integrator.residual,
         "n_states": n_states,
         "seed": seed,

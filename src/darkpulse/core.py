@@ -169,6 +169,25 @@ class DensityOperator:
             raise ValueError(f"trace {(high if 0.0 < low else low)!r} outside (0, 1]")
 
     @classmethod
+    def from_stack(cls, matrices: np.ndarray, *, psd_tol: float | None = None,
+                   trace_tol: float | None = None) -> tuple["DensityOperator", ...]:
+        """One state per matrix of an (n, 4, 4) stack, validated once as a whole.
+
+        The states are read-only views of one copy of the stack.
+        """
+        stack = np.array(matrices, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+            raise ValueError(f"expected an (n, 4, 4) stack, got shape {stack.shape}")
+        cls.validate(stack, psd_tol=psd_tol, trace_tol=trace_tol)
+        stack.setflags(write=False)
+        states = []
+        for m in stack:
+            state = cls.__new__(cls)
+            object.__setattr__(state, "matrix", m)
+            states.append(state)
+        return tuple(states)
+
+    @classmethod
     def pure(cls, state: np.ndarray) -> "DensityOperator":
         """Projector onto a pure state; accepts a ground 3-vector or full 4-vector."""
         psi = embed_ground(np.asarray(state, dtype=complex))

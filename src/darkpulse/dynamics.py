@@ -1,22 +1,30 @@
-"""Full master-equation integration and certification of the analytic maps.
+"""Pulse dynamics under the full master equation, and certification of the analytic maps.
 
-The generator is piecewise constant per pulse up to the scalar envelope, so a
-trajectory solves ``dr/dt = (M0 + E(t) Mdrive) r + d`` with an embedded
-adaptive Runge-Kutta pair (Dormand-Prince 5(4)) under local error control.
-Pulse durations come from the spectral gap: integrating for
-``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the ODE
-endpoint and the analytic relaxation map at roughly the requested residual,
-which :func:`verify_map` measures directly.  The map is the same in both
-relaxation regimes; only the integrated dynamics differ.
+Within one pulse the generator is ``dr/dt = (M0 + E(t) Mdrive) r + d``.  A
+square envelope makes it constant, so :func:`propagate_exact` takes the exact
+state from the matrix exponential of the augmented generator
+``[[M, d], [0, 0]]`` (Van Loan 1978).  Time-dependent envelopes are integrated
+by :func:`integrate_master` with an embedded adaptive Runge-Kutta pair
+(Dormand-Prince 5(4)) under local error control; it accepts square pulses too
+and serves as the independent cross-check of the exact path.
+:func:`run_pulse` is the one place that picks between them.
+
+Pulse durations come from the spectral gap: driving for
+``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the endpoint
+and the analytic relaxation map at roughly the requested residual, which
+:func:`verify_map` measures directly.  The map is the same in both relaxation
+regimes; only the driven dynamics differ.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
 from .errors import PositivityViolation, StepSizeUnderflow
@@ -24,9 +32,13 @@ from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
 from .maps import hs_distance, relax_closed
 
 __all__ = [
+    "PulseRecord",
     "Trajectory",
     "integrate_master",
+    "propagate_exact",
+    "propagator_name",
     "recommended_duration",
+    "run_pulse",
     "verify_map",
     "write_trajectory_csv",
 ]
@@ -36,13 +48,28 @@ DEFAULT_ATOL = 1e-12
 MIN_SNAPSHOTS = 65
 
 
+class PulseRecord(NamedTuple):
+    """The work done on one pulse and the worst excursions among its snapshots.
+
+    ``nfev`` counts right-hand-side evaluations (0 for the exact propagator);
+    ``min_eigenvalue`` is the smallest snapshot eigenvalue and
+    ``max_trace_error`` the largest ``|trace - 1|``.
+    """
+
+    propagator: str
+    nfev: int
+    min_eigenvalue: float
+    max_trace_error: float
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Density-operator snapshots along one integrated pulse."""
+    """Density-operator snapshots along one pulse, with the record of how they were made."""
 
     times: np.ndarray
     states: tuple[DensityOperator, ...]
     final: DensityOperator
+    record: PulseRecord | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -53,15 +80,41 @@ class Trajectory:
         object.__setattr__(self, "states", tuple(self.states))
 
 
+def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
+                nfev: int) -> Trajectory:
+    """Symmetrize the (n, 16) vectorized snapshots and validate them as one stack.
+
+    Hermiticity is preserved by the flow, so snapshots are symmetrized only
+    against roundoff.  Positivity is monitored, not enforced, because the
+    repump term is not of Lindblad form: the first snapshot with an eigenvalue
+    below ``-100 * atol`` raises :class:`PositivityViolation`.
+    """
+    snaps = snapshots.reshape(-1, 4, 4)
+    snaps = 0.5 * (snaps + snaps.swapaxes(-1, -2).conj())
+    floor = -100.0 * atol
+    min_eigs = np.linalg.eigvalsh(snaps)[:, 0]
+    below = np.flatnonzero(min_eigs < floor)
+    if below.size:
+        k = below[0]
+        raise PositivityViolation(
+            f"snapshot at t={times[k]:.6g} has eigenvalue {min_eigs[k]:.3e} < {floor:.3e}")
+    # validation slack scales with the integrator tolerance, mirroring the
+    # positivity monitor; the exact flow keeps trace <= 1 in both regimes
+    trace_slack = max(DensityOperator.TRACE_TOL, 100.0 * atol)
+    states = DensityOperator.from_stack(snaps, psd_tol=-floor, trace_tol=trace_slack)
+    traces = np.trace(snaps, axis1=-2, axis2=-1).real
+    record = PulseRecord(propagator, nfev, float(min_eigs.min()),
+                         float(np.abs(traces - 1.0).max()))
+    return Trajectory(times=times, states=states, final=states[-1], record=record)
+
+
 def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
                      t_final: float, rtol: float = DEFAULT_RTOL,
                      atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Integrate the master equation through one pulse.
+    """Integrate the master equation through one pulse with RK45.
 
     Snapshots are taken at 65 evenly spaced output times including both
-    endpoints.  Hermiticity is preserved by the flow, so snapshots are
-    symmetrized only against roundoff; positivity is monitored, not enforced,
-    because the repump term is not of Lindblad form.
+    endpoints and validated by the same rules as :func:`propagate_exact`.
 
     Raises
     ------
@@ -93,21 +146,45 @@ def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
                     rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
         raise StepSizeUnderflow(f"integrator failed: {sol.message}")
+    return _trajectory(sol.t.copy(), sol.y.T, atol, "rk45", int(sol.nfev))
 
-    # validation slack scales with the integrator tolerance, mirroring the
-    # positivity monitor; the exact flow keeps trace <= 1 in both regimes
-    trace_slack = max(DensityOperator.TRACE_TOL, 100.0 * atol)
-    floor = -100.0 * atol
-    states = []
-    for k in range(sol.y.shape[1]):
-        snap = sol.y[:, k].reshape(4, 4)
-        snap = 0.5 * (snap + snap.conj().T)
-        min_eig = float(np.linalg.eigvalsh(snap).min())
-        if min_eig < floor:
-            raise PositivityViolation(
-                f"snapshot at t={sol.t[k]:.6g} has eigenvalue {min_eig:.3e} < {floor:.3e}")
-        states.append(DensityOperator(snap, psd_tol=-floor, trace_tol=trace_slack))
-    return Trajectory(times=sol.t.copy(), states=tuple(states), final=states[-1])
+
+def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
+                    atol: float = DEFAULT_ATOL) -> Trajectory:
+    """Exact snapshots of one square pulse from the matrix exponential.
+
+    With a constant generator the augmented state ``y = [r; 1]`` obeys
+    ``dy/dt = A y`` with ``A = [[m, d], [0, 0]]``.  One ``step = expm(dt A)``
+    at ``dt = t_final / 64`` then gives the 65 snapshots of
+    :func:`integrate_master` by 64 products ``y_{k+1} = step @ y_k``.  ``atol``
+    only sets the positivity floor and the trace slack.
+
+    Raises
+    ------
+    PositivityViolation
+        If any snapshot eigenvalue falls below -100 * atol.
+    """
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    if atol <= 0:
+        raise ValueError("atol must be positive")
+    if liou.field.envelope is not Envelope.SQUARE:
+        raise ValueError("the exact propagator needs a square envelope")
+    a = np.zeros((17, 17), dtype=complex)
+    a[:16, :16] = liou.m
+    a[:16, 16] = liou.d
+    step = expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
+    y = np.empty((MIN_SNAPSHOTS, 17), dtype=complex)
+    y[0, :16] = rho0.matrix.reshape(16)
+    y[0, 16] = 1.0
+    for k in range(MIN_SNAPSHOTS - 1):
+        y[k + 1] = step @ y[k]
+    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS), y[:, :16], atol, "exact", 0)
+
+
+def propagator_name(envelope: Envelope) -> str:
+    """The propagator :func:`run_pulse` uses: ``"exact"`` for a constant (square) envelope."""
+    return "exact" if envelope is Envelope.SQUARE else "rk45"
 
 
 def recommended_duration(liou: Liouvillian, residual: float) -> float:
@@ -117,19 +194,34 @@ def recommended_duration(liou: Liouvillian, residual: float) -> float:
     return float(np.log(1.0 / residual) / slowest_rate(liou))
 
 
-def verify_map(rho0: DensityOperator, fp: FieldParams, rates: Rates,
-               residual: float, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL) -> float:
-    """Distance between the ODE endpoint and the analytic relaxation map.
+def run_pulse(rho0: DensityOperator, fp: FieldParams, rates: Rates, residual: float,
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
+    """Drive one pulse for its recommended duration at ``residual``.
 
-    Integrates the dynamics of ``rates`` for the recommended duration at the
-    given residual and returns the Hilbert-Schmidt distance between the
-    endpoint and the relaxation map, which both regimes share.
+    The generator is built once, for the duration rule and, on a square pulse,
+    for :func:`propagate_exact`.  Other envelopes go through
+    :func:`integrate_master` under ``rtol`` and ``atol``.
     """
     liou = build_liouvillian(fp, rates, 1.0)
     t_final = recommended_duration(liou, residual)
-    traj = integrate_master(rho0, replace(fp, duration=t_final), rates, t_final,
+    if propagator_name(fp.envelope) == "exact":
+        return propagate_exact(rho0, liou, t_final, atol=atol)
+    return integrate_master(rho0, replace(fp, duration=t_final), rates, t_final,
                             rtol=rtol, atol=atol)
+
+
+def verify_map(rho0: DensityOperator, fp: FieldParams, rates: Rates,
+               residual: float, rtol: float = DEFAULT_RTOL,
+               atol: float = DEFAULT_ATOL) -> float:
+    """Distance between the driven endpoint and the analytic relaxation map.
+
+    Drives the dynamics of ``rates`` through :func:`run_pulse` for the
+    recommended duration at the given residual (the exact propagator for a
+    square pulse, RK45 for a time-dependent envelope) and returns the
+    Hilbert-Schmidt distance between the endpoint and the relaxation map,
+    which both regimes share.
+    """
+    traj = run_pulse(rho0, fp, rates, residual, rtol=rtol, atol=atol)
     return hs_distance(traj.final, relax_closed(rho0, dark_basis(fp)))
 
 

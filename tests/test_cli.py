@@ -129,6 +129,24 @@ class TestSimulateCommand:
         assert state["hs_ode_vs_map"] < 1e-5
         for name in state["trajectories"]:
             assert (out / name).exists()
+        assert len(state["pulses"]) == 2
+        for pulse in state["pulses"]:
+            assert set(pulse) == {"propagator", "nfev", "min_eigenvalue", "max_trace_error"}
+            assert pulse["propagator"] == "exact" and pulse["nfev"] == 0
+            assert pulse["min_eigenvalue"] >= -100 * 1e-12
+            assert 0.0 <= pulse["max_trace_error"] < 1e-9  # alpha conserves trace
+
+    def test_sine_squared_pulses_are_integrated(self, tmp_path, optimized):
+        cfg = write_config(tmp_path / "sine.json", envelope="sine_squared")
+        out = tmp_path / "sims"
+        assert main(["simulate", "--config", str(cfg), "--sequence", str(optimized),
+                     "--out", str(out)]) == 0
+        pulses = json.loads((out / "summary.json").read_text())["states"][0]["pulses"]
+        assert [p["propagator"] for p in pulses] == ["rk45", "rk45"]
+        assert all(p["nfev"] > 0 for p in pulses)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "vs"),
+                     "--states", "1"]) == 0
+        assert json.loads((tmp_path / "vs" / "verify.json").read_text())["propagator"] == "rk45"
 
     def test_deterministic(self, tmp_path, config_path, optimized):
         texts = []
@@ -191,6 +209,7 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "v1" / "verify.json").read_text())
         assert doc["n_states"] == 3
         assert doc["max_distance"] < 1e-5
+        assert doc["propagator"] == "exact"
 
     def test_states_below_one_exit_2_naming_flag(self, tmp_path, config_path, capsys):
         for states in ("0", "-3"):

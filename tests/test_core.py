@@ -70,6 +70,22 @@ class TestDensityOperator:
         with pytest.raises(ValueError) as batched:
             DensityOperator.validate(stack)
         assert str(batched.value) == str(single.value)
+        with pytest.raises(ValueError) as wrapped:
+            DensityOperator.from_stack(stack)
+        assert str(wrapped.value) == str(single.value)
+
+    def test_from_stack_wraps_a_readonly_copy(self, rng):
+        stack = np.stack([random_density(rng).matrix for _ in range(3)])
+        states = DensityOperator.from_stack(stack)
+        expected = stack.copy()
+        stack[:] = 0.0
+        assert len(states) == 3
+        for state, m in zip(states, expected):
+            assert isinstance(state, DensityOperator)
+            assert np.array_equal(state.matrix, m)
+            assert not state.matrix.flags.writeable
+        with pytest.raises(ValueError, match="stack"):
+            DensityOperator.from_stack(expected[0])
 
     def test_pure_accepts_ground_and_full_vectors(self):
         rho3 = DensityOperator.pure(np.array([1.0, 0.0, 0.0]))

@@ -1,12 +1,15 @@
 """Master-equation integration, duration selection, and map certification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from darkpulse import (DensityOperator, Envelope, FieldParams, Rates, Trajectory,
-                       build_liouvillian, dark_basis, hs_distance, integrate_master,
-                       recommended_duration, relax_closed, slowest_rate, verify_map)
-from darkpulse.dynamics import write_trajectory_csv
+from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
+                       Trajectory, build_liouvillian, dark_basis, hs_distance,
+                       integrate_master, propagate_exact, recommended_duration, relax_closed,
+                       run_pulse, slowest_rate, verify_map)
+from darkpulse.dynamics import DEFAULT_RTOL, _trajectory, write_trajectory_csv
 from conftest import random_density, random_field, random_pure_ground
 
 
@@ -102,6 +105,105 @@ class TestIntegrateMaster:
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.5, 1.0]), states=(excited_state(),) * 2,
                        final=excited_state())
+
+
+class TestPropagateExact:
+    def test_pure_decay_closed_form(self):
+        # the exact counterpart of TestIntegrateMaster.test_pure_decay_closed_form
+        fp = FieldParams(theta=0.5, phi=0.5, mu_minus=0.0, mu_plus=0.0,
+                         omega_peak=1e-30, duration=5.0)
+        traj = propagate_exact(excited_state(), build_liouvillian(fp, Rates.alpha(1.0)), 5.0)
+        assert len(traj.states) == 65
+        for t, state in zip(traj.times, traj.states):
+            assert state.excited_population() == pytest.approx(np.exp(-t), rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_matches_rk45_endpoint(self, rng, rates):
+        # RK45 is the independent witness of the exact path: the endpoints
+        # agree to the integrator's rtol at the residual-1e-10 duration
+        for _ in range(8):
+            fp = random_field(rng, omega_peak=1.0)
+            rho0 = DensityOperator.pure(random_pure_ground(rng))
+            liou = build_liouvillian(fp, rates)
+            t_final = recommended_duration(liou, 1e-10)
+            exact = propagate_exact(rho0, liou, t_final)
+            rk45 = integrate_master(rho0, replace(fp, duration=t_final), rates, t_final)
+            assert np.array_equal(exact.times, rk45.times)
+            assert hs_distance(exact.final, rk45.final) < DEFAULT_RTOL
+
+    @pytest.mark.parametrize("residual", [1e-6, 1e-10])
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_residual_rule_holds_at_exact_endpoint(self, rng, rates, residual):
+        # driving for ln(1/residual)/gap leaves the state about `residual` from
+        # the map; the exact endpoint carries no integrator error to hide it
+        for _ in range(20):
+            fp = random_field(rng, omega_peak=1.0)
+            rho0 = DensityOperator.pure(random_pure_ground(rng))
+            liou = build_liouvillian(fp, rates)
+            traj = propagate_exact(rho0, liou, recommended_duration(liou, residual))
+            assert hs_distance(traj.final, relax_closed(rho0, dark_basis(fp))) < 2.0 * residual
+
+    def test_rejects_bad_arguments(self, rng):
+        fp = random_field(rng)
+        liou = build_liouvillian(fp, Rates.alpha())
+        rho = random_density(rng)
+        with pytest.raises(ValueError):
+            propagate_exact(rho, liou, -1.0)
+        with pytest.raises(ValueError):
+            propagate_exact(rho, liou, 1.0, atol=0.0)
+        ramped = build_liouvillian(replace(fp, envelope=Envelope.SINE_SQUARED), Rates.alpha())
+        with pytest.raises(ValueError, match="square"):
+            propagate_exact(rho, ramped, 1.0)
+
+
+class TestRunPulse:
+    def test_square_takes_exact_path(self, rng):
+        fp = random_field(rng, omega_peak=1.0)
+        rho0 = random_density(rng)
+        rates = Rates.beta()
+        liou = build_liouvillian(fp, rates)
+        traj = run_pulse(rho0, fp, rates, 1e-6)
+        direct = propagate_exact(rho0, liou, recommended_duration(liou, 1e-6))
+        assert traj.record.propagator == "exact" and traj.record.nfev == 0
+        assert traj.times[-1] == recommended_duration(liou, 1e-6)
+        assert np.array_equal(traj.final.matrix, direct.final.matrix)
+
+    def test_sine_squared_takes_rk45(self, rng):
+        fp = random_field(rng, omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
+        rho0 = random_density(rng)
+        t_final = recommended_duration(build_liouvillian(fp, Rates.alpha()), 1e-6)
+        traj = run_pulse(rho0, fp, Rates.alpha(), 1e-6)
+        direct = integrate_master(rho0, replace(fp, duration=t_final), Rates.alpha(), t_final)
+        assert traj.record.propagator == "rk45" and traj.record.nfev > 0
+        assert traj.record == direct.record
+        assert np.array_equal(traj.final.matrix, direct.final.matrix)
+
+
+class TestSnapshotValidation:
+    def test_record_matches_per_snapshot_values(self, rng):
+        # per-snapshot loop as the oracle for the stacked eigenvalue and trace pass
+        fp = random_field(rng, omega_peak=1.0, duration=6.0)
+        for traj in (integrate_master(random_density(rng), fp, Rates.beta(), 6.0),
+                     propagate_exact(random_density(rng), build_liouvillian(fp, Rates.beta()),
+                                     6.0)):
+            min_eig = min(np.linalg.eigvalsh(s.matrix).min() for s in traj.states)
+            trace_error = max(abs(s.trace - 1.0) for s in traj.states)
+            assert traj.record.min_eigenvalue == pytest.approx(min_eig, abs=1e-15)
+            assert traj.record.max_trace_error == pytest.approx(trace_error, abs=1e-15)
+            assert traj.record.max_trace_error > 1e-3  # beta loses trace while driven
+
+    def test_positivity_violation_names_first_offending_time(self, rng):
+        times = np.linspace(0.0, 2.0, 5)
+        snaps = np.stack([random_density(rng).matrix for _ in range(5)])
+        for k, eig in ((2, -1e-8), (4, -1e-6)):
+            snaps[k] = np.diag([1.0 - eig, eig, 0.0, 0.0])
+        with pytest.raises(PositivityViolation, match=r"t=1 has eigenvalue -1\.000e-08"):
+            _trajectory(times, snaps.reshape(5, 16), 1e-12, "exact", 0)
+        # a floor below both excursions accepts the same snapshots
+        traj = _trajectory(times, snaps.reshape(5, 16), 1e-7, "exact", 0)
+        assert traj.record.min_eigenvalue == pytest.approx(-1e-6)
 
 
 class TestRecommendedDuration:
