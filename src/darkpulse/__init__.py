@@ -11,7 +11,7 @@ from .core import (BlochPoint, DarkBasis, DensityOperator, Envelope, FieldParams
                    TargetState, bloch_coords, build_hamiltonian, dark_basis, embed_ground,
                    field_for_span, orthogonal_state)
 from .dynamics import (PulseRecord, Trajectory, integrate_master, propagate_exact,
-                       recommended_duration, run_pulse, verify_map)
+                       recommended_duration, run_pulse, run_pulse_block, verify_map)
 from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, DegenerateSpan,
                      NegativeRadicand, PositivityViolation, SingularSystem,
                      StepSizeUnderflow, TraceMismatch, UnexpectedDimension,
@@ -38,6 +38,7 @@ __all__ = [
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
     "orthogonal_state", "propagate_exact", "purity_sweep", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
-    "repump_steady_state", "run_pulse", "sequence_affine", "sequence_objective",
-    "slowest_rate", "steady_affine", "unvec", "vec", "verify_map", "zero_subspace",
+    "repump_steady_state", "run_pulse", "run_pulse_block", "sequence_affine",
+    "sequence_objective", "slowest_rate", "steady_affine", "unvec", "vec", "verify_map",
+    "zero_subspace",
 ]

@@ -29,7 +29,7 @@ from scipy.linalg import subspace_angles
 from .config import ExperimentConfig, atomic_write_text, dumps17, load_config
 from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, bloch_coords_array,
                    dark_basis, embed_ground, field_for_span)
-from .dynamics import (propagator_name, recommended_duration, run_pulse, verify_map,
+from .dynamics import (propagator_name, recommended_duration, run_pulse_block, verify_map,
                        write_trajectory_csv)
 from .errors import ConfigError, PositivityViolation, StepSizeUnderflow, UnstableSpectrum
 from .liouville import (build_liouvillian, slowest_rate, transpose_convention_diagnostic,
@@ -152,57 +152,36 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     return EXIT_OK
 
 
-def _simulate_one(index: int, psi: np.ndarray, steps, cfg: ExperimentConfig, out_dir: Path):
-    rho = DensityOperator.pure(psi)
-    rho0 = rho
-    durations = []
-    csv_paths = []
-    pulses = []
-    for l, fp in enumerate(steps):
-        traj = run_pulse(rho, fp, cfg.rates, cfg.integrator.residual,
-                         rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
-        path = out_dir / f"trajectory_state{index:03d}_pulse{l:02d}.csv"
-        write_trajectory_csv(traj, dark_basis(fp), path)
-        csv_paths.append(path.name)
-        durations.append(float(traj.times[-1]))
-        pulses.append(traj.record._asdict())
-        rho = traj.final
-    if steps:
-        mapped = compose_sequence(rho0, PulseSequence(steps=tuple(steps)))
-    else:
-        mapped = rho0
-    target = cfg.target.density_matrix()
-    return {
-        "state_index": index,
-        "durations": durations,
-        "trajectories": csv_paths,
-        "pulses": pulses,
-        "hs_ode_vs_map": hs_distance(rho, mapped),
-        "hs_ode_vs_target": hs_distance(rho, target),
-        "hs_map_vs_target": hs_distance(mapped, target),
-        "mismatch_ode_vs_target": mismatch(rho, target),
-        "mismatch_map_vs_target": mismatch(mapped, target),
-    }
-
-
-def _map_in_order(fn, items, threads: int) -> list:
-    """``[fn(x) for x in items]``, spread over ``threads`` worker threads when above 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path, threads: int) -> int:
+def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     started = time.perf_counter()
     steps = _load_sequence(sequence_path, cfg)
-    if cfg.initial_states is not None:
-        states = cfg.initial_states
-    else:
-        states = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+    psis = cfg.initial_states if cfg.initial_states is not None else [[1.0, 0.0, 0.0]]
 
-    rows = _map_in_order(lambda i: _simulate_one(i, states[i], steps, cfg, out_dir),
-                         range(states.shape[0]), threads)
+    # every pulse is one map for all states: push them through it as one block
+    initial = [DensityOperator.pure(psi) for psi in psis]
+    rows = [{"state_index": i, "durations": [], "trajectories": [], "pulses": []}
+            for i in range(len(initial))]
+    finals = initial
+    for l, fp in enumerate(steps):
+        trajectories = run_pulse_block(finals, fp, cfg.rates, cfg.integrator.residual,
+                                       rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
+        basis = dark_basis(fp)
+        for row, traj in zip(rows, trajectories):
+            path = out_dir / f"trajectory_state{row['state_index']:03d}_pulse{l:02d}.csv"
+            write_trajectory_csv(traj, basis, path)
+            row["durations"].append(float(traj.times[-1]))
+            row["trajectories"].append(path.name)
+            row["pulses"].append(traj.record._asdict())
+        finals = [traj.final for traj in trajectories]
+
+    target = cfg.target.density_matrix()
+    for row, rho0, rho in zip(rows, initial, finals):
+        mapped = compose_sequence(rho0, PulseSequence(steps=tuple(steps))) if steps else rho0
+        row.update(hs_ode_vs_map=hs_distance(rho, mapped),
+                   hs_ode_vs_target=hs_distance(rho, target),
+                   hs_map_vs_target=hs_distance(mapped, target),
+                   mismatch_ode_vs_target=mismatch(rho, target),
+                   mismatch_map_vs_target=mismatch(mapped, target))
 
     doc = {
         "n_pulses": len(steps),
@@ -235,7 +214,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int,
         return {"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
                 "mu_plus": fp.mu_plus, "distance": distance}
 
-    rows = _map_in_order(one, range(n_states), threads)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(one, range(n_states)))
+    else:
+        rows = [one(i) for i in range(n_states)]
     distances = np.array([r["distance"] for r in rows])
     doc = {
         "mode": cfg.mode.value,
@@ -350,7 +333,7 @@ def cmd_sweep_purity(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce(cfg: ExperimentConfig, out_dir: Path, strict: bool, threads: int) -> int:
+def cmd_reproduce(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     opt_dir = out_dir / "optimize"
     sim_dir = out_dir / "simulate"
     bloch_dir = out_dir / "bloch"
@@ -360,7 +343,7 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: Path, strict: bool, threads: i
     if code != EXIT_OK:
         return code
     sequence = opt_dir / "result.json"
-    code = cmd_simulate(cfg, sequence, sim_dir, threads)
+    code = cmd_simulate(cfg, sequence, sim_dir)
     if code != EXIT_OK:
         return code
     return cmd_bloch_export(cfg, sequence, bloch_dir)
@@ -396,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (used by verify; other commands run on one)")
         if strict:
             p.add_argument("--strict", action="store_true",
                            help="exit 3 when the optimizer does not converge")
@@ -444,7 +428,7 @@ def main(argv=None) -> int:
         if args.command == "optimize":
             return cmd_optimize(cfg, out_dir, args.strict)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.sequence, out_dir, args.threads)
+            return cmd_simulate(cfg, args.sequence, out_dir)
         if args.command == "verify":
             return cmd_verify(cfg, out_dir, args.states, cfg.optimizer.seed, args.threads)
         if args.command == "bloch-export":
@@ -455,7 +439,7 @@ def main(argv=None) -> int:
         if args.command == "sweep-purity":
             return cmd_sweep_purity(cfg, out_dir)
         if args.command == "reproduce-paper":
-            return cmd_reproduce(cfg, out_dir, args.strict, args.threads)
+            return cmd_reproduce(cfg, out_dir, args.strict)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

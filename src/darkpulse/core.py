@@ -150,16 +150,19 @@ class DensityOperator:
 
     @classmethod
     def validate(cls, matrices: np.ndarray, *, psd_tol: float | None = None,
-                 trace_tol: float | None = None) -> None:
+                 trace_tol: float | None = None, min_eigenvalue: float | None = None) -> None:
         """Check a (..., 4, 4) stack of matrices as the constructor checks one.
 
         Raises the constructor's ValueError, naming the largest asymmetry, the
-        smallest eigenvalue, or the smallest or largest trace of the stack.
+        smallest eigenvalue, or the smallest or largest trace of the stack.  A
+        caller that already holds the stack's smallest eigenvalue passes it as
+        ``min_eigenvalue`` and saves the ``eigvalsh``.
         """
         herm = np.max(np.abs(matrices - matrices.swapaxes(-1, -2).conj()))
         if herm >= cls.HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-        min_eig = float(np.linalg.eigvalsh(matrices).min())
+        min_eig = (float(np.linalg.eigvalsh(matrices).min()) if min_eigenvalue is None
+                   else min_eigenvalue)
         if min_eig < -(psd_tol if psd_tol is not None else cls.PSD_TOL):
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
         traces = np.trace(matrices, axis1=-2, axis2=-1).real
@@ -170,7 +173,8 @@ class DensityOperator:
 
     @classmethod
     def from_stack(cls, matrices: np.ndarray, *, psd_tol: float | None = None,
-                   trace_tol: float | None = None) -> tuple["DensityOperator", ...]:
+                   trace_tol: float | None = None,
+                   min_eigenvalue: float | None = None) -> tuple["DensityOperator", ...]:
         """One state per matrix of an (n, 4, 4) stack, validated once as a whole.
 
         The states are read-only views of one copy of the stack.
@@ -178,7 +182,7 @@ class DensityOperator:
         stack = np.array(matrices, dtype=complex)
         if stack.ndim != 3 or stack.shape[1:] != (4, 4):
             raise ValueError(f"expected an (n, 4, 4) stack, got shape {stack.shape}")
-        cls.validate(stack, psd_tol=psd_tol, trace_tol=trace_tol)
+        cls.validate(stack, psd_tol=psd_tol, trace_tol=trace_tol, min_eigenvalue=min_eigenvalue)
         stack.setflags(write=False)
         states = []
         for m in stack:

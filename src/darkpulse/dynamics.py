@@ -7,7 +7,9 @@ state from the matrix exponential of the augmented generator
 by :func:`integrate_master` with an embedded adaptive Runge-Kutta pair
 (Dormand-Prince 5(4)) under local error control; it accepts square pulses too
 and serves as the independent cross-check of the exact path.
-:func:`run_pulse` is the one place that picks between them.
+:func:`run_pulse_block` is the one place that picks between them, for a block
+of states at once: one exponential, or one RK45 solve of the (16, S) block with
+its error norm over all states.  The one-state functions wrap the block code.
 
 Pulse durations come from the spectral gap: driving for
 ``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the endpoint
@@ -18,7 +20,6 @@ regimes; only the driven dynamics differ.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -39,6 +40,7 @@ __all__ = [
     "propagator_name",
     "recommended_duration",
     "run_pulse",
+    "run_pulse_block",
     "verify_map",
     "write_trajectory_csv",
 ]
@@ -81,31 +83,91 @@ class Trajectory:
 
 
 def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
-                nfev: int) -> Trajectory:
-    """Symmetrize the (n, 16) vectorized snapshots and validate them as one stack.
+                nfev: int) -> tuple[Trajectory, ...]:
+    """Symmetrize an (S, n, 16) block of vectorized snapshots and validate it as one stack.
 
-    Hermiticity is preserved by the flow, so snapshots are symmetrized only
-    against roundoff.  Positivity is monitored, not enforced, because the
-    repump term is not of Lindblad form: the first snapshot with an eigenvalue
-    below ``-100 * atol`` raises :class:`PositivityViolation`.
+    Returns one trajectory per state.  Hermiticity is preserved by the flow,
+    so snapshots are symmetrized only against roundoff.  Positivity is
+    monitored, not enforced, because the repump term is not of Lindblad form:
+    the earliest snapshot with an eigenvalue below ``-100 * atol`` raises
+    :class:`PositivityViolation`, naming its state and time.  The same
+    eigenvalues decide the stack's PSD check.
     """
-    snaps = snapshots.reshape(-1, 4, 4)
+    n_states, n = snapshots.shape[:2]
+    snaps = snapshots.reshape(n_states, n, 4, 4)
     snaps = 0.5 * (snaps + snaps.swapaxes(-1, -2).conj())
     floor = -100.0 * atol
-    min_eigs = np.linalg.eigvalsh(snaps)[:, 0]
-    below = np.flatnonzero(min_eigs < floor)
+    min_eigs = np.linalg.eigvalsh(snaps)[..., 0]
+    below = np.argwhere(min_eigs.T < floor)
     if below.size:
-        k = below[0]
-        raise PositivityViolation(
-            f"snapshot at t={times[k]:.6g} has eigenvalue {min_eigs[k]:.3e} < {floor:.3e}")
+        k, s = below[0]
+        raise PositivityViolation(f"state {s}: snapshot at t={times[k]:.6g} has eigenvalue "
+                                  f"{min_eigs[s, k]:.3e} < {floor:.3e}")
     # validation slack scales with the integrator tolerance, mirroring the
     # positivity monitor; the exact flow keeps trace <= 1 in both regimes
     trace_slack = max(DensityOperator.TRACE_TOL, 100.0 * atol)
-    states = DensityOperator.from_stack(snaps, psd_tol=-floor, trace_tol=trace_slack)
-    traces = np.trace(snaps, axis1=-2, axis2=-1).real
-    record = PulseRecord(propagator, nfev, float(min_eigs.min()),
-                         float(np.abs(traces - 1.0).max()))
-    return Trajectory(times=times, states=states, final=states[-1], record=record)
+    states = DensityOperator.from_stack(snaps.reshape(-1, 4, 4), psd_tol=-floor,
+                                        trace_tol=trace_slack, min_eigenvalue=min_eigs.min())
+    trace_errors = np.abs(np.trace(snaps, axis1=-2, axis2=-1).real - 1.0).max(axis=1)
+    return tuple(Trajectory(times=times, states=states[s * n:(s + 1) * n],
+                            final=states[(s + 1) * n - 1],
+                            record=PulseRecord(propagator, nfev, float(min_eigs[s].min()),
+                                               float(trace_errors[s])))
+                 for s in range(n_states))
+
+
+def _integrate(states, fp: FieldParams, on: Liouvillian, t_final: float, rtol: float,
+               atol: float) -> tuple[Trajectory, ...]:
+    """RK45 through one pulse for a block of states, as one ``solve_ivp`` call.
+
+    ``on`` is the generator at envelope 1 and ``fp`` carries the envelope and
+    its duration; the error norm is taken over the whole (16, S) block.
+    """
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("rtol and atol must be positive")
+    off = build_liouvillian(fp, on.rates, 0.0)
+    m0, d, m_drive = off.m, off.d[:, None], on.m - off.m
+    envelope, duration = fp.envelope, fp.duration
+    y0 = np.stack([state.matrix.reshape(16) for state in states], axis=1)
+
+    def rhs(t, y):
+        # a square envelope reads 1.0, and m0 + 1.0 * m_drive is m0 + m_drive exactly
+        return ((m0 + envelope.value_at(t, duration) * m_drive) @ y.reshape(y0.shape)
+                + d).ravel()
+
+    times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
+    sol = solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
+                    rtol=rtol, atol=atol, t_eval=times)
+    if not sol.success:
+        raise StepSizeUnderflow(f"integrator failed: {sol.message}")
+    snapshots = sol.y.reshape(*y0.shape, -1).transpose(1, 2, 0)
+    return _trajectory(sol.t.copy(), snapshots, atol, "rk45", int(sol.nfev))
+
+
+def _propagate(states, liou: Liouvillian, t_final: float, atol: float) -> tuple[Trajectory, ...]:
+    """Exact snapshots of one square pulse for a block of states; see :func:`propagate_exact`."""
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    if atol <= 0:
+        raise ValueError("atol must be positive")
+    if liou.field.envelope is not Envelope.SQUARE:
+        raise ValueError("the exact propagator needs a square envelope")
+    a = np.zeros((17, 17), dtype=complex)
+    a[:16, :16] = liou.m
+    a[:16, 16] = liou.d
+    step = expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
+    y0 = np.stack([state.matrix.reshape(16) for state in states])
+    # (S, 17, 1) per snapshot: one matrix-vector product per state, so each
+    # state's snapshots are bit-identical to its one-state run
+    y = np.empty((MIN_SNAPSHOTS, len(y0), 17, 1), dtype=complex)
+    y[0, :, :16, 0] = y0
+    y[0, :, 16] = 1.0
+    for k in range(MIN_SNAPSHOTS - 1):
+        y[k + 1] = step @ y[k]
+    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS),
+                       y[:, :, :16, 0].transpose(1, 0, 2), atol, "exact", 0)
 
 
 def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
@@ -123,30 +185,7 @@ def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
     PositivityViolation
         If any snapshot eigenvalue falls below -100 * atol.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
-    m_off = build_liouvillian(fp, rates, 0.0)
-    m_drive = build_liouvillian(fp, rates, 1.0).m - m_off.m
-    m0, d = m_off.m, m_off.d
-    envelope, duration = fp.envelope, fp.duration
-
-    if envelope is Envelope.SQUARE:
-        m_const = m0 + m_drive
-
-        def rhs(t, y):
-            return m_const @ y + d
-    else:
-        def rhs(t, y):
-            return (m0 + envelope.value_at(t, duration) * m_drive) @ y + d
-
-    times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
-    sol = solve_ivp(rhs, (0.0, t_final), rho0.matrix.reshape(16), method="RK45",
-                    rtol=rtol, atol=atol, t_eval=times)
-    if not sol.success:
-        raise StepSizeUnderflow(f"integrator failed: {sol.message}")
-    return _trajectory(sol.t.copy(), sol.y.T, atol, "rk45", int(sol.nfev))
+    return _integrate([rho0], fp, build_liouvillian(fp, rates, 1.0), t_final, rtol, atol)[0]
 
 
 def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
@@ -164,22 +203,7 @@ def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
     PositivityViolation
         If any snapshot eigenvalue falls below -100 * atol.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if atol <= 0:
-        raise ValueError("atol must be positive")
-    if liou.field.envelope is not Envelope.SQUARE:
-        raise ValueError("the exact propagator needs a square envelope")
-    a = np.zeros((17, 17), dtype=complex)
-    a[:16, :16] = liou.m
-    a[:16, 16] = liou.d
-    step = expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
-    y = np.empty((MIN_SNAPSHOTS, 17), dtype=complex)
-    y[0, :16] = rho0.matrix.reshape(16)
-    y[0, 16] = 1.0
-    for k in range(MIN_SNAPSHOTS - 1):
-        y[k + 1] = step @ y[k]
-    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS), y[:, :16], atol, "exact", 0)
+    return _propagate([rho0], liou, t_final, atol)[0]
 
 
 def propagator_name(envelope: Envelope) -> str:
@@ -194,20 +218,27 @@ def recommended_duration(liou: Liouvillian, residual: float) -> float:
     return float(np.log(1.0 / residual) / slowest_rate(liou))
 
 
-def run_pulse(rho0: DensityOperator, fp: FieldParams, rates: Rates, residual: float,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Drive one pulse for its recommended duration at ``residual``.
+def run_pulse_block(states, fp: FieldParams, rates: Rates, residual: float,
+                    rtol: float = DEFAULT_RTOL,
+                    atol: float = DEFAULT_ATOL) -> tuple[Trajectory, ...]:
+    """Drive a block of states through one pulse for its recommended duration at ``residual``.
 
-    The generator is built once, for the duration rule and, on a square pulse,
-    for :func:`propagate_exact`.  Other envelopes go through
-    :func:`integrate_master` under ``rtol`` and ``atol``.
+    The generator at envelope 1 is built once, for the duration rule and for
+    the propagator.  A square pulse takes :func:`propagate_exact`'s matrix
+    exponential; other envelopes take RK45 under ``rtol`` and ``atol``, one
+    solve for the whole block.  Returns one trajectory per state, in order.
     """
     liou = build_liouvillian(fp, rates, 1.0)
     t_final = recommended_duration(liou, residual)
     if propagator_name(fp.envelope) == "exact":
-        return propagate_exact(rho0, liou, t_final, atol=atol)
-    return integrate_master(rho0, replace(fp, duration=t_final), rates, t_final,
-                            rtol=rtol, atol=atol)
+        return _propagate(states, liou, t_final, atol)
+    return _integrate(states, replace(fp, duration=t_final), liou, t_final, rtol, atol)
+
+
+def run_pulse(rho0: DensityOperator, fp: FieldParams, rates: Rates, residual: float,
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
+    """:func:`run_pulse_block` for one state."""
+    return run_pulse_block([rho0], fp, rates, residual, rtol=rtol, atol=atol)[0]
 
 
 def verify_map(rho0: DensityOperator, fp: FieldParams, rates: Rates,
@@ -228,20 +259,18 @@ def verify_map(rho0: DensityOperator, fp: FieldParams, rates: Rates,
 def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:
     """Write a trajectory as CSV: time, all matrix entries, populations, trace, dark weight."""
     labels = ("gm", "gpi", "gp", "e")
-    header = ["time"]
-    for i in range(4):
-        for j in range(4):
-            header += [f"re_{labels[i]}{labels[j]}", f"im_{labels[i]}{labels[j]}"]
+    header = ["time"] + [f"{part}_{a}{b}" for a in labels for b in labels for part in ("re", "im")]
     header += [f"pop_{l}" for l in labels] + ["trace", "dark_weight"]
+    stack = np.stack([state.matrix for state in traj.states])
+    p = basis.projector
+    table = np.column_stack([
+        traj.times,
+        np.stack([stack.real, stack.imag], axis=-1).reshape(len(stack), 32),
+        stack.diagonal(axis1=1, axis2=2).real,
+        np.trace(stack, axis1=1, axis2=2).real,
+        np.trace(p @ stack @ p, axis1=1, axis2=2).real,
+    ])
+    row = ",".join(["{:.17g}"] * table.shape[1])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t, state in zip(traj.times, traj.states):
-            m = state.matrix
-            row = [f"{t:.17g}"]
-            for i in range(4):
-                for j in range(4):
-                    row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
-            row += [f"{m[i, i].real:.17g}" for i in range(4)]
-            row += [f"{state.trace:.17g}", f"{state.dark_weight(basis):.17g}"]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row.format(*values) + "\n" for values in table.tolist())

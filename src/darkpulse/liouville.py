@@ -15,13 +15,14 @@ kernel of the homogeneous part is three-dimensional and self-dual.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import (DarkBasis, DensityOperator, FieldParams, Mode, build_hamiltonian,
-                   embed_ground)
+from .core import (DarkBasis, DensityOperator, FieldParams, Mode, _readonly,
+                   build_hamiltonian, embed_ground)
 from .errors import SingularSystem, UnexpectedDimension, UnstableSpectrum
 from .maps import repump_steady_state
 
@@ -125,28 +126,39 @@ def unvec(r: np.ndarray) -> np.ndarray:
     return np.asarray(r, dtype=complex).reshape(4, 4)
 
 
-def build_liouvillian(fp: FieldParams, rates: Rates, envelope_value: float = 1.0) -> Liouvillian:
-    """Assemble the vectorized generator for one instantaneous envelope value.
+@functools.lru_cache(maxsize=16)
+def _relaxation_part(rates: Rates) -> tuple[np.ndarray, np.ndarray]:
+    """The field-independent ``(m, d)`` of ``rates``: decay, loss and repump, read-only.
 
-    Uses vec(A rho B) = (A kron B^T) vec(rho) for the row-major convention.
-    The repump term R_p (1 - Tr rho) |e><e| contributes its linear part to
-    ``m`` and its constant part to ``d``.
+    The three internal channels |g_q><e| decay at rate gamma_in/3 each; their
+    jump operators sum to the excited projector in the anticommutator.  The
+    repump R_p (1 - Tr rho) |e><e| gives its linear part to ``m`` and its
+    constant part to ``d``.
     """
-    h = build_hamiltonian(fp, envelope_value)
     eye4 = np.eye(4)
-    m = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T))
-
-    # three internal channels |g_q><e| at rate gamma_in/3 each; their jump
-    # operators sum to the excited projector in the anticommutator
+    m = np.zeros((16, 16), dtype=complex)
     for q in range(3):
         jump = np.zeros((4, 4))
         jump[q, 3] = 1.0 / np.sqrt(3.0)
         m = m + rates.gamma_in * np.kron(jump, jump)
     half_loss = (rates.gamma_in + rates.gamma_ext) / 2.0
     m = m - half_loss * (np.kron(_EXCITED_PROJECTOR, eye4) + np.kron(eye4, _EXCITED_PROJECTOR))
-
     m = m - rates.r_pump * np.outer(vec(_EXCITED_PROJECTOR), _TRACE_ROW)
     d = rates.r_pump * vec(_EXCITED_PROJECTOR)
+    return _readonly(m), _readonly(d)
+
+
+def build_liouvillian(fp: FieldParams, rates: Rates, envelope_value: float = 1.0) -> Liouvillian:
+    """Assemble the vectorized generator for one instantaneous envelope value.
+
+    Uses vec(A rho B) = (A kron B^T) vec(rho) for the row-major convention.
+    Only the commutator depends on the field; the relaxation part is built
+    once per ``Rates``.
+    """
+    h = build_hamiltonian(fp, envelope_value)
+    eye4 = np.eye(4)
+    relaxation, d = _relaxation_part(rates)
+    m = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T)) + relaxation
     return Liouvillian(m=m, d=d, rates=rates, field=fp)
 
 

@@ -37,6 +37,13 @@ def write_config(path, **overrides):
     return path
 
 
+THREE_STATES = [
+    [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+]
+
+
 def without_wall_time(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if "wall_time_s" not in line)
 
@@ -171,6 +178,43 @@ class TestSimulateCommand:
                          "--out", str(out), "--threads", threads]) == 0
             outputs.append(without_wall_time((out / "summary.json").read_text()))
         assert outputs[0] == outputs[1]
+
+    def test_threads_do_not_change_sine_results(self, tmp_path, optimized):
+        cfg = write_config(tmp_path / "multi_sine.json", envelope="sine_squared",
+                           initial_states=THREE_STATES)
+        outputs = []
+        for name, threads in (("t1", "1"), ("t4", "4")):
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg), "--sequence", str(optimized),
+                         "--out", str(out), "--threads", threads]) == 0
+            csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+            outputs.append((without_wall_time((out / "summary.json").read_text()), csvs))
+        assert len(outputs[0][1]) == 3 * 2
+        assert outputs[0] == outputs[1]
+
+    def test_one_solve_per_sine_pulse_for_all_states(self, tmp_path, optimized, monkeypatch):
+        import darkpulse.dynamics as dynamics
+
+        solves = []
+        solve_ivp = dynamics.solve_ivp
+
+        def counting(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            solves.append(int(sol.nfev))
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        cfg = write_config(tmp_path / "sine3.json", envelope="sine_squared",
+                           initial_states=THREE_STATES)
+        out = tmp_path / "sim3"
+        assert main(["simulate", "--config", str(cfg), "--sequence", str(optimized),
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "summary.json").read_text())["states"]
+        assert len(solves) == 2  # pulses, not pulses x states
+        assert [r["state_index"] for r in rows] == [0, 1, 2]
+        for row in rows:
+            assert [p["nfev"] for p in row["pulses"]] == solves
+            assert row["hs_ode_vs_map"] < 1e-3
 
     def test_beta_mode_with_unit_rates(self, tmp_path, optimized):
         cfg = write_config(tmp_path / "beta.json", mode="beta",

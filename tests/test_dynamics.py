@@ -2,13 +2,15 @@
 
 from dataclasses import replace
 
+import csv
+
 import numpy as np
 import pytest
 
 from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
                        Trajectory, build_liouvillian, dark_basis, hs_distance,
                        integrate_master, propagate_exact, recommended_duration, relax_closed,
-                       run_pulse, slowest_rate, verify_map)
+                       run_pulse, run_pulse_block, slowest_rate, verify_map)
 from darkpulse.dynamics import DEFAULT_RTOL, _trajectory, write_trajectory_csv
 from conftest import random_density, random_field, random_pure_ground
 
@@ -181,6 +183,38 @@ class TestRunPulse:
         assert np.array_equal(traj.final.matrix, direct.final.matrix)
 
 
+class TestRunPulseBlock:
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_sine_block_matches_one_state_solves(self, rng, rates):
+        # one RK45 solve for 4 states against 4 one-state solves; the block's
+        # error norm spans all states, so the two agree to the integrator's
+        # tolerance, not bit for bit (measured below 4e-11)
+        fp = random_field(rng, omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
+        states = [random_density(rng) for _ in range(4)]
+        block = run_pulse_block(states, fp, rates, 1e-6)
+        t_final = block[0].times[-1]
+        assert len(block) == 4
+        assert len({traj.record.nfev for traj in block}) == 1
+        for rho0, traj in zip(states, block):
+            single = integrate_master(rho0, replace(fp, duration=t_final), rates, t_final)
+            assert np.array_equal(traj.times, single.times)
+            gap = max(np.abs(a.matrix - b.matrix).max()
+                      for a, b in zip(traj.states, single.states))
+            assert gap < 1e-9
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_square_block_is_bit_identical_to_one_state_runs(self, rng, rates):
+        fp = random_field(rng, omega_peak=1.0)
+        states = [random_density(rng) for _ in range(3)]
+        for rho0, traj in zip(states, run_pulse_block(states, fp, rates, 1e-8)):
+            single = run_pulse(rho0, fp, rates, 1e-8)
+            assert traj.record == single.record
+            for a, b in zip(traj.states, single.states):
+                assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
 class TestSnapshotValidation:
     def test_record_matches_per_snapshot_values(self, rng):
         # per-snapshot loop as the oracle for the stacked eigenvalue and trace pass
@@ -200,10 +234,49 @@ class TestSnapshotValidation:
         for k, eig in ((2, -1e-8), (4, -1e-6)):
             snaps[k] = np.diag([1.0 - eig, eig, 0.0, 0.0])
         with pytest.raises(PositivityViolation, match=r"t=1 has eigenvalue -1\.000e-08"):
-            _trajectory(times, snaps.reshape(5, 16), 1e-12, "exact", 0)
+            _trajectory(times, snaps.reshape(1, 5, 16), 1e-12, "exact", 0)
         # a floor below both excursions accepts the same snapshots
-        traj = _trajectory(times, snaps.reshape(5, 16), 1e-7, "exact", 0)
+        traj, = _trajectory(times, snaps.reshape(1, 5, 16), 1e-7, "exact", 0)
         assert traj.record.min_eigenvalue == pytest.approx(-1e-6)
+
+
+    def test_block_violation_names_state_and_first_time(self, rng):
+        times = np.linspace(0.0, 2.0, 5)
+        snaps = np.stack([random_density(rng).matrix for _ in range(15)]).reshape(3, 5, 4, 4)
+        snaps[1, 3] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0])
+        snaps[2, 1] = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0])
+        with pytest.raises(PositivityViolation,
+                           match=r"^state 2: snapshot at t=0\.5 has eigenvalue -1\.000e-08"):
+            _trajectory(times, snaps.reshape(3, 5, 16), 1e-12, "exact", 0)
+        records = [t.record for t in _trajectory(times, snaps.reshape(3, 5, 16), 1e-7, "exact", 0)]
+        assert [r.min_eigenvalue for r in records][1:] == pytest.approx([-1e-6, -1e-8])
+
+    def test_one_eigvalsh_decides_positivity(self, rng, monkeypatch):
+        # the monitor's eigenvalues serve the stack's PSD check as well
+        times = np.linspace(0.0, 1.0, 5)
+        snaps = np.stack([random_density(rng).matrix for _ in range(10)]).reshape(2, 5, 16)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        _trajectory(times, snaps, 1e-12, "rk45", 7)
+        assert calls == [(2, 5, 4, 4)]
+        # a stack that is not PSD still fails, through the monitor
+        snaps[1, 2] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]).reshape(16)
+        with pytest.raises(PositivityViolation, match=r"^state 1: snapshot at t=0\.5"):
+            _trajectory(times, snaps, 1e-12, "rk45", 7)
+
+    def test_trace_above_slack_raises_constructor_error(self, rng):
+        times = np.linspace(0.0, 1.0, 5)
+        snaps = np.stack([random_density(rng).matrix for _ in range(5)])
+        snaps[3] *= 1.0 + 1e-9  # above 1 + 100 * atol at atol 1e-12
+        with pytest.raises(ValueError, match=r"trace .* outside \(0, 1\]"):
+            _trajectory(times, snaps.reshape(1, 5, 16), 1e-12, "exact", 0)
+        _trajectory(times, snaps.reshape(1, 5, 16), 1e-10, "exact", 0)
 
 
 class TestRecommendedDuration:
@@ -281,3 +354,40 @@ class TestTrajectoryExport:
         assert len(columns) == 1 + 32 + 4 + 2
         assert "." in first.split(",")[1] or "e" in first.split(",")[1]
         assert len(text.splitlines()) == 1 + len(traj.states)
+
+    def test_matches_per_row_writer(self, rng, tmp_path):
+        # the per-row writer the array pass replaced is the oracle: every column
+        # byte-identical, the trace and dark weight included
+        for rates in (Rates.alpha(), Rates.beta()):
+            fp = random_field(rng, omega_peak=1.0)
+            basis = dark_basis(fp)
+            rho0 = random_density(rng)
+            liou = build_liouvillian(fp, rates)
+            ramped = replace(fp, envelope=Envelope.SINE_SQUARED, duration=4.0)
+            for traj in (propagate_exact(rho0, liou, 4.0),
+                         integrate_master(rho0, ramped, rates, 4.0)):
+                write_trajectory_csv(traj, basis, tmp_path / "new.csv")
+                per_row_writer(traj, basis, tmp_path / "old.csv")
+                assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def per_row_writer(traj, basis, path):
+    """The trajectory CSV written one state and one entry at a time."""
+    labels = ("gm", "gpi", "gp", "e")
+    header = ["time"]
+    for i in range(4):
+        for j in range(4):
+            header += [f"re_{labels[i]}{labels[j]}", f"im_{labels[i]}{labels[j]}"]
+    header += [f"pop_{l}" for l in labels] + ["trace", "dark_weight"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for t, state in zip(traj.times, traj.states):
+            m = state.matrix
+            row = [f"{t:.17g}"]
+            for i in range(4):
+                for j in range(4):
+                    row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
+            row += [f"{m[i, i].real:.17g}" for i in range(4)]
+            row += [f"{state.trace:.17g}", f"{state.dark_weight(basis):.17g}"]
+            writer.writerow(row)

@@ -8,8 +8,27 @@ from darkpulse import (FieldParams, Liouvillian, Mode, Rates, UnexpectedDimensio
                        UnstableSpectrum, build_liouvillian, closed_form_zero_modes,
                        dark_basis, slowest_rate, steady_affine, unvec, vec,
                        zero_subspace)
-from darkpulse.liouville import transpose_convention_diagnostic
+from darkpulse.core import build_hamiltonian
+from darkpulse.liouville import _relaxation_part, transpose_convention_diagnostic
 from conftest import random_field
+
+
+def uncached_generator(fp, rates, envelope_value):
+    """The generator assembled term by term on every call, as before the relaxation cache."""
+    h = build_hamiltonian(fp, envelope_value)
+    eye4 = np.eye(4)
+    excited = np.zeros((4, 4))
+    excited[3, 3] = 1.0
+    m = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T))
+    for q in range(3):
+        jump = np.zeros((4, 4))
+        jump[q, 3] = 1.0 / np.sqrt(3.0)
+        m = m + rates.gamma_in * np.kron(jump, jump)
+    half_loss = (rates.gamma_in + rates.gamma_ext) / 2.0
+    m = m - half_loss * (np.kron(excited, eye4) + np.kron(eye4, excited))
+    m = m - rates.r_pump * np.outer(vec(excited), np.eye(4).reshape(16))
+    d = rates.r_pump * vec(excited)
+    return m, d
 
 
 def random_hermitian(rng):
@@ -80,6 +99,29 @@ class TestBuildLiouvillian:
                 expected = (-rates.gamma_ext * rho[3, 3].real
                             + rates.r_pump * (1.0 - np.trace(rho).real))
                 assert flow == pytest.approx(expected, abs=1e-12)
+
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.3), Rates.beta(0.8, 1.7, 0.6)],
+                             ids=["alpha", "beta"])
+    def test_matches_uncached_formula_bytes(self, rng, rates):
+        # the relaxation part is cached per Rates; the generator must not move a bit
+        for _ in range(200):
+            fp = random_field(rng)
+            for envelope_value in (0.0, rng.uniform(0.0, 1.0), 1.0):
+                liou = build_liouvillian(fp, rates, envelope_value)
+                m, d = uncached_generator(fp, rates, envelope_value)
+                assert liou.m.tobytes() == m.tobytes()
+                assert liou.d.tobytes() == d.astype(complex).tobytes()
+
+    def test_relaxation_part_is_cached_and_readonly(self):
+        rates = Rates.beta(1.0, 2.0, 0.5)
+        m, d = _relaxation_part(rates)
+        again = _relaxation_part(Rates.beta(1.0, 2.0, 0.5))  # equal, not identical, key
+        assert again[0] is m and again[1] is d
+        for a in (m, d):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestZeroSubspace:
