@@ -13,9 +13,6 @@ Exit codes: 0 success, 2 config validation, 3 non-convergence under --strict,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +23,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .config import ExperimentConfig, atomic_write_text, dumps17, load_config
+from .config import (ExperimentConfig, atomic_write_text, dumps17, load_config, load_sequence,
+                     read_number, write_csv)
 from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, bloch_coords_array,
                    dark_basis, embed_ground, field_for_span)
 from .dynamics import (propagator_name, recommended_duration, run_pulse_block, verify_map,
@@ -56,18 +54,6 @@ def _write_json(path: Path, doc: dict) -> None:
     atomic_write_text(path, dumps17(doc) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _stats(distances: np.ndarray) -> dict:
     hs, mis = distances[:, 0], distances[:, 1]
     return {
@@ -87,29 +73,6 @@ def _sequence_doc(seq: PulseSequence) -> dict:
             "envelope": fp.envelope.value, "duration": fp.duration,
         } for fp in seq.steps],
     }
-
-
-def _load_sequence(path, cfg: ExperimentConfig) -> list[FieldParams]:
-    """Steps from an optimize result file, rebuilt with the config's drive settings."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"sequence file {path}: {exc}") from exc
-    seq_doc = doc.get("sequence")
-    if not isinstance(seq_doc, dict) or "steps" not in seq_doc:
-        raise ConfigError(f"sequence file {path}: missing 'sequence.steps'")
-    steps = []
-    for i, step in enumerate(seq_doc["steps"]):
-        try:
-            steps.append(FieldParams(
-                theta=step["theta"], phi=step["phi"],
-                mu_minus=step["mu_minus"], mu_plus=step["mu_plus"],
-                xi=step.get("xi", 0.0), delta=step.get("delta", 0.0),
-                omega_peak=cfg.omega_peak, envelope=cfg.envelope))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"sequence file {path}: step {i}: {exc}") from exc
-    return steps
 
 
 def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
@@ -154,7 +117,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     started = time.perf_counter()
-    steps = _load_sequence(sequence_path, cfg)
+    steps = load_sequence(sequence_path, cfg)
     psis = cfg.initial_states if cfg.initial_states is not None else [[1.0, 0.0, 0.0]]
 
     # every pulse is one map for all states: push them through it as one block
@@ -250,14 +213,13 @@ def _target_span_basis(target: TargetState) -> DarkBasis:
 
 
 def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
-    steps = _load_sequence(sequence_path, cfg)
+    steps = load_sequence(sequence_path, cfg)
     if not steps:
         raise ConfigError(f"sequence file {sequence_path}: needs at least one step")
     grid = initial_state_grid(cfg.grid_resolution)
     vecs = pure_state_vectors(grid.states)
 
-    point_rows: list[list[str]] = []
-    radius_rows: list[list[str]] = []
+    points, radii = [], []
     for stage in range(1, len(steps) + 1):
         k, c = sequence_affine(steps[:stage])
         out = (vecs @ k.T + c).reshape(-1, 4, 4)
@@ -268,15 +230,14 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
         else:
             basis = _target_span_basis(cfg.target)
         coords = bloch_coords_array(out, basis)
-        point_rows += [[str(stage), *map(_fmt, point)] for point in coords]
+        points.append(np.column_stack([np.full(len(coords), stage), coords]))
         centroid = coords[:, :3].mean(axis=0)
-        radius = float(np.linalg.norm(coords[:, :3] - centroid, axis=1).max())
-        radius_rows.append([str(stage), _fmt(radius)])
+        radii.append((stage, float(np.linalg.norm(coords[:, :3] - centroid, axis=1).max())))
 
-    _write_csv(out_dir / "bloch_points.csv", ["stage", "x", "y", "z", "in_span_weight"],
-               point_rows)
-    _write_csv(out_dir / "bloch_radii.csv", ["stage", "radius"], radius_rows)
-    shown = ", ".join(f"{float(row[1]):.3e}" for row in radius_rows)
+    write_csv(out_dir / "bloch_points.csv", ["stage", "x", "y", "z", "in_span_weight"],
+              np.concatenate(points))
+    write_csv(out_dir / "bloch_radii.csv", ["stage", "radius"], radii)
+    shown = ", ".join(f"{radius:.3e}" for _, radius in radii)
     print(f"bloch-export: {len(steps)} stage(s) x {len(grid)} points; "
           f"stage radii [{shown}] -> {out_dir}")
     return EXIT_OK
@@ -325,10 +286,10 @@ def cmd_sweep_purity(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = purity_sweep((cfg.target.psi1, cfg.target.psi2), cfg.weight_list, cfg.n_list,
                         cfg.optimizer.seed, grid=grid, restarts=cfg.optimizer.restarts,
                         max_iter=cfg.optimizer.max_iter, tol=cfg.optimizer.tol)
-    csv_rows = [[_fmt(r["p1"]), str(r["n_steps"]), _fmt(r["rms_objective"]),
-                 _fmt(r["max_distance"]), str(r["iterations"])] for r in rows]
-    _write_csv(out_dir / "purity_sweep.csv",
-               ["p1", "N", "rms_objective", "max_distance", "iterations"], csv_rows)
+    write_csv(out_dir / "purity_sweep.csv",
+              ["p1", "N", "rms_objective", "max_distance", "iterations"],
+              [[r["p1"], r["n_steps"], r["rms_objective"], r["max_distance"], r["iterations"]]
+               for r in rows])
     print(f"sweep-purity: {len(rows)} row(s) -> {out_dir / 'purity_sweep.csv'}")
     return EXIT_OK
 
@@ -354,12 +315,9 @@ def _parse_angles(text: str) -> tuple[float, ...]:
     if len(parts) != 4:
         raise ConfigError("--angles expects 'theta,phi,mu_minus,mu_plus'")
     try:
-        angles = tuple(float(p) for p in parts)
+        return tuple(read_number(float(p), "--angles") for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--angles: {exc}") from exc
-    if not all(np.isfinite(angles)):
-        raise ConfigError(f"--angles: every angle must be finite, got {text!r}")
-    return angles
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "four-level lambda system via relaxation pulse sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True, sequence=False, seed=False, strict=False):
+    def common(p, config_required=True, sequence=False, seed=False, strict=False, threads=True):
         p.add_argument("--config", required=config_required,
                        help="experiment config JSON" + ("" if config_required
                             else " (default: bundled reference scenario)"))
@@ -379,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (used by verify; other commands run on one)")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads (used by verify; other commands run on one)")
         if strict:
             p.add_argument("--strict", action="store_true",
                            help="exit 3 when the optimizer does not converge")
@@ -395,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bloch-export", help="export staged Bloch point clouds")
     common(p, sequence=True)
     p = sub.add_parser("spectrum", help="eigenvalues and zero-subspace diagnostics")
-    common(p)
+    common(p, threads=False)
     p.add_argument("--angles", default=None,
                    help="field angles 'theta,phi,mu_minus,mu_plus' "
                         "(default: config field block, else the target-span field)")
     common(sub.add_parser("sweep-purity", help="objective vs target purity and step count"),
-           seed=True)
+           seed=True, threads=False)
     common(sub.add_parser("reproduce-paper",
                           help="run the bundled reference scenario end to end"),
            config_required=False, seed=True, strict=True)
@@ -414,7 +373,7 @@ def main(argv=None) -> int:
         if config_path is None:
             config_path = bundled_config_path()
         cfg = load_config(config_path)
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         if args.command == "verify" and args.states < 1:
             raise ConfigError(f"--states: must be at least 1, got {args.states}")

@@ -1,34 +1,40 @@
 """Experiment configuration: strict JSON ingestion and deterministic emission.
 
-Configs are plain JSON with complex numbers as [re, im] pairs.  Validation is
-strict: unknown keys anywhere are rejected, and every error message names the
-offending field by its dotted path.  Emission writes floats with 17
-significant digits so documents re-parse to the exact in-memory values and
-repeated runs produce byte-identical artifacts; anything time-dependent lives
-in a separate "meta" block.
+Configs are plain JSON with complex numbers as [re, im] pairs.  One walker reads
+configs and sequence-file steps through key tables that give each key a reader
+and a bound; unknown keys and non-finite numbers are rejected, and every error
+names the offending field by its dotted path.  Emission writes floats with 17
+significant digits so documents re-parse exactly and reruns are byte-identical;
+anything time-dependent lives in a separate "meta" block.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import Envelope, FieldParams, Mode, TargetState
-from .errors import ConfigError
+from .errors import ConfigError, DarkpulseError
 from .liouville import Rates
 
 __all__ = [
     "OptimizerSettings",
     "IntegratorSettings",
     "ExperimentConfig",
+    "read_number",
     "load_config",
     "parse_config",
+    "load_sequence",
     "dumps17",
     "atomic_write_text",
+    "write_csv",
 ]
 
 
@@ -55,7 +61,6 @@ class ExperimentConfig:
 
     target: TargetState
     steps: int
-    mode: Mode
     rates: Rates
     omega_peak: float
     envelope: Envelope
@@ -67,57 +72,127 @@ class ExperimentConfig:
     n_list: tuple[int, ...] | None = None
     field_params: FieldParams | None = None
 
-
-def _require_keys(doc: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    for key in doc:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}: unknown key '{key}'")
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"{path}.{key}: missing required key")
+    @property
+    def mode(self) -> Mode:
+        """The relaxation regime, as carried by ``rates``."""
+        return self.rates.mode
 
 
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+def read_number(value, path: str) -> float:
+    """The reader of every number from outside: a JSON number, not a bool, and finite."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _exact(kind: type, what: str) -> Callable:
+    """Reader of one JSON type, matched exactly so that a bool is never an integer."""
+    def read(value, path: str):
+        if type(value) is not kind:
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        return value
+    return read
 
 
-def _as_complex_vector(value, path: str, length: int) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(f"{path}: expected a list of {length} [re, im] pairs")
-    out = np.empty(length, dtype=complex)
-    for i, pair in enumerate(value):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)):
-            raise ConfigError(f"{path}[{i}]: expected an [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
-    return out
+def _choice(enum) -> Callable:
+    names = [member.value for member in enum]
+
+    def read(value, path: str):
+        if value not in names:
+            raise ConfigError(f"{path}: expected one of {names}, got {value!r}")
+        return enum(value)
+    return read
 
 
-def _parse_target(doc, path: str) -> TargetState:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _require_keys(doc, path, ("weights", "psi1", "psi2"))
-    weights = doc["weights"]
-    if (not isinstance(weights, list) or len(weights) != 2
-            or any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights)):
-        raise ConfigError(f"{path}.weights: expected two numbers")
-    p1, p2 = float(weights[0]), float(weights[1])
-    if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-9:
-        raise ConfigError(f"{path}.weights: must be nonnegative and sum to 1, got {weights}")
-    psi1 = _as_complex_vector(doc["psi1"], f"{path}.psi1", 3)
-    psi2 = _as_complex_vector(doc["psi2"], f"{path}.psi2", 3)
+def _list(item: Callable, length: int | None = None, into: Callable = tuple) -> Callable:
+    """Reader of a list (of ``length`` entries, if given) whose entries ``item`` reads."""
+    def read(value, path: str):
+        if type(value) is not list or length not in (None, len(value)):
+            raise ConfigError(f"{path}: expected a list" + (f" of {length}" if length else ""))
+        return into([item(entry, f"{path}[{i}]") for i, entry in enumerate(value)])
+    return read
+
+
+def _bounded(read: Callable, test: Callable, text: str) -> Callable:
+    """``read``, then reject a value that fails ``test``."""
+    def bounded(value, path: str):
+        out = read(value, path)
+        if not test(out):
+            raise ConfigError(f"{path}: {text}, got {value!r}")
+        return out
+    return bounded
+
+
+def _fields(doc, path: str, table: dict, required) -> dict:
+    """The walker: read an object key by key through ``table`` (a ``None`` reader skips a key)."""
+    prefix = f"{path}." if path else ""
+    if type(doc) is not dict:
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    for name in doc:
+        if name not in table:
+            raise ConfigError(f"{path or 'config'}: unknown key '{name}'")
+    for name in required:
+        if name not in doc:
+            raise ConfigError(f"{prefix}{name}: missing required key")
+    return {name: table[name](value, prefix + name)
+            for name, value in doc.items() if table[name] is not None}
+
+
+def _section(cls, table: dict) -> Callable:
+    """Reader of an object into ``cls`` keyword arguments; fields without defaults are required."""
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+    return lambda doc, path: _fields(doc, path, table, required)
+
+
+def _build(cls, path: str, values: dict, **fixed):
+    """``cls(**values, **fixed)``, a constructor error as a ConfigError naming ``path``.
+
+    A message that starts with a key read (``weights must ...``) names that key's dotted path.
+    """
     try:
-        return TargetState(weights=(p1, p2), psi1=psi1, psi2=psi2)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        return cls(**values, **fixed)
+    except (ValueError, DarkpulseError) as exc:
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{path}.{name}: {exc}" if name in values else f"{path}: {exc}") from exc
+
+
+_INTEGER = _exact(int, "an integer")
+_POSITIVE = _bounded(read_number, lambda x: x > 0, "must be positive")
+_COUNT = _bounded(_INTEGER, lambda n: n >= 1, "must be at least 1")
+_COMPLEX3 = _list(_list(read_number, 2, lambda pair: complex(*pair)), 3, np.array)
+
+_FIELD = {"theta": read_number, "phi": read_number, "mu_minus": read_number,
+          "mu_plus": read_number, "xi": read_number, "delta": read_number}
+# a sequence file's mode and drive settings are the optimizer's; the config's are used instead
+_SEQUENCE = {"mode": None, "steps": _list(_section(FieldParams, {
+    **_FIELD, "omega_peak": None, "envelope": None, "duration": None}))}
+
+_CONFIG = {
+    "target": _section(TargetState, {"weights": _list(read_number, 2),
+                                     "psi1": _COMPLEX3, "psi2": _COMPLEX3}),
+    "steps": _COUNT,
+    "mode": _choice(Mode),
+    "rates": _section(Rates, {"gamma_in": read_number, "gamma_ext": read_number,
+                              "r_pump": read_number}),
+    "omega_peak": _POSITIVE,
+    "envelope": _choice(Envelope),
+    "grid_resolution": _bounded(_INTEGER, lambda n: n >= 2, "must be at least 2"),
+    "optimizer": _section(OptimizerSettings, {
+        "seed": _bounded(_INTEGER, lambda n: n >= 0, "must be nonnegative"),
+        "restarts": _COUNT, "max_iter": _COUNT, "tol": _POSITIVE,
+        "pin_last": _exact(bool, "a boolean"), "test_states": _COUNT}),
+    "integrator": _section(IntegratorSettings, {
+        "rtol": _POSITIVE, "atol": _POSITIVE,
+        "residual": _bounded(read_number, lambda x: 0 < x < 1, "must lie in (0, 1)")}),
+    "initial_states": _bounded(_list(_bounded(
+        _COMPLEX3, lambda v: abs(np.linalg.norm(v) - 1.0) <= 1e-9, "must have norm 1"),
+        into=np.array), len, "must not be empty"),
+    "weight_list": _list(_bounded(read_number, lambda x: 0 <= x <= 1, "must lie in [0, 1]")),
+    "N_list": _list(_COUNT),
+    "field": _section(FieldParams, _FIELD),
+}
+_CONFIG_REQUIRED = ("target", "steps", "mode", "rates", "omega_peak", "envelope",
+                    "grid_resolution", "optimizer", "integrator")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -128,156 +203,42 @@ def parse_config(doc: dict) -> ExperimentConfig:
     ConfigError
         On any structural or semantic problem; the message names the field.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config: expected a JSON object at the top level")
-    _require_keys(doc, "config",
-                  ("target", "steps", "mode", "rates", "omega_peak", "envelope",
-                   "grid_resolution", "optimizer", "integrator"),
-                  ("initial_states", "weight_list", "N_list", "field"))
-
-    target = _parse_target(doc["target"], "target")
-    steps = _as_int(doc["steps"], "steps")
-    if steps < 1:
-        raise ConfigError(f"steps: must be at least 1, got {steps}")
-    try:
-        mode = Mode(doc["mode"])
-    except ValueError:
-        raise ConfigError(f"mode: expected 'alpha' or 'beta', got {doc['mode']!r}") from None
-
-    rates_doc = doc["rates"]
-    if not isinstance(rates_doc, dict):
-        raise ConfigError("rates: expected an object")
-    _require_keys(rates_doc, "rates", ("gamma_in",), ("gamma_ext", "r_pump"))
-    try:
-        rates = Rates(gamma_in=_as_number(rates_doc["gamma_in"], "rates.gamma_in"),
-                      gamma_ext=_as_number(rates_doc.get("gamma_ext", 0.0), "rates.gamma_ext"),
-                      r_pump=_as_number(rates_doc.get("r_pump", 0.0), "rates.r_pump"),
-                      mode=mode)
-    except ValueError as exc:
-        raise ConfigError(f"rates: {exc}") from exc
-
-    omega_peak = _as_number(doc["omega_peak"], "omega_peak")
-    if omega_peak <= 0:
-        raise ConfigError(f"omega_peak: must be positive, got {omega_peak}")
-    try:
-        envelope = Envelope(doc["envelope"])
-    except ValueError:
-        raise ConfigError(
-            f"envelope: expected 'square' or 'sine_squared', got {doc['envelope']!r}") from None
-    grid_resolution = _as_int(doc["grid_resolution"], "grid_resolution")
-    if grid_resolution < 2:
-        raise ConfigError(f"grid_resolution: must be at least 2, got {grid_resolution}")
-
-    opt_doc = doc["optimizer"]
-    if not isinstance(opt_doc, dict):
-        raise ConfigError("optimizer: expected an object")
-    _require_keys(opt_doc, "optimizer", ("seed",),
-                  ("restarts", "max_iter", "tol", "pin_last", "test_states"))
-    pin_last = opt_doc.get("pin_last", False)
-    if not isinstance(pin_last, bool):
-        raise ConfigError(f"optimizer.pin_last: expected a boolean, got {pin_last!r}")
-    optimizer = OptimizerSettings(
-        seed=_as_int(opt_doc["seed"], "optimizer.seed"),
-        restarts=_as_int(opt_doc.get("restarts", 8), "optimizer.restarts"),
-        max_iter=_as_int(opt_doc.get("max_iter", 2000), "optimizer.max_iter"),
-        tol=_as_number(opt_doc.get("tol", 1e-6), "optimizer.tol"),
-        pin_last=pin_last,
-        test_states=_as_int(opt_doc.get("test_states", 1000), "optimizer.test_states"),
-    )
-    if optimizer.seed < 0:
-        raise ConfigError("optimizer.seed: must be nonnegative")
-    if optimizer.restarts < 1 or optimizer.max_iter < 1:
-        raise ConfigError("optimizer.restarts and optimizer.max_iter must be at least 1")
-    if optimizer.tol <= 0:
-        raise ConfigError("optimizer.tol: must be positive")
-
-    int_doc = doc["integrator"]
-    if not isinstance(int_doc, dict):
-        raise ConfigError("integrator: expected an object")
-    _require_keys(int_doc, "integrator", (), ("rtol", "atol", "residual"))
-    integrator = IntegratorSettings(
-        rtol=_as_number(int_doc.get("rtol", 1e-9), "integrator.rtol"),
-        atol=_as_number(int_doc.get("atol", 1e-12), "integrator.atol"),
-        residual=_as_number(int_doc.get("residual", 1e-10), "integrator.residual"),
-    )
-    if integrator.rtol <= 0 or integrator.atol <= 0:
-        raise ConfigError("integrator.rtol and integrator.atol must be positive")
-    if not (0.0 < integrator.residual < 1.0):
-        raise ConfigError("integrator.residual: must lie strictly between 0 and 1")
-
-    initial_states = None
-    if "initial_states" in doc:
-        raw = doc["initial_states"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("initial_states: expected a nonempty list of state vectors")
-        initial_states = np.empty((len(raw), 3), dtype=complex)
-        for i, entry in enumerate(raw):
-            vecc = _as_complex_vector(entry, f"initial_states[{i}]", 3)
-            norm = np.linalg.norm(vecc)
-            if abs(norm - 1.0) > 1e-9:
-                raise ConfigError(f"initial_states[{i}]: vector norm {norm!r} is not 1")
-            initial_states[i] = vecc
-
-    weight_list = None
-    if "weight_list" in doc:
-        raw = doc["weight_list"]
-        if not isinstance(raw, list):
-            raise ConfigError("weight_list: expected a list of numbers")
-        weight_list = tuple(_as_number(w, f"weight_list[{i}]") for i, w in enumerate(raw))
-        if any(w < 0 or w > 1 for w in weight_list):
-            raise ConfigError("weight_list: entries must lie in [0, 1]")
-
-    n_list = None
-    if "N_list" in doc:
-        raw = doc["N_list"]
-        if not isinstance(raw, list):
-            raise ConfigError("N_list: expected a list of integers")
-        n_list = tuple(_as_int(n, f"N_list[{i}]") for i, n in enumerate(raw))
-        if any(n < 1 for n in n_list):
-            raise ConfigError("N_list: entries must be at least 1")
-
-    field_params = None
-    if "field" in doc:
-        fdoc = doc["field"]
-        if not isinstance(fdoc, dict):
-            raise ConfigError("field: expected an object")
-        _require_keys(fdoc, "field", ("theta", "phi", "mu_minus", "mu_plus"), ("xi", "delta"))
-        field_params = FieldParams(
-            theta=_as_number(fdoc["theta"], "field.theta"),
-            phi=_as_number(fdoc["phi"], "field.phi"),
-            mu_minus=_as_number(fdoc["mu_minus"], "field.mu_minus"),
-            mu_plus=_as_number(fdoc["mu_plus"], "field.mu_plus"),
-            xi=_as_number(fdoc.get("xi", 0.0), "field.xi"),
-            delta=_as_number(fdoc.get("delta", 0.0), "field.delta"),
-            omega_peak=omega_peak, envelope=envelope)
-
+    values = _fields(doc, "", _CONFIG, _CONFIG_REQUIRED)
+    drive = {"omega_peak": values["omega_peak"], "envelope": values["envelope"]}
+    field = values.get("field")
     return ExperimentConfig(
-        target=target, steps=steps, mode=mode, rates=rates, omega_peak=omega_peak,
-        envelope=envelope, grid_resolution=grid_resolution, optimizer=optimizer,
-        integrator=integrator, initial_states=initial_states,
-        weight_list=weight_list, n_list=n_list, field_params=field_params)
+        target=_build(TargetState, "target", values["target"]), steps=values["steps"],
+        rates=_build(Rates, "rates", values["rates"], mode=values["mode"]), **drive,
+        grid_resolution=values["grid_resolution"],
+        optimizer=OptimizerSettings(**values["optimizer"]),
+        integrator=IntegratorSettings(**values["integrator"]),
+        initial_states=values.get("initial_states"), weight_list=values.get("weight_list"),
+        n_list=values.get("N_list"),
+        field_params=None if field is None else _build(FieldParams, "field", field, **drive))
+
+
+def _load_json(path, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
 
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a config file; any failure is a ConfigError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-    return parse_config(doc)
+    return parse_config(_load_json(path, "config file"))
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    text = format(float(x), ".17g")
-    # keep floats recognizably floats so documents round-trip type-exactly
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
+def load_sequence(path, cfg: ExperimentConfig) -> list[FieldParams]:
+    """Steps from an optimize result file, rebuilt with the config's drive settings."""
+    doc = _load_json(path, "sequence file")
+    where = f"sequence file {path}: sequence"
+    seq = _fields(doc.get("sequence") if type(doc) is dict else None, where, _SEQUENCE, ("steps",))
+    return [_build(FieldParams, f"{where}.steps[{i}]", step, omega_peak=cfg.omega_peak,
+                   envelope=cfg.envelope) for i, step in enumerate(seq["steps"])]
 
 
 def dumps17(obj, indent: int = 0) -> str:
@@ -307,7 +268,11 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        if not np.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj!r}")
+        text = format(float(obj), ".17g")
+        # keep floats recognizably floats so documents round-trip type-exactly
+        return text if any(c in text for c in ".eE") else text + ".0"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -326,3 +291,10 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header: list[str], table) -> None:
+    """Write a header and a numeric table as CSV atomically, each value formatted ``.17g``."""
+    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    rows = np.asarray(table, dtype=float).reshape(-1, len(header)).tolist()
+    atomic_write_text(path, ",".join(header) + "\n" + "".join(row.format(*r) for r in rows))

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from .config import write_csv
 from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
 from .errors import PositivityViolation, StepSizeUnderflow
 from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
@@ -270,7 +271,4 @@ def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:
         np.trace(stack, axis1=1, axis2=2).real,
         np.trace(p @ stack @ p, axis1=1, axis2=2).real,
     ])
-    row = ",".join(["{:.17g}"] * table.shape[1])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row.format(*values) + "\n" for values in table.tolist())
+    write_csv(path, header, table)

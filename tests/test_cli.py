@@ -368,12 +368,13 @@ class TestFlagAttachment:
         ("simulate", "--strict"), ("verify", "--strict"), ("bloch-export", "--strict"),
         ("spectrum", "--strict"), ("sweep-purity", "--strict"),
         ("simulate", "--seed"), ("bloch-export", "--seed"), ("spectrum", "--seed"),
+        ("spectrum", "--threads"), ("sweep-purity", "--threads"),
     ])
     def test_unused_flag_is_an_argparse_error(self, tmp_path, config_path, command, flag):
         argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o")]
         if command in ("simulate", "bloch-export"):
             argv += ["--sequence", str(tmp_path / "result.json")]
-        argv += [flag] + (["3"] if flag == "--seed" else [])
+        argv += [flag] + (["3"] if flag in ("--seed", "--threads") else [])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -395,3 +396,53 @@ class TestFlagAttachment:
         parser = build_parser()
         for argv in argvs:
             parser.parse_args([arg.replace("{out}", str(tmp_path / "out")) for arg in argv])
+
+
+NAN, INF = float("nan"), float("inf")
+SEQUENCE_STEP = {"theta": 0.7, "phi": 1.1, "mu_minus": 0.3, "mu_plus": 2.0}
+
+
+class TestInputEdge:
+    """Bad numbers from a config or sequence file exit 2 and name the field."""
+
+    @pytest.mark.parametrize("command, keys, value, named", [
+        ("spectrum", ("omega_peak",), NAN, "omega_peak"),
+        ("spectrum", ("omega_peak",), INF, "omega_peak"),
+        ("spectrum", ("rates", "gamma_in"), INF, "rates.gamma_in"),
+        ("spectrum", ("rates", "gamma_in"), NAN, "rates.gamma_in"),
+        ("optimize", ("target", "weights", 0), NAN, "target.weights[0]"),
+        ("spectrum", ("target", "psi1", 0, 0), NAN, "target.psi1[0][0]"),
+        ("sweep-purity", ("weight_list", 0), NAN, "weight_list[0]"),
+        ("simulate", ("initial_states", 0, 0, 0), NAN, "initial_states[0][0][0]"),
+        ("spectrum", ("field", "delta"), NAN, "field.delta"),
+        ("spectrum", ("field", "delta"), INF, "field.delta"),
+        ("spectrum", ("field", "theta"), NAN, "field.theta"),
+        ("optimize", ("optimizer", "test_states"), 0, "optimizer.test_states"),
+        ("optimize", ("optimizer", "test_states"), -1, "optimizer.test_states"),
+        ("optimize", ("optimizer", "tol"), NAN, "optimizer.tol"),
+        ("verify", ("integrator", "rtol"), NAN, "integrator.rtol"),
+        ("verify", ("integrator", "atol"), INF, "integrator.atol"),
+        ("simulate", ("steps", 0, "delta"), NAN, "sequence.steps[0].delta"),
+        ("simulate", ("steps", 0, "theta"), True, "sequence.steps[0].theta"),
+        ("simulate", ("steps", 0, "theta"), "1", "sequence.steps[0].theta"),
+    ])
+    def test_bad_number_exits_2_naming_field(self, tmp_path, command, keys, value, named,
+                                             capsys):
+        doc = json.loads(write_config(tmp_path / "config.json").read_text())
+        doc.update(weight_list=[0.5], N_list=[1], field=dict(SEQUENCE_STEP),
+                   initial_states=[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
+        sequence = {"sequence": {"mode": "alpha", "steps": [dict(SEQUENCE_STEP)]}}
+        node = sequence["sequence"] if keys[0] == "steps" else doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        (tmp_path / "result.json").write_text(json.dumps(sequence))
+        argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]
+        if command == "simulate":
+            argv += ["--sequence", str(tmp_path / "result.json")]
+        if command == "verify":
+            argv += ["--states", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err, err

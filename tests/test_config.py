@@ -1,11 +1,16 @@
 """Config validation, strict schema behavior, and deterministic serialization."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkpulse import ConfigError, Envelope, Mode
+from darkpulse.cli import bundled_config_path
 from darkpulse.config import dumps17, load_config, parse_config
 
 
@@ -35,6 +40,8 @@ class TestParseConfig:
         assert cfg.optimizer.restarts == 8
         assert cfg.optimizer.max_iter == 2000
         assert cfg.optimizer.tol == 1e-6
+        assert cfg.optimizer.pin_last is False
+        assert cfg.optimizer.test_states == 1000
         assert cfg.integrator.rtol == 1e-9
         assert cfg.integrator.atol == 1e-12
         assert cfg.integrator.residual == 1e-10
@@ -124,6 +131,49 @@ class TestParseConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+
+def leaf_paths(node, path=()):
+    """Paths to every scalar of a JSON document."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in leaf_paths(value, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in leaf_paths(value, path + (i,))]
+    return [path]
+
+
+def floats(obj):
+    """Every float held by a parsed config, complex parts included."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from floats(getattr(obj, field.name))
+    elif isinstance(obj, np.ndarray):
+        yield from np.concatenate([obj.real.ravel(), obj.imag.ravel()]).tolist()
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from floats(item)
+    elif isinstance(obj, float):
+        yield obj
+
+
+BUNDLED = json.loads(bundled_config_path().read_text())
+BAD_LEAVES = [float("nan"), float("inf"), -float("inf"), 0, -1, True, "x", [], {}, None]
+
+
+class TestOneBadLeaf:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(path=st.sampled_from(leaf_paths(BUNDLED)), value=st.sampled_from(BAD_LEAVES))
+    def test_rejected_or_every_float_finite(self, path, value):
+        doc = copy.deepcopy(BUNDLED)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            cfg = parse_config(doc)
+        except ConfigError:
+            return
+        assert all(np.isfinite(x) for x in floats(cfg))
 
 
 class TestDumps17:
