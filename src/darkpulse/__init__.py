@@ -7,9 +7,8 @@ full master-equation integration and certification (:mod:`dynamics`), the
 pulse-sequence optimizer (:mod:`optimize`), and the CLI (:mod:`cli`).
 """
 
-from .core import (BlochPoint, DarkBasis, DensityOperator, Envelope, FieldParams, Mode,
-                   TargetState, bloch_coords, build_hamiltonian, dark_basis, embed_ground,
-                   field_for_span, orthogonal_state)
+from .core import (DarkBasis, DensityOperator, Envelope, FieldParams, Mode, TargetState,
+                   bloch_coords, build_hamiltonian, dark_basis, embed_ground, field_for_span)
 from .dynamics import (PulseRecord, Trajectory, integrate_master, propagate_exact,
                        recommended_duration, run_pulse, run_pulse_block, verify_map)
 from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, DegenerateSpan,
@@ -27,7 +26,7 @@ from .optimize import (OptimizationResult, StateGrid, initial_state_grid, optimi
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleUnderdetermined", "BlochPoint", "ConfigError", "DarkBasis", "DarkpulseError",
+    "AngleUnderdetermined", "ConfigError", "DarkBasis", "DarkpulseError",
     "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "Liouvillian",
     "Mode", "NegativeRadicand", "OptimizationResult", "PositivityViolation",
     "PulseRecord", "PulseSequence", "Rates", "SingularSystem", "StateGrid",
@@ -36,7 +35,7 @@ __all__ = [
     "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
     "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
-    "orthogonal_state", "propagate_exact", "purity_sweep", "random_pure_states",
+    "propagate_exact", "purity_sweep", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
     "repump_steady_state", "run_pulse", "run_pulse_block", "sequence_affine",
     "sequence_objective", "slowest_rate", "steady_affine", "unvec", "vec", "verify_map",

@@ -25,11 +25,12 @@ from scipy.linalg import subspace_angles
 
 from .config import (ExperimentConfig, atomic_write_text, dumps17, load_config, load_sequence,
                      read_number, write_csv)
-from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, bloch_coords_array,
-                   dark_basis, embed_ground, field_for_span)
+from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, _span_normal,
+                   bloch_coords, dark_basis, field_for_span)
 from .dynamics import (propagator_name, recommended_duration, run_pulse_block, verify_map,
                        write_trajectory_csv)
-from .errors import ConfigError, PositivityViolation, StepSizeUnderflow, UnstableSpectrum
+from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, UnexpectedDimension,
+                     UnstableSpectrum)
 from .liouville import (build_liouvillian, slowest_rate, transpose_convention_diagnostic,
                         zero_subspace)
 from .maps import PulseSequence, compose_sequence, hs_distance, mismatch, sequence_affine
@@ -205,11 +206,7 @@ def _target_span_basis(target: TargetState) -> DarkBasis:
     b1 = target.psi1 / np.linalg.norm(target.psi1)
     raw = target.psi2 - (b1.conj() @ target.psi2) * b1
     b2 = raw / np.linalg.norm(raw)
-    normal_field = field_for_span(target.psi1, target.psi2)
-    perp = dark_basis(normal_field).phi_perp
-    v1, v2 = embed_ground(b1), embed_ground(b2)
-    projector = np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())
-    return DarkBasis(n1=b1, n2=b2, phi_perp=perp, projector=projector)
+    return DarkBasis(n1=b1, n2=b2, phi_perp=_span_normal(target.psi1, target.psi2))
 
 
 def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
@@ -229,7 +226,7 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
             basis = dark_basis(steps[stage - 1])
         else:
             basis = _target_span_basis(cfg.target)
-        coords = bloch_coords_array(out, basis)
+        coords = bloch_coords(out, basis)
         points.append(np.column_stack([np.full(len(coords), stage), coords]))
         centroid = coords[:, :3].mean(axis=0)
         radii.append((stage, float(np.linalg.norm(coords[:, :3] - centroid, axis=1).max())))
@@ -406,7 +403,7 @@ def main(argv=None) -> int:
     except (StepSizeUnderflow, PositivityViolation) as exc:
         print(f"integrator error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
-    except UnstableSpectrum as exc:
+    except (UnstableSpectrum, UnexpectedDimension) as exc:
         print(f"spectrum error: {exc}", file=sys.stderr)
         return EXIT_SPECTRUM
 

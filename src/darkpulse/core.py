@@ -18,7 +18,7 @@ the inverse problem of aiming the dark subspace at a prescribed span.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -32,16 +32,13 @@ __all__ = [
     "DensityOperator",
     "DarkBasis",
     "TargetState",
-    "BlochPoint",
     "embed_ground",
     "build_hamiltonian",
     "bright_vector",
     "bright_vector_jacobian",
     "dark_basis",
-    "orthogonal_state",
     "field_for_span",
     "bloch_coords",
-    "bloch_coords_array",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -131,7 +128,7 @@ class DensityOperator:
     The matrix is validated on construction and stored read-only.  ``trace_tol``
     and ``psd_tol`` exist for states produced by a finite-tolerance integrator,
     where transient excursions scale with the local error; analytic states use
-    the defaults.
+    the defaults.  ``min_eigenvalue`` is passed on to :meth:`validate`.
     """
 
     __slots__ = ("matrix",)
@@ -141,11 +138,11 @@ class DensityOperator:
     TRACE_TOL = 1e-12
 
     def __init__(self, matrix: np.ndarray, *, psd_tol: float | None = None,
-                 trace_tol: float | None = None) -> None:
+                 trace_tol: float | None = None, min_eigenvalue: float | None = None) -> None:
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        self.validate(m, psd_tol=psd_tol, trace_tol=trace_tol)
+        self.validate(m, psd_tol=psd_tol, trace_tol=trace_tol, min_eigenvalue=min_eigenvalue)
         object.__setattr__(self, "matrix", _readonly(m))
 
     @classmethod
@@ -172,26 +169,6 @@ class DensityOperator:
             raise ValueError(f"trace {(high if 0.0 < low else low)!r} outside (0, 1]")
 
     @classmethod
-    def from_stack(cls, matrices: np.ndarray, *, psd_tol: float | None = None,
-                   trace_tol: float | None = None,
-                   min_eigenvalue: float | None = None) -> tuple["DensityOperator", ...]:
-        """One state per matrix of an (n, 4, 4) stack, validated once as a whole.
-
-        The states are read-only views of one copy of the stack.
-        """
-        stack = np.array(matrices, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1:] != (4, 4):
-            raise ValueError(f"expected an (n, 4, 4) stack, got shape {stack.shape}")
-        cls.validate(stack, psd_tol=psd_tol, trace_tol=trace_tol, min_eigenvalue=min_eigenvalue)
-        stack.setflags(write=False)
-        states = []
-        for m in stack:
-            state = cls.__new__(cls)
-            object.__setattr__(state, "matrix", m)
-            states.append(state)
-        return tuple(states)
-
-    @classmethod
     def pure(cls, state: np.ndarray) -> "DensityOperator":
         """Projector onto a pure state; accepts a ground 3-vector or full 4-vector."""
         psi = embed_ground(np.asarray(state, dtype=complex))
@@ -204,13 +181,6 @@ class DensityOperator:
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
-
-    def excited_population(self) -> float:
-        return float(self.matrix[EXCITED, EXCITED].real)
-
-    def dark_weight(self, basis: "DarkBasis") -> float:
-        p = basis.projector
-        return float(np.trace(p @ self.matrix @ p).real)
 
     def __repr__(self) -> str:
         return f"DensityOperator(trace={self.trace:.6f}, purity={self.purity():.6f})"
@@ -228,11 +198,14 @@ class DarkBasis:
     n1: np.ndarray
     n2: np.ndarray
     phi_perp: np.ndarray
-    projector: np.ndarray
+    projector: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("n1", "n2", "phi_perp", "projector"):
+        for name in ("n1", "n2", "phi_perp"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=complex)))
+        v1, v2 = embed_ground(self.n1), embed_ground(self.n2)
+        object.__setattr__(self, "projector",
+                           _readonly(np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())))
 
     def maximally_mixed(self) -> DensityOperator:
         """The maximally mixed state of the dark subspace, P_D / 2."""
@@ -268,21 +241,6 @@ class TargetState:
         p1, p2 = self.weights
         v1, v2 = embed_ground(self.psi1), embed_ground(self.psi2)
         return DensityOperator(p1 * np.outer(v1, v1.conj()) + p2 * np.outer(v2, v2.conj()))
-
-
-@dataclass(frozen=True)
-class BlochPoint:
-    """Bloch coordinates of the dark-subspace block of a state.
-
-    ``in_span_weight`` is the trace of the projected block; (x, y, z) are the
-    raw (unnormalized) Pauli expectations, so the point lies inside the sphere
-    of radius ``in_span_weight``.
-    """
-
-    x: float
-    y: float
-    z: float
-    in_span_weight: float
 
 
 def embed_ground(psi: np.ndarray) -> np.ndarray:
@@ -374,15 +332,7 @@ def dark_basis(fp: FieldParams) -> DarkBasis:
         0.0,
         np.exp(-1j * mm) * np.sin(ph),
     ])
-    perp = bright_vector(np.array(fp.angles))
-    v1, v2 = embed_ground(n1), embed_ground(n2)
-    projector = np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())
-    return DarkBasis(n1=n1, n2=n2, phi_perp=perp, projector=projector)
-
-
-def orthogonal_state(fp: FieldParams) -> np.ndarray:
-    """The bright ground-space vector, orthogonal to both dark vectors."""
-    return dark_basis(fp).phi_perp
+    return DarkBasis(n1=n1, n2=n2, phi_perp=bright_vector(np.array(fp.angles)))
 
 
 def _span_normal(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
@@ -440,20 +390,15 @@ def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.
     )
 
 
-def bloch_coords(rho: DensityOperator, basis: DarkBasis) -> BlochPoint:
-    """Bloch coordinates of the dark-subspace block of ``rho``.
+def bloch_coords(matrices: np.ndarray, basis: DarkBasis) -> np.ndarray:
+    """Bloch coordinates of the dark-subspace block of a (..., 4, 4) stack.
 
-    The state is projected into span{n1, n2} and the 2x2 block is expanded in
+    Each state is projected into span{n1, n2} and the 2x2 block is expanded in
     Pauli operators with the z axis aligned to ``n1`` (z = +1 at |n1><n1|).
-    The map is affine in ``rho``.
-    """
-    return BlochPoint(*(float(v) for v in bloch_coords_array(rho.matrix, basis)))
-
-
-def bloch_coords_array(matrices: np.ndarray, basis: DarkBasis) -> np.ndarray:
-    """:func:`bloch_coords` of a (..., 4, 4) stack as columns (x, y, z, in_span_weight).
-
-    The matrices are not validated; check them once with
+    Returns columns (x, y, z, in_span_weight): the raw (unnormalized) Pauli
+    expectations and the trace of the block, so each point lies inside the
+    sphere of radius ``in_span_weight``.  The map is affine in the state.  The
+    matrices are not validated; check them once with
     :meth:`DensityOperator.validate`.
     """
     v1, v2 = embed_ground(basis.n1), embed_ground(basis.n2)

@@ -67,10 +67,13 @@ class PulseRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Density-operator snapshots along one pulse, with the record of how they were made."""
+    """Density-operator snapshots along one pulse, with the record of how they were made.
+
+    ``states`` is the read-only (n, 4, 4) stack at ``times``; ``final`` is its last matrix.
+    """
 
     times: np.ndarray
-    states: tuple[DensityOperator, ...]
+    states: np.ndarray
     final: DensityOperator
     record: PulseRecord | None = None
 
@@ -80,19 +83,18 @@ class Trajectory:
             raise ValueError("times must start at 0 and increase strictly")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
 
 
 def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
                 nfev: int) -> tuple[Trajectory, ...]:
     """Symmetrize an (S, n, 16) block of vectorized snapshots and validate it as one stack.
 
-    Returns one trajectory per state.  Hermiticity is preserved by the flow,
-    so snapshots are symmetrized only against roundoff.  Positivity is
-    monitored, not enforced, because the repump term is not of Lindblad form:
-    the earliest snapshot with an eigenvalue below ``-100 * atol`` raises
-    :class:`PositivityViolation`, naming its state and time.  The same
-    eigenvalues decide the stack's PSD check.
+    Returns one trajectory per state, holding its slice of one read-only copy
+    of the block.  Hermiticity is preserved by the flow, so snapshots are
+    symmetrized only against roundoff.  Positivity is monitored, not enforced,
+    because the repump term is not of Lindblad form: the earliest snapshot with
+    an eigenvalue below ``-100 * atol`` raises :class:`PositivityViolation`,
+    naming its state and time.  The same eigenvalues decide every PSD check.
     """
     n_states, n = snapshots.shape[:2]
     snaps = snapshots.reshape(n_states, n, 4, 4)
@@ -106,12 +108,15 @@ def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagato
                                   f"{min_eigs[s, k]:.3e} < {floor:.3e}")
     # validation slack scales with the integrator tolerance, mirroring the
     # positivity monitor; the exact flow keeps trace <= 1 in both regimes
-    trace_slack = max(DensityOperator.TRACE_TOL, 100.0 * atol)
-    states = DensityOperator.from_stack(snaps.reshape(-1, 4, 4), psd_tol=-floor,
-                                        trace_tol=trace_slack, min_eigenvalue=min_eigs.min())
+    tols = dict(psd_tol=-floor, trace_tol=max(DensityOperator.TRACE_TOL, 100.0 * atol))
     trace_errors = np.abs(np.trace(snaps, axis1=-2, axis2=-1).real - 1.0).max(axis=1)
-    return tuple(Trajectory(times=times, states=states[s * n:(s + 1) * n],
-                            final=states[(s + 1) * n - 1],
+    # C-contiguous, so the CSV trace column sums in one order; an RK45 block is not
+    stack = np.ascontiguousarray(snaps)
+    DensityOperator.validate(stack, **tols, min_eigenvalue=min_eigs.min())
+    stack.setflags(write=False)
+    return tuple(Trajectory(times=times, states=stack[s],
+                            final=DensityOperator(stack[s, -1], **tols,
+                                                  min_eigenvalue=min_eigs[s, -1]),
                             record=PulseRecord(propagator, nfev, float(min_eigs[s].min()),
                                                float(trace_errors[s])))
                  for s in range(n_states))
@@ -262,7 +267,7 @@ def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:
     labels = ("gm", "gpi", "gp", "e")
     header = ["time"] + [f"{part}_{a}{b}" for a in labels for b in labels for part in ("re", "im")]
     header += [f"pop_{l}" for l in labels] + ["trace", "dark_weight"]
-    stack = np.stack([state.matrix for state in traj.states])
+    stack = traj.states
     p = basis.projector
     table = np.column_stack([
         traj.times,

@@ -251,12 +251,13 @@ def slowest_rate(liou: Liouvillian) -> float:
 
     Eigenvalues with modulus below 1e-9 of the spectral radius count as zero
     modes and are excluded.  Every retained eigenvalue must sit in the closed
-    left half plane.
+    left half plane, and the smallest retained |Re lambda| must be nonzero.
 
     Raises
     ------
     UnstableSpectrum
-        If any eigenvalue has real part above 1e-9, or a retained one above 1e-12.
+        If any eigenvalue has real part above 1e-9, a retained one above 1e-12,
+        or the slowest retained rate is exactly 0 (no finite duration damps it).
     """
     lam = np.linalg.eigvals(liou.m)
     radius = float(np.abs(lam).max())
@@ -267,7 +268,10 @@ def slowest_rate(liou: Liouvillian) -> float:
         raise UnstableSpectrum("no nonzero eigenvalues found")
     if float(nonzero.real.max()) > 1e-12:
         raise UnstableSpectrum(f"nonzero eigenvalue with Re = {nonzero.real.max():.3e} > 1e-12")
-    return float(np.min(np.abs(nonzero.real)))
+    rate = float(np.min(np.abs(nonzero.real)))
+    if rate == 0.0:
+        raise UnstableSpectrum("slowest nonzero eigenvalue has Re = 0: the rate is not resolved")
+    return rate
 
 
 def transpose_convention_diagnostic(liou: Liouvillian) -> dict:

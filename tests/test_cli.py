@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,8 @@ def write_config(path, **overrides):
     path.write_text(dumps17(doc) + "\n")
     return path
 
+
+SEQUENCE_STEP = {"theta": 0.7, "phi": 1.1, "mu_minus": 0.3, "mu_plus": 2.0}
 
 THREE_STATES = [
     [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -290,6 +293,21 @@ class TestBlochExportCommand:
                          + (out / "bloch_radii.csv").read_text())
         assert texts[0] == texts[1]
 
+    def test_pi_polarized_target_normal_warns_nothing(self, tmp_path):
+        # span{|g->, |g+>} has the pi-polarized normal |gpi>, whose field angles
+        # are underdetermined; the final-stage basis needs no field at all
+        config = write_config(tmp_path / "config.json", target={
+            "weights": [0.5, 0.5],
+            "psi1": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "psi2": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+        })
+        sequence = tmp_path / "result.json"
+        sequence.write_text(json.dumps({"sequence": {"steps": [dict(SEQUENCE_STEP)]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bloch-export", "--config", str(config), "--sequence", str(sequence),
+                         "--out", str(tmp_path / "b")]) == 0
+
 
 class TestSpectrumCommand:
     def test_alpha_report(self, tmp_path, config_path):
@@ -399,7 +417,6 @@ class TestFlagAttachment:
 
 
 NAN, INF = float("nan"), float("inf")
-SEQUENCE_STEP = {"theta": 0.7, "phi": 1.1, "mu_minus": 0.3, "mu_plus": 2.0}
 
 
 class TestInputEdge:
@@ -446,3 +463,28 @@ class TestInputEdge:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert named in err, err
+
+    @pytest.mark.parametrize("command, keys, value, cause", [
+        ("spectrum", ("omega_peak",), 1e300, "null dimensions"),
+        ("spectrum", ("rates", "gamma_in"), 1e300, "null dimensions"),
+        ("spectrum", ("rates", "gamma_in"), 1e-300, "null dimensions"),
+        ("spectrum", ("field", "delta"), 1e300, "null dimensions"),
+        ("verify", ("rates", "gamma_in"), 1e-300, "not resolved"),
+    ])
+    def test_extreme_magnitude_exits_5_naming_cause(self, tmp_path, command, keys, value,
+                                                     cause, capsys):
+        # finite numbers the schema accepts, whose spectrum cannot be resolved
+        doc = json.loads(write_config(tmp_path / "config.json").read_text())
+        if keys[0] == "field":
+            doc["field"] = dict(SEQUENCE_STEP)
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]
+        if command == "verify":
+            argv += ["--states", "1"]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("spectrum error: ") and cause in err, err

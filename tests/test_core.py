@@ -5,8 +5,8 @@ import pytest
 
 from darkpulse import (AngleUnderdetermined, DegenerateSpan, DensityOperator,
                        Envelope, FieldParams, TargetState, bloch_coords, build_hamiltonian,
-                       dark_basis, embed_ground, field_for_span, orthogonal_state)
-from darkpulse.core import bloch_coords_array, bright_vector
+                       dark_basis, embed_ground, field_for_span)
+from darkpulse.core import bright_vector
 from conftest import random_density, random_field, random_pure_ground
 
 
@@ -70,22 +70,6 @@ class TestDensityOperator:
         with pytest.raises(ValueError) as batched:
             DensityOperator.validate(stack)
         assert str(batched.value) == str(single.value)
-        with pytest.raises(ValueError) as wrapped:
-            DensityOperator.from_stack(stack)
-        assert str(wrapped.value) == str(single.value)
-
-    def test_from_stack_wraps_a_readonly_copy(self, rng):
-        stack = np.stack([random_density(rng).matrix for _ in range(3)])
-        states = DensityOperator.from_stack(stack)
-        expected = stack.copy()
-        stack[:] = 0.0
-        assert len(states) == 3
-        for state, m in zip(states, expected):
-            assert isinstance(state, DensityOperator)
-            assert np.array_equal(state.matrix, m)
-            assert not state.matrix.flags.writeable
-        with pytest.raises(ValueError, match="stack"):
-            DensityOperator.from_stack(expected[0])
 
     def test_pure_accepts_ground_and_full_vectors(self):
         rho3 = DensityOperator.pure(np.array([1.0, 0.0, 0.0]))
@@ -183,17 +167,17 @@ class TestDarkBasis:
 class TestOrthogonalState:
     def test_theta_pi_is_pi_state(self):
         fp = FieldParams(theta=np.pi, phi=0.0, mu_minus=0.0, mu_plus=0.0)
-        assert np.allclose(orthogonal_state(fp), [0.0, 1.0, 0.0], atol=1e-15)
+        assert np.allclose(dark_basis(fp).phi_perp, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_theta_half_pi_phi_zero(self):
         fp = FieldParams(theta=np.pi / 2.0, phi=0.0, mu_minus=0.0, mu_plus=0.0)
-        assert np.allclose(orthogonal_state(fp), [0.0, 0.0, 1.0], atol=1e-15)
+        assert np.allclose(dark_basis(fp).phi_perp, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_orthogonal_to_dark_vectors(self, rng):
         for _ in range(100):
             fp = random_field(rng)
             basis = dark_basis(fp)
-            perp = orthogonal_state(fp)
+            perp = dark_basis(fp).phi_perp
             assert abs(perp.conj() @ basis.n1) < 1e-12
             assert abs(perp.conj() @ basis.n2) < 1e-12
 
@@ -204,7 +188,7 @@ class TestOrthogonalState:
         assert batch.shape == (200, 3)
         for row, perp in zip(angles, batch):
             fp = FieldParams(theta=row[0], phi=row[1], mu_minus=row[2], mu_plus=row[3])
-            assert np.abs(perp - orthogonal_state(fp)).max() < 1e-13
+            assert np.abs(perp - dark_basis(fp).phi_perp).max() < 1e-13
 
 
 class TestFieldForSpan:
@@ -229,7 +213,7 @@ class TestFieldForSpan:
         for _ in range(50):
             psi1, psi2 = random_pure_ground(rng), random_pure_ground(rng)
             fp = field_for_span(psi1, psi2)
-            perp = orthogonal_state(fp)
+            perp = dark_basis(fp).phi_perp
             assert abs(perp.conj() @ psi1) < 1e-10
             assert abs(perp.conj() @ psi2) < 1e-10
 
@@ -278,23 +262,23 @@ class TestTargetState:
 class TestBlochCoords:
     def test_maximally_mixed_dark_is_origin(self, rng):
         basis = dark_basis(random_field(rng))
-        point = bloch_coords(basis.maximally_mixed(), basis)
-        assert (point.x, point.y, point.z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
-        assert point.in_span_weight == pytest.approx(1.0, abs=1e-14)
+        x, y, z, weight = bloch_coords(basis.maximally_mixed().matrix, basis)
+        assert (x, y, z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
+        assert weight == pytest.approx(1.0, abs=1e-14)
 
     def test_first_dark_vector_is_north_pole(self, rng):
         basis = dark_basis(random_field(rng))
-        point = bloch_coords(DensityOperator.pure(basis.n1), basis)
-        assert point.z == pytest.approx(1.0, abs=1e-12)
-        assert point.x == pytest.approx(0.0, abs=1e-12)
-        assert point.in_span_weight == pytest.approx(1.0, abs=1e-12)
+        x, _, z, weight = bloch_coords(DensityOperator.pure(basis.n1).matrix, basis)
+        assert z == pytest.approx(1.0, abs=1e-12)
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert weight == pytest.approx(1.0, abs=1e-12)
 
     def test_bright_state_has_zero_weight(self, rng):
         fp = random_field(rng)
         basis = dark_basis(fp)
-        point = bloch_coords(DensityOperator.pure(basis.phi_perp), basis)
-        assert point.in_span_weight == pytest.approx(0.0, abs=1e-12)
-        assert (point.x, point.y, point.z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+        x, y, z, weight = bloch_coords(DensityOperator.pure(basis.phi_perp).matrix, basis)
+        assert weight == pytest.approx(0.0, abs=1e-12)
+        assert (x, y, z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
     def test_affine_in_the_state(self, rng):
         from conftest import random_density
@@ -303,16 +287,16 @@ class TestBlochCoords:
             rho1, rho2 = random_density(rng), random_density(rng)
             a = rng.uniform()
             mix = DensityOperator(a * rho1.matrix + (1 - a) * rho2.matrix)
-            p1, p2, pm = (bloch_coords(r, basis) for r in (rho1, rho2, mix))
-            for attr in ("x", "y", "z", "in_span_weight"):
-                expected = a * getattr(p1, attr) + (1 - a) * getattr(p2, attr)
-                assert getattr(pm, attr) == pytest.approx(expected, abs=1e-12)
+            p1, p2, pm = (bloch_coords(r.matrix, basis) for r in (rho1, rho2, mix))
+            for k in range(4):  # x, y, z, in_span_weight
+                expected = a * p1[k] + (1 - a) * p2[k]
+                assert pm[k] == pytest.approx(expected, abs=1e-12)
 
     def test_stack_matches_per_state(self, rng):
         basis = dark_basis(random_field(rng))
         v1, v2 = embed_ground(basis.n1), embed_ground(basis.n2)
         states = [random_density(rng) for _ in range(50)]
-        coords = bloch_coords_array(np.stack([rho.matrix for rho in states]), basis)
+        coords = bloch_coords(np.stack([rho.matrix for rho in states]), basis)
         assert coords.shape == (50, 4)
         for rho, row in zip(states, coords):
             # per-state reference: the 2x2 dark block, one matrix element at a time
@@ -320,14 +304,12 @@ class TestBlochCoords:
             r11, r22, r12 = v1.conj() @ m @ v1, v2.conj() @ m @ v2, v1.conj() @ m @ v2
             expected = (2.0 * r12.real, -2.0 * r12.imag, (r11 - r22).real, (r11 + r22).real)
             assert np.abs(row - expected).max() <= 1e-15
-            point = bloch_coords(rho, basis)
-            assert np.abs(np.array([point.x, point.y, point.z, point.in_span_weight])
-                          - expected).max() <= 1e-15
+            assert np.abs(bloch_coords(m, basis) - expected).max() <= 1e-15
 
     def test_radius_bounded_by_weight(self, rng):
         from conftest import random_density
         basis = dark_basis(random_field(rng))
         for _ in range(50):
-            point = bloch_coords(random_density(rng), basis)
-            radius_sq = point.x ** 2 + point.y ** 2 + point.z ** 2
-            assert radius_sq <= point.in_span_weight ** 2 + 1e-9
+            x, y, z, weight = bloch_coords(random_density(rng).matrix, basis)
+            radius_sq = x ** 2 + y ** 2 + z ** 2
+            assert radius_sq <= weight ** 2 + 1e-9

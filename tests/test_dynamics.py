@@ -28,7 +28,7 @@ class TestIntegrateMaster:
                          omega_peak=1e-30, duration=5.0)
         traj = integrate_master(excited_state(), fp, Rates.alpha(1.0), 5.0)
         for t, state in zip(traj.times, traj.states):
-            assert state.excited_population() == pytest.approx(np.exp(-t), rel=1e-8, abs=1e-12)
+            assert state[3, 3].real == pytest.approx(np.exp(-t), rel=1e-8, abs=1e-12)
 
     def test_trace_conserved_in_alpha_mode(self, rng):
         fp = random_field(rng)
@@ -36,7 +36,7 @@ class TestIntegrateMaster:
                          mu_plus=fp.mu_plus, omega_peak=1.0, duration=20.0)
         traj = integrate_master(random_density(rng), fp, Rates.alpha(), 20.0)
         for state in traj.states:
-            assert state.trace == pytest.approx(1.0, abs=1e-9)
+            assert np.trace(state).real == pytest.approx(1.0, abs=1e-9)
 
     def test_long_square_pulse_reaches_closed_map(self, rng):
         # unit drive and unit decay, as in the reference scenario
@@ -92,7 +92,8 @@ class TestIntegrateMaster:
                              mu_plus=fp.mu_plus, omega_peak=1.0, duration=30.0)
             basis = dark_basis(fp)
             traj = integrate_master(random_density(rng), fp, rates, 30.0)
-            weights = np.array([s.dark_weight(basis) for s in traj.states])
+            p = basis.projector
+            weights = np.array([np.trace(p @ s @ p).real for s in traj.states])
             assert np.diff(weights).min() > -1e-6
 
     def test_invalid_arguments_rejected(self, rng):
@@ -105,8 +106,8 @@ class TestIntegrateMaster:
 
     def test_trajectory_time_validation(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.5, 1.0]), states=(excited_state(),) * 2,
-                       final=excited_state())
+            Trajectory(times=np.array([0.5, 1.0]),
+                       states=np.stack([excited_state().matrix] * 2), final=excited_state())
 
 
 class TestPropagateExact:
@@ -117,7 +118,7 @@ class TestPropagateExact:
         traj = propagate_exact(excited_state(), build_liouvillian(fp, Rates.alpha(1.0)), 5.0)
         assert len(traj.states) == 65
         for t, state in zip(traj.times, traj.states):
-            assert state.excited_population() == pytest.approx(np.exp(-t), rel=1e-8, abs=1e-12)
+            assert state[3, 3].real == pytest.approx(np.exp(-t), rel=1e-8, abs=1e-12)
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
                              ids=["alpha", "beta"])
@@ -199,8 +200,7 @@ class TestRunPulseBlock:
         for rho0, traj in zip(states, block):
             single = integrate_master(rho0, replace(fp, duration=t_final), rates, t_final)
             assert np.array_equal(traj.times, single.times)
-            gap = max(np.abs(a.matrix - b.matrix).max()
-                      for a, b in zip(traj.states, single.states))
+            gap = np.abs(traj.states - single.states).max()
             assert gap < 1e-9
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
@@ -211,8 +211,7 @@ class TestRunPulseBlock:
         for rho0, traj in zip(states, run_pulse_block(states, fp, rates, 1e-8)):
             single = run_pulse(rho0, fp, rates, 1e-8)
             assert traj.record == single.record
-            for a, b in zip(traj.states, single.states):
-                assert a.matrix.tobytes() == b.matrix.tobytes()
+            assert traj.states.tobytes() == single.states.tobytes()
 
 
 class TestSnapshotValidation:
@@ -222,8 +221,8 @@ class TestSnapshotValidation:
         for traj in (integrate_master(random_density(rng), fp, Rates.beta(), 6.0),
                      propagate_exact(random_density(rng), build_liouvillian(fp, Rates.beta()),
                                      6.0)):
-            min_eig = min(np.linalg.eigvalsh(s.matrix).min() for s in traj.states)
-            trace_error = max(abs(s.trace - 1.0) for s in traj.states)
+            min_eig = min(np.linalg.eigvalsh(s).min() for s in traj.states)
+            trace_error = max(abs(np.trace(s).real - 1.0) for s in traj.states)
             assert traj.record.min_eigenvalue == pytest.approx(min_eig, abs=1e-15)
             assert traj.record.max_trace_error == pytest.approx(trace_error, abs=1e-15)
             assert traj.record.max_trace_error > 1e-3  # beta loses trace while driven
@@ -269,6 +268,29 @@ class TestSnapshotValidation:
         snaps[1, 2] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]).reshape(16)
         with pytest.raises(PositivityViolation, match=r"^state 1: snapshot at t=0\.5"):
             _trajectory(times, snaps, 1e-12, "rk45", 7)
+
+    @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
+                             ids=["exact", "rk45"])
+    def test_states_are_a_readonly_contiguous_copy(self, rng, monkeypatch, envelope):
+        # capture the snapshot block each path hands to _trajectory
+        blocks = []
+
+        def capturing(times, snapshots, *args):
+            blocks.append(snapshots)
+            return _trajectory(times, snapshots, *args)
+
+        monkeypatch.setattr("darkpulse.dynamics._trajectory", capturing)
+        fp = random_field(rng, omega_peak=1.0, envelope=envelope)
+        trajectories = run_pulse_block([random_density(rng) for _ in range(3)], fp,
+                                       Rates.beta(), 1e-6)
+        block, = blocks
+        assert len(trajectories) == 3
+        for traj in trajectories:
+            assert traj.states.shape == (65, 4, 4)
+            assert not traj.states.flags.writeable
+            assert traj.states.flags.c_contiguous
+            assert not np.shares_memory(traj.states, block)
+            assert traj.final.matrix.tobytes() == traj.states[-1].tobytes()
 
     def test_trace_above_slack_raises_constructor_error(self, rng):
         times = np.linspace(0.0, 1.0, 5)
@@ -382,12 +404,12 @@ def per_row_writer(traj, basis, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for t, state in zip(traj.times, traj.states):
-            m = state.matrix
+        p = basis.projector
+        for t, m in zip(traj.times, traj.states):
             row = [f"{t:.17g}"]
             for i in range(4):
                 for j in range(4):
                     row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
             row += [f"{m[i, i].real:.17g}" for i in range(4)]
-            row += [f"{state.trace:.17g}", f"{state.dark_weight(basis):.17g}"]
+            row += [f"{float(np.trace(m).real):.17g}", f"{float(np.trace(p @ m @ p).real):.17g}"]
             writer.writerow(row)

@@ -280,6 +280,13 @@ class TestSlowestRate:
         with pytest.raises(UnstableSpectrum):
             slowest_rate(bad)
 
+    def test_unresolved_rate_raises(self, rng):
+        # at gamma_in 1e-300 the slowest retained real part rounds to exactly 0;
+        # a zero rate would make every recommended duration infinite
+        liou = build_liouvillian(random_field(rng, omega_peak=1.0), Rates.alpha(1e-300))
+        with pytest.raises(UnstableSpectrum, match="not resolved"):
+            slowest_rate(liou)
+
 
 class TestTransposeDiagnostic:
     def test_generic_field_spans_differ(self, rng):
