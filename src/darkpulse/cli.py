@@ -21,7 +21,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .config import (ExperimentConfig, atomic_write_text, dumps17, load_config, load_sequence,
                      read_number, write_csv)
@@ -192,6 +191,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int,
         "seed": seed,
         "max_distance": float(distances.max()),
         "mean_distance": float(distances.mean()),
+        # every endpoint lies within twice the residual the durations were chosen for
+        "certified": bool(distances.max() <= 2.0 * cfg.integrator.residual),
         "cases": rows,
         "meta": {"wall_time_s": time.perf_counter() - started},
     }
@@ -241,6 +242,8 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...] | None) -> int:
+    from scipy.linalg import subspace_angles  # slow to import; only this command needs it
+
     if angles is not None:
         fp = FieldParams(theta=angles[0], phi=angles[1], mu_minus=angles[2],
                          mu_plus=angles[3], omega_peak=cfg.omega_peak, envelope=cfg.envelope)

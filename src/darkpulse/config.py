@@ -158,6 +158,7 @@ def _build(cls, path: str, values: dict, **fixed):
 
 _INTEGER = _exact(int, "an integer")
 _POSITIVE = _bounded(read_number, lambda x: x > 0, "must be positive")
+_OPEN_UNIT = _bounded(read_number, lambda x: 0 < x < 1, "must lie in (0, 1)")
 _COUNT = _bounded(_INTEGER, lambda n: n >= 1, "must be at least 1")
 _COMPLEX3 = _list(_list(read_number, 2, lambda pair: complex(*pair)), 3, np.array)
 
@@ -182,8 +183,7 @@ _CONFIG = {
         "restarts": _COUNT, "max_iter": _COUNT, "tol": _POSITIVE,
         "pin_last": _exact(bool, "a boolean"), "test_states": _COUNT}),
     "integrator": _section(IntegratorSettings, {
-        "rtol": _POSITIVE, "atol": _POSITIVE,
-        "residual": _bounded(read_number, lambda x: 0 < x < 1, "must lie in (0, 1)")}),
+        "rtol": _OPEN_UNIT, "atol": _OPEN_UNIT, "residual": _OPEN_UNIT}),
     "initial_states": _bounded(_list(_bounded(
         _COMPLEX3, lambda v: abs(np.linalg.norm(v) - 1.0) <= 1e-9, "must have norm 1"),
         into=np.array), len, "must not be empty"),

@@ -20,12 +20,11 @@ regimes; only the driven dynamics differ.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .config import write_csv
 from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
@@ -49,6 +48,17 @@ __all__ = [
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 MIN_SNAPSHOTS = 65
+
+
+def __getattr__(name: str):
+    # scipy.integrate costs most of a second to import and only time-dependent
+    # envelopes use it, so solve_ivp is loaded on first use and kept as a module
+    # global; _integrate calls it through the module, so a rebinding is seen
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        globals()["solve_ivp"] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PulseRecord(NamedTuple):
@@ -83,6 +93,44 @@ class Trajectory:
             raise ValueError("times must start at 0 and increase strictly")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
+
+
+# The degree-13 Pade approximant r = (V - U)^-1 (V + U) of exp (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005)): the 1-norm theta_13 up to which r is exact
+# to double precision, and the numerator coefficients b_0..b_13 as rows
+# (U1, U2, V1, V2) over the even powers I, A^2, A^4, A^6, with
+# U = A (A^6 U2 + U1) and V = A^6 V2 + V1.
+_THETA_13 = 5.371920351148152
+_B_13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                  1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+                  33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])
+_PADE_13 = np.stack([_B_13[1:8:2], np.r_[0.0, _B_13[9::2]],
+                     _B_13[0:8:2], np.r_[0.0, _B_13[8::2]]])
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` by Pade approximation with scaling and squaring (Higham 2005, Algorithm 2.3).
+
+    ``a`` is scaled by ``2**-s`` to 1-norm at most ``theta_13`` and the
+    degree-13 approximant is squared ``s`` times.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not np.isfinite(norm):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    s = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
+    a = a * 2.0 ** -s
+    powers = np.empty((4, *a.shape), dtype=a.dtype)
+    powers[0] = np.eye(len(a))
+    powers[1] = a @ a
+    powers[2] = powers[1] @ powers[1]
+    powers[3] = powers[2] @ powers[1]
+    u1, u2, v1, v2 = (_PADE_13 @ powers.reshape(4, -1)).reshape(4, *a.shape)
+    u = a @ (powers[3] @ u2 + u1)
+    v = powers[3] @ v2 + v1
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
@@ -144,8 +192,8 @@ def _integrate(states, fp: FieldParams, on: Liouvillian, t_final: float, rtol: f
                 + d).ravel()
 
     times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
-    sol = solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
-                    rtol=rtol, atol=atol, t_eval=times)
+    sol = sys.modules[__name__].solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
+                                          rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
         raise StepSizeUnderflow(f"integrator failed: {sol.message}")
     snapshots = sol.y.reshape(*y0.shape, -1).transpose(1, 2, 0)
@@ -163,7 +211,7 @@ def _propagate(states, liou: Liouvillian, t_final: float, atol: float) -> tuple[
     a = np.zeros((17, 17), dtype=complex)
     a[:16, :16] = liou.m
     a[:16, 16] = liou.d
-    step = expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
+    step = _expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
     y0 = np.stack([state.matrix.reshape(16) for state in states])
     # (S, 17, 1) per snapshot: one matrix-vector product per state, so each
     # state's snapshots are bit-identical to its one-state run

@@ -19,7 +19,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (DarkBasis, DensityOperator, FieldParams, Mode, _readonly,
                    build_hamiltonian, embed_ground)
@@ -286,7 +285,9 @@ def transpose_convention_diagnostic(liou: Liouvillian) -> dict:
     if left_conj.shape[0] != left_plain.shape[0]:
         return {"coincide": False, "max_principal_angle_rad": float(np.pi / 2),
                 "dim_conjugate": int(left_conj.shape[0]), "dim_plain": int(left_plain.shape[0])}
-    angles = scipy.linalg.subspace_angles(left_conj.T, left_plain.T)
+    from scipy.linalg import subspace_angles  # slow to import; only `spectrum` needs it
+
+    angles = subspace_angles(left_conj.T, left_plain.T)
     max_angle = float(angles.max()) if angles.size else 0.0
     return {"coincide": bool(max_angle < 1e-9), "max_principal_angle_rad": max_angle,
             "dim_conjugate": int(left_conj.shape[0]), "dim_plain": int(left_plain.shape[0])}

@@ -21,11 +21,11 @@ Results are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (Envelope, FieldParams, TargetState, bright_vector, bright_vector_jacobian,
                    field_for_span)
@@ -46,6 +46,17 @@ __all__ = [
 
 # positions of the 3x3 ground block in a row-major vectorized 4x4 matrix
 _GROUND = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
+
+
+def __getattr__(name: str):
+    # scipy.optimize costs most of a second to import and only the optimizer
+    # uses it, so minimize is loaded on first use and kept as a module global;
+    # optimize_sequence calls it through the module, so a rebinding is seen
+    if name == "minimize":
+        from scipy.optimize import minimize
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -275,9 +286,9 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: 
             params = x0
             records.append(RestartRecord(0, 1, value, "no free angles"))
         else:
-            res = minimize(_rms_and_gradient, free0, args=(*moments, pinned), method="CG",
-                           jac=True, callback=stop_below_tol,
-                           options={"maxiter": max_iter, "gtol": 1e-14})
+            res = sys.modules[__name__].minimize(
+                _rms_and_gradient, free0, args=(*moments, pinned), method="CG", jac=True,
+                callback=stop_below_tol, options={"maxiter": max_iter, "gtol": 1e-14})
             value = float(res.fun)
             params = np.concatenate([res.x, last_angles]) if pin_last else res.x.copy()
             records.append(RestartRecord(int(res.nit), int(res.nfev), value,

@@ -3,14 +3,17 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from darkpulse.cli import build_parser, main
+from darkpulse.cli import build_parser, bundled_config_path, main
 from darkpulse.config import dumps17
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -258,6 +261,22 @@ class TestVerifyCommand:
         assert doc["max_distance"] < 1e-5
         assert doc["propagator"] == "exact"
 
+    @pytest.mark.parametrize("envelope, atol, certified", [("square", 1e-12, True),
+                                                            ("sine_squared", 0.5, False)])
+    def test_certified_within_twice_the_residual(self, tmp_path, envelope, atol, certified):
+        # an absolute tolerance of 0.5 lets RK45 cross a sine-squared pulse in a few
+        # unchecked steps, so its endpoint misses the map by order one
+        doc = json.loads(bundled_config_path().read_text())
+        doc["envelope"] = envelope
+        doc["integrator"]["atol"] = atol
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v"),
+                     "--states", "3", "--seed", "3"]) == 0
+        result = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert result["certified"] is certified
+        assert (result["max_distance"] <= 2.0 * result["residual"]) is certified
+
     def test_states_below_one_exit_2_naming_flag(self, tmp_path, config_path, capsys):
         for states in ("0", "-3"):
             assert main(["verify", "--config", str(config_path), "--out",
@@ -442,6 +461,8 @@ class TestInputEdge:
         ("simulate", ("steps", 0, "delta"), NAN, "sequence.steps[0].delta"),
         ("simulate", ("steps", 0, "theta"), True, "sequence.steps[0].theta"),
         ("simulate", ("steps", 0, "theta"), "1", "sequence.steps[0].theta"),
+        ("verify", ("integrator", "atol"), 1e300, "integrator.atol"),
+        ("verify", ("integrator", "rtol"), 1.0, "integrator.rtol"),
     ])
     def test_bad_number_exits_2_naming_field(self, tmp_path, command, keys, value, named,
                                              capsys):
@@ -488,3 +509,54 @@ class TestInputEdge:
         assert main(argv) == 5
         err = capsys.readouterr().err
         assert err.startswith("spectrum error: ") and cause in err, err
+
+
+def run_fresh(script: str, cwd: Path) -> str:
+    """Run ``script`` in a fresh interpreter that imports the package from this tree."""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                          text=True, timeout=300, check=False,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestStartup:
+    """scipy loads only where it is used; the benchmark tracer still finds its entry points."""
+
+    def test_square_verify_loads_no_scipy(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import json, sys
+            loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            from darkpulse import cli
+            after_import = loaded()
+            code = cli.main(["verify", "--config", str(cli.bundled_config_path()),
+                             "--out", {str(tmp_path / "v")!r}, "--states", "2"])
+            print(json.dumps([code, after_import, loaded()]))
+        """)
+        assert json.loads(run_fresh(script, tmp_path)) == [0, [], []]
+
+    def test_tracer_counts_rhs_evaluations(self, tmp_path):
+        # the tracer reads and rebinds dynamics.solve_ivp and optimize.minimize,
+        # so both must stay module attributes although they load on first use
+        cfg = write_config(tmp_path / "sine.json", envelope="sine_squared",
+                           initial_states=THREE_STATES[:1])
+        sequence = tmp_path / "sequence.json"
+        sequence.write_text(json.dumps(
+            {"sequence": {"mode": "alpha", "steps": [SEQUENCE_STEP, SEQUENCE_STEP]}}))
+        script = textwrap.dedent(f"""
+            import json, sys
+            sys.path.insert(0, {str(ROOT / "perfbench")!r})
+            from layer_trace import Tracer
+            tracer = Tracer()
+            tracer.install()
+            from darkpulse import cli
+            code = cli.main(["simulate", "--config", {str(cfg)!r}, "--sequence",
+                             {str(sequence)!r}, "--out", {str(tmp_path / "sim")!r}])
+            tracer.uninstall()
+            print(json.dumps([code, tracer.counts["dynamics.rhs_evals"]]))
+        """)
+        code, rhs_evals = json.loads(run_fresh(script, tmp_path))
+        assert code == 0
+        pulses = json.loads((tmp_path / "sim" / "summary.json").read_text())["states"][0]["pulses"]
+        assert [p["propagator"] for p in pulses] == ["rk45", "rk45"]
+        assert rhs_evals == sum(p["nfev"] for p in pulses) > 0

@@ -6,12 +6,14 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
                        Trajectory, build_liouvillian, dark_basis, hs_distance,
                        integrate_master, propagate_exact, recommended_duration, relax_closed,
                        run_pulse, run_pulse_block, slowest_rate, verify_map)
-from darkpulse.dynamics import DEFAULT_RTOL, _trajectory, write_trajectory_csv
+from darkpulse.dynamics import (DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _trajectory,
+                                write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
 
 
@@ -159,6 +161,52 @@ class TestPropagateExact:
         ramped = build_liouvillian(replace(fp, envelope=Envelope.SINE_SQUARED), Rates.alpha())
         with pytest.raises(ValueError, match="square"):
             propagate_exact(rho, ramped, 1.0)
+
+
+def one_norm(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+# Entrywise bound on |_expm(a) - scipy.linalg.expm(a)| per unit of max(1, ||a||_1):
+# two independent Pade codes differ by rounding, up to 2 eps in the O(1) entries
+# of these tests, while a wrong coefficient or theta_13 gives errors above 1e-13
+EXPM_BOUND = 10 * np.finfo(float).eps
+
+
+class TestPadeExpm:
+    """The numpy exponential against ``scipy.linalg.expm``, the oracle."""
+
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 0.9, 2.0, 5.0, 50.0, 1e4])
+    def test_matches_scipy_on_random_matrices(self, rng, norm):
+        # i H - D with D >= 0 keeps ||exp(a)||_2 <= 1, so an absolute bound means
+        # something at every norm; D stays O(1) so exp(a) does not vanish.  The
+        # norms take 0, 4 and 11 squarings
+        for _ in range(10):
+            h = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
+            k = rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17))
+            h, d = h + h.conj().T, k @ k.conj().T
+            a = 1j * norm * h / one_norm(h) - 0.5 * min(norm, 1.0) * d / one_norm(d)
+            a *= norm / one_norm(a)
+            error = np.abs(_expm(a) - scipy.linalg.expm(a)).max()
+            assert error <= EXPM_BOUND * max(1.0, norm)
+
+    @pytest.mark.parametrize("omega", [1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_matches_scipy_on_pulse_steps(self, rng, rates, omega):
+        # the augmented step matrix of propagate_exact at the residual-1e-10 duration
+        for _ in range(4):
+            liou = build_liouvillian(random_field(rng, omega_peak=omega), rates)
+            a = np.zeros((17, 17), dtype=complex)
+            a[:16, :16] = liou.m
+            a[:16, 16] = liou.d
+            a *= recommended_duration(liou, 1e-10) / (MIN_SNAPSHOTS - 1)
+            error = np.abs(_expm(a) - scipy.linalg.expm(a)).max()
+            assert error <= EXPM_BOUND * max(1.0, one_norm(a))
+
+    def test_rejects_non_finite_matrix(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _expm(np.full((3, 3), np.nan))
 
 
 class TestRunPulse:
