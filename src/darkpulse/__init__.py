@@ -18,10 +18,10 @@ from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, Degenera
 from .liouville import (Liouvillian, Rates, ZeroSubspace, build_liouvillian,
                         closed_form_zero_modes, slowest_rate, steady_affine, unvec, vec,
                         zero_subspace)
-from .maps import (PulseSequence, compose_sequence, hs_distance, mismatch, relax_closed,
-                   relax_repumped, relaxation_affine, repump_steady_state, sequence_affine)
-from .optimize import (OptimizationResult, StateGrid, initial_state_grid, optimize_sequence,
-                       purity_sweep, random_pure_states, sequence_objective)
+from .maps import (compose_sequence, hs_distance, mismatch, relax_closed, relax_repumped,
+                   relaxation_affine, repump_steady_state, sequence_affine)
+from .optimize import (OptimizationResult, initial_state_grid, optimize_sequence, purity_sweep,
+                       random_pure_states, sequence_objective)
 
 __version__ = "0.1.0"
 
@@ -29,9 +29,8 @@ __all__ = [
     "AngleUnderdetermined", "ConfigError", "DarkBasis", "DarkpulseError",
     "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "Liouvillian",
     "Mode", "NegativeRadicand", "OptimizationResult", "PositivityViolation",
-    "PulseRecord", "PulseSequence", "Rates", "SingularSystem", "StateGrid",
-    "StepSizeUnderflow", "TargetState", "TraceMismatch", "Trajectory",
-    "UnexpectedDimension", "UnstableSpectrum", "ZeroSubspace", "bloch_coords",
+    "PulseRecord", "Rates", "SingularSystem", "StepSizeUnderflow", "TargetState",
+    "TraceMismatch", "Trajectory", "UnexpectedDimension", "UnstableSpectrum", "ZeroSubspace", "bloch_coords",
     "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
     "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",

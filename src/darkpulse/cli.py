@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -32,9 +31,9 @@ from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, Unexpe
                      UnstableSpectrum)
 from .liouville import (build_liouvillian, slowest_rate, transpose_convention_diagnostic,
                         zero_subspace)
-from .maps import PulseSequence, compose_sequence, hs_distance, mismatch, sequence_affine
-from .optimize import (initial_state_grid, optimize_sequence, pure_state_vectors,
-                       purity_sweep, random_pure_states, state_distances)
+from .maps import compose_sequence, hs_distance, mismatch
+from .optimize import (initial_state_grid, optimize_sequence, pure_state_dyads, purity_sweep,
+                       random_pure_states, state_distances)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,14 +63,14 @@ def _stats(distances: np.ndarray) -> dict:
     }
 
 
-def _sequence_doc(seq: PulseSequence) -> dict:
+def _sequence_doc(steps, durations) -> dict:
     return {
         "steps": [{
             "theta": fp.theta, "phi": fp.phi,
             "mu_minus": fp.mu_minus, "mu_plus": fp.mu_plus,
             "xi": fp.xi, "omega_peak": fp.omega_peak, "delta": fp.delta,
-            "envelope": fp.envelope.value, "duration": fp.duration,
-        } for fp in seq.steps],
+            "envelope": fp.envelope.value, "duration": duration,
+        } for fp, duration in zip(steps, durations)],
     }
 
 
@@ -84,18 +83,14 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
         tol=cfg.optimizer.tol, pin_last=cfg.optimizer.pin_last,
         omega_peak=cfg.omega_peak, envelope=cfg.envelope)
 
-    # concretize per-step durations from the spectral gap at the config residual
-    steps = []
-    for fp in result.sequence.steps:
-        liou = build_liouvillian(fp, cfg.rates, 1.0)
-        steps.append(replace(fp, duration=recommended_duration(liou, cfg.integrator.residual)))
-    seq = PulseSequence(steps=tuple(steps))
-
+    # record per-step durations from the spectral gap at the config residual
+    durations = [recommended_duration(build_liouvillian(fp, cfg.rates, 1.0),
+                                      cfg.integrator.residual) for fp in result.sequence]
     test_states = random_pure_states(cfg.optimizer.test_states, [cfg.optimizer.seed, 1])
-    test_distances = state_distances(test_states, seq.steps, cfg.target)
+    test_distances = state_distances(test_states, result.sequence, cfg.target)
 
     doc = {
-        "sequence": {"mode": cfg.mode.value, **_sequence_doc(seq)},
+        "sequence": {"mode": cfg.mode.value, **_sequence_doc(result.sequence, durations)},
         "objective_rms": result.objective_value,
         "objective_history": list(result.restart_history),
         "train_stats": _stats(result.per_state_distances),
@@ -137,14 +132,16 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
             row["pulses"].append(traj.record._asdict())
         finals = [traj.final for traj in trajectories]
 
-    target = cfg.target.density_matrix()
-    for row, rho0, rho in zip(rows, initial, finals):
-        mapped = compose_sequence(rho0, PulseSequence(steps=tuple(steps))) if steps else rho0
-        row.update(hs_ode_vs_map=hs_distance(rho, mapped),
-                   hs_ode_vs_target=hs_distance(rho, target),
-                   hs_map_vs_target=hs_distance(mapped, target),
-                   mismatch_ode_vs_target=mismatch(rho, target),
-                   mismatch_map_vs_target=mismatch(mapped, target))
+    target = cfg.target.density_matrix().matrix
+    ode = np.stack([rho.matrix for rho in finals])
+    mapped = compose_sequence(np.stack([rho.matrix for rho in initial]), steps)
+    columns = {"hs_ode_vs_map": hs_distance(ode, mapped),
+               "hs_ode_vs_target": hs_distance(ode, target),
+               "hs_map_vs_target": hs_distance(mapped, target),
+               "mismatch_ode_vs_target": mismatch(ode, target),
+               "mismatch_map_vs_target": mismatch(mapped, target)}
+    for i, row in enumerate(rows):
+        row.update({name: float(values[i]) for name, values in columns.items()})
 
     doc = {
         "n_pulses": len(steps),
@@ -159,29 +156,23 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int,
-               threads: int) -> int:
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int) -> int:
     started = time.perf_counter()
     rng = np.random.default_rng([seed, 2])
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_states, 4))
     angles[:, 0] = rng.uniform(0.0, np.pi, size=n_states)
     states = random_pure_states(n_states, [seed, 3])
 
-    def one(i: int) -> dict:
+    rows = []
+    for i in range(n_states):
         fp = FieldParams(theta=angles[i, 0], phi=angles[i, 1], mu_minus=angles[i, 2],
                          mu_plus=angles[i, 3], omega_peak=cfg.omega_peak,
                          envelope=cfg.envelope)
         distance = verify_map(DensityOperator.pure(states[i]), fp, cfg.rates,
                               cfg.integrator.residual, rtol=cfg.integrator.rtol,
                               atol=cfg.integrator.atol)
-        return {"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
-                "mu_plus": fp.mu_plus, "distance": distance}
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(n_states)))
-    else:
-        rows = [one(i) for i in range(n_states)]
+        rows.append({"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
+                     "mu_plus": fp.mu_plus, "distance": distance})
     distances = np.array([r["distance"] for r in rows])
     doc = {
         "mode": cfg.mode.value,
@@ -215,12 +206,11 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
     if not steps:
         raise ConfigError(f"sequence file {sequence_path}: needs at least one step")
     grid = initial_state_grid(cfg.grid_resolution)
-    vecs = pure_state_vectors(grid.states)
+    dyads = pure_state_dyads(grid)
 
     points, radii = [], []
     for stage in range(1, len(steps) + 1):
-        k, c = sequence_affine(steps[:stage])
-        out = (vecs @ k.T + c).reshape(-1, 4, 4)
+        out = compose_sequence(dyads, steps[:stage])
         out = 0.5 * (out + out.swapaxes(-1, -2).conj())
         DensityOperator.validate(out)
         if stage < len(steps):
@@ -339,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads (used by verify; other commands run on one)")
+                           help="accepted for compatibility; has no effect (every command "
+                                "runs on one thread)")
         if strict:
             p.add_argument("--strict", action="store_true",
                            help="exit 3 when the optimizer does not converge")
@@ -389,7 +380,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.sequence, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.states, cfg.optimizer.seed, args.threads)
+            return cmd_verify(cfg, out_dir, args.states, cfg.optimizer.seed)
         if args.command == "bloch-export":
             return cmd_bloch_export(cfg, args.sequence, out_dir)
         if args.command == "spectrum":

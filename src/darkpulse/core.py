@@ -96,7 +96,6 @@ class FieldParams:
     omega_peak: float = 1.0
     delta: float = 0.0
     envelope: Envelope = Envelope.SQUARE
-    duration: float = 1.0
 
     def __post_init__(self) -> None:
         angles = (self.theta, self.phi, self.mu_minus, self.mu_plus, self.xi)
@@ -104,8 +103,6 @@ class FieldParams:
             raise ValueError("all angles must be finite")
         if not (self.omega_peak > 0):
             raise ValueError(f"omega_peak must be positive, got {self.omega_peak}")
-        if not (self.duration > 0):
-            raise ValueError(f"duration must be positive, got {self.duration}")
         theta = _wrap_angle(self.theta)
         phi = float(self.phi)
         if theta > np.pi:
@@ -319,7 +316,7 @@ def dark_basis(fp: FieldParams) -> DarkBasis:
     """Dark vectors, bright vector, and dark projector for a field configuration.
 
     Depends only on (theta, phi, mu-, mu+); amplitude, global phase, detuning,
-    envelope, and duration do not move the dark subspace.
+    and envelope do not move the dark subspace.
     """
     th, ph, mm, mp = fp.theta, fp.phi, fp.mu_minus, fp.mu_plus
     n1 = np.array([
@@ -360,7 +357,7 @@ def _span_normal(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
 
 
 def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.0,
-                   duration: float = 1.0, envelope: Envelope = Envelope.SQUARE) -> FieldParams:
+                   envelope: Envelope = Envelope.SQUARE) -> FieldParams:
     """Field angles whose dark subspace is span{psi1, psi2}.
 
     Solves the inverse problem: the bright vector of the returned field is the
@@ -380,13 +377,13 @@ def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.
         warnings.warn("span normal is pi-polarized; phi and mu+- set to 0 by convention",
                       AngleUnderdetermined, stacklevel=2)
         return FieldParams(theta=theta, phi=0.0, mu_minus=0.0, mu_plus=0.0,
-                           omega_peak=omega_peak, duration=duration, envelope=envelope)
+                           omega_peak=omega_peak, envelope=envelope)
     return FieldParams(
         theta=theta,
         phi=float(np.arctan2(abs(c[G_MINUS]), abs(c[G_PLUS]))),
         mu_minus=float(np.angle(c[G_MINUS])),
         mu_plus=float(np.angle(c[G_PLUS])),
-        omega_peak=omega_peak, duration=duration, envelope=envelope,
+        omega_peak=omega_peak, envelope=envelope,
     )
 
 

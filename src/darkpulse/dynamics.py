@@ -21,7 +21,7 @@ regimes; only the driven dynamics differ.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -174,8 +174,8 @@ def _integrate(states, fp: FieldParams, on: Liouvillian, t_final: float, rtol: f
                atol: float) -> tuple[Trajectory, ...]:
     """RK45 through one pulse for a block of states, as one ``solve_ivp`` call.
 
-    ``on`` is the generator at envelope 1 and ``fp`` carries the envelope and
-    its duration; the error norm is taken over the whole (16, S) block.
+    ``on`` is the generator at envelope 1, ``fp`` carries the envelope, which
+    runs over ``t_final``; the error norm is taken over the whole (16, S) block.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -183,12 +183,12 @@ def _integrate(states, fp: FieldParams, on: Liouvillian, t_final: float, rtol: f
         raise ValueError("rtol and atol must be positive")
     off = build_liouvillian(fp, on.rates, 0.0)
     m0, d, m_drive = off.m, off.d[:, None], on.m - off.m
-    envelope, duration = fp.envelope, fp.duration
+    envelope = fp.envelope
     y0 = np.stack([state.matrix.reshape(16) for state in states], axis=1)
 
     def rhs(t, y):
         # a square envelope reads 1.0, and m0 + 1.0 * m_drive is m0 + m_drive exactly
-        return ((m0 + envelope.value_at(t, duration) * m_drive) @ y.reshape(y0.shape)
+        return ((m0 + envelope.value_at(t, t_final) * m_drive) @ y.reshape(y0.shape)
                 + d).ravel()
 
     times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
@@ -286,7 +286,7 @@ def run_pulse_block(states, fp: FieldParams, rates: Rates, residual: float,
     t_final = recommended_duration(liou, residual)
     if propagator_name(fp.envelope) == "exact":
         return _propagate(states, liou, t_final, atol)
-    return _integrate(states, replace(fp, duration=t_final), liou, t_final, rtol, atol)
+    return _integrate(states, fp, liou, t_final, rtol, atol)
 
 
 def run_pulse(rho0: DensityOperator, fp: FieldParams, rates: Rates, residual: float,
@@ -307,7 +307,7 @@ def verify_map(rho0: DensityOperator, fp: FieldParams, rates: Rates,
     which both regimes share.
     """
     traj = run_pulse(rho0, fp, rates, residual, rtol=rtol, atol=atol)
-    return hs_distance(traj.final, relax_closed(rho0, dark_basis(fp)))
+    return hs_distance(traj.final.matrix, relax_closed(rho0, dark_basis(fp)).matrix)
 
 
 def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:

@@ -18,8 +18,7 @@ whole sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .core import DarkBasis, DensityOperator, FieldParams, dark_basis
 from .errors import NegativeRadicand, TraceMismatch
 
 __all__ = [
-    "PulseSequence",
     "relax_closed",
     "relax_repumped",
     "repump_steady_state",
@@ -43,25 +41,11 @@ TRACE_TOL = 1e-9
 _TRACE_ROW = np.eye(4).reshape(16)
 
 
-@dataclass(frozen=True)
-class PulseSequence:
-    """An ordered list of pulses."""
-
-    steps: tuple[FieldParams, ...]
-
-    def __post_init__(self) -> None:
-        steps = tuple(self.steps)
-        if len(steps) < 1:
-            raise ValueError("a pulse sequence needs at least one step")
-        object.__setattr__(self, "steps", steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def _check_trace_one(rho: DensityOperator) -> None:
-    if abs(rho.trace - 1.0) > TRACE_TOL:
-        raise TraceMismatch(f"input trace {rho.trace!r} differs from 1 beyond {TRACE_TOL}")
+def _check_trace_one(matrices: np.ndarray) -> None:
+    traces = np.trace(matrices, axis1=-2, axis2=-1).real
+    worst = float(np.abs(traces - 1.0).max(initial=0.0))
+    if worst > TRACE_TOL:
+        raise TraceMismatch(f"input trace differs from 1 by {worst!r}, beyond {TRACE_TOL}")
 
 
 def relax_closed(rho: DensityOperator, basis: DarkBasis) -> DensityOperator:
@@ -71,7 +55,7 @@ def relax_closed(rho: DensityOperator, basis: DarkBasis) -> DensityOperator:
     the maximally mixed dark state, so the output has trace 1 and is supported
     on the dark subspace.  Idempotent for a fixed basis.
     """
-    _check_trace_one(rho)
+    _check_trace_one(rho.matrix)
     p = basis.projector
     block = p @ rho.matrix @ p
     out = block + 0.5 * (1.0 - np.trace(block).real) * p
@@ -101,7 +85,7 @@ def relax_repumped(rho: DensityOperator, fp: FieldParams) -> DensityOperator:
     the closed-manifold map; it is kept as the literal lossy-regime form and
     exercises the offset-state construction.
     """
-    _check_trace_one(rho)
+    _check_trace_one(rho.matrix)
     basis = dark_basis(fp)
     p = basis.projector
     tilde = repump_steady_state(fp).matrix
@@ -111,37 +95,46 @@ def relax_repumped(rho: DensityOperator, fp: FieldParams) -> DensityOperator:
     return DensityOperator(out)
 
 
-def compose_sequence(rho_in: DensityOperator, seq: PulseSequence) -> DensityOperator:
-    """Fold the per-step relaxation maps over the sequence, in order."""
-    rho = rho_in
-    for fp in seq.steps:
-        rho = relax_closed(rho, dark_basis(fp))
-    return rho
+def compose_sequence(states: np.ndarray, steps: Sequence[FieldParams]) -> np.ndarray:
+    """A (..., 4, 4) stack of trace-one states after the steps, in order.
+
+    Applies the sequence's affine form once to the whole stack; with no steps
+    the input comes back unchanged.
+    """
+    states = np.asarray(states)
+    _check_trace_one(states)
+    if not steps:
+        return states
+    k, c = sequence_affine(steps)
+    return (states.reshape(-1, 16) @ k.T + c).reshape(states.shape)
 
 
-def mismatch(rho_bar: DensityOperator, rho_f: DensityOperator) -> float:
-    """Overlap mismatch (1 - Tr{rho_bar rho_f})^(1/2).
+def _scalar(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def mismatch(rho_bar: np.ndarray, rho_f: np.ndarray):
+    """Overlap mismatch (1 - Tr{rho_bar rho_f})^(1/2) of (..., 4, 4) stacks, broadcast.
 
     Vanishes only when both states are pure and equal; for a mixed reference
     it has a strictly positive floor sqrt(1 - Tr rho_f^2), which is why the
-    optimizer minimizes :func:`hs_distance` instead.  Radicands within 1e-12
-    below zero are clamped to 0.
+    optimizer minimizes :func:`hs_distance` instead.  Radicands within 1e-9
+    below zero are clamped to 0.  A float for one pair of matrices.
     """
-    overlap = float(np.trace(rho_bar.matrix @ rho_f.matrix).real)
+    overlap = np.einsum("...ij,...ji->...", rho_bar, rho_f).real
     radicand = 1.0 - overlap
-    if radicand < -1e-9:
-        raise NegativeRadicand(f"state overlap {overlap!r} exceeds 1 + 1e-9")
-    return float(np.sqrt(max(radicand, 0.0)))
+    if np.any(radicand < -1e-9):
+        raise NegativeRadicand(f"state overlap {float(overlap.max())!r} exceeds 1 + 1e-9")
+    return _scalar(np.sqrt(np.maximum(radicand, 0.0)))
 
 
-def hs_distance(rho_bar: DensityOperator, rho_f: DensityOperator) -> float:
-    """Hilbert-Schmidt distance sqrt(Tr{(rho_bar - rho_f)^2}).
+def hs_distance(rho_bar: np.ndarray, rho_f: np.ndarray):
+    """Hilbert-Schmidt distance sqrt(Tr{(rho_bar - rho_f)^2}) of (..., 4, 4) stacks, broadcast.
 
     Vanishes exactly at equality; equals sqrt(2) times the mismatch when both
-    states are pure.
+    states are pure.  A float for one pair of matrices.
     """
-    diff = rho_bar.matrix - rho_f.matrix
-    return float(np.linalg.norm(diff))
+    return _scalar(np.linalg.norm(np.subtract(rho_bar, rho_f), axis=(-2, -1)))
 
 
 def relaxation_affine(fp: FieldParams) -> tuple[np.ndarray, np.ndarray]:

@@ -29,15 +29,14 @@ import numpy as np
 
 from .core import (Envelope, FieldParams, TargetState, bright_vector, bright_vector_jacobian,
                    field_for_span)
-from .maps import PulseSequence, sequence_affine
+from .maps import compose_sequence, hs_distance, mismatch
 
 __all__ = [
-    "StateGrid",
     "RestartRecord",
     "OptimizationResult",
     "initial_state_grid",
     "random_pure_states",
-    "pure_state_vectors",
+    "pure_state_dyads",
     "state_distances",
     "sequence_objective",
     "optimize_sequence",
@@ -59,28 +58,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class StateGrid:
-    """Pure ground states on a uniform grid of two amplitude angles and two phases.
-
-    The parameterization is |psi> = [cos(chi1), sin(chi1) cos(chi2) e^{i b2},
-    sin(chi1) sin(chi2) e^{i b3}] with chi in [0, pi/2] endpoint-included and
-    the phases on [0, 2 pi) endpoint-excluded, so the grid has resolution^4
-    states and the three basis states sit at corner points.
-    """
-
-    states: np.ndarray
-    resolution: int
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.states, dtype=complex)
-        s.setflags(write=False)
-        object.__setattr__(self, "states", s)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
 class RestartRecord(NamedTuple):
     """Work done by one optimizer restart and why it stopped."""
 
@@ -94,7 +71,7 @@ class RestartRecord(NamedTuple):
 class OptimizationResult:
     """Best sequence found, its objective, and per-state quality on the grid."""
 
-    sequence: PulseSequence
+    sequence: tuple[FieldParams, ...]
     objective_value: float
     per_state_distances: np.ndarray  # (G, 2) columns: hs_distance, mismatch
     iterations: int
@@ -109,8 +86,14 @@ class OptimizationResult:
         object.__setattr__(self, "per_state_distances", d)
 
 
-def initial_state_grid(resolution: int) -> StateGrid:
-    """Uniform grid over the four-parameter family of pure ground states."""
+def initial_state_grid(resolution: int) -> np.ndarray:
+    """Pure ground states on a uniform grid of two amplitude angles and two phases.
+
+    The parameterization is |psi> = [cos(chi1), sin(chi1) cos(chi2) e^{i b2},
+    sin(chi1) sin(chi2) e^{i b3}] with chi in [0, pi/2] endpoint-included and
+    the phases on [0, 2 pi) endpoint-excluded, so the read-only (G, 3) array
+    has G = resolution^4 rows and the three basis states sit at corner points.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     chi = np.linspace(0.0, np.pi / 2.0, resolution)
@@ -121,7 +104,9 @@ def initial_state_grid(resolution: int) -> StateGrid:
     states = np.stack([np.cos(c1),
                        np.sin(c1) * np.cos(c2) * np.exp(1j * b2),
                        np.sin(c1) * np.sin(c2) * np.exp(1j * b3)], axis=-1)
-    return StateGrid(states=states.reshape(-1, 3), resolution=resolution)
+    states = states.reshape(-1, 3)
+    states.setflags(write=False)
+    return states
 
 
 def random_pure_states(n: int, seed) -> np.ndarray:
@@ -131,12 +116,11 @@ def random_pure_states(n: int, seed) -> np.ndarray:
     return psis / np.linalg.norm(psis, axis=1)[:, None]
 
 
-def pure_state_vectors(states: np.ndarray) -> np.ndarray:
-    """Row-major vectorized dyads of pure ground states, shape (G, 16)."""
+def pure_state_dyads(states: np.ndarray) -> np.ndarray:
+    """Density matrices |psi><psi| of (G, 3) pure ground states, shape (G, 4, 4)."""
     full = np.zeros((states.shape[0], 4), dtype=complex)
     full[:, :3] = states
-    dyads = full[:, :, None] * full.conj()[:, None, :]
-    return dyads.reshape(states.shape[0], 16)
+    return full[:, :, None] * full.conj()[:, None, :]
 
 
 def _as_params(params: np.ndarray) -> np.ndarray:
@@ -146,31 +130,17 @@ def _as_params(params: np.ndarray) -> np.ndarray:
     return params
 
 
-def _params_to_steps(params: np.ndarray, *, omega_peak: float = 1.0,
-                     envelope: Envelope = Envelope.SQUARE) -> list[FieldParams]:
-    params = _as_params(params)
-    return [FieldParams(theta=params[4 * l], phi=params[4 * l + 1],
-                        mu_minus=params[4 * l + 2], mu_plus=params[4 * l + 3],
-                        omega_peak=omega_peak, envelope=envelope)
-            for l in range(params.size // 4)]
-
-
 def state_distances(states: np.ndarray, steps, target: TargetState) -> np.ndarray:
     """Per-state (hs_distance, mismatch) to the target after the steps, columns stacked."""
-    k, c = sequence_affine(steps)
-    out = pure_state_vectors(states) @ k.T + c
-    target_vec = target.density_matrix().matrix.reshape(16)
-    diff = out - target_vec
-    hs = np.sqrt(np.einsum("gi,gi->g", diff, diff.conj()).real)
-    overlap = np.einsum("gi,i->g", out, target_vec.conj()).real
-    mis = np.sqrt(np.clip(1.0 - overlap, 0.0, None))
-    return np.column_stack([hs, mis])
+    out = compose_sequence(pure_state_dyads(states), steps)
+    rho_f = target.density_matrix().matrix
+    return np.column_stack([hs_distance(out, rho_f), mismatch(out, rho_f)])
 
 
 def _grid_moments(states: np.ndarray, target: TargetState
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second moment C, mean m of the grid's ground blocks, and the target block t."""
-    vecs = pure_state_vectors(states)[:, _GROUND]
+    vecs = pure_state_dyads(states).reshape(-1, 16)[:, _GROUND]
     moment = vecs.T @ vecs.conj() / vecs.shape[0]
     target_vec = target.density_matrix().matrix.reshape(16)[_GROUND]
     return moment, vecs.mean(axis=0), target_vec
@@ -233,9 +203,9 @@ def _rms_and_gradient(free: np.ndarray, moment: np.ndarray, mean_vec: np.ndarray
     return value, grad.ravel()
 
 
-def sequence_objective(params: np.ndarray, grid: StateGrid, target: TargetState) -> float:
-    """RMS Hilbert-Schmidt distance to the target over the whole grid, in either regime."""
-    return _rms_and_gradient(_as_params(params), *_grid_moments(grid.states, target), None)[0]
+def sequence_objective(params: np.ndarray, grid: np.ndarray, target: TargetState) -> float:
+    """RMS Hilbert-Schmidt distance to the target over a (G, 3) grid, in either regime."""
+    return _rms_and_gradient(_as_params(params), *_grid_moments(grid, target), None)[0]
 
 
 def _termination(res, tol: float) -> str:
@@ -246,7 +216,7 @@ def _termination(res, tol: float) -> str:
     return str(res.message)
 
 
-def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: int,
+def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray, seed: int,
                       restarts: int = 8, max_iter: int = 2000, tol: float = 1e-6, *,
                       pin_last: bool = False, omega_peak: float = 1.0,
                       envelope: Envelope = Envelope.SQUARE) -> OptimizationResult:
@@ -265,7 +235,7 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: 
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    moments = _grid_moments(grid.states, target)
+    moments = _grid_moments(grid, target)
     last_angles = np.array(field_for_span(target.psi1, target.psi2).angles)
     pinned = last_angles if pin_last else None
 
@@ -299,10 +269,12 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: 
         if best_value < tol:
             break
 
-    steps = _params_to_steps(best_params, omega_peak=omega_peak, envelope=envelope)
-    per_state = state_distances(grid.states, steps, target)
+    steps = tuple(FieldParams(theta=a[0], phi=a[1], mu_minus=a[2], mu_plus=a[3],
+                              omega_peak=omega_peak, envelope=envelope)
+                  for a in best_params.reshape(-1, 4))
+    per_state = state_distances(grid, steps, target)
     return OptimizationResult(
-        sequence=PulseSequence(steps=tuple(steps)),
+        sequence=steps,
         objective_value=float(np.sqrt(np.mean(per_state[:, 0] ** 2))),
         per_state_distances=per_state,
         iterations=sum(r.iterations for r in records),
@@ -314,7 +286,7 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: StateGrid, seed: 
 
 
 def purity_sweep(target_vectors: tuple[np.ndarray, np.ndarray], weight_list, n_list,
-                 seed: int, *, grid: StateGrid, restarts: int = 3, max_iter: int = 300,
+                 seed: int, *, grid: np.ndarray, restarts: int = 3, max_iter: int = 300,
                  tol: float = 1e-6) -> list[dict]:
     """Optimize for every (weight, step-count) pair under one shared budget.
 

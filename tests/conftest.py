@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darkpulse import DensityOperator, FieldParams, relax_repumped
+from darkpulse import DensityOperator, FieldParams, dark_basis, relax_closed, relax_repumped
 
 
 @pytest.fixture
@@ -44,4 +44,11 @@ def fold_repumped(rho: DensityOperator, steps) -> DensityOperator:
     """The steps applied with the literal lossy + repumped map, the beta-regime reference."""
     for fp in steps:
         rho = relax_repumped(rho, fp)
+    return rho
+
+
+def fold_closed(rho: DensityOperator, steps) -> DensityOperator:
+    """The steps applied one at a time with the literal closed-manifold map."""
+    for fp in steps:
+        rho = relax_closed(rho, dark_basis(fp))
     return rho

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from darkpulse.cli import build_parser, bundled_config_path, main
 from darkpulse.config import dumps17
@@ -277,6 +279,15 @@ class TestVerifyCommand:
         assert result["certified"] is certified
         assert (result["max_distance"] <= 2.0 * result["residual"]) is certified
 
+    def test_threads_flag_has_no_effect(self, tmp_path, config_path):
+        texts = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"t{threads}"
+            assert main(["verify", "--config", str(config_path), "--out", str(out),
+                         "--states", "3", "--threads", threads]) == 0
+            texts.append(without_wall_time((out / "verify.json").read_text()))
+        assert texts[0] == texts[1]
+
     def test_states_below_one_exit_2_naming_flag(self, tmp_path, config_path, capsys):
         for states in ("0", "-3"):
             assert main(["verify", "--config", str(config_path), "--out",
@@ -511,6 +522,38 @@ class TestInputEdge:
         assert err.startswith("spectrum error: ") and cause in err, err
 
 
+# one entry of --angles: a float's repr, a non-finite or out-of-range token, or junk
+ANGLE_PART = st.one_of(st.floats().map(repr),
+                       st.sampled_from(["nan", "inf", "-inf", "1e999", "", " 0.5 ", "0x1"]),
+                       st.text(max_size=3))
+
+
+class TestArgvFuzz:
+    """Any argv for spectrum and verify ends in a documented exit code, never a traceback."""
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["spectrum", "verify"]),
+           angles=st.none() | st.lists(ANGLE_PART, min_size=4, max_size=4).map(",".join)
+           | st.lists(ANGLE_PART, max_size=6).map(",".join),
+           states=st.none() | st.integers(-3, 3),
+           seed=st.none() | st.integers(-5, 2 ** 70),
+           threads=st.none() | st.integers(-2, 4))
+    def test_exit_code_is_documented(self, tmp_path, command, angles, states, seed, threads):
+        argv = [command, "--config", str(bundled_config_path()), "--out", str(tmp_path / "o")]
+        if command == "spectrum" and angles is not None:
+            argv.append(f"--angles={angles}")
+        if command == "verify":
+            for flag, value in (("--states", states), ("--seed", seed), ("--threads", threads)):
+                if value is not None:
+                    argv += [flag, str(value)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+        assert code in {0, 2, 3, 4, 5}
+
+
 def run_fresh(script: str, cwd: Path) -> str:
     """Run ``script`` in a fresh interpreter that imports the package from this tree."""
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
@@ -560,3 +603,22 @@ class TestStartup:
         pulses = json.loads((tmp_path / "sim" / "summary.json").read_text())["states"][0]["pulses"]
         assert [p["propagator"] for p in pulses] == ["rk45", "rk45"]
         assert rhs_evals == sum(p["nfev"] for p in pulses) > 0
+
+    def test_benchmark_per_layer_spans_are_installed(self, tmp_path):
+        # perfbench/run.py raises KeyError for a per-layer metric whose span the
+        # tracer did not install, which fails a traced benchmark run
+        kinds = ("calls", "self_s", "s", "constructed", "ms_p50", "ms_p90")
+        metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        spans = {m["name"].rpartition(".")[0] for m in metrics
+                 if m["name"].rpartition(".")[2] in kinds}
+        script = textwrap.dedent(f"""
+            import json, sys
+            sys.path.insert(0, {str(ROOT / "perfbench")!r})
+            from layer_trace import Tracer
+            tracer = Tracer()
+            tracer.install()
+            print(json.dumps(sorted(tracer.stats)))
+        """)
+        installed = set(json.loads(run_fresh(script, tmp_path)))
+        assert "maps.compose_sequence" in spans
+        assert sorted(spans - installed) == []

@@ -32,7 +32,7 @@ class TestFieldParams:
         assert np.abs(h - expected).max() < 1e-14
 
     @pytest.mark.parametrize("bad", [dict(omega_peak=0.0), dict(omega_peak=-1.0),
-                                     dict(duration=0.0), dict(theta=np.nan)])
+                                     dict(xi=np.inf), dict(theta=np.nan)])
     def test_invalid_parameters_rejected(self, bad):
         kwargs = dict(theta=0.5, phi=0.5, mu_minus=0.0, mu_plus=0.0)
         kwargs.update(bad)
@@ -160,7 +160,7 @@ class TestDarkBasis:
         for _ in range(20):
             fp = FieldParams(**angles, xi=rng.uniform(0, 2 * np.pi),
                              omega_peak=rng.uniform(0.1, 5.0), delta=rng.uniform(-2, 2),
-                             envelope=Envelope.SINE_SQUARED, duration=rng.uniform(0.1, 9.0))
+                             envelope=Envelope.SINE_SQUARED)
             assert np.abs(dark_basis(fp).projector - reference).max() == 0.0
 
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpulse import (DensityOperator, Envelope, FieldParams, NegativeRadicand,
-                       PulseSequence, Rates, TraceMismatch, build_liouvillian,
-                       compose_sequence, dark_basis, embed_ground, hs_distance, mismatch,
-                       relax_closed, relax_repumped, relaxation_affine,
-                       repump_steady_state, sequence_affine, unvec, vec, zero_subspace)
-from conftest import fold_repumped, random_density, random_field, random_pure_ground
+from darkpulse import (DensityOperator, Envelope, FieldParams, NegativeRadicand, Rates,
+                       TraceMismatch, build_liouvillian, compose_sequence, dark_basis,
+                       embed_ground, hs_distance, mismatch, relax_closed, relax_repumped,
+                       relaxation_affine, repump_steady_state, sequence_affine, unvec, vec,
+                       zero_subspace)
+from conftest import (fold_closed, fold_repumped, random_density, random_field,
+                      random_pure_ground)
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,8 +66,7 @@ class TestRelaxClosed:
         reference = relax_closed(rho, dark_basis(FieldParams(**angles))).matrix
         for _ in range(10):
             fp = FieldParams(**angles, xi=rng.uniform(0, 6), omega_peak=rng.uniform(0.1, 9),
-                             delta=rng.uniform(-3, 3), duration=rng.uniform(0.1, 20),
-                             envelope=Envelope.SINE_SQUARED)
+                             delta=rng.uniform(-3, 3), envelope=Envelope.SINE_SQUARED)
             assert np.abs(relax_closed(rho, dark_basis(fp)).matrix - reference).max() == 0.0
 
     def test_affine_on_trace_one_hyperplane(self, rng):
@@ -135,14 +135,12 @@ class TestRelaxRepumped:
 class TestComposeSequence:
     def test_single_step_dark_input_unchanged(self, rng):
         fp = random_field(rng)
-        seq = PulseSequence(steps=(fp,))
-        rho = DensityOperator.pure(dark_basis(fp).n1)
-        assert np.abs(compose_sequence(rho, seq).matrix - rho.matrix).max() < 1e-13
+        rho = DensityOperator.pure(dark_basis(fp).n1).matrix
+        assert np.abs(compose_sequence(rho, [fp]) - rho).max() < 1e-13
 
     def test_mixture_linearity(self, rng):
         steps = tuple(random_field(rng) for _ in range(3))
-        seq = PulseSequence(steps=steps)
-        for fold in (lambda rho: compose_sequence(rho, seq),
+        for fold in (lambda rho: DensityOperator(compose_sequence(rho.matrix, steps)),
                      lambda rho: fold_repumped(rho, steps)):
             for _ in range(10):
                 rho1, rho2 = random_density(rng), random_density(rng)
@@ -152,51 +150,88 @@ class TestComposeSequence:
                 rhs = p1 * fold(rho1).matrix + (1 - p1) * fold(rho2).matrix
                 assert np.abs(lhs - rhs).max() < 1e-12
 
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            PulseSequence(steps=())
+    def test_empty_sequence_returns_input(self, rng):
+        stack = np.stack([random_density(rng).matrix for _ in range(3)])
+        stack[0, 0, 1] = complex(-0.0, stack[0, 0, 1].imag)  # a negative zero survives too
+        out = compose_sequence(stack, ())
+        assert out.tobytes() == stack.tobytes()
+
+    def test_stack_matches_fold_of_closed_map(self, rng):
+        steps = tuple(random_field(rng) for _ in range(4))
+        states = [random_density(rng) for _ in range(6)]
+        stack = np.stack([rho.matrix for rho in states]).reshape(2, 3, 4, 4)
+        out = compose_sequence(stack, steps)
+        assert out.shape == (2, 3, 4, 4)
+        for rho, mapped in zip(states, out.reshape(6, 4, 4)):
+            assert np.abs(mapped - fold_closed(rho, steps).matrix).max() < 1e-12
+            assert np.abs(compose_sequence(rho.matrix, steps) - mapped).max() < 1e-15
+
+    def test_trace_mismatch_raises_for_any_state(self, rng):
+        stack = np.stack([random_density(rng).matrix for _ in range(3)])
+        stack[1] *= 0.5
+        for steps in ((), (random_field(rng),)):
+            with pytest.raises(TraceMismatch):
+                compose_sequence(stack, steps)
+
+
+def _pure(psi) -> np.ndarray:
+    return DensityOperator.pure(psi).matrix
 
 
 class TestMetrics:
     def test_mismatch_zero_for_equal_pure(self, rng):
-        rho = DensityOperator.pure(random_pure_ground(rng))
+        rho = _pure(random_pure_ground(rng))
         assert mismatch(rho, rho) == 0.0
 
     def test_mismatch_mixed_dark_vs_dark_state(self, rng):
         basis = dark_basis(random_field(rng))
-        value = mismatch(basis.maximally_mixed(), DensityOperator.pure(basis.n1))
+        value = mismatch(basis.projector / 2.0, _pure(basis.n1))
         assert value == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_mismatch_floor_for_mixed_reference(self, rng):
         rho = random_density(rng)
         floor = np.sqrt(1.0 - rho.purity())
-        assert mismatch(rho, rho) == pytest.approx(floor, abs=1e-12)
-        assert mismatch(rho, rho) > 0.0
+        assert mismatch(rho.matrix, rho.matrix) == pytest.approx(floor, abs=1e-12)
+        assert mismatch(rho.matrix, rho.matrix) > 0.0
 
     def test_mismatch_clamps_tiny_negative_radicand(self, rng):
-        rho = DensityOperator.pure(random_pure_ground(rng))
+        rho = _pure(random_pure_ground(rng))
         assert mismatch(rho, rho) == 0.0  # exact overlap 1 within roundoff
 
     def test_mismatch_rejects_overlap_beyond_one(self):
-        # defensive guard; only reachable with an invalid state, so bypass
-        # construction to simulate an upstream bug
-        inflated = object.__new__(DensityOperator)
-        object.__setattr__(inflated, "matrix", np.eye(4, dtype=complex))
+        # defensive guard; only reachable with an invalid state, as from an
+        # upstream bug; one such state in a stack is enough
+        inflated = np.stack([np.eye(4, dtype=complex) / 4.0, np.eye(4, dtype=complex)])
         with pytest.raises(NegativeRadicand):
             mismatch(inflated, inflated)
 
     def test_hs_distance_zero_and_orthogonal(self, rng):
-        rho = DensityOperator.pure(random_pure_ground(rng))
+        rho = _pure(random_pure_ground(rng))
         assert hs_distance(rho, rho) == 0.0
-        a = DensityOperator.pure(np.array([1.0, 0, 0]))
-        b = DensityOperator.pure(np.array([0, 1.0, 0]))
+        a = _pure(np.array([1.0, 0, 0]))
+        b = _pure(np.array([0, 1.0, 0]))
         assert hs_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
     def test_hs_equals_sqrt2_mismatch_for_pure(self, rng):
         for _ in range(20):
-            a = DensityOperator.pure(random_pure_ground(rng))
-            b = DensityOperator.pure(random_pure_ground(rng))
+            a = _pure(random_pure_ground(rng))
+            b = _pure(random_pure_ground(rng))
             assert hs_distance(a, b) == pytest.approx(np.sqrt(2.0) * mismatch(a, b), abs=1e-9)
+
+    def test_stacks_broadcast_against_one_matrix(self, rng):
+        stack = np.stack([random_density(rng).matrix for _ in range(6)]).reshape(3, 2, 4, 4)
+        reference = random_density(rng).matrix
+        for metric in (hs_distance, mismatch):
+            values = metric(stack, reference)
+            assert values.shape == (3, 2)
+            assert type(metric(stack[0, 0], reference)) is float
+            for index in np.ndindex(3, 2):
+                assert values[index] == pytest.approx(metric(stack[index], reference),
+                                                      abs=1e-15)
+        # hs_distance is the Frobenius norm of the difference
+        diff = stack[1, 1] - reference
+        assert hs_distance(stack, reference)[1, 1] == pytest.approx(
+            np.sqrt(np.trace(diff @ diff).real), abs=1e-14)
 
 
 class TestAffineForms:
@@ -213,10 +248,9 @@ class TestAffineForms:
     def test_sequence_matches_composition(self, rng):
         steps = tuple(random_field(rng) for _ in range(4))
         k, c = sequence_affine(steps)
-        seq = PulseSequence(steps=steps)
         for _ in range(10):
             rho = random_density(rng)
-            for direct in (compose_sequence(rho, seq), fold_repumped(rho, steps)):
+            for direct in (fold_closed(rho, steps), fold_repumped(rho, steps)):
                 assert np.linalg.norm(unvec(k @ vec(rho.matrix) + c) - direct.matrix) < 1e-12
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from darkpulse import (DensityOperator, FieldParams, PulseSequence, TargetState,
-                       compose_sequence, dark_basis, field_for_span, hs_distance,
-                       initial_state_grid, optimize_sequence, purity_sweep,
+from darkpulse import (DensityOperator, FieldParams, TargetState, dark_basis, field_for_span,
+                       hs_distance, initial_state_grid, optimize_sequence, purity_sweep,
                        sequence_objective)
-from darkpulse.optimize import (StateGrid, _grid_moments, _rms_and_gradient,
-                                random_pure_states)
-from conftest import fold_repumped, random_field
+from darkpulse.optimize import (_grid_moments, _rms_and_gradient, random_pure_states,
+                                state_distances)
+from conftest import fold_closed, fold_repumped, random_field
 
 
 def _central_gradient(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -36,20 +35,20 @@ class TestInitialStateGrid:
 
     def test_all_states_unit_norm(self):
         grid = initial_state_grid(4)
-        norms = np.linalg.norm(grid.states, axis=1)
+        norms = np.linalg.norm(grid, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_corner_states_hit_basis_vectors(self):
         grid = initial_state_grid(3)
-        assert np.allclose(grid.states[0], [1.0, 0.0, 0.0])  # chi1 = 0 corner
+        assert np.allclose(grid[0], [1.0, 0.0, 0.0])  # chi1 = 0 corner
         targets = np.eye(3)
         for basis_vec in targets:
-            overlaps = np.abs(grid.states @ basis_vec.conj())
+            overlaps = np.abs(grid @ basis_vec.conj())
             assert overlaps.max() > 1.0 - 1e-12
 
     def test_duplicates_allowed_at_degenerate_corners(self):
         grid = initial_state_grid(2)
-        g_minus = np.abs(grid.states @ np.array([1.0, 0, 0])) > 1 - 1e-12
+        g_minus = np.abs(grid @ np.array([1.0, 0, 0])) > 1 - 1e-12
         assert g_minus.sum() >= 2  # chi1 = 0 row collapses regardless of phases
 
     def test_rejects_resolution_below_two(self):
@@ -70,9 +69,10 @@ class TestInitialStateGrid:
                                        np.sin(c1) * np.cos(c2) * np.exp(1j * b2),
                                        np.sin(c1) * np.sin(c2) * np.exp(1j * b3))
                         g += 1
-        states = initial_state_grid(resolution).states
+        states = initial_state_grid(resolution)
         assert states.dtype == expected.dtype and states.shape == expected.shape
         assert states.tobytes() == expected.tobytes()
+        assert not states.flags.writeable
 
 
 class TestSequenceObjective:
@@ -81,7 +81,7 @@ class TestSequenceObjective:
         # dark state, so that target is reached exactly
         fp = random_field(rng)
         basis = dark_basis(fp)
-        grid = StateGrid(states=basis.phi_perp[None, :], resolution=1)
+        grid = basis.phi_perp[None, :]
         target = TargetState(weights=(0.5, 0.5), psi1=basis.n1, psi2=basis.n2)
         params = np.array(fp.angles)
         assert sequence_objective(params, grid, target) < 1e-12
@@ -103,13 +103,12 @@ class TestSequenceObjective:
                 FieldParams(theta=params[4 * l], phi=params[4 * l + 1],
                             mu_minus=params[4 * l + 2], mu_plus=params[4 * l + 3])
                 for l in range(n_steps))
-            seq = PulseSequence(steps=steps)
             value = sequence_objective(params, grid, target)
             # the closed-manifold composition (alpha) and the lossy fold (beta)
-            for fold in (lambda rho: compose_sequence(rho, seq),
+            for fold in (lambda rho: fold_closed(rho, steps),
                          lambda rho: fold_repumped(rho, steps)):
-                distances = [hs_distance(fold(DensityOperator.pure(psi)), rho_f)
-                             for psi in grid.states]
+                distances = [hs_distance(fold(DensityOperator.pure(psi)).matrix, rho_f.matrix)
+                             for psi in grid]
                 expected = float(np.sqrt(np.mean(np.square(distances))))
                 assert value == pytest.approx(expected, abs=1e-12)
 
@@ -132,7 +131,7 @@ class TestAnalyticGradient:
             full = x if pinned is None else np.concatenate([x, pinned])
             return sequence_objective(full, grid, target)
 
-        rms, grad = _rms_and_gradient(free, *_grid_moments(grid.states, target), pinned)
+        rms, grad = _rms_and_gradient(free, *_grid_moments(grid, target), pinned)
         assert rms == pytest.approx(value(free), abs=1e-14)
         expected = _central_gradient(value, free)
         assert grad.shape == free.shape
@@ -150,7 +149,7 @@ class TestOptimizeSequence:
         assert a.iterations == b.iterations
         assert a.restart_history == b.restart_history
         assert a.restarts == b.restarts
-        for fa, fb in zip(a.sequence.steps, b.sequence.steps):
+        for fa, fb in zip(a.sequence, b.sequence):
             assert fa.angles == fb.angles
         assert np.array_equal(a.per_state_distances, b.per_state_distances)
 
@@ -175,7 +174,7 @@ class TestOptimizeSequence:
         hs = result.per_state_distances[:, 0]
         assert result.objective_value == pytest.approx(
             float(np.sqrt(np.mean(hs ** 2))), abs=1e-12)
-        params = np.concatenate([fp.angles for fp in result.sequence.steps])
+        params = np.concatenate([fp.angles for fp in result.sequence])
         assert sequence_objective(params, grid, small_target()) == pytest.approx(
             result.objective_value, abs=1e-12)
 
@@ -207,7 +206,7 @@ class TestOptimizeSequence:
         for n_steps in (1, 2):
             result = optimize_sequence(n_steps, target, grid, seed=3, restarts=1,
                                        max_iter=20, tol=1e-9, pin_last=True)
-            assert result.sequence.steps[-1].angles == pytest.approx(pinned.angles, abs=1e-14)
+            assert result.sequence[-1].angles == pytest.approx(pinned.angles, abs=1e-14)
             if n_steps == 1:  # a single pinned pulse leaves nothing to optimize
                 assert [r.termination for r in result.restarts] == ["no free angles"]
 
@@ -231,6 +230,20 @@ class TestPuritySweep:
             assert np.isfinite(row["rms_objective"])
             assert row["max_distance"] >= row["rms_objective"] - 1e-12
             assert {"p1", "n_steps", "rms_objective", "max_distance", "iterations"} <= set(row)
+
+
+class TestStateDistances:
+    def test_match_per_state_metrics(self, rng):
+        steps = tuple(random_field(rng) for _ in range(3))
+        states = random_pure_states(7, [3, 1])
+        target = small_target()
+        rho_f = target.density_matrix().matrix
+        distances = state_distances(states, steps, target)
+        assert distances.shape == (7, 2)
+        for psi, (hs, mis) in zip(states, distances):
+            out = fold_closed(DensityOperator.pure(psi), steps).matrix
+            assert hs == pytest.approx(np.linalg.norm(out - rho_f), abs=1e-14)
+            assert mis == pytest.approx(np.sqrt(1.0 - np.trace(out @ rho_f).real), abs=1e-12)
 
 
 class TestRandomPureStates:
