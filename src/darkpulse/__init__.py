@@ -10,11 +10,12 @@ pulse-sequence optimizer (:mod:`optimize`), and the CLI (:mod:`cli`).
 from .core import (DarkBasis, DensityOperator, Envelope, FieldParams, Mode, TargetState,
                    bloch_coords, build_hamiltonian, dark_basis, embed_ground, field_for_span)
 from .dynamics import (PulseRecord, Trajectory, integrate_master, propagate_exact,
-                       recommended_duration, run_pulse, run_pulse_block, verify_map)
+                       recommended_duration, run_pulse, run_pulse_block, run_sequence,
+                       verify_map)
 from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, DegenerateSpan,
                      NegativeRadicand, PositivityViolation, SingularSystem,
-                     StepSizeUnderflow, TraceMismatch, UnexpectedDimension,
-                     UnstableSpectrum)
+                     StepSizeUnderflow, TraceMismatch, TraceViolation,
+                     UnexpectedDimension, UnstableSpectrum)
 from .liouville import (Liouvillian, Rates, ZeroSubspace, build_liouvillian,
                         closed_form_zero_modes, slowest_rate, steady_affine, unvec, vec,
                         zero_subspace)
@@ -30,13 +31,14 @@ __all__ = [
     "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "Liouvillian",
     "Mode", "NegativeRadicand", "OptimizationResult", "PositivityViolation",
     "PulseRecord", "Rates", "SingularSystem", "StepSizeUnderflow", "TargetState",
-    "TraceMismatch", "Trajectory", "UnexpectedDimension", "UnstableSpectrum", "ZeroSubspace", "bloch_coords",
+    "TraceMismatch", "TraceViolation", "Trajectory", "UnexpectedDimension",
+    "UnstableSpectrum", "ZeroSubspace", "bloch_coords",
     "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
     "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
     "propagate_exact", "purity_sweep", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
-    "repump_steady_state", "run_pulse", "run_pulse_block", "sequence_affine",
-    "sequence_objective", "slowest_rate", "steady_affine", "unvec", "vec", "verify_map",
-    "zero_subspace",
+    "repump_steady_state", "run_pulse", "run_pulse_block", "run_sequence",
+    "sequence_affine", "sequence_objective", "slowest_rate", "steady_affine", "unvec", "vec",
+    "verify_map", "zero_subspace",
 ]

@@ -25,12 +25,12 @@ from .config import (ExperimentConfig, atomic_write_text, dumps17, load_config, 
                      read_number, write_csv)
 from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, _span_normal,
                    bloch_coords, dark_basis, field_for_span)
-from .dynamics import (propagator_name, recommended_duration, run_pulse_block, verify_map,
+from .dynamics import (propagator_name, recommended_duration, run_sequence, verify_map,
                        write_trajectory_csv)
-from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, UnexpectedDimension,
-                     UnstableSpectrum)
-from .liouville import (build_liouvillian, slowest_rate, transpose_convention_diagnostic,
-                        zero_subspace)
+from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, TraceViolation,
+                     UnexpectedDimension, UnstableSpectrum)
+from .liouville import (build_liouvillian, principal_angles, slowest_rate,
+                        transpose_convention_diagnostic, zero_subspace)
 from .maps import compose_sequence, hs_distance, mismatch
 from .optimize import (initial_state_grid, optimize_sequence, pure_state_dyads, purity_sweep,
                        random_pure_states, state_distances)
@@ -115,14 +115,14 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     steps = load_sequence(sequence_path, cfg)
     psis = cfg.initial_states if cfg.initial_states is not None else [[1.0, 0.0, 0.0]]
 
-    # every pulse is one map for all states: push them through it as one block
+    # one block through the whole sequence: one propagator per distinct pulse key
     initial = [DensityOperator.pure(psi) for psi in psis]
     rows = [{"state_index": i, "durations": [], "trajectories": [], "pulses": []}
             for i in range(len(initial))]
+    per_pulse = run_sequence(initial, steps, cfg.rates, cfg.integrator.residual,
+                             rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
     finals = initial
-    for l, fp in enumerate(steps):
-        trajectories = run_pulse_block(finals, fp, cfg.rates, cfg.integrator.residual,
-                                       rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
+    for l, (fp, trajectories) in enumerate(zip(steps, per_pulse)):
         basis = dark_basis(fp)
         for row, traj in zip(rows, trajectories):
             path = out_dir / f"trajectory_state{row['state_index']:03d}_pulse{l:02d}.csv"
@@ -232,8 +232,6 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...] | None) -> int:
-    from scipy.linalg import subspace_angles  # slow to import; only this command needs it
-
     if angles is not None:
         fp = FieldParams(theta=angles[0], phi=angles[1], mu_minus=angles[2],
                          mu_plus=angles[3], omega_peak=cfg.omega_peak, envelope=cfg.envelope)
@@ -247,7 +245,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...]
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
     subspace = zero_subspace(liou)
-    span_gap = float(np.max(subspace_angles(subspace.right.T, subspace.left.T)))
+    span_gap = float(np.max(principal_angles(subspace.right.T, subspace.left.T)))
     rate = slowest_rate(liou)
     doc = {
         "field": {"theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
@@ -394,7 +392,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StepSizeUnderflow, PositivityViolation) as exc:
+    except (StepSizeUnderflow, PositivityViolation, TraceViolation) as exc:
         print(f"integrator error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     except (UnstableSpectrum, UnexpectedDimension) as exc:

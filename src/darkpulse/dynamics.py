@@ -1,21 +1,36 @@
 """Pulse dynamics under the full master equation, and certification of the analytic maps.
 
-Within one pulse the generator is ``dr/dt = (M0 + E(t) Mdrive) r + d``.  A
-square envelope makes it constant, so :func:`propagate_exact` takes the exact
-state from the matrix exponential of the augmented generator
-``[[M, d], [0, 0]]`` (Van Loan 1978).  Time-dependent envelopes are integrated
-by :func:`integrate_master` with an embedded adaptive Runge-Kutta pair
-(Dormand-Prince 5(4)) under local error control; it accepts square pulses too
-and serves as the independent cross-check of the exact path.
-:func:`run_pulse_block` is the one place that picks between them, for a block
-of states at once: one exponential, or one RK45 solve of the (16, S) block with
-its error norm over all states.  The one-state functions wrap the block code.
+Within one pulse the generator is ``dr/dt = (M0 + E(t) Mdrive) r + d``; on
+the augmented state ``y = [r; 1]`` it is ``dy/dt = A(t) y`` with
+``A = [[M, d], [0, 0]]`` (Van Loan 1978).  A square envelope makes ``A``
+constant, so :func:`propagate_exact` takes the exact snapshots from one matrix
+exponential.  Time-dependent envelopes are integrated by
+:func:`integrate_master` with an embedded adaptive Runge-Kutta pair
+(Dormand-Prince 5(4)) under local error control; it accepts square pulses too.
+These two are the one-state witnesses of :func:`run_sequence`.
+
+:func:`run_sequence` drives a block of states through a whole sequence.  The
+relaxation part of the generator is invariant under ground-space unitaries,
+so two pulses that share ``(omega_peak, delta, envelope)`` (a key) differ only
+by a ground rotation ``U``: ``M(fp) = W M_ref W^dagger`` with
+``W = U kron conj(U)``.  The first pulse of each key is its reference: it gets
+the key's one duration and its one propagator, the exponential step of a
+square pulse or, for other envelopes, one RK45 solve of the 17-column
+propagator at its 65 snapshot times.  Every pulse of the key then maps a state
+as ``rho(t_k) = U P_k[U^dagger rho U] U^dagger`` on the 4x4 stack; the
+reference pulse itself takes ``U = 1``.  A time-dependent pulse whose key does
+not recur has nothing to share, so its states are integrated directly.  So
+one state through one pulse (:func:`run_pulse`) is its witness bit for bit.
+A pulse record charges the solve's right-hand-side evaluations
+(``nfev``) to the pulse that made it and 0 to the pulses that reuse it.  The
+propagator lives for one call: nothing is kept between calls.
 
 Pulse durations come from the spectral gap: driving for
 ``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the endpoint
 and the analytic relaxation map at roughly the requested residual, which
-:func:`verify_map` measures directly.  The map is the same in both relaxation
-regimes; only the driven dynamics differ.
+:func:`verify_map` measures directly.  The spectrum is the same for every
+pulse of a key, so one duration serves them all.  The map is the same in both
+relaxation regimes; only the driven dynamics differ.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ import numpy as np
 
 from .config import write_csv
 from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
-from .errors import PositivityViolation, StepSizeUnderflow
+from .errors import PositivityViolation, StepSizeUnderflow, TraceViolation
 from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
 from .maps import hs_distance, relax_closed
 
@@ -41,6 +56,7 @@ __all__ = [
     "recommended_duration",
     "run_pulse",
     "run_pulse_block",
+    "run_sequence",
     "verify_map",
     "write_trajectory_csv",
 ]
@@ -135,14 +151,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
                 nfev: int) -> tuple[Trajectory, ...]:
-    """Symmetrize an (S, n, 16) block of vectorized snapshots and validate it as one stack.
+    """Symmetrize an (S, n, 16) or (S, n, 4, 4) block of snapshots and validate it as one stack.
 
     Returns one trajectory per state, holding its slice of one read-only copy
     of the block.  Hermiticity is preserved by the flow, so snapshots are
-    symmetrized only against roundoff.  Positivity is monitored, not enforced,
-    because the repump term is not of Lindblad form: the earliest snapshot with
-    an eigenvalue below ``-100 * atol`` raises :class:`PositivityViolation`,
-    naming its state and time.  The same eigenvalues decide every PSD check.
+    symmetrized only against roundoff.  Positivity and the trace are monitored,
+    not enforced, because the repump term is not of Lindblad form: the earliest
+    snapshot with an eigenvalue below ``-100 * atol`` raises
+    :class:`PositivityViolation`, and the earliest with a trace outside
+    ``(0, 1 + slack]`` raises :class:`TraceViolation`, naming its state and
+    time.  The same eigenvalues decide every PSD check.
     """
     n_states, n = snapshots.shape[:2]
     snaps = snapshots.reshape(n_states, n, 4, 4)
@@ -154,10 +172,16 @@ def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagato
         k, s = below[0]
         raise PositivityViolation(f"state {s}: snapshot at t={times[k]:.6g} has eigenvalue "
                                   f"{min_eigs[s, k]:.3e} < {floor:.3e}")
-    # validation slack scales with the integrator tolerance, mirroring the
+    # the trace slack scales with the integrator tolerance, mirroring the
     # positivity monitor; the exact flow keeps trace <= 1 in both regimes
-    tols = dict(psd_tol=-floor, trace_tol=max(DensityOperator.TRACE_TOL, 100.0 * atol))
-    trace_errors = np.abs(np.trace(snaps, axis1=-2, axis2=-1).real - 1.0).max(axis=1)
+    slack = max(DensityOperator.TRACE_TOL, 100.0 * atol)
+    traces = np.trace(snaps, axis1=-2, axis2=-1).real
+    if not (traces.min() > 0.0 and traces.max() <= 1.0 + slack):
+        k, s = np.argwhere(~((traces > 0.0) & (traces <= 1.0 + slack)).T)[0]
+        raise TraceViolation(f"state {s}: snapshot at t={times[k]:.6g} has trace "
+                             f"{float(traces[s, k])!r} outside (0, 1 + {slack:.3e}]")
+    tols = dict(psd_tol=-floor, trace_tol=slack)
+    trace_errors = np.abs(traces - 1.0).max(axis=1)
     # C-contiguous, so the CSV trace column sums in one order; an RK45 block is not
     stack = np.ascontiguousarray(snaps)
     DensityOperator.validate(stack, **tols, min_eigenvalue=min_eigs.min())
@@ -170,58 +194,84 @@ def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagato
                  for s in range(n_states))
 
 
-def _integrate(states, fp: FieldParams, on: Liouvillian, t_final: float, rtol: float,
-               atol: float) -> tuple[Trajectory, ...]:
-    """RK45 through one pulse for a block of states, as one ``solve_ivp`` call.
+def _solve(fp: FieldParams, on: Liouvillian, t_final: float, y0: np.ndarray, feed: np.ndarray,
+           rtol: float, atol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """RK45 of ``dY/dt = (M0 + E(t) Mdrive) Y + feed`` through one pulse, in one ``solve_ivp``.
 
     ``on`` is the generator at envelope 1, ``fp`` carries the envelope, which
-    runs over ``t_final``; the error norm is taken over the whole (16, S) block.
+    runs over ``t_final``; ``y0`` is a (16, n) block and ``feed`` broadcasts
+    against it.  The error norm is taken over the whole block.  Returns the
+    snapshot times, the (16, n, 65) snapshots and the number of right-hand-side
+    evaluations.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    off = build_liouvillian(fp, on.rates, 0.0)
-    m0, d, m_drive = off.m, off.d[:, None], on.m - off.m
+    m0 = build_liouvillian(fp, on.rates, 0.0).m
+    m_drive = on.m - m0
     envelope = fp.envelope
-    y0 = np.stack([state.matrix.reshape(16) for state in states], axis=1)
 
     def rhs(t, y):
         # a square envelope reads 1.0, and m0 + 1.0 * m_drive is m0 + m_drive exactly
         return ((m0 + envelope.value_at(t, t_final) * m_drive) @ y.reshape(y0.shape)
-                + d).ravel()
+                + feed).ravel()
 
     times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
     sol = sys.modules[__name__].solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
                                           rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
         raise StepSizeUnderflow(f"integrator failed: {sol.message}")
-    snapshots = sol.y.reshape(*y0.shape, -1).transpose(1, 2, 0)
-    return _trajectory(sol.t.copy(), snapshots, atol, "rk45", int(sol.nfev))
+    return sol.t.copy(), sol.y.reshape(*y0.shape, -1), int(sol.nfev)
 
 
-def _propagate(states, liou: Liouvillian, t_final: float, atol: float) -> tuple[Trajectory, ...]:
-    """Exact snapshots of one square pulse for a block of states; see :func:`propagate_exact`."""
+def _integrate(states, fp: FieldParams, on: Liouvillian, t_final: float, rtol: float,
+               atol: float) -> tuple[Trajectory, ...]:
+    """RK45 through one pulse for a block of states; see :func:`_solve`."""
+    y0 = np.stack([state.matrix.reshape(16) for state in states], axis=1)
+    times, snapshots, nfev = _solve(fp, on, t_final, y0, on.d[:, None], rtol, atol)
+    return _trajectory(times, snapshots.transpose(1, 2, 0), atol, "rk45", nfev)
+
+
+def _step(liou: Liouvillian, t_final: float) -> np.ndarray:
+    """The exact augmented step ``expm(dt A)`` of a square pulse, ``dt = t_final / 64``."""
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    if atol <= 0:
-        raise ValueError("atol must be positive")
     if liou.field.envelope is not Envelope.SQUARE:
         raise ValueError("the exact propagator needs a square envelope")
     a = np.zeros((17, 17), dtype=complex)
     a[:16, :16] = liou.m
     a[:16, 16] = liou.d
-    step = _expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
-    y0 = np.stack([state.matrix.reshape(16) for state in states])
-    # (S, 17, 1) per snapshot: one matrix-vector product per state, so each
-    # state's snapshots are bit-identical to its one-state run
-    y = np.empty((MIN_SNAPSHOTS, len(y0), 17, 1), dtype=complex)
-    y[0, :, :16, 0] = y0
-    y[0, :, 16] = 1.0
+    return _expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
+
+
+def _snapshots(propagator: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """The (S, 65, 16) snapshots of an (S, 4, 4) stack under one pulse's propagator.
+
+    ``propagator`` is either the (17, 17) step of a square pulse, applied 64
+    times, or the (65, 16, 17) stack of snapshot propagators of a solved
+    pulse.  Each state takes its own matrix-vector products, so a state's
+    snapshots are bit-identical to its one-state run.
+    """
+    y0 = np.ones((len(matrices), 17, 1), dtype=complex)
+    y0[:, :16, 0] = matrices.reshape(-1, 16)
+    if propagator.ndim == 3:
+        return (propagator[:, None] @ y0)[..., 0].transpose(1, 0, 2)
+    y = np.empty((MIN_SNAPSHOTS, *y0.shape), dtype=complex)
+    y[0] = y0
     for k in range(MIN_SNAPSHOTS - 1):
-        y[k + 1] = step @ y[k]
+        y[k + 1] = propagator @ y[k]
+    return y[:, :, :16, 0].transpose(1, 0, 2)
+
+
+def _propagate(states, liou: Liouvillian, t_final: float, atol: float) -> tuple[Trajectory, ...]:
+    """Exact snapshots of one square pulse for a block of states; see :func:`propagate_exact`."""
+    if atol <= 0:
+        raise ValueError("atol must be positive")
+    step = _step(liou, t_final)
     return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS),
-                       y[:, :, :16, 0].transpose(1, 0, 2), atol, "exact", 0)
+                       _snapshots(step, np.stack([state.matrix for state in states])),
+                       atol, "exact", 0)
 
 
 def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
@@ -238,6 +288,8 @@ def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
         If the adaptive controller stalls.
     PositivityViolation
         If any snapshot eigenvalue falls below -100 * atol.
+    TraceViolation
+        If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
     """
     return _integrate([rho0], fp, build_liouvillian(fp, rates, 1.0), t_final, rtol, atol)[0]
 
@@ -256,12 +308,14 @@ def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
     ------
     PositivityViolation
         If any snapshot eigenvalue falls below -100 * atol.
+    TraceViolation
+        If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
     """
     return _propagate([rho0], liou, t_final, atol)[0]
 
 
 def propagator_name(envelope: Envelope) -> str:
-    """The propagator :func:`run_pulse` uses: ``"exact"`` for a constant (square) envelope."""
+    """The propagator a pulse takes: ``"exact"`` for a square envelope, else ``"rk45"``."""
     return "exact" if envelope is Envelope.SQUARE else "rk45"
 
 
@@ -272,21 +326,93 @@ def recommended_duration(liou: Liouvillian, residual: float) -> float:
     return float(np.log(1.0 / residual) / slowest_rate(liou))
 
 
+def _ground_frame(fp: FieldParams) -> np.ndarray:
+    """Columns ``n1, n2, e^{i xi} b``: the unitary that takes the third axis to the coupling."""
+    basis = dark_basis(fp)
+    return np.column_stack([basis.n1, basis.n2, np.exp(1j * fp.xi) * basis.phi_perp])
+
+
+def _ground_rotation(fp: FieldParams, reference: FieldParams) -> np.ndarray:
+    """The 4x4 unitary ``U`` with ``H(fp) = U H(reference) U^dagger``, identity on ``|e>``.
+
+    ``U = V(fp) V(reference)^dagger`` on the ground space, with ``V`` from
+    :func:`_ground_frame`; the two fields must share amplitude, detuning and
+    envelope.  The relaxation part commutes with ``U``, so the generators obey
+    ``M(fp) = W M(reference) W^dagger`` with ``W = U kron conj(U)``.
+    """
+    u = np.eye(4, dtype=complex)
+    u[:3, :3] = _ground_frame(fp) @ _ground_frame(reference).conj().T
+    return u
+
+
+def _reference_propagator(fp: FieldParams, liou: Liouvillian, t_final: float, rtol: float,
+                          atol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The snapshot times, propagator and ``nfev`` of ``fp`` driven for ``t_final``.
+
+    ``liou`` is the generator of ``fp`` at envelope 1.  A square pulse gives
+    its (17, 17) exponential step and 0 evaluations; any other envelope one
+    RK45 solve of the (16, 17) block ``[Phi | c]`` from ``[1 | 0]``, where
+    ``Phi`` is the homogeneous flow and ``c`` the repump feed's response, at
+    the states' ``rtol`` and ``atol``.
+    """
+    if propagator_name(fp.envelope) == "exact":
+        return np.linspace(0.0, t_final, MIN_SNAPSHOTS), _step(liou, t_final), 0
+    feed = np.zeros((16, 17), dtype=complex)
+    feed[:, 16] = liou.d
+    times, snapshots, nfev = _solve(fp, liou, t_final, np.eye(16, 17, dtype=complex), feed,
+                                    rtol, atol)
+    return times, snapshots.transpose(2, 0, 1), nfev
+
+
+def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
+                 atol: float = DEFAULT_ATOL) -> tuple[tuple[Trajectory, ...], ...]:
+    """Drive a block of states through a sequence of pulses, each for its key's duration.
+
+    Returns one tuple of trajectories per pulse, one trajectory per state in
+    order; each pulse starts from the previous pulse's final states.  The
+    first pulse of each ``(omega_peak, delta, envelope)`` key makes the key's
+    propagator (:func:`_reference_propagator`); every other pulse of the key
+    rotates the states into the reference frame, applies it, and rotates each
+    snapshot back (:func:`_ground_rotation`).  The propagators are local to
+    this call.  A time-dependent pulse whose key does not recur integrates
+    its states directly instead: with no pulse to reuse it, the 17-column
+    propagator costs more than the states' own solve.
+    """
+    if atol <= 0:
+        raise ValueError("atol must be positive")
+    keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in steps]
+    references = {}
+    out = []
+    for fp, key in zip(steps, keys):
+        nfev = 0
+        if key not in references:
+            liou = build_liouvillian(fp, rates, 1.0)
+            t_final = recommended_duration(liou, residual)
+            if propagator_name(fp.envelope) == "rk45" and keys.count(key) == 1:
+                out.append(_integrate(states, fp, liou, t_final, rtol, atol))
+                states = [traj.final for traj in out[-1]]
+                continue
+            times, propagator, nfev = _reference_propagator(fp, liou, t_final, rtol, atol)
+            references[key] = (fp, times, propagator)
+        reference, times, propagator = references[key]
+        matrices = np.stack([state.matrix for state in states])
+        if fp is reference:
+            snapshots = _snapshots(propagator, matrices)
+        else:
+            u = _ground_rotation(fp, reference)
+            u_dag = u.conj().T
+            rotated = _snapshots(propagator, u_dag @ matrices @ u)
+            snapshots = u @ rotated.reshape(len(matrices), MIN_SNAPSHOTS, 4, 4) @ u_dag
+        out.append(_trajectory(times, snapshots, atol, propagator_name(fp.envelope), nfev))
+        states = [traj.final for traj in out[-1]]
+    return tuple(out)
+
+
 def run_pulse_block(states, fp: FieldParams, rates: Rates, residual: float,
                     rtol: float = DEFAULT_RTOL,
                     atol: float = DEFAULT_ATOL) -> tuple[Trajectory, ...]:
-    """Drive a block of states through one pulse for its recommended duration at ``residual``.
-
-    The generator at envelope 1 is built once, for the duration rule and for
-    the propagator.  A square pulse takes :func:`propagate_exact`'s matrix
-    exponential; other envelopes take RK45 under ``rtol`` and ``atol``, one
-    solve for the whole block.  Returns one trajectory per state, in order.
-    """
-    liou = build_liouvillian(fp, rates, 1.0)
-    t_final = recommended_duration(liou, residual)
-    if propagator_name(fp.envelope) == "exact":
-        return _propagate(states, liou, t_final, atol)
-    return _integrate(states, fp, liou, t_final, rtol, atol)
+    """Drive a block of states through one pulse: :func:`run_sequence` of ``[fp]``."""
+    return run_sequence(states, [fp], rates, residual, rtol=rtol, atol=atol)[0]
 
 
 def run_pulse(rho0: DensityOperator, fp: FieldParams, rates: Rates, residual: float,

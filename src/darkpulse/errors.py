@@ -37,6 +37,10 @@ class PositivityViolation(DarkpulseError):
     """An integrated snapshot developed an eigenvalue below the monitoring threshold."""
 
 
+class TraceViolation(DarkpulseError):
+    """An integrated snapshot's trace left (0, 1] by more than the monitoring slack."""
+
+
 class ConfigError(DarkpulseError):
     """An experiment configuration failed validation; the message names the field."""
 

@@ -37,6 +37,7 @@ __all__ = [
     "closed_form_zero_modes",
     "steady_affine",
     "slowest_rate",
+    "principal_angles",
     "transpose_convention_diagnostic",
 ]
 
@@ -273,6 +274,32 @@ def slowest_rate(liou: Liouvillian) -> float:
     return rate
 
 
+def _orthonormal_columns(a: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the column span of ``a``, by SVD with scipy's ``orth`` rank cut."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cut = s[0] * max(a.shape) * np.finfo(float).eps
+    return u[:, s > cut]
+
+
+def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spans of ``a`` and ``b``, largest first.
+
+    Both bases are orthonormalized; with ``Q2`` the smaller one, the cosines
+    are the singular values of ``Q1^H Q2`` and the sines those of
+    ``Q2 - Q1 (Q1^H Q2)`` (Bjorck & Golub 1973).  Each angle is taken from its
+    sine and cosine together, so angles near 0 are resolved from the sines,
+    where ``arccos`` of a cosine cannot go below about 1e-8.
+    """
+    q1, q2 = _orthonormal_columns(a), _orthonormal_columns(b)
+    if q1.shape[1] < q2.shape[1]:
+        q1, q2 = q2, q1
+    cross = q1.conj().T @ q2
+    cosines = np.linalg.svd(cross, compute_uv=False)
+    sines = np.linalg.svd(q2 - q1 @ cross, compute_uv=False)
+    # cosines fall and sines rise along the angles, smallest angle first
+    return np.arctan2(sines[::-1], cosines)[::-1]
+
+
 def transpose_convention_diagnostic(liou: Liouvillian) -> dict:
     """Compare the plain-transpose left kernel against the conjugate-transpose one.
 
@@ -285,9 +312,7 @@ def transpose_convention_diagnostic(liou: Liouvillian) -> dict:
     if left_conj.shape[0] != left_plain.shape[0]:
         return {"coincide": False, "max_principal_angle_rad": float(np.pi / 2),
                 "dim_conjugate": int(left_conj.shape[0]), "dim_plain": int(left_plain.shape[0])}
-    from scipy.linalg import subspace_angles  # slow to import; only `spectrum` needs it
-
-    angles = subspace_angles(left_conj.T, left_plain.T)
+    angles = principal_angles(left_conj.T, left_plain.T)
     max_angle = float(angles.max()) if angles.size else 0.0
     return {"coincide": bool(max_angle < 1e-9), "max_principal_angle_rad": max_angle,
             "dim_conjugate": int(left_conj.shape[0]), "dim_plain": int(left_plain.shape[0])}

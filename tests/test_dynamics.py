@@ -9,11 +9,11 @@ import pytest
 import scipy.linalg
 
 from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
-                       Trajectory, build_liouvillian, dark_basis, hs_distance,
+                       TraceViolation, Trajectory, build_liouvillian, dark_basis, hs_distance,
                        integrate_master, propagate_exact, recommended_duration, relax_closed,
-                       run_pulse, run_pulse_block, slowest_rate, verify_map)
-from darkpulse.dynamics import (DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _trajectory,
-                                write_trajectory_csv)
+                       run_pulse, run_pulse_block, run_sequence, slowest_rate, verify_map)
+from darkpulse.dynamics import (DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _ground_rotation,
+                                _trajectory, write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
 
 
@@ -264,6 +264,118 @@ class TestRunPulseBlock:
             assert traj.states.tobytes() == single.states.tobytes()
 
 
+def matched_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest distance between two eigenvalue lists, each ``a`` value matched to its own ``b``."""
+    unused = list(b)
+    gap = 0.0
+    for z in a:
+        j = int(np.argmin([abs(z - w) for w in unused]))
+        gap = max(gap, abs(z - unused.pop(j)))
+    return gap
+
+
+def one_key_steps(rng, envelope, n=3, **overrides):
+    """``n`` random pulses that share amplitude, detuning and envelope (one key)."""
+    first = random_field(rng, envelope=envelope, **overrides)
+    return [first] + [replace(random_field(rng, **overrides), omega_peak=first.omega_peak,
+                              delta=first.delta, envelope=envelope) for _ in range(n - 1)]
+
+
+class TestRunSequence:
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_generator_is_ground_rotation_of_canonical(self, rng, rates):
+        # W = U kron conj(U) carries the canonical generator (theta = phi = mu = xi = 0)
+        # to every field of the same amplitude, detuning and envelope, xi and delta
+        # nonzero, theta near 0 and pi included; the spectrum therefore does not move
+        thetas = [None] * 6 + [1e-9, 0.0, np.pi - 1e-9, np.pi]
+        for theta in thetas:
+            fp = random_field(rng) if theta is None else random_field(rng, theta=theta)
+            assert fp.xi != 0.0 and fp.delta != 0.0
+            canonical = FieldParams(theta=0.0, phi=0.0, mu_minus=0.0, mu_plus=0.0, xi=0.0,
+                                    omega_peak=fp.omega_peak, delta=fp.delta)
+            u = _ground_rotation(fp, canonical)
+            assert np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=1e-15)
+            w = np.kron(u, u.conj())
+            liou, liou_c = build_liouvillian(fp, rates), build_liouvillian(canonical, rates)
+            scale = np.linalg.norm(liou.m)
+            assert np.abs(liou.m - w @ liou_c.m @ w.conj().T).max() <= 1e-14 * scale
+            assert np.abs(liou.d - w @ liou_c.d).max() <= 1e-14 * scale
+            eigenvalues = np.linalg.eigvals(liou.m)
+            assert matched_gap(eigenvalues, np.linalg.eigvals(liou_c.m)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
+                             ids=["square", "sine_squared"])
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_snapshots_match_one_state_witnesses(self, rng, rates, envelope):
+        # every pulse, rotated ones included, against the witness run on that
+        # pulse's own generator from the same input state for the same duration:
+        # the exponential to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9)
+        steps = one_key_steps(rng, envelope, omega_peak=1.0)
+        states = [random_density(rng) for _ in range(2)]
+        inputs = states
+        bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
+        for fp, block in zip(steps, run_sequence(states, steps, rates, 1e-3)):
+            t_final = block[0].times[-1]
+            for rho0, traj in zip(inputs, block):
+                if envelope is Envelope.SQUARE:
+                    witness = propagate_exact(rho0, build_liouvillian(fp, rates), t_final)
+                else:
+                    witness = integrate_master(rho0, fp, rates, t_final)
+                assert np.array_equal(traj.times, witness.times)
+                assert np.abs(traj.states - witness.states).max() < bound
+            inputs = [traj.final for traj in block]
+
+    @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
+                             ids=["square", "sine_squared"])
+    def test_block_is_bit_identical_to_one_state_runs(self, rng, envelope):
+        steps = one_key_steps(rng, envelope, omega_peak=1.0)
+        states = [random_density(rng) for _ in range(3)]
+        blocks = run_sequence(states, steps, Rates.beta(), 1e-3)
+        for s, rho0 in enumerate(states):
+            for block, single in zip(blocks, run_sequence([rho0], steps, Rates.beta(), 1e-3)):
+                assert block[s].record == single[0].record
+                assert block[s].states.tobytes() == single[0].states.tobytes()
+
+    def test_pulses_of_one_key_share_duration_and_solve(self, rng):
+        # two keys interleaved: each key's first pulse sets its duration and
+        # makes its one solve; the key's later pulses reuse both
+        strong = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=1.0)
+        weak = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=0.5)
+        steps = [strong[0], weak[0], strong[1], weak[1]]
+        blocks = run_sequence([random_density(rng)], steps, Rates.alpha(), 1e-3)
+        durations = [block[0].times[-1] for block in blocks]
+        expected = [recommended_duration(build_liouvillian(fp, Rates.alpha()), 1e-3)
+                    for fp in steps[:2]]
+        assert durations == expected * 2
+        assert durations[0] != durations[1]
+        nfev = [block[0].record.nfev for block in blocks]
+        assert nfev[0] > 0 and nfev[1] > 0 and nfev[2:] == [0, 0]
+        assert {block[0].record.propagator for block in blocks} == {"rk45"}
+
+    def test_key_that_does_not_recur_integrates_its_states(self, rng):
+        # a lone time-dependent key has no pulse to share a propagator with: its
+        # states take their own RK45 solve, the one-state witness bit for bit
+        recurring = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=1.0)
+        lone = replace(random_field(rng), omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
+        blocks = run_sequence([random_density(rng)], [recurring[0], lone, recurring[1]],
+                              Rates.beta(), 1e-3)
+        witness = integrate_master(blocks[0][0].final, lone, Rates.beta(),
+                                   blocks[1][0].times[-1])
+        assert blocks[1][0].record == witness.record
+        assert blocks[1][0].states.tobytes() == witness.states.tobytes()
+        assert [block[0].record.nfev > 0 for block in blocks] == [True, True, False]
+
+    def test_empty_sequence_and_bad_arguments(self, rng):
+        fp = random_field(rng)
+        assert run_sequence([random_density(rng)], [], Rates.alpha(), 1e-6) == ()
+        with pytest.raises(ValueError):
+            run_sequence([random_density(rng)], [fp], Rates.alpha(), 1e-6, atol=0.0)
+        with pytest.raises(ValueError):
+            run_sequence([random_density(rng)], [fp], Rates.alpha(), 1.0)
+
+
 class TestSnapshotValidation:
     def test_record_matches_per_snapshot_values(self, rng):
         # per-snapshot loop as the oracle for the stacked eigenvalue and trace pass
@@ -342,13 +454,21 @@ class TestSnapshotValidation:
             assert not np.shares_memory(traj.states, block)
             assert traj.final.matrix.tobytes() == traj.states[-1].tobytes()
 
-    def test_trace_above_slack_raises_constructor_error(self, rng):
+    def test_trace_above_slack_raises_trace_violation(self, rng):
+        # an integrator error naming the state and the first time, like the
+        # positivity monitor, not the constructor's ValueError
         times = np.linspace(0.0, 1.0, 5)
-        snaps = np.stack([random_density(rng).matrix for _ in range(5)])
-        snaps[3] *= 1.0 + 1e-9  # above 1 + 100 * atol at atol 1e-12
-        with pytest.raises(ValueError, match=r"trace .* outside \(0, 1\]"):
-            _trajectory(times, snaps.reshape(1, 5, 16), 1e-12, "exact", 0)
-        _trajectory(times, snaps.reshape(1, 5, 16), 1e-10, "exact", 0)
+        snaps = np.stack([random_density(rng).matrix for _ in range(10)]).reshape(2, 5, 4, 4)
+        snaps[1, 3] *= 1.0 + 1e-9  # above 1 + 100 * atol at atol 1e-12
+        snaps[1, 4] *= 1.0 + 1e-6
+        with pytest.raises(TraceViolation, match=r"^state 1: snapshot at t=0\.75 has trace "
+                                                 r"1\.000000001 outside \(0, 1 \+ 1\.000e-10\]"):
+            _trajectory(times, snaps.reshape(2, 5, 16), 1e-12, "exact", 0)
+        snaps[1, 4] /= 1.0 + 1e-6
+        _trajectory(times, snaps.reshape(2, 5, 16), 1e-10, "exact", 0)
+        snaps[0, 2] = 0.0  # positive semidefinite, but a trace of 0 is outside too
+        with pytest.raises(TraceViolation, match=r"^state 0: snapshot at t=0\.5 has trace 0\.0 "):
+            _trajectory(times, snaps.reshape(2, 5, 16), 1e-10, "exact", 0)
 
 
 class TestRecommendedDuration:

@@ -9,7 +9,8 @@ from darkpulse import (FieldParams, Liouvillian, Mode, Rates, UnexpectedDimensio
                        dark_basis, slowest_rate, steady_affine, unvec, vec,
                        zero_subspace)
 from darkpulse.core import build_hamiltonian
-from darkpulse.liouville import _relaxation_part, transpose_convention_diagnostic
+from darkpulse.liouville import (_relaxation_part, principal_angles,
+                                 transpose_convention_diagnostic)
 from conftest import random_field
 
 
@@ -299,3 +300,59 @@ class TestTransposeDiagnostic:
         fp = FieldParams(theta=0.8, phi=0.6, mu_minus=0.0, mu_plus=0.0, xi=0.0)
         result = transpose_convention_diagnostic(build_liouvillian(fp, Rates.alpha()))
         assert result["coincide"]
+
+
+def subspaces_at_angles(rng, angles, extra=0, n=16):
+    """Column bases of C^n whose principal angles are exactly ``angles``.
+
+    ``b_i = cos(t_i) x_i + sin(t_i) y_i`` over orthonormal x and y; the second
+    basis gets ``extra`` more columns orthogonal to both, and both are mixed
+    by random invertible matrices so neither arrives orthonormal.
+    """
+    k = len(angles)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    x, y, z = q[:, :k], q[:, k:2 * k], q[:, 2 * k:2 * k + extra]
+    t = np.asarray(angles)
+    b = np.hstack([np.cos(t) * x + np.sin(t) * y, z])
+    mix = lambda m: m @ (rng.normal(size=(m.shape[1],) * 2) + 2.0 * np.eye(m.shape[1]))
+    return mix(x), mix(b)
+
+
+class TestPrincipalAngles:
+    """The numpy angles against ``scipy.linalg.subspace_angles``, the oracle."""
+
+    @pytest.mark.parametrize("dims", [(4, 4), (3, 5), (5, 3), (1, 1)])
+    def test_matches_scipy_on_random_subspaces(self, rng, dims):
+        for _ in range(10):
+            a = rng.normal(size=(16, dims[0])) + 1j * rng.normal(size=(16, dims[0]))
+            b = rng.normal(size=(16, dims[1])) + 1j * rng.normal(size=(16, dims[1]))
+            angles = principal_angles(a, b)
+            assert angles.shape == (min(dims),)
+            assert np.all(np.diff(angles) <= 0.0)
+            assert np.abs(angles - scipy.linalg.subspace_angles(a, b)).max() < 1e-13
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    @pytest.mark.parametrize("smallest", [1e-6, 2e-9, 5e-10, 1e-12])
+    def test_resolves_near_coincident_subspaces(self, rng, smallest, extra):
+        # the 1e-9 coincidence threshold needs angles far below arccos's ~1e-8 floor
+        exact = np.array([smallest, 0.5 * smallest, 0.0])
+        a, b = subspaces_at_angles(rng, exact, extra)
+        angles = principal_angles(a, b)
+        oracle = scipy.linalg.subspace_angles(a, b)
+        assert np.abs(angles - exact).max() < 1e-14
+        assert np.abs(angles - oracle).max() < 1e-14
+        assert bool(angles.max() < 1e-9) is (smallest < 1e-9)
+
+    def test_resolves_near_orthogonal_subspaces(self, rng):
+        exact = np.array([np.pi / 2, np.pi / 2 - 1e-10, 1.2, 0.3])
+        a, b = subspaces_at_angles(rng, exact)
+        assert np.abs(principal_angles(a, b) - exact).max() < 1e-13
+        assert np.abs(principal_angles(a, b) - scipy.linalg.subspace_angles(a, b)).max() < 1e-7
+
+    def test_zero_subspace_spans_match_scipy(self, rng):
+        # the two uses in the spectrum command, both regimes
+        for rates in (Rates.alpha(), Rates.beta()):
+            liou = build_liouvillian(random_field(rng), rates)
+            sub = zero_subspace(liou)
+            oracle = scipy.linalg.subspace_angles(sub.right.T, sub.left.T)
+            assert np.abs(principal_angles(sub.right.T, sub.left.T) - oracle).max() < 1e-13
