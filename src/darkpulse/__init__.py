@@ -10,8 +10,7 @@ pulse-sequence optimizer (:mod:`optimize`), and the CLI (:mod:`cli`).
 from .core import (DarkBasis, DensityOperator, Envelope, FieldParams, Mode, TargetState,
                    bloch_coords, build_hamiltonian, dark_basis, embed_ground, field_for_span)
 from .dynamics import (PulseRecord, Trajectory, integrate_master, propagate_exact,
-                       recommended_duration, run_pulse, run_pulse_block, run_sequence,
-                       verify_map)
+                       recommended_duration, run_sequence, verify_map)
 from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, DegenerateSpan,
                      NegativeRadicand, PositivityViolation, SingularSystem,
                      StepSizeUnderflow, TraceMismatch, TraceViolation,
@@ -38,7 +37,7 @@ __all__ = [
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
     "propagate_exact", "purity_sweep", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
-    "repump_steady_state", "run_pulse", "run_pulse_block", "run_sequence",
+    "repump_steady_state", "run_sequence",
     "sequence_affine", "sequence_objective", "slowest_rate", "steady_affine", "unvec", "vec",
     "verify_map", "zero_subspace",
 ]

@@ -121,7 +121,6 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
             for i in range(len(initial))]
     per_pulse = run_sequence(initial, steps, cfg.rates, cfg.integrator.residual,
                              rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
-    finals = initial
     for l, (fp, trajectories) in enumerate(zip(steps, per_pulse)):
         basis = dark_basis(fp)
         for row, traj in zip(rows, trajectories):
@@ -130,9 +129,9 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
             row["durations"].append(float(traj.times[-1]))
             row["trajectories"].append(path.name)
             row["pulses"].append(traj.record._asdict())
-        finals = [traj.final for traj in trajectories]
 
     target = cfg.target.density_matrix().matrix
+    finals = [traj.final for traj in per_pulse[-1]] if per_pulse else initial
     ode = np.stack([rho.matrix for rho in finals])
     mapped = compose_sequence(np.stack([rho.matrix for rho in initial]), steps)
     columns = {"hs_ode_vs_map": hs_distance(ode, mapped),
@@ -163,17 +162,14 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int) -
     angles[:, 0] = rng.uniform(0.0, np.pi, size=n_states)
     states = random_pure_states(n_states, [seed, 3])
 
-    rows = []
-    for i in range(n_states):
-        fp = FieldParams(theta=angles[i, 0], phi=angles[i, 1], mu_minus=angles[i, 2],
-                         mu_plus=angles[i, 3], omega_peak=cfg.omega_peak,
-                         envelope=cfg.envelope)
-        distance = verify_map(DensityOperator.pure(states[i]), fp, cfg.rates,
-                              cfg.integrator.residual, rtol=cfg.integrator.rtol,
-                              atol=cfg.integrator.atol)
-        rows.append({"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
-                     "mu_plus": fp.mu_plus, "distance": distance})
-    distances = np.array([r["distance"] for r in rows])
+    fields = [FieldParams(theta=a[0], phi=a[1], mu_minus=a[2], mu_plus=a[3],
+                          omega_peak=cfg.omega_peak, envelope=cfg.envelope) for a in angles]
+    distances = verify_map([DensityOperator.pure(psi) for psi in states], fields, cfg.rates,
+                           cfg.integrator.residual, rtol=cfg.integrator.rtol,
+                           atol=cfg.integrator.atol)
+    rows = [{"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
+             "mu_plus": fp.mu_plus, "distance": float(distance)}
+            for i, (fp, distance) in enumerate(zip(fields, distances))]
     doc = {
         "mode": cfg.mode.value,
         "propagator": propagator_name(cfg.envelope),

@@ -7,30 +7,26 @@ constant, so :func:`propagate_exact` takes the exact snapshots from one matrix
 exponential.  Time-dependent envelopes are integrated by
 :func:`integrate_master` with an embedded adaptive Runge-Kutta pair
 (Dormand-Prince 5(4)) under local error control; it accepts square pulses too.
-These two are the one-state witnesses of :func:`run_sequence`.
+These two are the one-state witnesses of :func:`run_sequence`, which drives a
+block of states through a sequence, and :func:`verify_map`, which drives a
+batch of cases, each state through its own field.
 
-:func:`run_sequence` drives a block of states through a whole sequence.  The
-relaxation part of the generator is invariant under ground-space unitaries,
-so two pulses that share ``(omega_peak, delta, envelope)`` (a key) differ only
-by a ground rotation ``U``: ``M(fp) = W M_ref W^dagger`` with
-``W = U kron conj(U)``.  The first pulse of each key is its reference: it gets
-the key's one duration and its one propagator, the exponential step of a
-square pulse or, for other envelopes, one RK45 solve of the 17-column
-propagator at its 65 snapshot times.  Every pulse of the key then maps a state
-as ``rho(t_k) = U P_k[U^dagger rho U] U^dagger`` on the 4x4 stack; the
-reference pulse itself takes ``U = 1``.  A time-dependent pulse whose key does
-not recur has nothing to share, so its states are integrated directly.  So
-one state through one pulse (:func:`run_pulse`) is its witness bit for bit.
-A pulse record charges the solve's right-hand-side evaluations
-(``nfev``) to the pulse that made it and 0 to the pulses that reuse it.  The
-propagator lives for one call: nothing is kept between calls.
+Both share propagators through one key table.  The relaxation part of the
+generator is invariant under ground-space unitaries, so fields that share
+``(omega_peak, delta, envelope)`` (a key) differ only by a ground rotation
+``U``, ``M(fp) = W M_ref W^dagger`` with ``W = U kron conj(U)``, and share their
+spectrum.  The first field of a key in a call is its reference: it sets the
+key's duration and makes its propagator (a square pulse's exponential step or
+one RK45 solve of the 17-column propagator), which every field of the key
+applies as ``rho(t_k) = U P_k[U^dagger rho U] U^dagger`` (``U = 1`` for the
+reference).  A time-dependent key that does not recur integrates its states
+directly.  Nothing is kept between calls.
 
 Pulse durations come from the spectral gap: driving for
 ``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the endpoint
 and the analytic relaxation map at roughly the requested residual, which
-:func:`verify_map` measures directly.  The spectrum is the same for every
-pulse of a key, so one duration serves them all.  The map is the same in both
-relaxation regimes; only the driven dynamics differ.
+:func:`verify_map` measures directly.  The map is the same in both relaxation
+regimes; only the driven dynamics differ.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ __all__ = [
     "propagate_exact",
     "propagator_name",
     "recommended_duration",
-    "run_pulse",
-    "run_pulse_block",
     "run_sequence",
     "verify_map",
     "write_trajectory_csv",
@@ -69,7 +63,7 @@ MIN_SNAPSHOTS = 65
 def __getattr__(name: str):
     # scipy.integrate costs most of a second to import and only time-dependent
     # envelopes use it, so solve_ivp is loaded on first use and kept as a module
-    # global; _integrate calls it through the module, so a rebinding is seen
+    # global; _solve calls it through the module, so a rebinding is seen
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         globals()["solve_ivp"] = solve_ivp
@@ -149,60 +143,68 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
-                nfev: int) -> tuple[Trajectory, ...]:
-    """Symmetrize an (S, n, 16) or (S, n, 4, 4) block of snapshots and validate it as one stack.
+def _symmetrized(snapshots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (S, n, 16) or (S, n, 4, 4) block of snapshots symmetrized against roundoff.
 
-    Returns one trajectory per state, holding its slice of one read-only copy
-    of the block.  Hermiticity is preserved by the flow, so snapshots are
-    symmetrized only against roundoff.  Positivity and the trace are monitored,
-    not enforced, because the repump term is not of Lindblad form: the earliest
-    snapshot with an eigenvalue below ``-100 * atol`` raises
-    :class:`PositivityViolation`, and the earliest with a trace outside
-    ``(0, 1 + slack]`` raises :class:`TraceViolation`, naming its state and
-    time.  The same eigenvalues decide every PSD check.
+    Returns the read-only (S, n, 4, 4) stack with its smallest eigenvalues and
+    its traces, each (S, n); the flow itself preserves Hermiticity.
     """
-    n_states, n = snapshots.shape[:2]
-    snaps = snapshots.reshape(n_states, n, 4, 4)
+    snaps = snapshots.reshape(*snapshots.shape[:2], 4, 4)
     snaps = 0.5 * (snaps + snaps.swapaxes(-1, -2).conj())
-    floor = -100.0 * atol
-    min_eigs = np.linalg.eigvalsh(snaps)[..., 0]
+    min_eigs, traces = np.linalg.eigvalsh(snaps)[..., 0], np.trace(snaps, axis1=-2, axis2=-1).real
+    # C-contiguous, so the CSV trace column sums in one order; an RK45 block is not
+    stack = np.ascontiguousarray(snaps)
+    stack.setflags(write=False)
+    return stack, min_eigs, traces
+
+
+def _monitor(times: np.ndarray, min_eigs: np.ndarray, traces: np.ndarray, atol: float) -> dict:
+    """Check the smallest eigenvalues and traces of S states' snapshots, each (S, n).
+
+    ``times`` holds the n times of every state, or a row per state.  Positivity
+    and the trace are monitored, not enforced (the repump term is not of
+    Lindblad form): the earliest eigenvalue below ``-100 * atol`` or trace
+    outside ``(0, 1 + slack]`` raises :class:`PositivityViolation` or
+    :class:`TraceViolation`, naming the state's index and the time.  Returns
+    the tolerances a final state is constructed with.
+    """
+    times = np.broadcast_to(times, min_eigs.shape)
+    # the trace slack scales with the integrator tolerance like the floor
+    floor, slack = -100.0 * atol, max(DensityOperator.TRACE_TOL, 100.0 * atol)
     below = np.argwhere(min_eigs.T < floor)
     if below.size:
         k, s = below[0]
-        raise PositivityViolation(f"state {s}: snapshot at t={times[k]:.6g} has eigenvalue "
+        raise PositivityViolation(f"state {s}: snapshot at t={times[s, k]:.6g} has eigenvalue "
                                   f"{min_eigs[s, k]:.3e} < {floor:.3e}")
-    # the trace slack scales with the integrator tolerance, mirroring the
-    # positivity monitor; the exact flow keeps trace <= 1 in both regimes
-    slack = max(DensityOperator.TRACE_TOL, 100.0 * atol)
-    traces = np.trace(snaps, axis1=-2, axis2=-1).real
     if not (traces.min() > 0.0 and traces.max() <= 1.0 + slack):
         k, s = np.argwhere(~((traces > 0.0) & (traces <= 1.0 + slack)).T)[0]
-        raise TraceViolation(f"state {s}: snapshot at t={times[k]:.6g} has trace "
+        raise TraceViolation(f"state {s}: snapshot at t={times[s, k]:.6g} has trace "
                              f"{float(traces[s, k])!r} outside (0, 1 + {slack:.3e}]")
-    tols = dict(psd_tol=-floor, trace_tol=slack)
-    trace_errors = np.abs(traces - 1.0).max(axis=1)
-    # C-contiguous, so the CSV trace column sums in one order; an RK45 block is not
-    stack = np.ascontiguousarray(snaps)
-    DensityOperator.validate(stack, **tols, min_eigenvalue=min_eigs.min())
-    stack.setflags(write=False)
+    return dict(psd_tol=-floor, trace_tol=slack)
+
+
+def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
+                nfev: int) -> tuple[Trajectory, ...]:
+    """One trajectory per state of a block of snapshots that passes :func:`_monitor`."""
+    stack, min_eigs, traces = _symmetrized(snapshots)
+    tols = _monitor(times, min_eigs, traces, atol)
     return tuple(Trajectory(times=times, states=stack[s],
                             final=DensityOperator(stack[s, -1], **tols,
                                                   min_eigenvalue=min_eigs[s, -1]),
                             record=PulseRecord(propagator, nfev, float(min_eigs[s].min()),
-                                               float(trace_errors[s])))
-                 for s in range(n_states))
+                                               float(np.abs(traces[s] - 1.0).max())))
+                 for s in range(len(stack)))
 
 
 def _solve(fp: FieldParams, on: Liouvillian, t_final: float, y0: np.ndarray, feed: np.ndarray,
-           rtol: float, atol: float) -> tuple[np.ndarray, np.ndarray, int]:
+           rtol: float, atol: float) -> tuple[np.ndarray, int]:
     """RK45 of ``dY/dt = (M0 + E(t) Mdrive) Y + feed`` through one pulse, in one ``solve_ivp``.
 
     ``on`` is the generator at envelope 1, ``fp`` carries the envelope, which
     runs over ``t_final``; ``y0`` is a (16, n) block and ``feed`` broadcasts
     against it.  The error norm is taken over the whole block.  Returns the
-    snapshot times, the (16, n, 65) snapshots and the number of right-hand-side
-    evaluations.
+    (16, n, 65) snapshots at ``linspace(0, t_final, 65)`` and the number of
+    right-hand-side evaluations.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -222,15 +224,7 @@ def _solve(fp: FieldParams, on: Liouvillian, t_final: float, y0: np.ndarray, fee
                                           rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
         raise StepSizeUnderflow(f"integrator failed: {sol.message}")
-    return sol.t.copy(), sol.y.reshape(*y0.shape, -1), int(sol.nfev)
-
-
-def _integrate(states, fp: FieldParams, on: Liouvillian, t_final: float, rtol: float,
-               atol: float) -> tuple[Trajectory, ...]:
-    """RK45 through one pulse for a block of states; see :func:`_solve`."""
-    y0 = np.stack([state.matrix.reshape(16) for state in states], axis=1)
-    times, snapshots, nfev = _solve(fp, on, t_final, y0, on.d[:, None], rtol, atol)
-    return _trajectory(times, snapshots.transpose(1, 2, 0), atol, "rk45", nfev)
+    return sol.y.reshape(*y0.shape, -1), int(sol.nfev)
 
 
 def _step(liou: Liouvillian, t_final: float) -> np.ndarray:
@@ -264,16 +258,6 @@ def _snapshots(propagator: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return y[:, :, :16, 0].transpose(1, 0, 2)
 
 
-def _propagate(states, liou: Liouvillian, t_final: float, atol: float) -> tuple[Trajectory, ...]:
-    """Exact snapshots of one square pulse for a block of states; see :func:`propagate_exact`."""
-    if atol <= 0:
-        raise ValueError("atol must be positive")
-    step = _step(liou, t_final)
-    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS),
-                       _snapshots(step, np.stack([state.matrix for state in states])),
-                       atol, "exact", 0)
-
-
 def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
                      t_final: float, rtol: float = DEFAULT_RTOL,
                      atol: float = DEFAULT_ATOL) -> Trajectory:
@@ -291,7 +275,11 @@ def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
     TraceViolation
         If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
     """
-    return _integrate([rho0], fp, build_liouvillian(fp, rates, 1.0), t_final, rtol, atol)[0]
+    liou = build_liouvillian(fp, rates, 1.0)
+    snapshots, nfev = _solve(fp, liou, t_final, rho0.matrix.reshape(16, 1), liou.d[:, None],
+                             rtol, atol)
+    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS), snapshots.transpose(1, 2, 0),
+                       atol, "rk45", nfev)[0]
 
 
 def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
@@ -311,7 +299,10 @@ def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
     TraceViolation
         If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
     """
-    return _propagate([rho0], liou, t_final, atol)[0]
+    if atol <= 0:
+        raise ValueError("atol must be positive")
+    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS),
+                       _snapshots(_step(liou, t_final), rho0.matrix[None]), atol, "exact", 0)[0]
 
 
 def propagator_name(envelope: Envelope) -> str:
@@ -332,36 +323,70 @@ def _ground_frame(fp: FieldParams) -> np.ndarray:
     return np.column_stack([basis.n1, basis.n2, np.exp(1j * fp.xi) * basis.phi_perp])
 
 
-def _ground_rotation(fp: FieldParams, reference: FieldParams) -> np.ndarray:
-    """The 4x4 unitary ``U`` with ``H(fp) = U H(reference) U^dagger``, identity on ``|e>``.
+class _Key(NamedTuple):
+    """A key's first field and its inverse ground frame, generator, times and propagator."""
 
-    ``U = V(fp) V(reference)^dagger`` on the ground space, with ``V`` from
-    :func:`_ground_frame`; the two fields must share amplitude, detuning and
-    envelope.  The relaxation part commutes with ``U``, so the generators obey
-    ``M(fp) = W M(reference) W^dagger`` with ``W = U kron conj(U)``.
+    first: int
+    reference: FieldParams
+    frame: np.ndarray
+    liou: Liouvillian
+    times: np.ndarray
+    propagator: np.ndarray | None
+    nfev: int
+
+
+def _key_table(fields, rates: Rates, residual: float, rtol: float, atol: float) -> list[_Key]:
+    """The key of each field: the only place that decides which fields share a propagator.
+
+    A square key's propagator is the (17, 17) exponential step; any other
+    key's, the (65, 16, 17) snapshots of one RK45 solve of ``[Phi | c]`` from
+    ``[1 | 0]`` (the homogeneous flow and the repump feed's response).  A
+    time-dependent key that occurs once gets None: with no field to reuse it,
+    that solve costs more than its states' own.
     """
+    if atol <= 0:
+        raise ValueError("atol must be positive")
+    keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in fields]
+    table = {}
+    for i, (fp, key) in enumerate(zip(fields, keys)):
+        if key in table:
+            continue
+        liou = build_liouvillian(fp, rates, 1.0)
+        t_final = recommended_duration(liou, residual)
+        propagator, nfev = None, 0
+        if propagator_name(fp.envelope) == "exact":
+            propagator = _step(liou, t_final)
+        elif keys.count(key) > 1:
+            feed = np.column_stack([np.zeros((16, 16), dtype=complex), liou.d])
+            propagator, nfev = _solve(fp, liou, t_final, np.eye(16, 17, dtype=complex), feed,
+                                      rtol, atol)
+            propagator = propagator.transpose(2, 0, 1)
+        table[key] = _Key(i, fp, _ground_frame(fp).conj().T, liou,
+                          np.linspace(0.0, t_final, MIN_SNAPSHOTS), propagator, nfev)
+    return [table[key] for key in keys]
+
+
+def _drive(key: _Key, fp: FieldParams, matrices: np.ndarray, rtol: float,
+           atol: float) -> tuple[np.ndarray, int]:
+    """The (S, 65, 16) snapshots of an (S, 4, 4) stack driven through ``fp``, a field of ``key``.
+
+    Unless ``fp`` is the key's reference, the states are rotated into its frame
+    and each snapshot back, ``U P_k[U^dagger rho U] U^dagger`` with the ground
+    rotation ``U = V(fp) V(reference)^dagger`` (:func:`_ground_frame`).
+    Without a propagator the states take one RK45 solve, whose ``nfev`` is
+    returned (else 0).
+    """
+    if key.propagator is None:
+        snapshots, nfev = _solve(fp, key.liou, key.times[-1], matrices.reshape(-1, 16).T,
+                                 key.liou.d[:, None], rtol, atol)
+        return snapshots.transpose(1, 2, 0), nfev
+    if fp is key.reference:
+        return _snapshots(key.propagator, matrices), 0
     u = np.eye(4, dtype=complex)
-    u[:3, :3] = _ground_frame(fp) @ _ground_frame(reference).conj().T
-    return u
-
-
-def _reference_propagator(fp: FieldParams, liou: Liouvillian, t_final: float, rtol: float,
-                          atol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The snapshot times, propagator and ``nfev`` of ``fp`` driven for ``t_final``.
-
-    ``liou`` is the generator of ``fp`` at envelope 1.  A square pulse gives
-    its (17, 17) exponential step and 0 evaluations; any other envelope one
-    RK45 solve of the (16, 17) block ``[Phi | c]`` from ``[1 | 0]``, where
-    ``Phi`` is the homogeneous flow and ``c`` the repump feed's response, at
-    the states' ``rtol`` and ``atol``.
-    """
-    if propagator_name(fp.envelope) == "exact":
-        return np.linspace(0.0, t_final, MIN_SNAPSHOTS), _step(liou, t_final), 0
-    feed = np.zeros((16, 17), dtype=complex)
-    feed[:, 16] = liou.d
-    times, snapshots, nfev = _solve(fp, liou, t_final, np.eye(16, 17, dtype=complex), feed,
-                                    rtol, atol)
-    return times, snapshots.transpose(2, 0, 1), nfev
+    u[:3, :3] = _ground_frame(fp) @ key.frame
+    u_dag = u.conj().T
+    rotated = _snapshots(key.propagator, u_dag @ matrices @ u)
+    return (u @ rotated.reshape(-1, MIN_SNAPSHOTS, 4, 4) @ u_dag).reshape(rotated.shape), 0
 
 
 def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
@@ -369,71 +394,42 @@ def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEF
     """Drive a block of states through a sequence of pulses, each for its key's duration.
 
     Returns one tuple of trajectories per pulse, one trajectory per state in
-    order; each pulse starts from the previous pulse's final states.  The
-    first pulse of each ``(omega_peak, delta, envelope)`` key makes the key's
-    propagator (:func:`_reference_propagator`); every other pulse of the key
-    rotates the states into the reference frame, applies it, and rotates each
-    snapshot back (:func:`_ground_rotation`).  The propagators are local to
-    this call.  A time-dependent pulse whose key does not recur integrates
-    its states directly instead: with no pulse to reuse it, the 17-column
-    propagator costs more than the states' own solve.
+    order; each pulse starts from the previous pulse's final states.  A record
+    charges a solve's evaluations to the pulse that made it, 0 to the others.
     """
-    if atol <= 0:
-        raise ValueError("atol must be positive")
-    keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in steps]
-    references = {}
     out = []
-    for fp, key in zip(steps, keys):
-        nfev = 0
-        if key not in references:
-            liou = build_liouvillian(fp, rates, 1.0)
-            t_final = recommended_duration(liou, residual)
-            if propagator_name(fp.envelope) == "rk45" and keys.count(key) == 1:
-                out.append(_integrate(states, fp, liou, t_final, rtol, atol))
-                states = [traj.final for traj in out[-1]]
-                continue
-            times, propagator, nfev = _reference_propagator(fp, liou, t_final, rtol, atol)
-            references[key] = (fp, times, propagator)
-        reference, times, propagator = references[key]
-        matrices = np.stack([state.matrix for state in states])
-        if fp is reference:
-            snapshots = _snapshots(propagator, matrices)
-        else:
-            u = _ground_rotation(fp, reference)
-            u_dag = u.conj().T
-            rotated = _snapshots(propagator, u_dag @ matrices @ u)
-            snapshots = u @ rotated.reshape(len(matrices), MIN_SNAPSHOTS, 4, 4) @ u_dag
-        out.append(_trajectory(times, snapshots, atol, propagator_name(fp.envelope), nfev))
+    for i, (fp, key) in enumerate(zip(steps, _key_table(steps, rates, residual, rtol, atol))):
+        snapshots, nfev = _drive(key, fp, np.stack([state.matrix for state in states]),
+                                 rtol, atol)
+        nfev += key.nfev if i == key.first else 0
+        out.append(_trajectory(key.times, snapshots, atol, propagator_name(fp.envelope), nfev))
         states = [traj.final for traj in out[-1]]
     return tuple(out)
 
 
-def run_pulse_block(states, fp: FieldParams, rates: Rates, residual: float,
-                    rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL) -> tuple[Trajectory, ...]:
-    """Drive a block of states through one pulse: :func:`run_sequence` of ``[fp]``."""
-    return run_sequence(states, [fp], rates, residual, rtol=rtol, atol=atol)[0]
+def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
+               atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """Distances between driven endpoints and the analytic relaxation map, one per case.
 
-
-def run_pulse(rho0: DensityOperator, fp: FieldParams, rates: Rates, residual: float,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
-    """:func:`run_pulse_block` for one state."""
-    return run_pulse_block([rho0], fp, rates, residual, rtol=rtol, atol=atol)[0]
-
-
-def verify_map(rho0: DensityOperator, fp: FieldParams, rates: Rates,
-               residual: float, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL) -> float:
-    """Distance between the driven endpoint and the analytic relaxation map.
-
-    Drives the dynamics of ``rates`` through :func:`run_pulse` for the
-    recommended duration at the given residual (the exact propagator for a
-    square pulse, RK45 for a time-dependent envelope) and returns the
-    Hilbert-Schmidt distance between the endpoint and the relaxation map,
-    which both regimes share.
+    Case ``s`` drives ``states[s]`` through ``fields[s]`` for its key's
+    duration at ``residual``, sharing propagators as :func:`run_sequence`
+    does, and is compared with the relaxation map, which both regimes share.
+    One case's snapshots are held at a time, and the eigenvalues and traces of
+    all cases are monitored as one block, so an integrator error names a case
+    by its index in the batch.
     """
-    traj = run_pulse(rho0, fp, rates, residual, rtol=rtol, atol=atol)
-    return hs_distance(traj.final.matrix, relax_closed(rho0, dark_basis(fp)).matrix)
+    if len(states) != len(fields):
+        raise ValueError("verify_map needs one field per state")
+    table = _key_table(fields, rates, residual, rtol, atol)
+    finals = np.empty((len(table), 4, 4), dtype=complex)
+    min_eigs, traces = np.empty((2, len(table), MIN_SNAPSHOTS))
+    for s, (state, fp, key) in enumerate(zip(states, fields, table)):
+        stack, min_eigs[s], traces[s] = _symmetrized(_drive(key, fp, state.matrix[None],
+                                                            rtol, atol)[0])
+        finals[s] = stack[0, -1]
+    _monitor(np.stack([key.times for key in table]), min_eigs, traces, atol)
+    return hs_distance(finals, np.stack([relax_closed(state, dark_basis(fp)).matrix
+                                         for state, fp in zip(states, fields)]))
 
 
 def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:

@@ -11,9 +11,9 @@ import scipy.linalg
 from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
                        TraceViolation, Trajectory, build_liouvillian, dark_basis, hs_distance,
                        integrate_master, propagate_exact, recommended_duration, relax_closed,
-                       run_pulse, run_pulse_block, run_sequence, slowest_rate, verify_map)
-from darkpulse.dynamics import (DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _ground_rotation,
-                                _trajectory, write_trajectory_csv)
+                       run_sequence, slowest_rate, verify_map)
+from darkpulse.dynamics import (DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _ground_frame, _monitor,
+                                _symmetrized, _trajectory, write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
 
 
@@ -211,59 +211,6 @@ class TestPadeExpm:
             _expm(np.full((3, 3), np.nan))
 
 
-class TestRunPulse:
-    def test_square_takes_exact_path(self, rng):
-        fp = random_field(rng, omega_peak=1.0)
-        rho0 = random_density(rng)
-        rates = Rates.beta()
-        liou = build_liouvillian(fp, rates)
-        traj = run_pulse(rho0, fp, rates, 1e-6)
-        direct = propagate_exact(rho0, liou, recommended_duration(liou, 1e-6))
-        assert traj.record.propagator == "exact" and traj.record.nfev == 0
-        assert traj.times[-1] == recommended_duration(liou, 1e-6)
-        assert np.array_equal(traj.final.matrix, direct.final.matrix)
-
-    def test_sine_squared_takes_rk45(self, rng):
-        fp = random_field(rng, omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
-        rho0 = random_density(rng)
-        t_final = recommended_duration(build_liouvillian(fp, Rates.alpha()), 1e-6)
-        traj = run_pulse(rho0, fp, Rates.alpha(), 1e-6)
-        direct = integrate_master(rho0, fp, Rates.alpha(), t_final)
-        assert traj.record.propagator == "rk45" and traj.record.nfev > 0
-        assert traj.record == direct.record
-        assert np.array_equal(traj.final.matrix, direct.final.matrix)
-
-
-class TestRunPulseBlock:
-    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
-                             ids=["alpha", "beta"])
-    def test_sine_block_matches_one_state_solves(self, rng, rates):
-        # one RK45 solve for 4 states against 4 one-state solves; the block's
-        # error norm spans all states, so the two agree to the integrator's
-        # tolerance, not bit for bit (measured below 4e-11)
-        fp = random_field(rng, omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
-        states = [random_density(rng) for _ in range(4)]
-        block = run_pulse_block(states, fp, rates, 1e-6)
-        t_final = block[0].times[-1]
-        assert len(block) == 4
-        assert len({traj.record.nfev for traj in block}) == 1
-        for rho0, traj in zip(states, block):
-            single = integrate_master(rho0, fp, rates, t_final)
-            assert np.array_equal(traj.times, single.times)
-            gap = np.abs(traj.states - single.states).max()
-            assert gap < 1e-9
-
-    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
-                             ids=["alpha", "beta"])
-    def test_square_block_is_bit_identical_to_one_state_runs(self, rng, rates):
-        fp = random_field(rng, omega_peak=1.0)
-        states = [random_density(rng) for _ in range(3)]
-        for rho0, traj in zip(states, run_pulse_block(states, fp, rates, 1e-8)):
-            single = run_pulse(rho0, fp, rates, 1e-8)
-            assert traj.record == single.record
-            assert traj.states.tobytes() == single.states.tobytes()
-
-
 def matched_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest distance between two eigenvalue lists, each ``a`` value matched to its own ``b``."""
     unused = list(b)
@@ -294,7 +241,8 @@ class TestRunSequence:
             assert fp.xi != 0.0 and fp.delta != 0.0
             canonical = FieldParams(theta=0.0, phi=0.0, mu_minus=0.0, mu_plus=0.0, xi=0.0,
                                     omega_peak=fp.omega_peak, delta=fp.delta)
-            u = _ground_rotation(fp, canonical)
+            u = np.eye(4, dtype=complex)
+            u[:3, :3] = _ground_frame(fp) @ _ground_frame(canonical).conj().T
             assert np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=1e-15)
             w = np.kron(u, u.conj())
             liou, liou_c = build_liouvillian(fp, rates), build_liouvillian(canonical, rates)
@@ -330,13 +278,47 @@ class TestRunSequence:
     @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
                              ids=["square", "sine_squared"])
     def test_block_is_bit_identical_to_one_state_runs(self, rng, envelope):
-        steps = one_key_steps(rng, envelope, omega_peak=1.0)
+        for rates in (Rates.alpha(), Rates.beta()):
+            steps = one_key_steps(rng, envelope, omega_peak=1.0)
+            states = [random_density(rng) for _ in range(3)]
+            blocks = run_sequence(states, steps, rates, 1e-3)
+            for s, rho0 in enumerate(states):
+                for block, single in zip(blocks, run_sequence([rho0], steps, rates, 1e-3)):
+                    assert block[s].record == single[0].record
+                    assert block[s].states.tobytes() == single[0].states.tobytes()
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_square_pulse_is_its_exact_witness(self, rng, rates):
+        # a pulse that is its key's reference takes the exact step unrotated, so
+        # every state equals propagate_exact on its own, bit for bit
+        fp = random_field(rng, omega_peak=1.0)
+        liou = build_liouvillian(fp, rates)
         states = [random_density(rng) for _ in range(3)]
-        blocks = run_sequence(states, steps, Rates.beta(), 1e-3)
-        for s, rho0 in enumerate(states):
-            for block, single in zip(blocks, run_sequence([rho0], steps, Rates.beta(), 1e-3)):
-                assert block[s].record == single[0].record
-                assert block[s].states.tobytes() == single[0].states.tobytes()
+        block, = run_sequence(states, [fp], rates, 1e-6)
+        for rho0, traj in zip(states, block):
+            direct = propagate_exact(rho0, liou, recommended_duration(liou, 1e-6))
+            assert traj.record == direct.record and traj.record.propagator == "exact"
+            assert traj.times[-1] == recommended_duration(liou, 1e-6)
+            assert traj.states.tobytes() == direct.states.tobytes()
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_lone_sine_block_matches_one_state_solves(self, rng, rates):
+        # one RK45 solve for 4 states against 4 one-state solves; the block's
+        # error norm spans all states, so the two agree to the integrator's
+        # tolerance, not bit for bit (measured below 4e-11)
+        fp = random_field(rng, omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
+        states = [random_density(rng) for _ in range(4)]
+        block, = run_sequence(states, [fp], rates, 1e-6)
+        t_final = block[0].times[-1]
+        assert len(block) == 4
+        assert len({traj.record.nfev for traj in block}) == 1
+        for rho0, traj in zip(states, block):
+            single = integrate_master(rho0, fp, rates, t_final)
+            assert np.array_equal(traj.times, single.times)
+            gap = np.abs(traj.states - single.states).max()
+            assert gap < 1e-9
 
     def test_pulses_of_one_key_share_duration_and_solve(self, rng):
         # two keys interleaved: each key's first pulse sets its duration and
@@ -443,8 +425,8 @@ class TestSnapshotValidation:
 
         monkeypatch.setattr("darkpulse.dynamics._trajectory", capturing)
         fp = random_field(rng, omega_peak=1.0, envelope=envelope)
-        trajectories = run_pulse_block([random_density(rng) for _ in range(3)], fp,
-                                       Rates.beta(), 1e-6)
+        trajectories, = run_sequence([random_density(rng) for _ in range(3)], [fp],
+                                     Rates.beta(), 1e-6)
         block, = blocks
         assert len(trajectories) == 3
         for traj in trajectories:
@@ -470,6 +452,20 @@ class TestSnapshotValidation:
         with pytest.raises(TraceViolation, match=r"^state 0: snapshot at t=0\.5 has trace 0\.0 "):
             _trajectory(times, snaps.reshape(2, 5, 16), 1e-10, "exact", 0)
 
+    def test_rows_of_times_name_each_state_by_its_own_time(self, rng):
+        # a batch whose cases run for different durations gives each state its own
+        # row of times; an excursion names the state's index and its own time
+        times = np.stack([np.linspace(0.0, 2.0, 5), np.linspace(0.0, 4.0, 5)])
+        snaps = np.stack([random_density(rng).matrix for _ in range(10)]).reshape(2, 5, 4, 4)
+        snaps[1, 3] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0])
+        with pytest.raises(PositivityViolation, match=r"^state 1: snapshot at t=3 has eigenvalue"):
+            _monitor(times, *_symmetrized(snaps)[1:], 1e-12)
+        snaps[1, 3] = random_density(rng).matrix * (1.0 + 1e-6)
+        with pytest.raises(TraceViolation, match=r"^state 1: snapshot at t=3 has trace"):
+            _monitor(times, *_symmetrized(snaps)[1:], 1e-12)
+        tols = _monitor(times, *_symmetrized(snaps)[1:], 1e-7)
+        assert tols == dict(psd_tol=100 * 1e-7, trace_tol=100 * 1e-7)
+
 
 class TestRecommendedDuration:
     def test_inverse_rate_at_e_residual(self, rng):
@@ -486,9 +482,8 @@ class TestRecommendedDuration:
     def test_certifies_map_at_tight_residual(self, rng):
         # 20 random initial states, unit drive and decay, residual 1e-10
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        for _ in range(20):
-            rho0 = DensityOperator.pure(random_pure_ground(rng))
-            assert verify_map(rho0, fp, Rates.alpha(1.0), 1e-10) < 1e-8
+        states = [DensityOperator.pure(random_pure_ground(rng)) for _ in range(20)]
+        assert verify_map(states, [fp] * 20, Rates.alpha(1.0), 1e-10).max() < 1e-8
 
     def test_rejects_bad_residual(self, rng):
         liou = build_liouvillian(random_field(rng), Rates.alpha())
@@ -517,17 +512,76 @@ class TestVerifyMap:
     def test_dark_input_does_not_evolve(self, rng):
         fp = random_field(rng, omega_peak=1.0)
         rho0 = DensityOperator.pure(dark_basis(fp).n1)
-        assert verify_map(rho0, fp, Rates.alpha(), 1e-6) < 10 * 1e-12
+        assert verify_map([rho0], [fp], Rates.alpha(), 1e-6)[0] < 10 * 1e-12
 
     def test_alpha_certification(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         rho0 = DensityOperator.pure(random_pure_ground(rng))
-        assert verify_map(rho0, fp, Rates.alpha(1.0), 1e-10) < 1e-6
+        assert verify_map([rho0], [fp], Rates.alpha(1.0), 1e-10)[0] < 1e-6
 
     def test_beta_certification_all_rates_unity(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         rho0 = DensityOperator.pure(random_pure_ground(rng))
-        assert verify_map(rho0, fp, Rates.beta(1.0, 1.0, 1.0), 1e-10) < 1e-6
+        assert verify_map([rho0], [fp], Rates.beta(1.0, 1.0, 1.0), 1e-10)[0] < 1e-6
+
+    @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
+                             ids=["square", "sine_squared"])
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_batch_matches_one_state_witnesses(self, rng, monkeypatch, rates, envelope):
+        # every case of a one-key batch, rotated ones included, against the witness
+        # run on that case's own generator for the batch's duration: the exponential
+        # to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9)
+        stacks = []
+
+        def capturing(snapshots):
+            stacks.append(_symmetrized(snapshots))
+            return stacks[-1]
+
+        monkeypatch.setattr("darkpulse.dynamics._symmetrized", capturing)
+        fields = one_key_steps(rng, envelope, n=5, omega_peak=1.0)
+        states = [random_density(rng) for _ in fields]
+        distances = verify_map(states, fields, rates, 1e-3)
+        t_final = recommended_duration(build_liouvillian(fields[0], rates), 1e-3)
+        bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
+        assert len(stacks) == len(fields)
+        for rho0, fp, (stack, *_), distance in zip(states, fields, stacks, distances):
+            if envelope is Envelope.SQUARE:
+                witness = propagate_exact(rho0, build_liouvillian(fp, rates), t_final)
+            else:
+                witness = integrate_master(rho0, fp, rates, t_final)
+            assert np.abs(stack[0] - witness.states).max() < bound
+            assert distance == hs_distance(stack[0, -1],
+                                           relax_closed(rho0, dark_basis(fp)).matrix)
+        single = verify_map(states[:1], fields[:1], rates, 1e-3)[0]
+        if envelope is Envelope.SQUARE:
+            # case 0 is its key's reference: the batch leaves it unrotated
+            assert distances[0] == single
+        else:
+            # a one-case batch is a lone key, so its state takes its own solve
+            assert abs(distances[0] - single) < 1e-9
+
+    def test_cases_of_two_keys_match_their_own_batches(self, rng):
+        # interleaved keys share nothing: each case equals its run in a batch of
+        # its key's cases alone; a sine-squared key with one case solves it alone
+        square = one_key_steps(rng, Envelope.SQUARE, n=3, omega_peak=1.0)
+        lone = replace(random_field(rng), omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
+        fields = [square[0], lone, square[1], square[2]]
+        states = [random_density(rng) for _ in fields]
+        distances = verify_map(states, fields, Rates.beta(), 1e-3)
+        own = verify_map([states[0], *states[2:]], [square[0], *square[1:]], Rates.beta(), 1e-3)
+        assert distances[[0, 2, 3]].tobytes() == own.tobytes()
+        assert distances[1] == verify_map(states[1:2], [lone], Rates.beta(), 1e-3)[0]
+
+    def test_rejects_bad_arguments(self, rng):
+        fp = random_field(rng)
+        rho = random_density(rng)
+        with pytest.raises(ValueError):
+            verify_map([rho], [fp], Rates.alpha(), 1e-6, atol=0.0)
+        with pytest.raises(ValueError):
+            verify_map([rho], [fp], Rates.alpha(), 1.0)
+        with pytest.raises(ValueError, match="one field per state"):
+            verify_map([rho], [fp, fp], Rates.alpha(), 1e-6)
 
 
 class TestTrajectoryExport:
