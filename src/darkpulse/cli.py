@@ -6,8 +6,8 @@ bundled reference scenario).  All outputs are pure functions of the config and
 seed; wall-clock times live in a separate "meta" block so the data artifacts
 are byte-identical across repeated runs.
 
-Exit codes: 0 success, 2 config validation, 3 non-convergence under --strict,
-4 integrator failure, 5 unstable spectrum.
+Exit codes: 0 success, 2 config validation, 3 non-convergence (or, for verify, an
+uncertified map) under --strict, 4 integrator failure, 5 unstable spectrum.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int) -> int:
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, strict: bool) -> int:
     started = time.perf_counter()
+    seed = cfg.optimizer.seed
     rng = np.random.default_rng([seed, 2])
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_states, 4))
     angles[:, 0] = rng.uniform(0.0, np.pi, size=n_states)
@@ -164,9 +165,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int) -
 
     fields = [FieldParams(theta=a[0], phi=a[1], mu_minus=a[2], mu_plus=a[3],
                           omega_peak=cfg.omega_peak, envelope=cfg.envelope) for a in angles]
-    distances = verify_map([DensityOperator.pure(psi) for psi in states], fields, cfg.rates,
-                           cfg.integrator.residual, rtol=cfg.integrator.rtol,
-                           atol=cfg.integrator.atol)
+    distances, keys = verify_map(pure_state_dyads(states), fields, cfg.rates,
+                                 cfg.integrator.residual, rtol=cfg.integrator.rtol,
+                                 atol=cfg.integrator.atol)
     rows = [{"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
              "mu_plus": fp.mu_plus, "distance": float(distance)}
             for i, (fp, distance) in enumerate(zip(fields, distances))]
@@ -180,13 +181,14 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, seed: int) -
         "mean_distance": float(distances.mean()),
         # every endpoint lies within twice the residual the durations were chosen for
         "certified": bool(distances.max() <= 2.0 * cfg.integrator.residual),
+        "keys": list(keys),
         "cases": rows,
         "meta": {"wall_time_s": time.perf_counter() - started},
     }
     _write_json(out_dir / "verify.json", doc)
     print(f"verify: {n_states} random pulses, max |ODE - map| = {distances.max():.3e} "
           f"-> {out_dir / 'verify.json'}")
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if strict and not doc["certified"] else EXIT_OK
 
 
 def _target_span_basis(target: TargetState) -> DarkBasis:
@@ -326,15 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="accepted for compatibility; has no effect (every command "
                                 "runs on one thread)")
         if strict:
-            p.add_argument("--strict", action="store_true",
-                           help="exit 3 when the optimizer does not converge")
+            p.add_argument("--strict", action="store_true", help=f"exit 3 when {strict}")
 
     common(sub.add_parser("optimize", help="search for a steering pulse sequence"),
-           seed=True, strict=True)
+           seed=True, strict="the optimizer does not converge")
     common(sub.add_parser("simulate", help="integrate the master equation through a sequence"),
            sequence=True)
     p = sub.add_parser("verify", help="certify analytic maps against the full dynamics")
-    common(p, seed=True)
+    common(p, seed=True, strict="the map is not certified")
     p.add_argument("--states", type=int, default=20, help="number of random cases")
     p = sub.add_parser("bloch-export", help="export staged Bloch point clouds")
     common(p, sequence=True)
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
            seed=True, threads=False)
     common(sub.add_parser("reproduce-paper",
                           help="run the bundled reference scenario end to end"),
-           config_required=False, seed=True, strict=True)
+           config_required=False, seed=True, strict="the optimizer does not converge")
     return parser
 
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.sequence, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.states, cfg.optimizer.seed)
+            return cmd_verify(cfg, out_dir, args.states, args.strict)
         if args.command == "bloch-export":
             return cmd_bloch_export(cfg, args.sequence, out_dir)
         if args.command == "spectrum":

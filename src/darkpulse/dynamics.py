@@ -19,8 +19,11 @@ spectrum.  The first field of a key in a call is its reference: it sets the
 key's duration and makes its propagator (a square pulse's exponential step or
 one RK45 solve of the 17-column propagator), which every field of the key
 applies as ``rho(t_k) = U P_k[U^dagger rho U] U^dagger`` (``U = 1`` for the
-reference).  A time-dependent key that does not recur integrates its states
-directly.  Nothing is kept between calls.
+reference, left unrotated).  A time-dependent key that does not recur
+integrates its states directly.  Nothing is kept between calls.  Spectrum and
+trace do not change under ``U``, so :func:`verify_map` drives a key's cases in
+blocks of eight, monitors them in the key's frame, and rotates back only their
+final snapshots.
 
 Pulse durations come from the spectral gap: driving for
 ``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the endpoint
@@ -44,6 +47,7 @@ from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
 from .maps import hs_distance, relax_closed
 
 __all__ = [
+    "MapCheck",
     "PulseRecord",
     "Trajectory",
     "integrate_master",
@@ -58,6 +62,7 @@ __all__ = [
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 MIN_SNAPSHOTS = 65
+_BLOCK = 8  # the cases of a key whose snapshots verify_map holds at once
 
 
 def __getattr__(name: str):
@@ -138,22 +143,27 @@ def _expm(a: np.ndarray) -> np.ndarray:
     u = a @ (powers[3] @ u2 + u1)
     v = powers[3] @ v2 + v1
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):  # the monitor reports a non-finite step
+        for _ in range(s):
+            r = r @ r
     return r
 
 
 def _symmetrized(snapshots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An (S, n, 16) or (S, n, 4, 4) block of snapshots symmetrized against roundoff.
 
-    Returns the read-only (S, n, 4, 4) stack with its smallest eigenvalues and
-    its traces, each (S, n); the flow itself preserves Hermiticity.
+    Returns the read-only (S, n, 4, 4) stack with its smallest eigenvalues (nan if not
+    finite) and its traces, each (S, n); the flow itself preserves Hermiticity.
     """
     snaps = snapshots.reshape(*snapshots.shape[:2], 4, 4)
-    snaps = 0.5 * (snaps + snaps.swapaxes(-1, -2).conj())
-    min_eigs, traces = np.linalg.eigvalsh(snaps)[..., 0], np.trace(snaps, axis1=-2, axis2=-1).real
-    # C-contiguous, so the CSV trace column sums in one order; an RK45 block is not
-    stack = np.ascontiguousarray(snaps)
+    # one C-contiguous copy, made in place (the CSV trace column then sums in one order)
+    stack = np.conj(snaps.swapaxes(-1, -2), order="C")
+    stack += snaps
+    stack *= 0.5
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    stack[~finite] = 0.0  # eigvalsh fails on these; the monitor raises on their nan
+    min_eigs = np.where(finite, np.linalg.eigvalsh(stack)[..., 0], np.nan)
+    traces = np.trace(stack, axis1=-2, axis2=-1).real
     stack.setflags(write=False)
     return stack, min_eigs, traces
 
@@ -163,19 +173,19 @@ def _monitor(times: np.ndarray, min_eigs: np.ndarray, traces: np.ndarray, atol: 
 
     ``times`` holds the n times of every state, or a row per state.  Positivity
     and the trace are monitored, not enforced (the repump term is not of
-    Lindblad form): the earliest eigenvalue below ``-100 * atol`` or trace
-    outside ``(0, 1 + slack]`` raises :class:`PositivityViolation` or
+    Lindblad form): the earliest eigenvalue below ``-100 * atol`` (or nan) or
+    trace outside ``(0, 1 + slack]`` raises :class:`PositivityViolation` or
     :class:`TraceViolation`, naming the state's index and the time.  Returns
     the tolerances a final state is constructed with.
     """
     times = np.broadcast_to(times, min_eigs.shape)
     # the trace slack scales with the integrator tolerance like the floor
     floor, slack = -100.0 * atol, max(DensityOperator.TRACE_TOL, 100.0 * atol)
-    below = np.argwhere(min_eigs.T < floor)
+    below = np.argwhere(~(min_eigs.T >= floor))
     if below.size:
         k, s = below[0]
         raise PositivityViolation(f"state {s}: snapshot at t={times[s, k]:.6g} has eigenvalue "
-                                  f"{min_eigs[s, k]:.3e} < {floor:.3e}")
+                                  f"{min_eigs[s, k]:.3e}, not >= {floor:.3e}")
     if not (traces.min() > 0.0 and traces.max() <= 1.0 + slack):
         k, s = np.argwhere(~((traces > 0.0) & (traces <= 1.0 + slack)).T)[0]
         raise TraceViolation(f"state {s}: snapshot at t={times[s, k]:.6g} has trace "
@@ -312,30 +322,35 @@ def propagator_name(envelope: Envelope) -> str:
 
 def recommended_duration(liou: Liouvillian, residual: float) -> float:
     """Pulse duration that damps the slowest mode down to ``residual``."""
+    return _damping_time(slowest_rate(liou), residual)
+
+
+def _damping_time(rate: float, residual: float) -> float:
     if not (0.0 < residual < 1.0):
         raise ValueError("residual must lie strictly between 0 and 1")
-    return float(np.log(1.0 / residual) / slowest_rate(liou))
+    return float(np.log(1.0 / residual) / rate)
 
 
-def _ground_frame(fp: FieldParams) -> np.ndarray:
-    """Columns ``n1, n2, e^{i xi} b``: the unitary that takes the third axis to the coupling."""
-    basis = dark_basis(fp)
+def _ground_frame(fp: FieldParams, basis: DarkBasis) -> np.ndarray:
+    """Columns ``n1, n2, e^{i xi} b`` of ``fp``'s basis: the unitary taking axis 3 to coupling."""
     return np.column_stack([basis.n1, basis.n2, np.exp(1j * fp.xi) * basis.phi_perp])
 
 
 class _Key(NamedTuple):
-    """A key's first field and its inverse ground frame, generator, times and propagator."""
+    """A key's first field, inverse ground frame, generator, slowest rate, times and propagator."""
 
     first: int
     reference: FieldParams
     frame: np.ndarray
     liou: Liouvillian
+    rate: float
     times: np.ndarray
     propagator: np.ndarray | None
     nfev: int
 
 
-def _key_table(fields, rates: Rates, residual: float, rtol: float, atol: float) -> list[_Key]:
+def _key_table(fields, bases, rates: Rates, residual: float, rtol: float,
+               atol: float) -> list[_Key]:
     """The key of each field: the only place that decides which fields share a propagator.
 
     A square key's propagator is the (17, 17) exponential step; any other
@@ -352,7 +367,8 @@ def _key_table(fields, rates: Rates, residual: float, rtol: float, atol: float) 
         if key in table:
             continue
         liou = build_liouvillian(fp, rates, 1.0)
-        t_final = recommended_duration(liou, residual)
+        rate = slowest_rate(liou)
+        t_final = _damping_time(rate, residual)
         propagator, nfev = None, 0
         if propagator_name(fp.envelope) == "exact":
             propagator = _step(liou, t_final)
@@ -361,32 +377,34 @@ def _key_table(fields, rates: Rates, residual: float, rtol: float, atol: float) 
             propagator, nfev = _solve(fp, liou, t_final, np.eye(16, 17, dtype=complex), feed,
                                       rtol, atol)
             propagator = propagator.transpose(2, 0, 1)
-        table[key] = _Key(i, fp, _ground_frame(fp).conj().T, liou,
+        table[key] = _Key(i, fp, _ground_frame(fp, bases[i]).conj().T, liou, rate,
                           np.linspace(0.0, t_final, MIN_SNAPSHOTS), propagator, nfev)
     return [table[key] for key in keys]
 
 
-def _drive(key: _Key, fp: FieldParams, matrices: np.ndarray, rtol: float,
-           atol: float) -> tuple[np.ndarray, int]:
-    """The (S, 65, 16) snapshots of an (S, 4, 4) stack driven through ``fp``, a field of ``key``.
-
-    Unless ``fp`` is the key's reference, the states are rotated into its frame
-    and each snapshot back, ``U P_k[U^dagger rho U] U^dagger`` with the ground
-    rotation ``U = V(fp) V(reference)^dagger`` (:func:`_ground_frame`).
-    Without a propagator the states take one RK45 solve, whose ``nfev`` is
-    returned (else 0).
-    """
-    if key.propagator is None:
-        snapshots, nfev = _solve(fp, key.liou, key.times[-1], matrices.reshape(-1, 16).T,
-                                 key.liou.d[:, None], rtol, atol)
-        return snapshots.transpose(1, 2, 0), nfev
-    if fp is key.reference:
-        return _snapshots(key.propagator, matrices), 0
+def _rotation(key: _Key, fp: FieldParams, basis: DarkBasis) -> np.ndarray:
+    """The rotation ``U = V(fp) V(ref)^dagger`` of a field of ``key``; exactly 1 for ``ref``."""
     u = np.eye(4, dtype=complex)
-    u[:3, :3] = _ground_frame(fp) @ key.frame
-    u_dag = u.conj().T
-    rotated = _snapshots(key.propagator, u_dag @ matrices @ u)
-    return (u @ rotated.reshape(-1, MIN_SNAPSHOTS, 4, 4) @ u_dag).reshape(rotated.shape), 0
+    if fp is not key.reference:
+        u[:3, :3] = _ground_frame(fp, basis) @ key.frame
+    return u
+
+
+def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray | None, rtol: float,
+           atol: float) -> tuple[np.ndarray, int]:
+    """The (S, 65, 16) snapshots of an (S, 4, 4) stack under ``key``'s propagator, in its frame.
+
+    ``u`` (:func:`_rotation`, one for all states or one each; None for the reference)
+    takes them in as ``U^dagger rho U``, so a snapshot ``X`` is ``U X U^dagger`` in their
+    frame.  A lone key takes one RK45 solve, whose ``nfev`` is returned (else 0).
+    """
+    if u is not None:
+        matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
+    if key.propagator is None:
+        snapshots, nfev = _solve(key.reference, key.liou, key.times[-1],
+                                 matrices.reshape(-1, 16).T, key.liou.d[:, None], rtol, atol)
+        return snapshots.transpose(1, 2, 0), nfev
+    return _snapshots(key.propagator, matrices), 0
 
 
 def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
@@ -397,39 +415,58 @@ def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEF
     order; each pulse starts from the previous pulse's final states.  A record
     charges a solve's evaluations to the pulse that made it, 0 to the others.
     """
-    out = []
-    for i, (fp, key) in enumerate(zip(steps, _key_table(steps, rates, residual, rtol, atol))):
-        snapshots, nfev = _drive(key, fp, np.stack([state.matrix for state in states]),
-                                 rtol, atol)
+    bases = [dark_basis(fp) for fp in steps]
+    table = _key_table(steps, bases, rates, residual, rtol, atol)
+    out, matrices = [], np.stack([state.matrix for state in states])
+    for i, (fp, basis, key) in enumerate(zip(steps, bases, table)):
+        u = None if fp is key.reference else _rotation(key, fp, basis)
+        snapshots, nfev = _drive(key, matrices, u, rtol, atol)
+        if u is not None:
+            snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
+                         @ u.conj().T).reshape(snapshots.shape)
         nfev += key.nfev if i == key.first else 0
         out.append(_trajectory(key.times, snapshots, atol, propagator_name(fp.envelope), nfev))
-        states = [traj.final for traj in out[-1]]
+        matrices = np.stack([traj.final.matrix for traj in out[-1]])
     return tuple(out)
 
 
+class MapCheck(NamedTuple):
+    """Each case's distance, and each key's ``first_case``, ``duration`` and ``slowest_rate``."""
+
+    distances: np.ndarray
+    keys: tuple[dict, ...]
+
+
 def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL) -> np.ndarray:
+               atol: float = DEFAULT_ATOL) -> MapCheck:
     """Distances between driven endpoints and the analytic relaxation map, one per case.
 
-    Case ``s`` drives ``states[s]`` through ``fields[s]`` for its key's
-    duration at ``residual``, sharing propagators as :func:`run_sequence`
-    does, and is compared with the relaxation map, which both regimes share.
-    One case's snapshots are held at a time, and the eigenvalues and traces of
-    all cases are monitored as one block, so an integrator error names a case
-    by its index in the batch.
+    Case ``s`` drives ``states[s]``, of one validated (S, 4, 4) stack, through ``fields[s]``
+    for its key's duration at ``residual``, sharing propagators as :func:`run_sequence`
+    does, and is compared with the relaxation map, which both regimes share.  An
+    integrator error names a case by its index in the batch and its own time.
     """
-    if len(states) != len(fields):
-        raise ValueError("verify_map needs one field per state")
-    table = _key_table(fields, rates, residual, rtol, atol)
-    finals = np.empty((len(table), 4, 4), dtype=complex)
-    min_eigs, traces = np.empty((2, len(table), MIN_SNAPSHOTS))
-    for s, (state, fp, key) in enumerate(zip(states, fields, table)):
-        stack, min_eigs[s], traces[s] = _symmetrized(_drive(key, fp, state.matrix[None],
-                                                            rtol, atol)[0])
-        finals[s] = stack[0, -1]
+    states = np.asarray(states)
+    if states.shape != (len(fields), 4, 4):
+        raise ValueError("verify_map needs an (S, 4, 4) stack and one field per state")
+    DensityOperator.validate(states)
+    bases = [dark_basis(fp) for fp in fields]
+    table = _key_table(fields, bases, rates, residual, rtol, atol)
+    u = np.stack([_rotation(key, fp, basis) for key, fp, basis in zip(table, fields, bases)])
+    finals = np.empty(states.shape, dtype=complex)
+    min_eigs, traces = np.empty((2, len(fields), MIN_SNAPSHOTS))
+    keys = {key.first: key for key in table}
+    for key in keys.values():
+        cases = np.flatnonzero([k is key for k in table])
+        for block in np.split(cases, range(_BLOCK, len(cases), _BLOCK)):
+            stack, min_eigs[block], traces[block] = _symmetrized(
+                _drive(key, states[block], u[block], rtol, atol)[0])
+            finals[block] = u[block] @ stack[:, -1] @ u[block].conj().swapaxes(-1, -2)
     _monitor(np.stack([key.times for key in table]), min_eigs, traces, atol)
-    return hs_distance(finals, np.stack([relax_closed(state, dark_basis(fp)).matrix
-                                         for state, fp in zip(states, fields)]))
+    mapped = relax_closed(states, np.stack([basis.projector for basis in bases]))
+    return MapCheck(hs_distance(finals, mapped), tuple(
+        {"first_case": k.first, "duration": float(k.times[-1]), "slowest_rate": k.rate}
+        for k in keys.values()))
 
 
 def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DarkBasis, DensityOperator, FieldParams, dark_basis
+from .core import DensityOperator, FieldParams, dark_basis
 from .errors import NegativeRadicand, TraceMismatch
 
 __all__ = [
@@ -48,18 +48,20 @@ def _check_trace_one(matrices: np.ndarray) -> None:
         raise TraceMismatch(f"input trace differs from 1 by {worst!r}, beyond {TRACE_TOL}")
 
 
-def relax_closed(rho: DensityOperator, basis: DarkBasis) -> DensityOperator:
+def relax_closed(rho, basis):
     """Relaxation map with a closed ground manifold (no external loss).
 
     Keeps the dark block of the input and redistributes everything else as
     the maximally mixed dark state, so the output has trace 1 and is supported
-    on the dark subspace.  Idempotent for a fixed basis.
+    on the dark subspace.  Idempotent for a fixed basis.  Maps a DensityOperator
+    by its DarkBasis, or a (..., 4, 4) stack by its dark projectors (unvalidated).
     """
-    _check_trace_one(rho.matrix)
-    p = basis.projector
-    block = p @ rho.matrix @ p
-    out = block + 0.5 * (1.0 - np.trace(block).real) * p
-    return DensityOperator(out)
+    one = isinstance(rho, DensityOperator)
+    matrices, p = (rho.matrix, basis.projector) if one else (rho, basis)
+    _check_trace_one(matrices)
+    block = p @ matrices @ p
+    out = block + 0.5 * (1.0 - np.trace(block, axis1=-2, axis2=-1).real)[..., None, None] * p
+    return DensityOperator(out) if one else out
 
 
 def repump_steady_state(fp: FieldParams) -> DensityOperator:

@@ -117,8 +117,9 @@ def test_criterion_4_map_vs_dynamics(rng):
         for _ in range(50):
             fields.append(random_field(rng, omega_peak=1.0, delta=0.0))
             psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-            states.append(DensityOperator.pure(psi / np.linalg.norm(psi)))
-        worst[rates.mode.value] = float(verify_map(states, fields, rates, 1e-10).max())
+            states.append(DensityOperator.pure(psi / np.linalg.norm(psi)).matrix)
+        distances = verify_map(np.stack(states), fields, rates, 1e-10).distances
+        worst[rates.mode.value] = float(distances.max())
     ok = worst["alpha"] < 1e-6 and worst["beta"] < 1e-6
     report(4, ok,
            f"ODE vs analytic map over 50 states/mode: alpha {worst['alpha']:.3e}, "

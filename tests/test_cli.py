@@ -339,6 +339,36 @@ class TestVerifyCommand:
                      "--states", "5", "--seed", "3"]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("envelope, code", [("square", 0), ("sine_squared", 3)])
+    def test_strict_exits_3_when_uncertified(self, tmp_path, envelope, code):
+        # sine-squared pulses stop short of their map (ROADMAP item 2), so that run
+        # is uncertified; without --strict both exit 0, and --strict changes no byte
+        doc = json.loads(bundled_config_path().read_text())
+        doc["envelope"] = envelope
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["verify", "--config", str(cfg), "--states", "3", "--seed", "3"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "strict"), "--strict"]) == code
+        texts = [without_wall_time((tmp_path / name / "verify.json").read_text())
+                 for name in ("plain", "strict")]
+        assert texts[0] == texts[1]
+        assert json.loads((tmp_path / "plain" / "verify.json").read_text())["certified"] is (
+            code == 0)
+
+    def test_records_the_key_duration_and_slowest_rate(self, tmp_path, config_path):
+        # every case shares one key; its record repeats the spectrum's duration rule
+        assert main(["verify", "--config", str(config_path), "--out", str(tmp_path / "v"),
+                     "--states", "3"]) == 0
+        assert main(["spectrum", "--config", str(config_path), "--out", str(tmp_path / "s"),
+                     "--angles", "0.1,0.2,0.3,0.4"]) == 0
+        keys = json.loads((tmp_path / "v" / "verify.json").read_text())["keys"]
+        spectrum = json.loads((tmp_path / "s" / "spectrum.json").read_text())
+        assert [key["first_case"] for key in keys] == [0]
+        assert keys[0]["slowest_rate"] == pytest.approx(spectrum["slowest_rate"], rel=1e-9)
+        assert keys[0]["duration"] == pytest.approx(np.log(1e8) / keys[0]["slowest_rate"],
+                                                    rel=1e-15)
+
     def test_states_below_one_exit_2_naming_flag(self, tmp_path, config_path, capsys):
         for states in ("0", "-3"):
             assert main(["verify", "--config", str(config_path), "--out",
@@ -464,7 +494,7 @@ class TestReproduceCommand:
 
 class TestFlagAttachment:
     @pytest.mark.parametrize("command, flag", [
-        ("simulate", "--strict"), ("verify", "--strict"), ("bloch-export", "--strict"),
+        ("simulate", "--strict"), ("bloch-export", "--strict"),
         ("spectrum", "--strict"), ("sweep-purity", "--strict"),
         ("simulate", "--seed"), ("bloch-export", "--seed"), ("spectrum", "--seed"),
         ("spectrum", "--threads"), ("sweep-purity", "--threads"),
@@ -571,6 +601,26 @@ class TestInputEdge:
         assert main(argv) == 5
         err = capsys.readouterr().err
         assert err.startswith("spectrum error: ") and cause in err, err
+
+    @pytest.mark.parametrize("mode, rates", [
+        ("alpha", {"gamma_in": 1e-300, "gamma_ext": 0.0, "r_pump": 0.0}),
+        ("beta", {"gamma_in": 1e-300, "gamma_ext": 1e-300, "r_pump": 1e-300})],
+        ids=["alpha", "beta"])
+    def test_non_finite_snapshot_exits_4_naming_case_and_time(self, tmp_path, mode, rates,
+                                                              capsys):
+        # the duration (about 1.4e35) overflows the squarings of the exponential
+        # step; the non-finite snapshots are an integrator error naming the case and
+        # the time, with no RuntimeWarning and no LinAlgError from eigvalsh
+        doc = json.loads(bundled_config_path().read_text())
+        doc.update(mode=mode, rates=rates)
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", str(tmp_path / "config.json"), "--out",
+                         str(tmp_path / "o"), "--states", "3", "--seed", "3"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("integrator error: state 0: snapshot at t=2.2413e+33 has "
+                              "eigenvalue nan"), err
 
 
 # one entry of --angles: a float's repr, a non-finite or out-of-range token, or junk

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolati
                        TraceViolation, Trajectory, build_liouvillian, dark_basis, hs_distance,
                        integrate_master, propagate_exact, recommended_duration, relax_closed,
                        run_sequence, slowest_rate, verify_map)
-from darkpulse.dynamics import (DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _ground_frame, _monitor,
-                                _symmetrized, _trajectory, write_trajectory_csv)
+import darkpulse.dynamics as dynamics
+from darkpulse.dynamics import (_BLOCK, DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _ground_frame,
+                                _monitor, _symmetrized, _trajectory, write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
 
 
@@ -242,7 +244,8 @@ class TestRunSequence:
             canonical = FieldParams(theta=0.0, phi=0.0, mu_minus=0.0, mu_plus=0.0, xi=0.0,
                                     omega_peak=fp.omega_peak, delta=fp.delta)
             u = np.eye(4, dtype=complex)
-            u[:3, :3] = _ground_frame(fp) @ _ground_frame(canonical).conj().T
+            u[:3, :3] = (_ground_frame(fp, dark_basis(fp))
+                         @ _ground_frame(canonical, dark_basis(canonical)).conj().T)
             assert np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=1e-15)
             w = np.kron(u, u.conj())
             liou, liou_c = build_liouvillian(fp, rates), build_liouvillian(canonical, rates)
@@ -482,8 +485,9 @@ class TestRecommendedDuration:
     def test_certifies_map_at_tight_residual(self, rng):
         # 20 random initial states, unit drive and decay, residual 1e-10
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        states = [DensityOperator.pure(random_pure_ground(rng)) for _ in range(20)]
-        assert verify_map(states, [fp] * 20, Rates.alpha(1.0), 1e-10).max() < 1e-8
+        states = np.stack([DensityOperator.pure(random_pure_ground(rng)).matrix
+                           for _ in range(20)])
+        assert verify_map(states, [fp] * 20, Rates.alpha(1.0), 1e-10).distances.max() < 1e-8
 
     def test_rejects_bad_residual(self, rng):
         liou = build_liouvillian(random_field(rng), Rates.alpha())
@@ -511,18 +515,18 @@ class TestRateRatioSweep:
 class TestVerifyMap:
     def test_dark_input_does_not_evolve(self, rng):
         fp = random_field(rng, omega_peak=1.0)
-        rho0 = DensityOperator.pure(dark_basis(fp).n1)
-        assert verify_map([rho0], [fp], Rates.alpha(), 1e-6)[0] < 10 * 1e-12
+        rho0 = DensityOperator.pure(dark_basis(fp).n1).matrix[None]
+        assert verify_map(rho0, [fp], Rates.alpha(), 1e-6).distances[0] < 10 * 1e-12
 
     def test_alpha_certification(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        rho0 = DensityOperator.pure(random_pure_ground(rng))
-        assert verify_map([rho0], [fp], Rates.alpha(1.0), 1e-10)[0] < 1e-6
+        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix[None]
+        assert verify_map(rho0, [fp], Rates.alpha(1.0), 1e-10).distances[0] < 1e-6
 
     def test_beta_certification_all_rates_unity(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        rho0 = DensityOperator.pure(random_pure_ground(rng))
-        assert verify_map([rho0], [fp], Rates.beta(1.0, 1.0, 1.0), 1e-10)[0] < 1e-6
+        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix[None]
+        assert verify_map(rho0, [fp], Rates.beta(1.0, 1.0, 1.0), 1e-10).distances[0] < 1e-6
 
     @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
                              ids=["square", "sine_squared"])
@@ -531,7 +535,9 @@ class TestVerifyMap:
     def test_batch_matches_one_state_witnesses(self, rng, monkeypatch, rates, envelope):
         # every case of a one-key batch, rotated ones included, against the witness
         # run on that case's own generator for the batch's duration: the exponential
-        # to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9)
+        # to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9).  The five cases are one
+        # block, symmetrized once in the key's frame; each case's snapshots, rotated
+        # back with its own U, are its trajectory, and the last one its endpoint
         stacks = []
 
         def capturing(snapshots):
@@ -540,20 +546,26 @@ class TestVerifyMap:
 
         monkeypatch.setattr("darkpulse.dynamics._symmetrized", capturing)
         fields = one_key_steps(rng, envelope, n=5, omega_peak=1.0)
-        states = [random_density(rng) for _ in fields]
-        distances = verify_map(states, fields, rates, 1e-3)
+        states = np.stack([random_density(rng).matrix for _ in fields])
+        distances = verify_map(states, fields, rates, 1e-3).distances
         t_final = recommended_duration(build_liouvillian(fields[0], rates), 1e-3)
         bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
-        assert len(stacks) == len(fields)
-        for rho0, fp, (stack, *_), distance in zip(states, fields, stacks, distances):
+        assert len(stacks) == 1
+        frame = _ground_frame(fields[0], dark_basis(fields[0])).conj().T
+        for s, (rho0, fp, distance) in enumerate(zip(states, fields, distances)):
+            u = np.eye(4, dtype=complex)
+            if s:
+                u[:3, :3] = _ground_frame(fp, dark_basis(fp)) @ frame
+            own = u @ stacks[0][0][s] @ u.conj().T
+            rho0 = DensityOperator(rho0)
             if envelope is Envelope.SQUARE:
                 witness = propagate_exact(rho0, build_liouvillian(fp, rates), t_final)
             else:
                 witness = integrate_master(rho0, fp, rates, t_final)
-            assert np.abs(stack[0] - witness.states).max() < bound
-            assert distance == hs_distance(stack[0, -1],
-                                           relax_closed(rho0, dark_basis(fp)).matrix)
-        single = verify_map(states[:1], fields[:1], rates, 1e-3)[0]
+            assert np.abs(own - witness.states).max() < bound
+            mapped = relax_closed(rho0, dark_basis(fp)).matrix
+            assert distance == hs_distance(own[-1], mapped)
+        single = verify_map(states[:1], fields[:1], rates, 1e-3).distances[0]
         if envelope is Envelope.SQUARE:
             # case 0 is its key's reference: the batch leaves it unrotated
             assert distances[0] == single
@@ -561,27 +573,103 @@ class TestVerifyMap:
             # a one-case batch is a lone key, so its state takes its own solve
             assert abs(distances[0] - single) < 1e-9
 
+    @pytest.mark.parametrize("n_cases", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_one_snapshot_pass_and_eigvalsh_per_block(self, rng, monkeypatch, n_cases):
+        # the work grows with the number of blocks of a key's cases, not of cases;
+        # the one further eigvalsh validates the input stack
+        calls = {"_snapshots": 0, "eigvalsh": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        fields = one_key_steps(rng, Envelope.SQUARE, n=n_cases, omega_peak=1.0)
+        states = np.stack([random_density(rng).matrix for _ in fields])
+        monkeypatch.setattr(dynamics, "_snapshots", counted("_snapshots", dynamics._snapshots))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        verify_map(states, fields, Rates.beta(), 1e-3)
+        blocks = -(-n_cases // _BLOCK)
+        assert calls == {"_snapshots": blocks, "eigvalsh": blocks + 1}
+
+    @pytest.mark.parametrize("excursion", ["trace", "eigenvalue"])
+    def test_excursion_names_the_case_and_its_own_time(self, rng, monkeypatch, excursion):
+        # two interleaved keys of different durations; an excursion injected into
+        # the second case of the weak key's block is case 3 of the batch, at the
+        # weak key's time, whatever its place in the block
+        strong = one_key_steps(rng, Envelope.SQUARE, n=3, omega_peak=1.0)
+        weak = one_key_steps(rng, Envelope.SQUARE, n=2, omega_peak=0.5)
+        fields = [strong[0], weak[0], strong[1], weak[1], strong[2]]
+        states = np.stack([random_density(rng).matrix for _ in fields])
+        original = dynamics._snapshots
+
+        def injecting(propagator, matrices):
+            snapshots = original(propagator, matrices)
+            if len(matrices) == 2:
+                if excursion == "trace":
+                    snapshots[1, 40] *= 1.0 + 1e-6
+                else:
+                    snapshots[1, 40] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]).reshape(16)
+            return snapshots
+
+        monkeypatch.setattr(dynamics, "_snapshots", injecting)
+        duration = recommended_duration(build_liouvillian(weak[0], Rates.alpha()), 1e-3)
+        t = np.linspace(0.0, duration, MIN_SNAPSHOTS)[40]
+        error = TraceViolation if excursion == "trace" else PositivityViolation
+        with pytest.raises(error, match=rf"^state 3: snapshot at t={re.escape(f'{t:.6g}')} "
+                                        rf"has {excursion}"):
+            verify_map(states, fields, Rates.alpha(), 1e-3)
+
     def test_cases_of_two_keys_match_their_own_batches(self, rng):
         # interleaved keys share nothing: each case equals its run in a batch of
         # its key's cases alone; a sine-squared key with one case solves it alone
         square = one_key_steps(rng, Envelope.SQUARE, n=3, omega_peak=1.0)
         lone = replace(random_field(rng), omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
         fields = [square[0], lone, square[1], square[2]]
-        states = [random_density(rng) for _ in fields]
-        distances = verify_map(states, fields, Rates.beta(), 1e-3)
-        own = verify_map([states[0], *states[2:]], [square[0], *square[1:]], Rates.beta(), 1e-3)
+        states = np.stack([random_density(rng).matrix for _ in fields])
+        distances = verify_map(states, fields, Rates.beta(), 1e-3).distances
+        own = verify_map(states[[0, 2, 3]], square, Rates.beta(), 1e-3).distances
         assert distances[[0, 2, 3]].tobytes() == own.tobytes()
-        assert distances[1] == verify_map(states[1:2], [lone], Rates.beta(), 1e-3)[0]
+        assert distances[1] == verify_map(states[1:2], [lone], Rates.beta(), 1e-3).distances[0]
+
+    def test_records_each_key(self, rng):
+        # one record per key, in order of first case, with the duration rule's values
+        strong = one_key_steps(rng, Envelope.SQUARE, n=2, omega_peak=1.0)
+        weak = random_field(rng, omega_peak=0.5, envelope=Envelope.SQUARE)
+        fields = [strong[0], weak, strong[1]]
+        states = np.stack([random_density(rng).matrix for _ in fields])
+        keys = verify_map(states, fields, Rates.beta(), 1e-3).keys
+        assert [key["first_case"] for key in keys] == [0, 1]
+        for key in keys:
+            liou = build_liouvillian(fields[key["first_case"]], Rates.beta())
+            assert key["slowest_rate"] == slowest_rate(liou)
+            assert key["duration"] == recommended_duration(liou, 1e-3)
 
     def test_rejects_bad_arguments(self, rng):
         fp = random_field(rng)
-        rho = random_density(rng)
+        rho = random_density(rng).matrix[None]
         with pytest.raises(ValueError):
-            verify_map([rho], [fp], Rates.alpha(), 1e-6, atol=0.0)
+            verify_map(rho, [fp], Rates.alpha(), 1e-6, atol=0.0)
         with pytest.raises(ValueError):
-            verify_map([rho], [fp], Rates.alpha(), 1.0)
+            verify_map(rho, [fp], Rates.alpha(), 1.0)
         with pytest.raises(ValueError, match="one field per state"):
-            verify_map([rho], [fp, fp], Rates.alpha(), 1e-6)
+            verify_map(rho, [fp, fp], Rates.alpha(), 1e-6)
+
+    def test_rejects_an_invalid_state_stack(self, rng):
+        # the input stack is checked as DensityOperator checks one matrix
+        fields = [random_field(rng) for _ in range(3)]
+        states = np.stack([random_density(rng).matrix for _ in fields])
+        for fault, damage in [("not Hermitian", lambda m: m.__setitem__((1, 0, 1), 0.5)),
+                              ("not positive semidefinite",
+                               lambda m: m.__setitem__(2, np.diag([1.1, -0.1, 0.0, 0.0]))),
+                              ("trace", lambda m: m.__setitem__(1, 1.5 * m[1]))]:
+            stack = states.copy()
+            damage(stack)
+            with pytest.raises(ValueError, match=fault):
+                verify_map(stack, fields, Rates.alpha(), 1e-6)
+        with pytest.raises(ValueError, match="one field per state"):
+            verify_map([DensityOperator(m) for m in states], fields, Rates.alpha(), 1e-6)
 
 
 class TestTrajectoryExport:

@@ -17,6 +17,21 @@ TWO_PI = 2.0 * np.pi
 
 
 class TestRelaxClosed:
+    def test_stack_matches_per_state(self, rng):
+        # a stack mapped by its projectors gives each state's one-state map, bit for
+        # bit; a trace off 1 anywhere in the stack still raises
+        fields = [random_field(rng) for _ in range(12)]
+        states = np.stack([random_density(rng).matrix for _ in fields])
+        projectors = np.stack([dark_basis(fp).projector for fp in fields])
+        out = relax_closed(states, projectors)
+        assert out.shape == states.shape
+        for rho, fp, mapped in zip(states, fields, out):
+            assert mapped.tobytes() == relax_closed(DensityOperator(rho),
+                                                    dark_basis(fp)).matrix.tobytes()
+        states[5] *= 0.5
+        with pytest.raises(TraceMismatch):
+            relax_closed(states, projectors)
+
     def test_dark_state_is_fixed_point(self, rng):
         basis = dark_basis(random_field(rng))
         rho = DensityOperator.pure(basis.n1)
