@@ -83,9 +83,9 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
         tol=cfg.optimizer.tol, pin_last=cfg.optimizer.pin_last,
         omega_peak=cfg.omega_peak, envelope=cfg.envelope)
 
-    # record per-step durations from the spectral gap at the config residual
-    durations = [recommended_duration(build_liouvillian(fp, cfg.rates, 1.0),
-                                      cfg.integrator.residual) for fp in result.sequence]
+    # the steps form one key (the config's drive at zero detuning), run for one duration
+    rate = slowest_rate(build_liouvillian(result.sequence[0], cfg.rates, 1.0))
+    durations = [recommended_duration(rate, cfg.integrator.residual)] * len(result.sequence)
     test_states = random_pure_states(cfg.optimizer.test_states, [cfg.optimizer.seed, 1])
     test_distances = state_distances(test_states, result.sequence, cfg.target)
 
@@ -255,7 +255,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...]
         "left_right_max_principal_angle_rad": span_gap,
         "left_right_spans_coincide": bool(span_gap < 1e-9),
         "slowest_rate": rate,
-        "recommended_durations": {f"{r:.0e}": recommended_duration(liou, r)
+        "recommended_durations": {f"{r:.0e}": recommended_duration(rate, r)
                                   for r in RESIDUAL_LADDER},
         "transpose_convention": transpose_convention_diagnostic(liou),
     }

@@ -16,20 +16,21 @@ generator is invariant under ground-space unitaries, so fields that share
 ``(omega_peak, delta, envelope)`` (a key) differ only by a ground rotation
 ``U``, ``M(fp) = W M_ref W^dagger`` with ``W = U kron conj(U)``, and share their
 spectrum.  The first field of a key in a call is its reference: it sets the
-key's duration and makes its propagator (a square pulse's exponential step or
-one RK45 solve of the 17-column propagator), which every field of the key
-applies as ``rho(t_k) = U P_k[U^dagger rho U] U^dagger`` (``U = 1`` for the
-reference, left unrotated).  A time-dependent key that does not recur
-integrates its states directly.  Nothing is kept between calls.  Spectrum and
-trace do not change under ``U``, so :func:`verify_map` drives a key's cases in
-blocks of eight, monitors them in the key's frame, and rotates back only their
-final snapshots.
+key's duration and makes its propagator, the 65 snapshot propagators ``P_k``
+(the powers of a square pulse's exponential step, or one RK45 solve of the
+17-column propagator), which every field of the key applies as
+``rho(t_k) = U P_k[U^dagger rho U] U^dagger``; ``U`` is exactly 1 for the
+reference, so its states keep every bit.  A time-dependent key that does not
+recur integrates its states directly.  Nothing is kept between calls.
+Spectrum and trace do not change under ``U``, so :func:`verify_map` drives a
+key's cases in blocks of eight, monitors them in the key's frame, and rotates
+back only their final snapshots.
 
 Pulse durations come from the spectral gap: driving for
-``ln(1/residual) / |Re lambda_slow|`` leaves the distance between the endpoint
-and the analytic relaxation map at roughly the requested residual, which
-:func:`verify_map` measures directly.  The map is the same in both relaxation
-regimes; only the driven dynamics differ.
+``ln(1/residual) / |Re lambda_slow|`` (:func:`recommended_duration`) leaves the
+distance between the endpoint and the analytic relaxation map at roughly the
+requested residual, which :func:`verify_map` measures directly.  The map is
+the same in both relaxation regimes; only the driven dynamics differ.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def _solve(fp: FieldParams, on: Liouvillian, t_final: float, y0: np.ndarray, fee
 
 
 def _step(liou: Liouvillian, t_final: float) -> np.ndarray:
-    """The exact augmented step ``expm(dt A)`` of a square pulse, ``dt = t_final / 64``."""
+    """A square pulse's (65, 16, 17) snapshot propagators: rows 0..15 of ``expm(dt A)^k``."""
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if liou.field.envelope is not Envelope.SQUARE:
@@ -246,26 +247,25 @@ def _step(liou: Liouvillian, t_final: float) -> np.ndarray:
     a = np.zeros((17, 17), dtype=complex)
     a[:16, :16] = liou.m
     a[:16, 16] = liou.d
-    return _expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
+    step = _expm((t_final / (MIN_SNAPSHOTS - 1)) * a)
+    powers = np.empty((MIN_SNAPSHOTS, 17, 17), dtype=complex)
+    powers[0] = np.eye(17)
+    for k in range(MIN_SNAPSHOTS - 1):
+        powers[k + 1] = step @ powers[k]
+    return powers[:, :16]
 
 
 def _snapshots(propagator: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """The (S, 65, 16) snapshots of an (S, 4, 4) stack under one pulse's propagator.
 
-    ``propagator`` is either the (17, 17) step of a square pulse, applied 64
-    times, or the (65, 16, 17) stack of snapshot propagators of a solved
-    pulse.  Each state takes its own matrix-vector products, so a state's
-    snapshots are bit-identical to its one-state run.
+    ``propagator`` is the pulse's (65, 16, 17) stack of snapshot propagators,
+    applied to each augmented state ``[rho; 1]``.  Each state takes its own
+    matrix-vector products, so a state's snapshots are bit-identical to its
+    one-state run.
     """
     y0 = np.ones((len(matrices), 17, 1), dtype=complex)
     y0[:, :16, 0] = matrices.reshape(-1, 16)
-    if propagator.ndim == 3:
-        return (propagator[:, None] @ y0)[..., 0].transpose(1, 0, 2)
-    y = np.empty((MIN_SNAPSHOTS, *y0.shape), dtype=complex)
-    y[0] = y0
-    for k in range(MIN_SNAPSHOTS - 1):
-        y[k + 1] = propagator @ y[k]
-    return y[:, :, :16, 0].transpose(1, 0, 2)
+    return (propagator[:, None] @ y0)[..., 0].transpose(1, 0, 2)
 
 
 def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
@@ -299,8 +299,8 @@ def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
     With a constant generator the augmented state ``y = [r; 1]`` obeys
     ``dy/dt = A y`` with ``A = [[m, d], [0, 0]]``.  One ``step = expm(dt A)``
     at ``dt = t_final / 64`` then gives the 65 snapshots of
-    :func:`integrate_master` by 64 products ``y_{k+1} = step @ y_k``.  ``atol``
-    only sets the positivity floor and the trace slack.
+    :func:`integrate_master` as ``y_k = step^k y_0``.  ``atol`` only sets the
+    positivity floor and the trace slack.
 
     Raises
     ------
@@ -320,12 +320,8 @@ def propagator_name(envelope: Envelope) -> str:
     return "exact" if envelope is Envelope.SQUARE else "rk45"
 
 
-def recommended_duration(liou: Liouvillian, residual: float) -> float:
-    """Pulse duration that damps the slowest mode down to ``residual``."""
-    return _damping_time(slowest_rate(liou), residual)
-
-
-def _damping_time(rate: float, residual: float) -> float:
+def recommended_duration(rate: float, residual: float) -> float:
+    """Pulse duration ``ln(1/residual) / rate`` that damps the slowest mode to ``residual``."""
     if not (0.0 < residual < 1.0):
         raise ValueError("residual must lie strictly between 0 and 1")
     return float(np.log(1.0 / residual) / rate)
@@ -353,9 +349,9 @@ def _key_table(fields, bases, rates: Rates, residual: float, rtol: float,
                atol: float) -> list[_Key]:
     """The key of each field: the only place that decides which fields share a propagator.
 
-    A square key's propagator is the (17, 17) exponential step; any other
-    key's, the (65, 16, 17) snapshots of one RK45 solve of ``[Phi | c]`` from
-    ``[1 | 0]`` (the homogeneous flow and the repump feed's response).  A
+    A key's propagator is its (65, 16, 17) stack of snapshot propagators: the
+    powers of the exponential step (square), or one RK45 solve of ``[Phi | c]``
+    from ``[1 | 0]`` (the homogeneous flow and the repump feed's response).  A
     time-dependent key that occurs once gets None: with no field to reuse it,
     that solve costs more than its states' own.
     """
@@ -368,7 +364,7 @@ def _key_table(fields, bases, rates: Rates, residual: float, rtol: float,
             continue
         liou = build_liouvillian(fp, rates, 1.0)
         rate = slowest_rate(liou)
-        t_final = _damping_time(rate, residual)
+        t_final = recommended_duration(rate, residual)
         propagator, nfev = None, 0
         if propagator_name(fp.envelope) == "exact":
             propagator = _step(liou, t_final)
@@ -390,16 +386,15 @@ def _rotation(key: _Key, fp: FieldParams, basis: DarkBasis) -> np.ndarray:
     return u
 
 
-def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray | None, rtol: float,
+def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray, rtol: float,
            atol: float) -> tuple[np.ndarray, int]:
     """The (S, 65, 16) snapshots of an (S, 4, 4) stack under ``key``'s propagator, in its frame.
 
-    ``u`` (:func:`_rotation`, one for all states or one each; None for the reference)
+    ``u`` (:func:`_rotation`, one for all states or one each; exactly 1 for the reference)
     takes them in as ``U^dagger rho U``, so a snapshot ``X`` is ``U X U^dagger`` in their
     frame.  A lone key takes one RK45 solve, whose ``nfev`` is returned (else 0).
     """
-    if u is not None:
-        matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
+    matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
     if key.propagator is None:
         snapshots, nfev = _solve(key.reference, key.liou, key.times[-1],
                                  matrices.reshape(-1, 16).T, key.liou.d[:, None], rtol, atol)
@@ -419,11 +414,10 @@ def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEF
     table = _key_table(steps, bases, rates, residual, rtol, atol)
     out, matrices = [], np.stack([state.matrix for state in states])
     for i, (fp, basis, key) in enumerate(zip(steps, bases, table)):
-        u = None if fp is key.reference else _rotation(key, fp, basis)
+        u = _rotation(key, fp, basis)
         snapshots, nfev = _drive(key, matrices, u, rtol, atol)
-        if u is not None:
-            snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
-                         @ u.conj().T).reshape(snapshots.shape)
+        snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
+                     @ u.conj().T).reshape(snapshots.shape)
         nfev += key.nfev if i == key.first else 0
         out.append(_trajectory(key.times, snapshots, atol, propagator_name(fp.envelope), nfev))
         matrices = np.stack([traj.final.matrix for traj in out[-1]])

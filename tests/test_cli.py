@@ -458,6 +458,26 @@ class TestSpectrumCommand:
             texts.append((out / "spectrum.json").read_text())
         assert texts[0] == texts[1]
 
+    def test_one_slowest_rate_per_run(self, tmp_path, config_path, monkeypatch):
+        # the three recommended durations come from the rate already in hand;
+        # counted wherever a darkpulse module binds slowest_rate
+        import darkpulse.cli as cli
+        import darkpulse.dynamics as dynamics
+        calls = []
+        original = cli.slowest_rate
+
+        def counting(liou):
+            calls.append(liou)
+            return original(liou)
+
+        for module in (cli, dynamics):
+            monkeypatch.setattr(module, "slowest_rate", counting)
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", str(config_path), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        doc = json.loads((out / "spectrum.json").read_text())
+        assert doc["recommended_durations"]["1e-10"] == np.log(1.0 / 1e-10) / doc["slowest_rate"]
+
 
 class TestSweepPurityCommand:
     def test_requires_lists(self, tmp_path, config_path, capsys):
@@ -490,6 +510,18 @@ class TestReproduceCommand:
         assert (out / "simulate" / "summary.json").exists()
         assert (out / "bloch" / "bloch_points.csv").exists()
         assert (out / "bloch" / "bloch_radii.csv").exists()
+
+    def test_recorded_durations_are_the_simulated_ones(self, tmp_path):
+        # the optimizer's steps form one key, which simulate runs for its first
+        # step's duration; result.json records that value for every step, bit for bit
+        out = tmp_path / "repro"
+        assert main(["reproduce-paper", "--out", str(out)]) == 0
+        steps = json.loads((out / "optimize" / "result.json").read_text())["sequence"]["steps"]
+        states = json.loads((out / "simulate" / "summary.json").read_text())["states"]
+        recorded = [step["duration"] for step in steps]
+        simulated = [duration for state in states for duration in state["durations"]]
+        assert len(recorded) == 4 and len(simulated) == 4
+        assert set(recorded) == set(simulated) and len(set(simulated)) == 1
 
 
 class TestFlagAttachment:

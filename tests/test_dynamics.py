@@ -15,7 +15,8 @@ from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolati
                        run_sequence, slowest_rate, verify_map)
 import darkpulse.dynamics as dynamics
 from darkpulse.dynamics import (_BLOCK, DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _ground_frame,
-                                _monitor, _symmetrized, _trajectory, write_trajectory_csv)
+                                _monitor, _step, _symmetrized, _trajectory,
+                                write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
 
 
@@ -47,7 +48,7 @@ class TestIntegrateMaster:
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         rho0 = DensityOperator.pure(random_pure_ground(rng))
         liou = build_liouvillian(fp, Rates.alpha(1.0))
-        t_final = recommended_duration(liou, 1e-8)
+        t_final = recommended_duration(slowest_rate(liou), 1e-8)
         run_fp = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                              mu_plus=fp.mu_plus, omega_peak=1.0)
         traj = integrate_master(rho0, run_fp, Rates.alpha(1.0), t_final)
@@ -67,7 +68,7 @@ class TestIntegrateMaster:
         # the duration still lands on the dark-projected state
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         liou = build_liouvillian(fp, Rates.alpha())
-        t_final = 2.0 * recommended_duration(liou, 1e-8)
+        t_final = 2.0 * recommended_duration(slowest_rate(liou), 1e-8)
         ramped = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                              mu_plus=fp.mu_plus, omega_peak=1.0,
                              envelope=Envelope.SINE_SQUARED)
@@ -134,7 +135,7 @@ class TestPropagateExact:
             fp = random_field(rng, omega_peak=1.0)
             rho0 = DensityOperator.pure(random_pure_ground(rng))
             liou = build_liouvillian(fp, rates)
-            t_final = recommended_duration(liou, 1e-10)
+            t_final = recommended_duration(slowest_rate(liou), 1e-10)
             exact = propagate_exact(rho0, liou, t_final)
             rk45 = integrate_master(rho0, fp, rates, t_final)
             assert np.array_equal(exact.times, rk45.times)
@@ -150,7 +151,7 @@ class TestPropagateExact:
             fp = random_field(rng, omega_peak=1.0)
             rho0 = DensityOperator.pure(random_pure_ground(rng))
             liou = build_liouvillian(fp, rates)
-            traj = propagate_exact(rho0, liou, recommended_duration(liou, residual))
+            traj = propagate_exact(rho0, liou, recommended_duration(slowest_rate(liou), residual))
             mapped = relax_closed(rho0, dark_basis(fp))
             assert hs_distance(traj.final.matrix, mapped.matrix) < 2.0 * residual
 
@@ -169,6 +170,14 @@ class TestPropagateExact:
 
 def one_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
+
+
+def augmented(liou) -> np.ndarray:
+    """The augmented generator ``A = [[m, d], [0, 0]]`` of a constant pulse."""
+    a = np.zeros((17, 17), dtype=complex)
+    a[:16, :16] = liou.m
+    a[:16, 16] = liou.d
+    return a
 
 
 # Entrywise bound on |_expm(a) - scipy.linalg.expm(a)| per unit of max(1, ||a||_1):
@@ -201,12 +210,26 @@ class TestPadeExpm:
         # the augmented step matrix of propagate_exact at the residual-1e-10 duration
         for _ in range(4):
             liou = build_liouvillian(random_field(rng, omega_peak=omega), rates)
-            a = np.zeros((17, 17), dtype=complex)
-            a[:16, :16] = liou.m
-            a[:16, 16] = liou.d
-            a *= recommended_duration(liou, 1e-10) / (MIN_SNAPSHOTS - 1)
+            a = augmented(liou)
+            a *= recommended_duration(slowest_rate(liou), 1e-10) / (MIN_SNAPSHOTS - 1)
             error = np.abs(_expm(a) - scipy.linalg.expm(a)).max()
             assert error <= EXPM_BOUND * max(1.0, one_norm(a))
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_square_snapshot_stack_is_rows_of_scipy_powers(self, rng, rates):
+        # snapshot propagator k is rows 0..15 of expm(k dt A): the identity rows
+        # exactly at k = 0, and the product of k steps within 1e-12 (at most 5.3e-13
+        # over 100 random fields)
+        for _ in range(4):
+            liou = build_liouvillian(random_field(rng, omega_peak=1.0), rates)
+            t_final = recommended_duration(slowest_rate(liou), 1e-10)
+            stack = _step(liou, t_final)
+            assert stack.shape == (MIN_SNAPSHOTS, 16, 17)
+            assert np.array_equal(stack[0], np.eye(16, 17))
+            for k in (1, 32, 64):
+                expected = scipy.linalg.expm(k * t_final / (MIN_SNAPSHOTS - 1) * augmented(liou))
+                assert np.abs(stack[k] - expected[:16]).max() <= 1e-12
 
     def test_rejects_non_finite_matrix(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -300,9 +323,9 @@ class TestRunSequence:
         states = [random_density(rng) for _ in range(3)]
         block, = run_sequence(states, [fp], rates, 1e-6)
         for rho0, traj in zip(states, block):
-            direct = propagate_exact(rho0, liou, recommended_duration(liou, 1e-6))
+            direct = propagate_exact(rho0, liou, recommended_duration(slowest_rate(liou), 1e-6))
             assert traj.record == direct.record and traj.record.propagator == "exact"
-            assert traj.times[-1] == recommended_duration(liou, 1e-6)
+            assert traj.times[-1] == recommended_duration(slowest_rate(liou), 1e-6)
             assert traj.states.tobytes() == direct.states.tobytes()
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
@@ -331,7 +354,7 @@ class TestRunSequence:
         steps = [strong[0], weak[0], strong[1], weak[1]]
         blocks = run_sequence([random_density(rng)], steps, Rates.alpha(), 1e-3)
         durations = [block[0].times[-1] for block in blocks]
-        expected = [recommended_duration(build_liouvillian(fp, Rates.alpha()), 1e-3)
+        expected = [recommended_duration(slowest_rate(build_liouvillian(fp, Rates.alpha())), 1e-3)
                     for fp in steps[:2]]
         assert durations == expected * 2
         assert durations[0] != durations[1]
@@ -473,12 +496,12 @@ class TestSnapshotValidation:
 class TestRecommendedDuration:
     def test_inverse_rate_at_e_residual(self, rng):
         liou = build_liouvillian(random_field(rng), Rates.alpha())
-        duration = recommended_duration(liou, np.exp(-1.0))
+        duration = recommended_duration(slowest_rate(liou), np.exp(-1.0))
         assert duration == pytest.approx(1.0 / slowest_rate(liou), rel=1e-12)
 
     def test_log_scaling(self, rng):
         liou = build_liouvillian(random_field(rng), Rates.alpha())
-        duration = recommended_duration(liou, 1e-12)
+        duration = recommended_duration(slowest_rate(liou), 1e-12)
         assert duration == pytest.approx(np.log(1e12) / slowest_rate(liou), rel=1e-12)
         assert duration == pytest.approx(27.631 / slowest_rate(liou), rel=1e-3)
 
@@ -493,7 +516,7 @@ class TestRecommendedDuration:
         liou = build_liouvillian(random_field(rng), Rates.alpha())
         for bad in (0.0, 1.0, 2.0, -0.1):
             with pytest.raises(ValueError):
-                recommended_duration(liou, bad)
+                recommended_duration(slowest_rate(liou), bad)
 
 
 class TestRateRatioSweep:
@@ -548,7 +571,7 @@ class TestVerifyMap:
         fields = one_key_steps(rng, envelope, n=5, omega_peak=1.0)
         states = np.stack([random_density(rng).matrix for _ in fields])
         distances = verify_map(states, fields, rates, 1e-3).distances
-        t_final = recommended_duration(build_liouvillian(fields[0], rates), 1e-3)
+        t_final = recommended_duration(slowest_rate(build_liouvillian(fields[0], rates)), 1e-3)
         bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
         assert len(stacks) == 1
         frame = _ground_frame(fields[0], dark_basis(fields[0])).conj().T
@@ -614,7 +637,8 @@ class TestVerifyMap:
             return snapshots
 
         monkeypatch.setattr(dynamics, "_snapshots", injecting)
-        duration = recommended_duration(build_liouvillian(weak[0], Rates.alpha()), 1e-3)
+        duration = recommended_duration(slowest_rate(build_liouvillian(weak[0], Rates.alpha())),
+                                        1e-3)
         t = np.linspace(0.0, duration, MIN_SNAPSHOTS)[40]
         error = TraceViolation if excursion == "trace" else PositivityViolation
         with pytest.raises(error, match=rf"^state 3: snapshot at t={re.escape(f'{t:.6g}')} "
@@ -644,7 +668,7 @@ class TestVerifyMap:
         for key in keys:
             liou = build_liouvillian(fields[key["first_case"]], Rates.beta())
             assert key["slowest_rate"] == slowest_rate(liou)
-            assert key["duration"] == recommended_duration(liou, 1e-3)
+            assert key["duration"] == recommended_duration(slowest_rate(liou), 1e-3)
 
     def test_rejects_bad_arguments(self, rng):
         fp = random_field(rng)
