@@ -13,6 +13,7 @@ uncertified map) under --strict, 4 integrator failure, 5 unstable spectrum.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import replace
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ExperimentConfig, atomic_write_text, dumps17, load_config, load_sequence,
-                     read_number, write_csv)
+from .config import (ExperimentConfig, atomic_write_text, load_config, load_sequence, read_number,
+                     write_csv)
 from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, _span_normal,
                    bloch_coords, dark_basis, field_for_span)
 from .dynamics import (propagator_name, recommended_duration, run_sequence, verify_map,
@@ -50,7 +51,7 @@ def bundled_config_path() -> Path:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    atomic_write_text(path, dumps17(doc) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _stats(distances: np.ndarray) -> dict:
@@ -116,24 +117,22 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     psis = cfg.initial_states if cfg.initial_states is not None else [[1.0, 0.0, 0.0]]
 
     # one block through the whole sequence: one propagator per distinct pulse key
-    initial = [DensityOperator.pure(psi) for psi in psis]
+    initial = np.stack([DensityOperator.pure(psi).matrix for psi in psis])
     rows = [{"state_index": i, "durations": [], "trajectories": [], "pulses": []}
             for i in range(len(initial))]
     per_pulse = run_sequence(initial, steps, cfg.rates, cfg.integrator.residual,
                              rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
-    for l, (fp, trajectories) in enumerate(zip(steps, per_pulse)):
-        basis = dark_basis(fp)
-        for row, traj in zip(rows, trajectories):
-            path = out_dir / f"trajectory_state{row['state_index']:03d}_pulse{l:02d}.csv"
-            write_trajectory_csv(traj, basis, path)
+    for l, traj in enumerate(per_pulse):
+        for s, (row, record) in enumerate(zip(rows, traj.records)):
+            path = out_dir / f"trajectory_state{s:03d}_pulse{l:02d}.csv"
+            write_trajectory_csv(traj, s, path)
             row["durations"].append(float(traj.times[-1]))
             row["trajectories"].append(path.name)
-            row["pulses"].append(traj.record._asdict())
+            row["pulses"].append(record._asdict())
 
     target = cfg.target.density_matrix().matrix
-    finals = [traj.final for traj in per_pulse[-1]] if per_pulse else initial
-    ode = np.stack([rho.matrix for rho in finals])
-    mapped = compose_sequence(np.stack([rho.matrix for rho in initial]), steps)
+    ode = per_pulse[-1].states[:, -1] if per_pulse else initial
+    mapped = compose_sequence(initial, steps)
     columns = {"hs_ode_vs_map": hs_distance(ode, mapped),
                "hs_ode_vs_target": hs_distance(ode, target),
                "hs_map_vs_target": hs_distance(mapped, target),

@@ -3,9 +3,8 @@
 Configs are plain JSON with complex numbers as [re, im] pairs.  One walker reads
 configs and sequence-file steps through key tables that give each key a reader
 and a bound; unknown keys and non-finite numbers are rejected, and every error
-names the offending field by its dotted path.  Emission writes floats with 17
-significant digits so documents re-parse exactly and reruns are byte-identical;
-anything time-dependent lives in a separate "meta" block.
+names the offending field by its dotted path.  CSV emission writes floats with
+17 significant digits so tables re-parse exactly and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "load_sequence",
-    "dumps17",
     "atomic_write_text",
     "write_csv",
 ]
@@ -239,43 +237,6 @@ def load_sequence(path, cfg: ExperimentConfig) -> list[FieldParams]:
     seq = _fields(doc.get("sequence") if type(doc) is dict else None, where, _SEQUENCE, ("steps",))
     return [_build(FieldParams, f"{where}.steps[{i}]", step, omega_peak=cfg.omega_peak,
                    envelope=cfg.envelope) for i, step in enumerate(seq["steps"])]
-
-
-def dumps17(obj, indent: int = 0) -> str:
-    """Serialize to JSON with floats at 17 significant digits.
-
-    Dict insertion order is preserved, so documents built deterministically
-    serialize byte-identically.
-    """
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {dumps17(v, indent + 2)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{dumps17(v, indent + 2)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj!r}")
-        text = format(float(obj), ".17g")
-        # keep floats recognizably floats so documents round-trip type-exactly
-        return text if any(c in text for c in ".eE") else text + ".0"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def atomic_write_text(path, text: str) -> None:

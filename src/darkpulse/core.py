@@ -122,10 +122,7 @@ class FieldParams:
 class DensityOperator:
     """A 4x4 Hermitian, positive-semidefinite matrix with trace in (0, 1].
 
-    The matrix is validated on construction and stored read-only.  ``trace_tol``
-    and ``psd_tol`` exist for states produced by a finite-tolerance integrator,
-    where transient excursions scale with the local error; analytic states use
-    the defaults.  ``min_eigenvalue`` is passed on to :meth:`validate`.
+    The matrix is validated on construction and stored read-only.
     """
 
     __slots__ = ("matrix",)
@@ -134,35 +131,29 @@ class DensityOperator:
     PSD_TOL = 1e-10
     TRACE_TOL = 1e-12
 
-    def __init__(self, matrix: np.ndarray, *, psd_tol: float | None = None,
-                 trace_tol: float | None = None, min_eigenvalue: float | None = None) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        self.validate(m, psd_tol=psd_tol, trace_tol=trace_tol, min_eigenvalue=min_eigenvalue)
+        self.validate(m)
         object.__setattr__(self, "matrix", _readonly(m))
 
     @classmethod
-    def validate(cls, matrices: np.ndarray, *, psd_tol: float | None = None,
-                 trace_tol: float | None = None, min_eigenvalue: float | None = None) -> None:
+    def validate(cls, matrices: np.ndarray) -> None:
         """Check a (..., 4, 4) stack of matrices as the constructor checks one.
 
         Raises the constructor's ValueError, naming the largest asymmetry, the
-        smallest eigenvalue, or the smallest or largest trace of the stack.  A
-        caller that already holds the stack's smallest eigenvalue passes it as
-        ``min_eigenvalue`` and saves the ``eigvalsh``.
+        smallest eigenvalue, or the smallest or largest trace of the stack.
         """
         herm = np.max(np.abs(matrices - matrices.swapaxes(-1, -2).conj()))
         if herm >= cls.HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-        min_eig = (float(np.linalg.eigvalsh(matrices).min()) if min_eigenvalue is None
-                   else min_eigenvalue)
-        if min_eig < -(psd_tol if psd_tol is not None else cls.PSD_TOL):
+        min_eig = float(np.linalg.eigvalsh(matrices).min())
+        if min_eig < -cls.PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
         traces = np.trace(matrices, axis1=-2, axis2=-1).real
         low, high = float(traces.min()), float(traces.max())
-        slack = trace_tol if trace_tol is not None else cls.TRACE_TOL
-        if not (0.0 < low and high <= 1.0 + slack):
+        if not (0.0 < low and high <= 1.0 + cls.TRACE_TOL):
             raise ValueError(f"trace {(high if 0.0 < low else low)!r} outside (0, 1]")
 
     @classmethod

@@ -3,13 +3,14 @@
 Within one pulse the generator is ``dr/dt = (M0 + E(t) Mdrive) r + d``; on
 the augmented state ``y = [r; 1]`` it is ``dy/dt = A(t) y`` with
 ``A = [[M, d], [0, 0]]`` (Van Loan 1978).  A square envelope makes ``A``
-constant, so :func:`propagate_exact` takes the exact snapshots from one matrix
-exponential.  Time-dependent envelopes are integrated by
-:func:`integrate_master` with an embedded adaptive Runge-Kutta pair
-(Dormand-Prince 5(4)) under local error control; it accepts square pulses too.
-These two are the one-state witnesses of :func:`run_sequence`, which drives a
-block of states through a sequence, and :func:`verify_map`, which drives a
-batch of cases, each state through its own field.
+constant, so one matrix exponential gives its exact snapshots.  Time-dependent
+envelopes are integrated by an embedded adaptive Runge-Kutta pair
+(Dormand-Prince 5(4)) under local error control; :func:`integrate_master`
+runs it on a block of states through any one pulse, square ones included, and
+is the RK45 witness of :func:`run_sequence`, which drives a block of states
+through a sequence, and of :func:`verify_map`, which drives a batch of cases,
+each state through its own field.  All three take one validated (S, 4, 4)
+stack of states.
 
 Both share propagators through one key table.  The relaxation part of the
 generator is invariant under ground-space unitaries, so fields that share
@@ -43,7 +44,7 @@ import numpy as np
 
 from .config import write_csv
 from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
-from .errors import PositivityViolation, StepSizeUnderflow, TraceViolation
+from .errors import PositivityViolation, StepSizeUnderflow, TraceViolation, UnstableSpectrum
 from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
 from .maps import hs_distance, relax_closed
 
@@ -52,7 +53,6 @@ __all__ = [
     "PulseRecord",
     "Trajectory",
     "integrate_master",
-    "propagate_exact",
     "propagator_name",
     "recommended_duration",
     "run_sequence",
@@ -93,15 +93,16 @@ class PulseRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Density-operator snapshots along one pulse, with the record of how they were made.
+    """Density-operator snapshots of a block of states along one pulse, and how they were made.
 
-    ``states`` is the read-only (n, 4, 4) stack at ``times``; ``final`` is its last matrix.
+    ``states`` is the read-only (S, n, 4, 4) block at ``times``, ``records``
+    holds one :class:`PulseRecord` per state, and ``basis`` is the pulse's dark basis.
     """
 
     times: np.ndarray
     states: np.ndarray
-    final: DensityOperator
-    record: PulseRecord | None = None
+    records: tuple[PulseRecord, ...]
+    basis: DarkBasis
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -169,15 +170,14 @@ def _symmetrized(snapshots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return stack, min_eigs, traces
 
 
-def _monitor(times: np.ndarray, min_eigs: np.ndarray, traces: np.ndarray, atol: float) -> dict:
+def _monitor(times: np.ndarray, min_eigs: np.ndarray, traces: np.ndarray, atol: float) -> None:
     """Check the smallest eigenvalues and traces of S states' snapshots, each (S, n).
 
     ``times`` holds the n times of every state, or a row per state.  Positivity
     and the trace are monitored, not enforced (the repump term is not of
     Lindblad form): the earliest eigenvalue below ``-100 * atol`` (or nan) or
     trace outside ``(0, 1 + slack]`` raises :class:`PositivityViolation` or
-    :class:`TraceViolation`, naming the state's index and the time.  Returns
-    the tolerances a final state is constructed with.
+    :class:`TraceViolation`, naming the state's index and the time.
     """
     times = np.broadcast_to(times, min_eigs.shape)
     # the trace slack scales with the integrator tolerance like the floor
@@ -191,20 +191,26 @@ def _monitor(times: np.ndarray, min_eigs: np.ndarray, traces: np.ndarray, atol: 
         k, s = np.argwhere(~((traces > 0.0) & (traces <= 1.0 + slack)).T)[0]
         raise TraceViolation(f"state {s}: snapshot at t={times[s, k]:.6g} has trace "
                              f"{float(traces[s, k])!r} outside (0, 1 + {slack:.3e}]")
-    return dict(psd_tol=-floor, trace_tol=slack)
 
 
 def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagator: str,
-                nfev: int) -> tuple[Trajectory, ...]:
-    """One trajectory per state of a block of snapshots that passes :func:`_monitor`."""
+                nfev: int, basis: DarkBasis) -> Trajectory:
+    """The trajectory of a block of snapshots that passes :func:`_monitor`."""
     stack, min_eigs, traces = _symmetrized(snapshots)
-    tols = _monitor(times, min_eigs, traces, atol)
-    return tuple(Trajectory(times=times, states=stack[s],
-                            final=DensityOperator(stack[s, -1], **tols,
-                                                  min_eigenvalue=min_eigs[s, -1]),
-                            record=PulseRecord(propagator, nfev, float(min_eigs[s].min()),
-                                               float(np.abs(traces[s] - 1.0).max())))
-                 for s in range(len(stack)))
+    _monitor(times, min_eigs, traces, atol)
+    return Trajectory(times, stack, tuple(
+        PulseRecord(propagator, nfev, float(eigs.min()), float(np.abs(trace - 1.0).max()))
+        for eigs, trace in zip(min_eigs, traces)), basis)
+
+
+def _stack(states, n_fields: int | None = None) -> np.ndarray:
+    """``states`` as one validated (S, 4, 4) stack; with ``n_fields``, one state per field."""
+    states = np.asarray(states)
+    if states.ndim != 3 or states.shape[1:] != (4, 4) or n_fields not in (None, len(states)):
+        raise ValueError("expected an (S, 4, 4) stack of states"
+                         + ("" if n_fields is None else " and one field per state"))
+    DensityOperator.validate(states)
+    return states.astype(complex, copy=False)
 
 
 def _solve(fp: FieldParams, on: Liouvillian, t_final: float, y0: np.ndarray, feed: np.ndarray,
@@ -240,10 +246,6 @@ def _solve(fp: FieldParams, on: Liouvillian, t_final: float, y0: np.ndarray, fee
 
 def _step(liou: Liouvillian, t_final: float) -> np.ndarray:
     """A square pulse's (65, 16, 17) snapshot propagators: rows 0..15 of ``expm(dt A)^k``."""
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if liou.field.envelope is not Envelope.SQUARE:
-        raise ValueError("the exact propagator needs a square envelope")
     a = np.zeros((17, 17), dtype=complex)
     a[:16, :16] = liou.m
     a[:16, 16] = liou.d
@@ -268,13 +270,13 @@ def _snapshots(propagator: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return (propagator[:, None] @ y0)[..., 0].transpose(1, 0, 2)
 
 
-def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
-                     t_final: float, rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Integrate the master equation through one pulse with RK45.
+def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
+                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
+    """Integrate the master equation through one pulse with RK45, for an (S, 4, 4) stack.
 
+    The block takes one solve, whose error norm spans all its states.
     Snapshots are taken at 65 evenly spaced output times including both
-    endpoints and validated by the same rules as :func:`propagate_exact`.
+    endpoints and monitored as :func:`run_sequence` monitors them.
 
     Raises
     ------
@@ -285,34 +287,12 @@ def integrate_master(rho0: DensityOperator, fp: FieldParams, rates: Rates,
     TraceViolation
         If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
     """
+    states = _stack(states)
     liou = build_liouvillian(fp, rates, 1.0)
-    snapshots, nfev = _solve(fp, liou, t_final, rho0.matrix.reshape(16, 1), liou.d[:, None],
+    snapshots, nfev = _solve(fp, liou, t_final, states.reshape(-1, 16).T, liou.d[:, None],
                              rtol, atol)
     return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS), snapshots.transpose(1, 2, 0),
-                       atol, "rk45", nfev)[0]
-
-
-def propagate_exact(rho0: DensityOperator, liou: Liouvillian, t_final: float,
-                    atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Exact snapshots of one square pulse from the matrix exponential.
-
-    With a constant generator the augmented state ``y = [r; 1]`` obeys
-    ``dy/dt = A y`` with ``A = [[m, d], [0, 0]]``.  One ``step = expm(dt A)``
-    at ``dt = t_final / 64`` then gives the 65 snapshots of
-    :func:`integrate_master` as ``y_k = step^k y_0``.  ``atol`` only sets the
-    positivity floor and the trace slack.
-
-    Raises
-    ------
-    PositivityViolation
-        If any snapshot eigenvalue falls below -100 * atol.
-    TraceViolation
-        If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
-    """
-    if atol <= 0:
-        raise ValueError("atol must be positive")
-    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS),
-                       _snapshots(_step(liou, t_final), rho0.matrix[None]), atol, "exact", 0)[0]
+                       atol, "rk45", nfev, dark_basis(fp))
 
 
 def propagator_name(envelope: Envelope) -> str:
@@ -321,10 +301,19 @@ def propagator_name(envelope: Envelope) -> str:
 
 
 def recommended_duration(rate: float, residual: float) -> float:
-    """Pulse duration ``ln(1/residual) / rate`` that damps the slowest mode to ``residual``."""
+    """Pulse duration ``ln(1/residual) / rate`` that damps the slowest mode to ``residual``.
+
+    Raises :class:`UnstableSpectrum` if the duration is not a finite positive
+    number (a subnormal rate overflows it).
+    """
     if not (0.0 < residual < 1.0):
         raise ValueError("residual must lie strictly between 0 and 1")
-    return float(np.log(1.0 / residual) / rate)
+    with np.errstate(over="ignore"):
+        duration = float(np.log(1.0 / residual) / rate)
+    if not 0.0 < duration < np.inf:
+        raise UnstableSpectrum(f"slowest rate {float(rate)!r} gives pulse duration {duration!r} "
+                               f"at residual {residual:g}")
+    return duration
 
 
 def _ground_frame(fp: FieldParams, basis: DarkBasis) -> np.ndarray:
@@ -403,24 +392,26 @@ def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray, rtol: float,
 
 
 def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
-                 atol: float = DEFAULT_ATOL) -> tuple[tuple[Trajectory, ...], ...]:
-    """Drive a block of states through a sequence of pulses, each for its key's duration.
+                 atol: float = DEFAULT_ATOL) -> tuple[Trajectory, ...]:
+    """Drive an (S, 4, 4) stack through a sequence of pulses, each for its key's duration.
 
-    Returns one tuple of trajectories per pulse, one trajectory per state in
-    order; each pulse starts from the previous pulse's final states.  A record
-    charges a solve's evaluations to the pulse that made it, 0 to the others.
+    Returns one trajectory per pulse; each pulse starts from the previous
+    pulse's final snapshots.  A record charges a solve's evaluations to the
+    pulse that made it, 0 to the others.
     """
+    matrices = _stack(states)
     bases = [dark_basis(fp) for fp in steps]
     table = _key_table(steps, bases, rates, residual, rtol, atol)
-    out, matrices = [], np.stack([state.matrix for state in states])
+    out = []
     for i, (fp, basis, key) in enumerate(zip(steps, bases, table)):
         u = _rotation(key, fp, basis)
         snapshots, nfev = _drive(key, matrices, u, rtol, atol)
         snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
                      @ u.conj().T).reshape(snapshots.shape)
         nfev += key.nfev if i == key.first else 0
-        out.append(_trajectory(key.times, snapshots, atol, propagator_name(fp.envelope), nfev))
-        matrices = np.stack([traj.final.matrix for traj in out[-1]])
+        out.append(_trajectory(key.times, snapshots, atol, propagator_name(fp.envelope), nfev,
+                               basis))
+        matrices = out[-1].states[:, -1]
     return tuple(out)
 
 
@@ -440,10 +431,7 @@ def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFA
     does, and is compared with the relaxation map, which both regimes share.  An
     integrator error names a case by its index in the batch and its own time.
     """
-    states = np.asarray(states)
-    if states.shape != (len(fields), 4, 4):
-        raise ValueError("verify_map needs an (S, 4, 4) stack and one field per state")
-    DensityOperator.validate(states)
+    states = _stack(states, len(fields))
     bases = [dark_basis(fp) for fp in fields]
     table = _key_table(fields, bases, rates, residual, rtol, atol)
     u = np.stack([_rotation(key, fp, basis) for key, fp, basis in zip(table, fields, bases)])
@@ -463,13 +451,13 @@ def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFA
         for k in keys.values()))
 
 
-def write_trajectory_csv(traj: Trajectory, basis: DarkBasis, path) -> None:
-    """Write a trajectory as CSV: time, all matrix entries, populations, trace, dark weight."""
+def write_trajectory_csv(traj: Trajectory, state: int, path) -> None:
+    """Write one state of a trajectory as CSV: time, entries, populations, trace, dark weight."""
     labels = ("gm", "gpi", "gp", "e")
     header = ["time"] + [f"{part}_{a}{b}" for a in labels for b in labels for part in ("re", "im")]
     header += [f"pop_{l}" for l in labels] + ["trace", "dark_weight"]
-    stack = traj.states
-    p = basis.projector
+    stack = traj.states[state]
+    p = traj.basis.projector
     table = np.column_stack([
         traj.times,
         np.stack([stack.real, stack.imag], axis=-1).reshape(len(stack), 32),

@@ -6,6 +6,7 @@ with the stage-geometry check (criterion 6) through a session fixture.
 """
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from darkpulse import (DensityOperator, Mode, Rates, TargetState, build_hamilton
                        relax_repumped, repump_steady_state, steady_affine, verify_map,
                        zero_subspace)
 from darkpulse.cli import _sequence_doc, bundled_config_path, main
-from darkpulse.config import dumps17, load_config
+from darkpulse.config import load_config
 from darkpulse.optimize import pure_state_dyads, random_pure_states
 from conftest import fold_repumped, random_density, random_field
 
@@ -156,7 +157,7 @@ def test_criterion_6_stage_geometry(main_run, tmp_path):
     sequence_file = tmp_path / "sequence.json"
     # bloch-export reads no durations; any positive ones make a valid file
     doc = _sequence_doc(result.sequence, [1.0] * len(result.sequence))
-    sequence_file.write_text(dumps17({"sequence": doc}) + "\n")
+    sequence_file.write_text(json.dumps({"sequence": doc}, indent=2) + "\n")
     out = tmp_path / "bloch"
     code = main(["bloch-export", "--config", str(bundled_config_path()),
                  "--sequence", str(sequence_file), "--out", str(out)])
@@ -227,7 +228,7 @@ def test_criterion_9_determinism(tmp_path):
         "N_list": [1],
     }
     config = tmp_path / "config.json"
-    config.write_text(dumps17(doc) + "\n")
+    config.write_text(json.dumps(doc, indent=2) + "\n")
 
     opt = tmp_path / "r1" / "opt"
     assert main(["optimize", "--config", str(config), "--out", str(opt)]) == 0

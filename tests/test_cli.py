@@ -15,8 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darkpulse.cli import build_parser, bundled_config_path, main
-from darkpulse.config import dumps17
+from darkpulse.cli import _write_json, build_parser, bundled_config_path, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,7 +38,7 @@ def write_config(path, **overrides):
         "integrator": {"rtol": 1e-9, "atol": 1e-12, "residual": 1e-8},
     }
     doc.update(overrides)
-    path.write_text(dumps17(doc) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 
 
@@ -225,6 +224,26 @@ class TestSimulateCommand:
         for row in rows:
             assert [p["nfev"] for p in row["pulses"]] == [solves[0], 0]
             assert row["hs_ode_vs_map"] < 1e-3
+
+    def test_one_dark_basis_per_pulse(self, tmp_path, monkeypatch):
+        # run_sequence computes each pulse's basis once and its trajectory carries
+        # it to the CSV writer; the stored sequence has 4 pulses
+        import darkpulse.cli as cli
+        import darkpulse.dynamics as dynamics
+
+        calls = []
+
+        def counting(fp):
+            calls.append(fp)
+            return dark_basis(fp)
+
+        dark_basis = dynamics.dark_basis
+        for module in (cli, dynamics):
+            monkeypatch.setattr(module, "dark_basis", counting)
+        assert main(["simulate", "--config", str(bundled_config_path()), "--sequence",
+                     str(ROOT / "perfbench" / "data" / "sequence.json"),
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert len(calls) == 4
 
     def test_beta_mode_with_unit_rates(self, tmp_path, optimized):
         cfg = write_config(tmp_path / "beta.json", mode="beta",
@@ -524,6 +543,40 @@ class TestReproduceCommand:
         assert set(recorded) == set(simulated) and len(set(simulated)) == 1
 
 
+class TestWriteJson:
+    """The writer of every command's JSON document: the standard library's layout."""
+
+    def write(self, tmp_path, doc) -> str:
+        _write_json(tmp_path / "doc.json", doc)
+        return (tmp_path / "doc.json").read_text()
+
+    def test_round_trip_exact_values(self, tmp_path):
+        doc = {
+            "a": 1.0 / 3.0,
+            "b": [1e-300, 2.5e17, -0.1],
+            "c": {"nested": np.pi, "n": 42, "flag": True, "none": None},
+            "d": "text",
+        }
+        assert json.loads(self.write(tmp_path, doc)) == doc
+        assert json.loads(self.write(tmp_path, doc))["c"]["flag"] is True
+
+    def test_floats_stay_floats(self, tmp_path):
+        parsed = json.loads(self.write(tmp_path, {"x": 1.0, "y": 2, "z": np.float64(3.0)}))
+        assert isinstance(parsed["x"], float) and isinstance(parsed["z"], float)
+        assert isinstance(parsed["y"], int)
+
+    def test_deterministic_output(self, tmp_path):
+        doc = {"z": [0.1, 0.2], "a": {"k": 3.0}, "e": [], "o": {}}
+        text = self.write(tmp_path, doc)
+        assert text == self.write(tmp_path, doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_rejects_non_finite(self, tmp_path):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                _write_json(tmp_path / "doc.json", {"x": [value]})
+        assert not (tmp_path / "doc.json").exists()
+
+
 class TestFlagAttachment:
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--strict"), ("bloch-export", "--strict"),
@@ -615,22 +668,34 @@ class TestInputEdge:
         ("spectrum", ("rates", "gamma_in"), 1e-300, "null dimensions"),
         ("spectrum", ("field", "delta"), 1e300, "null dimensions"),
         ("verify", ("rates", "gamma_in"), 1e-300, "not resolved"),
+        # a subnormal slowest rate (6.4e-312) overflows the pulse duration
+        *[(command, (("omega_peak",), ("rates", "gamma_in")), 1e-310, "pulse duration inf")
+          for command in ("verify", "spectrum", "simulate", "optimize")],
     ])
     def test_extreme_magnitude_exits_5_naming_cause(self, tmp_path, command, keys, value,
                                                      cause, capsys):
         # finite numbers the schema accepts, whose spectrum cannot be resolved
         doc = json.loads(write_config(tmp_path / "config.json").read_text())
-        if keys[0] == "field":
-            doc["field"] = dict(SEQUENCE_STEP)
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
+        if command == "optimize":
+            doc["optimizer"]["max_iter"] = 2  # the duration is computed after the search
+        for path in keys if isinstance(keys[0], tuple) else [keys]:
+            if path[0] == "field":
+                doc["field"] = dict(SEQUENCE_STEP)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
         (tmp_path / "config.json").write_text(json.dumps(doc))
+        sequence = {"sequence": {"mode": "alpha", "steps": [dict(SEQUENCE_STEP)]}}
+        (tmp_path / "result.json").write_text(json.dumps(sequence))
         argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]
         if command == "verify":
             argv += ["--states", "1"]
-        assert main(argv) == 5
+        if command == "simulate":
+            argv += ["--sequence", str(tmp_path / "result.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 5
         err = capsys.readouterr().err
         assert err.startswith("spectrum error: ") and cause in err, err
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from darkpulse import ConfigError, Envelope, Mode
 from darkpulse.cli import bundled_config_path
-from darkpulse.config import dumps17, load_config, parse_config
+from darkpulse.config import load_config, parse_config
 
 
 def base_doc() -> dict:
@@ -174,34 +174,3 @@ class TestOneBadLeaf:
         except ConfigError:
             return
         assert all(np.isfinite(x) for x in floats(cfg))
-
-
-class TestDumps17:
-    def test_round_trip_exact_values(self):
-        doc = {
-            "a": 1.0 / 3.0,
-            "b": [1e-300, 2.5e17, -0.1],
-            "c": {"nested": np.pi, "n": 42, "flag": True, "none": None},
-            "d": "text",
-        }
-        text = dumps17(doc)
-        parsed = json.loads(text)
-        assert parsed["a"] == doc["a"]
-        assert parsed["b"] == doc["b"]
-        assert parsed["c"]["nested"] == np.pi
-        assert parsed["c"]["n"] == 42
-        assert parsed["c"]["flag"] is True
-        assert parsed["c"]["none"] is None
-
-    def test_floats_stay_floats(self):
-        parsed = json.loads(dumps17({"x": 1.0, "y": 2}))
-        assert isinstance(parsed["x"], float)
-        assert isinstance(parsed["y"], int)
-
-    def test_deterministic_output(self):
-        doc = {"z": [0.1, 0.2], "a": {"k": 3.0}}
-        assert dumps17(doc) == dumps17(doc)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            dumps17({"x": float("nan")})

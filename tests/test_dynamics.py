@@ -4,26 +4,60 @@ from dataclasses import replace
 
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
-                       TraceViolation, Trajectory, build_liouvillian, dark_basis, hs_distance,
-                       integrate_master, propagate_exact, recommended_duration, relax_closed,
-                       run_sequence, slowest_rate, verify_map)
+                       TraceViolation, Trajectory, UnstableSpectrum, build_liouvillian,
+                       dark_basis, hs_distance, integrate_master, recommended_duration,
+                       relax_closed, run_sequence, slowest_rate, verify_map)
 import darkpulse.dynamics as dynamics
-from darkpulse.dynamics import (_BLOCK, DEFAULT_RTOL, MIN_SNAPSHOTS, _expm, _ground_frame,
-                                _monitor, _step, _symmetrized, _trajectory,
-                                write_trajectory_csv)
+from darkpulse.dynamics import (_BLOCK, DEFAULT_ATOL, DEFAULT_RTOL, MIN_SNAPSHOTS, _expm,
+                                _ground_frame, _monitor, _snapshots, _step, _symmetrized,
+                                _trajectory, write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
 
 
-def excited_state() -> DensityOperator:
-    m = np.zeros((4, 4), dtype=complex)
-    m[3, 3] = 1.0
-    return DensityOperator(m)
+def excited_state() -> np.ndarray:
+    """The excited state as a one-state (1, 4, 4) stack."""
+    m = np.zeros((1, 4, 4), dtype=complex)
+    m[0, 3, 3] = 1.0
+    return m
+
+
+def stack(*states: DensityOperator) -> np.ndarray:
+    return np.stack([rho.matrix for rho in states])
+
+
+def augmented(liou) -> np.ndarray:
+    """The augmented generator ``A = [[m, d], [0, 0]]`` of a constant pulse."""
+    a = np.zeros((17, 17), dtype=complex)
+    a[:16, :16] = liou.m
+    a[:16, 16] = liou.d
+    return a
+
+
+def expm_snapshots(states: np.ndarray, liou, t_final: float) -> np.ndarray:
+    """The (S, 65, 4, 4) snapshots of a square pulse from ``scipy.linalg.expm``, the oracle.
+
+    Snapshot ``k`` of each state is rows 0..15 of ``expm(t_k A)`` applied to ``[rho; 1]``.
+    """
+    y0 = np.ones((17, len(states)), dtype=complex)
+    y0[:16] = states.reshape(-1, 16).T
+    out = [scipy.linalg.expm(t * augmented(liou))[:16] @ y0
+           for t in np.linspace(0.0, t_final, MIN_SNAPSHOTS)]
+    return np.stack(out).transpose(2, 0, 1).reshape(len(states), MIN_SNAPSHOTS, 4, 4)
+
+
+def exact_trajectory(states: np.ndarray, fp, rates, t_final: float) -> Trajectory:
+    """A square pulse's trajectory from its own exponential step, as run_sequence makes it."""
+    liou = build_liouvillian(fp, rates)
+    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS),
+                       _snapshots(_step(liou, t_final), states), DEFAULT_ATOL, "exact", 0,
+                       dark_basis(fp))
 
 
 class TestIntegrateMaster:
@@ -32,15 +66,15 @@ class TestIntegrateMaster:
         fp = FieldParams(theta=0.5, phi=0.5, mu_minus=0.0, mu_plus=0.0,
                          omega_peak=1e-30)
         traj = integrate_master(excited_state(), fp, Rates.alpha(1.0), 5.0)
-        for t, state in zip(traj.times, traj.states):
+        for t, state in zip(traj.times, traj.states[0]):
             assert state[3, 3].real == pytest.approx(np.exp(-t), rel=1e-8, abs=1e-12)
 
     def test_trace_conserved_in_alpha_mode(self, rng):
         fp = random_field(rng)
         fp = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                          mu_plus=fp.mu_plus, omega_peak=1.0)
-        traj = integrate_master(random_density(rng), fp, Rates.alpha(), 20.0)
-        for state in traj.states:
+        traj = integrate_master(stack(random_density(rng)), fp, Rates.alpha(), 20.0)
+        for state in traj.states[0]:
             assert np.trace(state).real == pytest.approx(1.0, abs=1e-9)
 
     def test_long_square_pulse_reaches_closed_map(self, rng):
@@ -51,14 +85,14 @@ class TestIntegrateMaster:
         t_final = recommended_duration(slowest_rate(liou), 1e-8)
         run_fp = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                              mu_plus=fp.mu_plus, omega_peak=1.0)
-        traj = integrate_master(rho0, run_fp, Rates.alpha(1.0), t_final)
+        traj = integrate_master(stack(rho0), run_fp, Rates.alpha(1.0), t_final)
         mapped = relax_closed(rho0, dark_basis(fp))
-        assert hs_distance(traj.final.matrix, mapped.matrix) < 1e-6
+        assert hs_distance(traj.states[0, -1], mapped.matrix) < 1e-6
 
     def test_snapshot_count_and_times(self, rng):
         fp = random_field(rng)
-        traj = integrate_master(random_density(rng), fp, Rates.alpha(), 3.0)
-        assert len(traj.states) >= 65
+        traj = integrate_master(stack(random_density(rng)), fp, Rates.alpha(), 3.0)
+        assert traj.states.shape == (1, 65, 4, 4)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(3.0)
         assert np.all(np.diff(traj.times) > 0)
@@ -73,21 +107,21 @@ class TestIntegrateMaster:
                              mu_plus=fp.mu_plus, omega_peak=1.0,
                              envelope=Envelope.SINE_SQUARED)
         rho0 = DensityOperator.pure(random_pure_ground(rng))
-        traj = integrate_master(rho0, ramped, Rates.alpha(), t_final)
+        traj = integrate_master(stack(rho0), ramped, Rates.alpha(), t_final)
         mapped = relax_closed(rho0, dark_basis(fp))
-        assert hs_distance(traj.final.matrix, mapped.matrix) < 1e-5
+        assert hs_distance(traj.states[0, -1], mapped.matrix) < 1e-5
 
     def test_convergence_order_under_rtol_halving(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         fp = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                          mu_plus=fp.mu_plus, omega_peak=1.0)
-        rho0 = random_density(rng)
+        rho0 = stack(random_density(rng))
         reference = integrate_master(rho0, fp, Rates.alpha(), 8.0,
-                                     rtol=1e-12, atol=1e-14).final.matrix
+                                     rtol=1e-12, atol=1e-14).states[0, -1]
         errors = []
         for rtol in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
             final = integrate_master(rho0, fp, Rates.alpha(), 8.0,
-                                     rtol=rtol, atol=1e-14).final.matrix
+                                     rtol=rtol, atol=1e-14).states[0, -1]
             errors.append(np.linalg.norm(final - reference))
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
@@ -97,33 +131,53 @@ class TestIntegrateMaster:
             fp = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                              mu_plus=fp.mu_plus, omega_peak=1.0)
             basis = dark_basis(fp)
-            traj = integrate_master(random_density(rng), fp, rates, 30.0)
+            traj = integrate_master(stack(random_density(rng)), fp, rates, 30.0)
             p = basis.projector
-            weights = np.array([np.trace(p @ s @ p).real for s in traj.states])
+            weights = np.array([np.trace(p @ s @ p).real for s in traj.states[0]])
             assert np.diff(weights).min() > -1e-6
 
     def test_invalid_arguments_rejected(self, rng):
         fp = random_field(rng)
-        rho = random_density(rng)
+        rho = stack(random_density(rng))
         with pytest.raises(ValueError):
             integrate_master(rho, fp, Rates.alpha(), -1.0)
         with pytest.raises(ValueError):
             integrate_master(rho, fp, Rates.alpha(), 1.0, rtol=0.0)
 
-    def test_trajectory_time_validation(self):
+    def test_rejects_a_malformed_or_invalid_stack(self, rng):
+        # the stack check verify_map makes, before any solve
+        fp = random_field(rng)
+        for bad, fault in malformed_or_invalid_stacks(rng):
+            with pytest.raises(ValueError, match=fault):
+                integrate_master(bad, fp, Rates.alpha(), 1.0)
+
+    def test_trajectory_time_validation(self, rng):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.5, 1.0]),
-                       states=np.stack([excited_state().matrix] * 2), final=excited_state())
+            Trajectory(times=np.array([0.5, 1.0]), states=np.stack([excited_state()] * 2, axis=1),
+                       records=(), basis=dark_basis(random_field(rng)))
+
+
+def malformed_or_invalid_stacks(rng) -> list:
+    """Inputs that are not an (S, 4, 4) stack of density matrices, each with its error."""
+    good = stack(random_density(rng), random_density(rng))
+    not_psd = good.copy()
+    not_psd[1] = np.diag([1.1, -0.1, 0.0, 0.0])
+    shape = r"\(S, 4, 4\) stack"
+    return [(good[0], shape), (good[:, :3], shape), ([DensityOperator(m) for m in good], shape),
+            (good + np.triu(np.ones((4, 4)), 1), "not Hermitian"),
+            (not_psd, "not positive semidefinite"), (1.5 * good, "trace")]
 
 
 class TestPropagateExact:
+    """The exact propagator of a square pulse: its exponential step's powers."""
+
     def test_pure_decay_closed_form(self):
         # the exact counterpart of TestIntegrateMaster.test_pure_decay_closed_form
         fp = FieldParams(theta=0.5, phi=0.5, mu_minus=0.0, mu_plus=0.0,
                          omega_peak=1e-30)
-        traj = propagate_exact(excited_state(), build_liouvillian(fp, Rates.alpha(1.0)), 5.0)
-        assert len(traj.states) == 65
-        for t, state in zip(traj.times, traj.states):
+        traj = exact_trajectory(excited_state(), fp, Rates.alpha(1.0), 5.0)
+        assert traj.states.shape == (1, 65, 4, 4)
+        for t, state in zip(traj.times, traj.states[0]):
             assert state[3, 3].real == pytest.approx(np.exp(-t), rel=1e-8, abs=1e-12)
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
@@ -133,13 +187,12 @@ class TestPropagateExact:
         # agree to the integrator's rtol at the residual-1e-10 duration
         for _ in range(8):
             fp = random_field(rng, omega_peak=1.0)
-            rho0 = DensityOperator.pure(random_pure_ground(rng))
-            liou = build_liouvillian(fp, rates)
-            t_final = recommended_duration(slowest_rate(liou), 1e-10)
-            exact = propagate_exact(rho0, liou, t_final)
+            rho0 = stack(DensityOperator.pure(random_pure_ground(rng)))
+            t_final = recommended_duration(slowest_rate(build_liouvillian(fp, rates)), 1e-10)
+            exact = exact_trajectory(rho0, fp, rates, t_final)
             rk45 = integrate_master(rho0, fp, rates, t_final)
             assert np.array_equal(exact.times, rk45.times)
-            assert hs_distance(exact.final.matrix, rk45.final.matrix) < DEFAULT_RTOL
+            assert hs_distance(exact.states[0, -1], rk45.states[0, -1]) < DEFAULT_RTOL
 
     @pytest.mark.parametrize("residual", [1e-6, 1e-10])
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
@@ -150,34 +203,13 @@ class TestPropagateExact:
         for _ in range(20):
             fp = random_field(rng, omega_peak=1.0)
             rho0 = DensityOperator.pure(random_pure_ground(rng))
-            liou = build_liouvillian(fp, rates)
-            traj = propagate_exact(rho0, liou, recommended_duration(slowest_rate(liou), residual))
+            traj, = run_sequence(stack(rho0), [fp], rates, residual)
             mapped = relax_closed(rho0, dark_basis(fp))
-            assert hs_distance(traj.final.matrix, mapped.matrix) < 2.0 * residual
-
-    def test_rejects_bad_arguments(self, rng):
-        fp = random_field(rng)
-        liou = build_liouvillian(fp, Rates.alpha())
-        rho = random_density(rng)
-        with pytest.raises(ValueError):
-            propagate_exact(rho, liou, -1.0)
-        with pytest.raises(ValueError):
-            propagate_exact(rho, liou, 1.0, atol=0.0)
-        ramped = build_liouvillian(replace(fp, envelope=Envelope.SINE_SQUARED), Rates.alpha())
-        with pytest.raises(ValueError, match="square"):
-            propagate_exact(rho, ramped, 1.0)
+            assert hs_distance(traj.states[0, -1], mapped.matrix) < 2.0 * residual
 
 
 def one_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
-
-
-def augmented(liou) -> np.ndarray:
-    """The augmented generator ``A = [[m, d], [0, 0]]`` of a constant pulse."""
-    a = np.zeros((17, 17), dtype=complex)
-    a[:16, :16] = liou.m
-    a[:16, 16] = liou.d
-    return a
 
 
 # Entrywise bound on |_expm(a) - scipy.linalg.expm(a)| per unit of max(1, ||a||_1):
@@ -207,7 +239,7 @@ class TestPadeExpm:
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
                              ids=["alpha", "beta"])
     def test_matches_scipy_on_pulse_steps(self, rng, rates, omega):
-        # the augmented step matrix of propagate_exact at the residual-1e-10 duration
+        # the augmented step matrix of a square pulse at the residual-1e-10 duration
         for _ in range(4):
             liou = build_liouvillian(random_field(rng, omega_peak=omega), rates)
             a = augmented(liou)
@@ -285,48 +317,49 @@ class TestRunSequence:
     def test_snapshots_match_one_state_witnesses(self, rng, rates, envelope):
         # every pulse, rotated ones included, against the witness run on that
         # pulse's own generator from the same input state for the same duration:
-        # the exponential to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9)
+        # scipy's exponential to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9)
         steps = one_key_steps(rng, envelope, omega_peak=1.0)
-        states = [random_density(rng) for _ in range(2)]
-        inputs = states
+        inputs = stack(*(random_density(rng) for _ in range(2)))
         bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
-        for fp, block in zip(steps, run_sequence(states, steps, rates, 1e-3)):
-            t_final = block[0].times[-1]
-            for rho0, traj in zip(inputs, block):
+        for fp, traj in zip(steps, run_sequence(inputs, steps, rates, 1e-3)):
+            t_final = traj.times[-1]
+            for s, rho0 in enumerate(inputs):
                 if envelope is Envelope.SQUARE:
-                    witness = propagate_exact(rho0, build_liouvillian(fp, rates), t_final)
+                    witness = expm_snapshots(rho0[None], build_liouvillian(fp, rates), t_final)
                 else:
-                    witness = integrate_master(rho0, fp, rates, t_final)
-                assert np.array_equal(traj.times, witness.times)
-                assert np.abs(traj.states - witness.states).max() < bound
-            inputs = [traj.final for traj in block]
+                    one = integrate_master(rho0[None], fp, rates, t_final)
+                    assert np.array_equal(traj.times, one.times)
+                    witness = one.states
+                assert np.abs(traj.states[s] - witness[0]).max() < bound
+            inputs = traj.states[:, -1]
 
     @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
                              ids=["square", "sine_squared"])
     def test_block_is_bit_identical_to_one_state_runs(self, rng, envelope):
         for rates in (Rates.alpha(), Rates.beta()):
             steps = one_key_steps(rng, envelope, omega_peak=1.0)
-            states = [random_density(rng) for _ in range(3)]
+            states = stack(*(random_density(rng) for _ in range(3)))
             blocks = run_sequence(states, steps, rates, 1e-3)
-            for s, rho0 in enumerate(states):
-                for block, single in zip(blocks, run_sequence([rho0], steps, rates, 1e-3)):
-                    assert block[s].record == single[0].record
-                    assert block[s].states.tobytes() == single[0].states.tobytes()
+            for s in range(len(states)):
+                for block, single in zip(blocks, run_sequence(states[s:s + 1], steps, rates,
+                                                              1e-3)):
+                    assert block.records[s] == single.records[0]
+                    assert block.states[s].tobytes() == single.states[0].tobytes()
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
                              ids=["alpha", "beta"])
     def test_square_pulse_is_its_exact_witness(self, rng, rates):
         # a pulse that is its key's reference takes the exact step unrotated, so
-        # every state equals propagate_exact on its own, bit for bit
+        # every state equals its own run through that step's powers, bit for bit
         fp = random_field(rng, omega_peak=1.0)
-        liou = build_liouvillian(fp, rates)
-        states = [random_density(rng) for _ in range(3)]
-        block, = run_sequence(states, [fp], rates, 1e-6)
-        for rho0, traj in zip(states, block):
-            direct = propagate_exact(rho0, liou, recommended_duration(slowest_rate(liou), 1e-6))
-            assert traj.record == direct.record and traj.record.propagator == "exact"
-            assert traj.times[-1] == recommended_duration(slowest_rate(liou), 1e-6)
-            assert traj.states.tobytes() == direct.states.tobytes()
+        t_final = recommended_duration(slowest_rate(build_liouvillian(fp, rates)), 1e-6)
+        states = stack(*(random_density(rng) for _ in range(3)))
+        traj, = run_sequence(states, [fp], rates, 1e-6)
+        assert traj.times[-1] == t_final
+        for s in range(len(states)):
+            direct = exact_trajectory(states[s:s + 1], fp, rates, t_final)
+            assert traj.records[s] == direct.records[0] and direct.records[0].propagator == "exact"
+            assert traj.states[s].tobytes() == direct.states[0].tobytes()
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
                              ids=["alpha", "beta"])
@@ -335,15 +368,14 @@ class TestRunSequence:
         # error norm spans all states, so the two agree to the integrator's
         # tolerance, not bit for bit (measured below 4e-11)
         fp = random_field(rng, omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
-        states = [random_density(rng) for _ in range(4)]
-        block, = run_sequence(states, [fp], rates, 1e-6)
-        t_final = block[0].times[-1]
-        assert len(block) == 4
-        assert len({traj.record.nfev for traj in block}) == 1
-        for rho0, traj in zip(states, block):
-            single = integrate_master(rho0, fp, rates, t_final)
+        states = stack(*(random_density(rng) for _ in range(4)))
+        traj, = run_sequence(states, [fp], rates, 1e-6)
+        assert len(traj.records) == 4
+        assert len({record.nfev for record in traj.records}) == 1
+        for s in range(len(states)):
+            single = integrate_master(states[s:s + 1], fp, rates, traj.times[-1])
             assert np.array_equal(traj.times, single.times)
-            gap = np.abs(traj.states - single.states).max()
+            gap = np.abs(traj.states[s] - single.states[0]).max()
             assert gap < 1e-9
 
     def test_pulses_of_one_key_share_duration_and_solve(self, rng):
@@ -352,61 +384,71 @@ class TestRunSequence:
         strong = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=1.0)
         weak = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=0.5)
         steps = [strong[0], weak[0], strong[1], weak[1]]
-        blocks = run_sequence([random_density(rng)], steps, Rates.alpha(), 1e-3)
-        durations = [block[0].times[-1] for block in blocks]
+        blocks = run_sequence(stack(random_density(rng)), steps, Rates.alpha(), 1e-3)
+        durations = [block.times[-1] for block in blocks]
         expected = [recommended_duration(slowest_rate(build_liouvillian(fp, Rates.alpha())), 1e-3)
                     for fp in steps[:2]]
         assert durations == expected * 2
         assert durations[0] != durations[1]
-        nfev = [block[0].record.nfev for block in blocks]
+        nfev = [block.records[0].nfev for block in blocks]
         assert nfev[0] > 0 and nfev[1] > 0 and nfev[2:] == [0, 0]
-        assert {block[0].record.propagator for block in blocks} == {"rk45"}
+        assert {block.records[0].propagator for block in blocks} == {"rk45"}
 
     def test_key_that_does_not_recur_integrates_its_states(self, rng):
         # a lone time-dependent key has no pulse to share a propagator with: its
         # states take their own RK45 solve, the one-state witness bit for bit
         recurring = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=1.0)
         lone = replace(random_field(rng), omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
-        blocks = run_sequence([random_density(rng)], [recurring[0], lone, recurring[1]],
+        blocks = run_sequence(stack(random_density(rng)), [recurring[0], lone, recurring[1]],
                               Rates.beta(), 1e-3)
-        witness = integrate_master(blocks[0][0].final, lone, Rates.beta(),
-                                   blocks[1][0].times[-1])
-        assert blocks[1][0].record == witness.record
-        assert blocks[1][0].states.tobytes() == witness.states.tobytes()
-        assert [block[0].record.nfev > 0 for block in blocks] == [True, True, False]
+        witness = integrate_master(blocks[0].states[:, -1], lone, Rates.beta(),
+                                   blocks[1].times[-1])
+        assert blocks[1].records == witness.records
+        assert blocks[1].states.tobytes() == witness.states.tobytes()
+        assert [block.records[0].nfev > 0 for block in blocks] == [True, True, False]
 
     def test_empty_sequence_and_bad_arguments(self, rng):
         fp = random_field(rng)
-        assert run_sequence([random_density(rng)], [], Rates.alpha(), 1e-6) == ()
+        rho = stack(random_density(rng))
+        assert run_sequence(rho, [], Rates.alpha(), 1e-6) == ()
         with pytest.raises(ValueError):
-            run_sequence([random_density(rng)], [fp], Rates.alpha(), 1e-6, atol=0.0)
+            run_sequence(rho, [fp], Rates.alpha(), 1e-6, atol=0.0)
         with pytest.raises(ValueError):
-            run_sequence([random_density(rng)], [fp], Rates.alpha(), 1.0)
+            run_sequence(rho, [fp], Rates.alpha(), 1.0)
+
+    def test_rejects_a_malformed_or_invalid_stack(self, rng):
+        # the stack check verify_map makes, before any propagator is made
+        fp = random_field(rng)
+        for bad, fault in malformed_or_invalid_stacks(rng):
+            with pytest.raises(ValueError, match=fault):
+                run_sequence(bad, [fp], Rates.alpha(), 1e-6)
 
 
 class TestSnapshotValidation:
     def test_record_matches_per_snapshot_values(self, rng):
         # per-snapshot loop as the oracle for the stacked eigenvalue and trace pass
         fp = random_field(rng, omega_peak=1.0)
-        for traj in (integrate_master(random_density(rng), fp, Rates.beta(), 6.0),
-                     propagate_exact(random_density(rng), build_liouvillian(fp, Rates.beta()),
-                                     6.0)):
-            min_eig = min(np.linalg.eigvalsh(s).min() for s in traj.states)
-            trace_error = max(abs(np.trace(s).real - 1.0) for s in traj.states)
-            assert traj.record.min_eigenvalue == pytest.approx(min_eig, abs=1e-15)
-            assert traj.record.max_trace_error == pytest.approx(trace_error, abs=1e-15)
-            assert traj.record.max_trace_error > 1e-3  # beta loses trace while driven
+        states = stack(random_density(rng), random_density(rng))
+        for traj in (integrate_master(states, fp, Rates.beta(), 6.0),
+                     exact_trajectory(states, fp, Rates.beta(), 6.0)):
+            for snapshots, record in zip(traj.states, traj.records):
+                min_eig = min(np.linalg.eigvalsh(s).min() for s in snapshots)
+                trace_error = max(abs(np.trace(s).real - 1.0) for s in snapshots)
+                assert record.min_eigenvalue == pytest.approx(min_eig, abs=1e-15)
+                assert record.max_trace_error == pytest.approx(trace_error, abs=1e-15)
+                assert record.max_trace_error > 1e-3  # beta loses trace while driven
 
     def test_positivity_violation_names_first_offending_time(self, rng):
         times = np.linspace(0.0, 2.0, 5)
         snaps = np.stack([random_density(rng).matrix for _ in range(5)])
         for k, eig in ((2, -1e-8), (4, -1e-6)):
             snaps[k] = np.diag([1.0 - eig, eig, 0.0, 0.0])
+        basis = dark_basis(random_field(rng))
         with pytest.raises(PositivityViolation, match=r"t=1 has eigenvalue -1\.000e-08"):
-            _trajectory(times, snaps.reshape(1, 5, 16), 1e-12, "exact", 0)
+            _trajectory(times, snaps.reshape(1, 5, 16), 1e-12, "exact", 0, basis)
         # a floor below both excursions accepts the same snapshots
-        traj, = _trajectory(times, snaps.reshape(1, 5, 16), 1e-7, "exact", 0)
-        assert traj.record.min_eigenvalue == pytest.approx(-1e-6)
+        traj = _trajectory(times, snaps.reshape(1, 5, 16), 1e-7, "exact", 0, basis)
+        assert traj.records[0].min_eigenvalue == pytest.approx(-1e-6)
 
 
     def test_block_violation_names_state_and_first_time(self, rng):
@@ -414,10 +456,11 @@ class TestSnapshotValidation:
         snaps = np.stack([random_density(rng).matrix for _ in range(15)]).reshape(3, 5, 4, 4)
         snaps[1, 3] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0])
         snaps[2, 1] = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0])
+        basis = dark_basis(random_field(rng))
         with pytest.raises(PositivityViolation,
                            match=r"^state 2: snapshot at t=0\.5 has eigenvalue -1\.000e-08"):
-            _trajectory(times, snaps.reshape(3, 5, 16), 1e-12, "exact", 0)
-        records = [t.record for t in _trajectory(times, snaps.reshape(3, 5, 16), 1e-7, "exact", 0)]
+            _trajectory(times, snaps.reshape(3, 5, 16), 1e-12, "exact", 0, basis)
+        records = _trajectory(times, snaps.reshape(3, 5, 16), 1e-7, "exact", 0, basis).records
         assert [r.min_eigenvalue for r in records][1:] == pytest.approx([-1e-6, -1e-8])
 
     def test_one_eigvalsh_decides_positivity(self, rng, monkeypatch):
@@ -431,13 +474,14 @@ class TestSnapshotValidation:
             calls.append(a.shape)
             return eigvalsh(a)
 
+        basis = dark_basis(random_field(rng))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        _trajectory(times, snaps, 1e-12, "rk45", 7)
+        _trajectory(times, snaps, 1e-12, "rk45", 7, basis)
         assert calls == [(2, 5, 4, 4)]
         # a stack that is not PSD still fails, through the monitor
         snaps[1, 2] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0]).reshape(16)
         with pytest.raises(PositivityViolation, match=r"^state 1: snapshot at t=0\.5"):
-            _trajectory(times, snaps, 1e-12, "rk45", 7)
+            _trajectory(times, snaps, 1e-12, "rk45", 7, basis)
 
     @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
                              ids=["exact", "rk45"])
@@ -451,16 +495,14 @@ class TestSnapshotValidation:
 
         monkeypatch.setattr("darkpulse.dynamics._trajectory", capturing)
         fp = random_field(rng, omega_peak=1.0, envelope=envelope)
-        trajectories, = run_sequence([random_density(rng) for _ in range(3)], [fp],
-                                     Rates.beta(), 1e-6)
+        traj, = run_sequence(stack(*(random_density(rng) for _ in range(3))), [fp],
+                             Rates.beta(), 1e-6)
         block, = blocks
-        assert len(trajectories) == 3
-        for traj in trajectories:
-            assert traj.states.shape == (65, 4, 4)
-            assert not traj.states.flags.writeable
-            assert traj.states.flags.c_contiguous
-            assert not np.shares_memory(traj.states, block)
-            assert traj.final.matrix.tobytes() == traj.states[-1].tobytes()
+        assert traj.states.shape == (3, 65, 4, 4)
+        assert not traj.states.flags.writeable
+        assert traj.states.flags.c_contiguous
+        assert not np.shares_memory(traj.states, block)
+        assert np.array_equal(traj.basis.projector, dark_basis(fp).projector)
 
     def test_trace_above_slack_raises_trace_violation(self, rng):
         # an integrator error naming the state and the first time, like the
@@ -471,12 +513,12 @@ class TestSnapshotValidation:
         snaps[1, 4] *= 1.0 + 1e-6
         with pytest.raises(TraceViolation, match=r"^state 1: snapshot at t=0\.75 has trace "
                                                  r"1\.000000001 outside \(0, 1 \+ 1\.000e-10\]"):
-            _trajectory(times, snaps.reshape(2, 5, 16), 1e-12, "exact", 0)
+            _monitor(times, *_symmetrized(snaps)[1:], 1e-12)
         snaps[1, 4] /= 1.0 + 1e-6
-        _trajectory(times, snaps.reshape(2, 5, 16), 1e-10, "exact", 0)
+        _monitor(times, *_symmetrized(snaps)[1:], 1e-10)
         snaps[0, 2] = 0.0  # positive semidefinite, but a trace of 0 is outside too
         with pytest.raises(TraceViolation, match=r"^state 0: snapshot at t=0\.5 has trace 0\.0 "):
-            _trajectory(times, snaps.reshape(2, 5, 16), 1e-10, "exact", 0)
+            _monitor(times, *_symmetrized(snaps)[1:], 1e-10)
 
     def test_rows_of_times_name_each_state_by_its_own_time(self, rng):
         # a batch whose cases run for different durations gives each state its own
@@ -489,8 +531,8 @@ class TestSnapshotValidation:
         snaps[1, 3] = random_density(rng).matrix * (1.0 + 1e-6)
         with pytest.raises(TraceViolation, match=r"^state 1: snapshot at t=3 has trace"):
             _monitor(times, *_symmetrized(snaps)[1:], 1e-12)
-        tols = _monitor(times, *_symmetrized(snaps)[1:], 1e-7)
-        assert tols == dict(psd_tol=100 * 1e-7, trace_tol=100 * 1e-7)
+        # both excursions lie within the floor and slack of a looser atol
+        _monitor(times, *_symmetrized(snaps)[1:], 1e-7)
 
 
 class TestRecommendedDuration:
@@ -517,6 +559,13 @@ class TestRecommendedDuration:
         for bad in (0.0, 1.0, 2.0, -0.1):
             with pytest.raises(ValueError):
                 recommended_duration(slowest_rate(liou), bad)
+
+    def test_non_finite_duration_is_an_unstable_spectrum(self):
+        # a subnormal rate overflows ln(1/residual)/rate; no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableSpectrum, match="slowest rate 6.4e-312"):
+                recommended_duration(np.float64(6.4e-312), 1e-10)
 
 
 class TestRateRatioSweep:
@@ -558,7 +607,7 @@ class TestVerifyMap:
     def test_batch_matches_one_state_witnesses(self, rng, monkeypatch, rates, envelope):
         # every case of a one-key batch, rotated ones included, against the witness
         # run on that case's own generator for the batch's duration: the exponential
-        # to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9).  The five cases are one
+        # (scipy's) to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9).  The five cases are one
         # block, symmetrized once in the key's frame; each case's snapshots, rotated
         # back with its own U, are its trajectory, and the last one its endpoint
         stacks = []
@@ -580,13 +629,12 @@ class TestVerifyMap:
             if s:
                 u[:3, :3] = _ground_frame(fp, dark_basis(fp)) @ frame
             own = u @ stacks[0][0][s] @ u.conj().T
-            rho0 = DensityOperator(rho0)
             if envelope is Envelope.SQUARE:
-                witness = propagate_exact(rho0, build_liouvillian(fp, rates), t_final)
+                witness = expm_snapshots(rho0[None], build_liouvillian(fp, rates), t_final)
             else:
-                witness = integrate_master(rho0, fp, rates, t_final)
-            assert np.abs(own - witness.states).max() < bound
-            mapped = relax_closed(rho0, dark_basis(fp)).matrix
+                witness = integrate_master(rho0[None], fp, rates, t_final).states
+            assert np.abs(own - witness[0]).max() < bound
+            mapped = relax_closed(DensityOperator(rho0), dark_basis(fp)).matrix
             assert distance == hs_distance(own[-1], mapped)
         single = verify_map(states[:1], fields[:1], rates, 1e-3).distances[0]
         if envelope is Envelope.SQUARE:
@@ -699,11 +747,10 @@ class TestVerifyMap:
 class TestTrajectoryExport:
     def test_csv_columns_and_determinism(self, rng, tmp_path):
         fp = random_field(rng)
-        basis = dark_basis(fp)
-        traj = integrate_master(random_density(rng), fp, Rates.alpha(), 2.0)
+        traj = integrate_master(stack(random_density(rng)), fp, Rates.alpha(), 2.0)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
-            write_trajectory_csv(traj, basis, p)
+            write_trajectory_csv(traj, 0, p)
         text = paths[0].read_text()
         assert text == paths[1].read_text()
         header, first, *_ = text.splitlines()
@@ -711,26 +758,27 @@ class TestTrajectoryExport:
         assert columns[0] == "time"
         assert len(columns) == 1 + 32 + 4 + 2
         assert "." in first.split(",")[1] or "e" in first.split(",")[1]
-        assert len(text.splitlines()) == 1 + len(traj.states)
+        assert len(text.splitlines()) == 1 + len(traj.times)
 
     def test_matches_per_row_writer(self, rng, tmp_path):
         # the per-row writer the array pass replaced is the oracle: every column
-        # byte-identical, the trace and dark weight included
+        # byte-identical, the trace and dark weight included, for each state of a block
         for rates in (Rates.alpha(), Rates.beta()):
             fp = random_field(rng, omega_peak=1.0)
-            basis = dark_basis(fp)
-            rho0 = random_density(rng)
-            liou = build_liouvillian(fp, rates)
+            rho0 = stack(random_density(rng), random_density(rng))
             ramped = replace(fp, envelope=Envelope.SINE_SQUARED)
-            for traj in (propagate_exact(rho0, liou, 4.0),
+            for traj in (exact_trajectory(rho0, fp, rates, 4.0),
                          integrate_master(rho0, ramped, rates, 4.0)):
-                write_trajectory_csv(traj, basis, tmp_path / "new.csv")
-                per_row_writer(traj, basis, tmp_path / "old.csv")
-                assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+                for s in range(len(rho0)):
+                    write_trajectory_csv(traj, s, tmp_path / "new.csv")
+                    per_row_writer(traj.times, traj.states[s], dark_basis(fp),
+                                   tmp_path / "old.csv")
+                    assert ((tmp_path / "new.csv").read_bytes()
+                            == (tmp_path / "old.csv").read_bytes())
 
 
-def per_row_writer(traj, basis, path):
-    """The trajectory CSV written one state and one entry at a time."""
+def per_row_writer(times, states, basis, path):
+    """One state's trajectory CSV written one snapshot and one entry at a time."""
     labels = ("gm", "gpi", "gp", "e")
     header = ["time"]
     for i in range(4):
@@ -741,7 +789,7 @@ def per_row_writer(traj, basis, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         p = basis.projector
-        for t, m in zip(traj.times, traj.states):
+        for t, m in zip(times, states):
             row = [f"{t:.17g}"]
             for i in range(4):
                 for j in range(4):
