@@ -21,7 +21,7 @@ from .liouville import (Liouvillian, Rates, ZeroSubspace, build_liouvillian,
 from .maps import (compose_sequence, hs_distance, mismatch, relax_closed, relax_repumped,
                    relaxation_affine, repump_steady_state, sequence_affine)
 from .optimize import (OptimizationResult, initial_state_grid, optimize_sequence, purity_sweep,
-                       random_pure_states, sequence_objective)
+                       random_pure_states)
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "purity_sweep", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
     "repump_steady_state", "run_sequence",
-    "sequence_affine", "sequence_objective", "slowest_rate", "steady_affine", "unvec", "vec",
+    "sequence_affine", "slowest_rate", "steady_affine", "unvec", "vec",
     "verify_map", "zero_subspace",
 ]

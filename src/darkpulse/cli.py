@@ -77,6 +77,11 @@ def _sequence_doc(steps, durations) -> dict:
 
 def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     started = time.perf_counter()
+    # the steps form one key (the config's drive at zero detuning), run for one duration;
+    # an unresolvable one fails here, on the key's canonical field, not after the search
+    canonical = build_liouvillian(FieldParams(0.0, 0.0, 0.0, 0.0, omega_peak=cfg.omega_peak,
+                                              envelope=cfg.envelope), cfg.rates, 1.0)
+    recommended_duration(slowest_rate(canonical), cfg.integrator.residual)
     grid = initial_state_grid(cfg.grid_resolution)
     result = optimize_sequence(
         cfg.steps, cfg.target, grid, cfg.optimizer.seed,
@@ -84,7 +89,6 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
         tol=cfg.optimizer.tol, pin_last=cfg.optimizer.pin_last,
         omega_peak=cfg.omega_peak, envelope=cfg.envelope)
 
-    # the steps form one key (the config's drive at zero detuning), run for one duration
     rate = slowest_rate(build_liouvillian(result.sequence[0], cfg.rates, 1.0))
     durations = [recommended_duration(rate, cfg.integrator.residual)] * len(result.sequence)
     test_states = random_pure_states(cfg.optimizer.test_states, [cfg.optimizer.seed, 1])
@@ -130,7 +134,7 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
             row["trajectories"].append(path.name)
             row["pulses"].append(record._asdict())
 
-    target = cfg.target.density_matrix().matrix
+    target = cfg.target.density_matrix()
     ode = per_pulse[-1].states[:, -1] if per_pulse else initial
     mapped = compose_sequence(initial, steps)
     columns = {"hs_ode_vs_map": hs_distance(ode, mapped),

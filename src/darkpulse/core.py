@@ -12,7 +12,9 @@ relative phases (mu-, mu+), a global phase xi, a peak Rabi amplitude, a
 detuning, and an envelope.  For every such field the ground space splits into
 a two-dimensional dark subspace (decoupled from the drive) and one bright
 direction; ``dark_basis`` returns that geometry and ``field_for_span`` solves
-the inverse problem of aiming the dark subspace at a prescribed span.
+the inverse problem of aiming the dark subspace at a prescribed span.  A state
+is checked once, where it enters (``DensityOperator``); past that it is a plain
+``(..., 4, 4)`` array.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class FieldParams:
 class DensityOperator:
     """A 4x4 Hermitian, positive-semidefinite matrix with trace in (0, 1].
 
-    The matrix is validated on construction and stored read-only.
+    The matrix is validated on construction and stored read-only; :meth:`validate`
+    checks a whole stack the same way, once, where the stack enters.
     """
 
     __slots__ = ("matrix",)
@@ -158,8 +161,8 @@ class DensityOperator:
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "DensityOperator":
-        """Projector onto a pure state; accepts a ground 3-vector or full 4-vector."""
-        psi = embed_ground(np.asarray(state, dtype=complex))
+        """Projector onto the pure state of a ground 3-vector."""
+        psi = embed_ground(state)
         psi = psi / np.linalg.norm(psi)
         return cls(np.outer(psi, psi.conj()))
 
@@ -195,14 +198,13 @@ class DarkBasis:
         object.__setattr__(self, "projector",
                            _readonly(np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())))
 
-    def maximally_mixed(self) -> DensityOperator:
-        """The maximally mixed state of the dark subspace, P_D / 2."""
-        return DensityOperator(self.projector / 2.0)
-
 
 @dataclass(frozen=True)
 class TargetState:
-    """A weighted pair of ground-space vectors defining the destination state."""
+    """A weighted pair of ground-space vectors defining the destination state.
+
+    Weights and norms within 1e-9 of 1 are accepted, then normalized to trace 1.
+    """
 
     weights: tuple[float, float]
     psi1: np.ndarray
@@ -222,22 +224,19 @@ class TargetState:
         smin = np.linalg.svd(np.column_stack([psi1, psi2]), compute_uv=False)[-1]
         if smin < 1e-10:
             raise DegenerateSpan(f"psi1 and psi2 are linearly dependent (sigma_min={smin:.3e})")
-        object.__setattr__(self, "psi1", _readonly(psi1))
-        object.__setattr__(self, "psi2", _readonly(psi2))
+        object.__setattr__(self, "weights", (p1 / (p1 + p2), p2 / (p1 + p2)))
+        object.__setattr__(self, "psi1", _readonly(psi1 / np.linalg.norm(psi1)))
+        object.__setattr__(self, "psi2", _readonly(psi2 / np.linalg.norm(psi2)))
 
-    def density_matrix(self) -> DensityOperator:
+    def density_matrix(self) -> np.ndarray:
+        """The 4x4 target state p1 |psi1><psi1| + p2 |psi2><psi2|."""
         p1, p2 = self.weights
         v1, v2 = embed_ground(self.psi1), embed_ground(self.psi2)
-        return DensityOperator(p1 * np.outer(v1, v1.conj()) + p2 * np.outer(v2, v2.conj()))
+        return p1 * np.outer(v1, v1.conj()) + p2 * np.outer(v2, v2.conj())
 
 
 def embed_ground(psi: np.ndarray) -> np.ndarray:
     """Lift a ground-space 3-vector into the full 4-dimensional space."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape == (4,):
-        return psi
-    if psi.shape != (3,):
-        raise ValueError(f"expected a 3- or 4-vector, got shape {psi.shape}")
     full = np.zeros(4, dtype=complex)
     full[:3] = psi
     return full

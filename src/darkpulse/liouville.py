@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DarkBasis, DensityOperator, FieldParams, Mode, _readonly,
-                   build_hamiltonian, embed_ground)
+from .core import DarkBasis, FieldParams, Mode, _readonly, build_hamiltonian, embed_ground
 from .errors import SingularSystem, UnexpectedDimension, UnstableSpectrum
 from .maps import repump_steady_state
 
@@ -219,7 +218,7 @@ def closed_form_zero_modes(basis: DarkBasis, mode: Mode) -> ZeroSubspace:
     return ZeroSubspace(right=right, left=left, dimension=right.shape[0])
 
 
-def steady_affine(liou: Liouvillian) -> DensityOperator:
+def steady_affine(liou: Liouvillian) -> np.ndarray:
     """The constant offset state of the repumped dynamics, solving m r + d = 0.
 
     The minimum-norm least-squares solution fixes the component outside the
@@ -235,7 +234,7 @@ def steady_affine(liou: Liouvillian) -> DensityOperator:
     if liou.rates.mode is not Mode.BETA:
         raise ValueError("steady_affine requires mode beta (gamma_ext, r_pump > 0)")
     particular, *_ = np.linalg.lstsq(liou.m, -liou.d, rcond=None)
-    closed = vec(repump_steady_state(liou.field).matrix)
+    closed = vec(repump_steady_state(liou.field))
     # the two solutions may only differ inside the kernel
     gap = closed - particular
     if np.linalg.norm(liou.m @ gap) > 1e-9 * max(np.linalg.norm(liou.m), 1.0):
@@ -243,7 +242,7 @@ def steady_affine(liou: Liouvillian) -> DensityOperator:
     residual = np.linalg.norm(liou.m @ closed + liou.d)
     if residual > 1e-10:
         raise SingularSystem(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return DensityOperator(unvec(closed))
+    return unvec(closed)
 
 
 def slowest_rate(liou: Liouvillian) -> float:

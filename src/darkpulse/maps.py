@@ -13,7 +13,8 @@ form as the reference that the tests check it against.
 
 A pulse sequence is the composition of these maps, one per step; because each
 step is affine on the trace-one hyperplane, convex mixtures commute with the
-whole sequence.
+whole sequence.  States come in and go out as plain (..., 4, 4) arrays, checked
+here only for the unit trace the maps rely on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DensityOperator, FieldParams, dark_basis
+from .core import FieldParams, dark_basis
 from .errors import NegativeRadicand, TraceMismatch
 
 __all__ = [
@@ -48,23 +49,22 @@ def _check_trace_one(matrices: np.ndarray) -> None:
         raise TraceMismatch(f"input trace differs from 1 by {worst!r}, beyond {TRACE_TOL}")
 
 
-def relax_closed(rho, basis):
+def relax_closed(states: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """Relaxation map with a closed ground manifold (no external loss).
 
-    Keeps the dark block of the input and redistributes everything else as
-    the maximally mixed dark state, so the output has trace 1 and is supported
-    on the dark subspace.  Idempotent for a fixed basis.  Maps a DensityOperator
-    by its DarkBasis, or a (..., 4, 4) stack by its dark projectors (unvalidated).
+    Keeps the dark block of each (..., 4, 4) input and redistributes everything
+    else as the maximally mixed dark state, so the output has trace 1 and is
+    supported on the dark subspace.  Idempotent for a fixed projector.  The
+    dark projectors broadcast against the stack, which is checked for trace 1
+    only.
     """
-    one = isinstance(rho, DensityOperator)
-    matrices, p = (rho.matrix, basis.projector) if one else (rho, basis)
-    _check_trace_one(matrices)
-    block = p @ matrices @ p
-    out = block + 0.5 * (1.0 - np.trace(block, axis1=-2, axis2=-1).real)[..., None, None] * p
-    return DensityOperator(out) if one else out
+    _check_trace_one(states)
+    block = projectors @ states @ projectors
+    weight = 1.0 - np.trace(block, axis1=-2, axis2=-1).real
+    return block + 0.5 * weight[..., None, None] * projectors
 
 
-def repump_steady_state(fp: FieldParams) -> DensityOperator:
+def repump_steady_state(fp: FieldParams) -> np.ndarray:
     """Constant offset state of the lossy + repumped dynamics.
 
     Built from the polarization angles alone; equals the dyad of the second
@@ -77,24 +77,21 @@ def repump_steady_state(fp: FieldParams) -> DensityOperator:
     cross = -0.5 * np.exp(1j * (mp - mm)) * np.sin(2.0 * ph)
     out[2, 0] = cross
     out[0, 2] = np.conj(cross)
-    return DensityOperator(out)
+    return out
 
 
-def relax_repumped(rho: DensityOperator, fp: FieldParams) -> DensityOperator:
-    """Relaxation map with external loss compensated by repumping.
+def relax_repumped(rho: np.ndarray, fp: FieldParams) -> np.ndarray:
+    """Relaxation map with external loss compensated by repumping, on one 4x4 state.
 
     The offset state minus its own dark block cancels, so this coincides with
     the closed-manifold map; it is kept as the literal lossy-regime form and
     exercises the offset-state construction.
     """
-    _check_trace_one(rho.matrix)
-    basis = dark_basis(fp)
-    p = basis.projector
-    tilde = repump_steady_state(fp).matrix
-    tilde_block = p @ tilde @ p
-    block = p @ rho.matrix @ p
-    out = tilde - tilde_block + block + 0.5 * (1.0 - np.trace(block).real) * p
-    return DensityOperator(out)
+    _check_trace_one(rho)
+    p = dark_basis(fp).projector
+    tilde = repump_steady_state(fp)
+    block = p @ rho @ p
+    return tilde - p @ tilde @ p + block + 0.5 * (1.0 - np.trace(block).real) * p
 
 
 def compose_sequence(states: np.ndarray, steps: Sequence[FieldParams]) -> np.ndarray:
@@ -111,32 +108,28 @@ def compose_sequence(states: np.ndarray, steps: Sequence[FieldParams]) -> np.nda
     return (states.reshape(-1, 16) @ k.T + c).reshape(states.shape)
 
 
-def _scalar(values: np.ndarray):
-    return float(values) if values.ndim == 0 else values
-
-
 def mismatch(rho_bar: np.ndarray, rho_f: np.ndarray):
     """Overlap mismatch (1 - Tr{rho_bar rho_f})^(1/2) of (..., 4, 4) stacks, broadcast.
 
     Vanishes only when both states are pure and equal; for a mixed reference
     it has a strictly positive floor sqrt(1 - Tr rho_f^2), which is why the
     optimizer minimizes :func:`hs_distance` instead.  Radicands within 1e-9
-    below zero are clamped to 0.  A float for one pair of matrices.
+    below zero are clamped to 0.
     """
     overlap = np.einsum("...ij,...ji->...", rho_bar, rho_f).real
     radicand = 1.0 - overlap
     if np.any(radicand < -1e-9):
         raise NegativeRadicand(f"state overlap {float(overlap.max())!r} exceeds 1 + 1e-9")
-    return _scalar(np.sqrt(np.maximum(radicand, 0.0)))
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def hs_distance(rho_bar: np.ndarray, rho_f: np.ndarray):
     """Hilbert-Schmidt distance sqrt(Tr{(rho_bar - rho_f)^2}) of (..., 4, 4) stacks, broadcast.
 
     Vanishes exactly at equality; equals sqrt(2) times the mismatch when both
-    states are pure.  A float for one pair of matrices.
+    states are pure.
     """
-    return _scalar(np.linalg.norm(np.subtract(rho_bar, rho_f), axis=(-2, -1)))
+    return np.linalg.norm(np.subtract(rho_bar, rho_f), axis=(-2, -1))
 
 
 def relaxation_affine(fp: FieldParams) -> tuple[np.ndarray, np.ndarray]:

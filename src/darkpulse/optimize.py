@@ -38,7 +38,6 @@ __all__ = [
     "random_pure_states",
     "pure_state_dyads",
     "state_distances",
-    "sequence_objective",
     "optimize_sequence",
     "purity_sweep",
 ]
@@ -123,17 +122,10 @@ def pure_state_dyads(states: np.ndarray) -> np.ndarray:
     return full[:, :, None] * full.conj()[:, None, :]
 
 
-def _as_params(params: np.ndarray) -> np.ndarray:
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 1 or params.size % 4 != 0 or params.size == 0:
-        raise ValueError("params must be a flat vector of length 4N")
-    return params
-
-
 def state_distances(states: np.ndarray, steps, target: TargetState) -> np.ndarray:
     """Per-state (hs_distance, mismatch) to the target after the steps, columns stacked."""
     out = compose_sequence(pure_state_dyads(states), steps)
-    rho_f = target.density_matrix().matrix
+    rho_f = target.density_matrix()
     return np.column_stack([hs_distance(out, rho_f), mismatch(out, rho_f)])
 
 
@@ -142,7 +134,7 @@ def _grid_moments(states: np.ndarray, target: TargetState
     """Second moment C, mean m of the grid's ground blocks, and the target block t."""
     vecs = pure_state_dyads(states).reshape(-1, 16)[:, _GROUND]
     moment = vecs.T @ vecs.conj() / vecs.shape[0]
-    target_vec = target.density_matrix().matrix.reshape(16)[_GROUND]
+    target_vec = target.density_matrix().reshape(16)[_GROUND]
     return moment, vecs.mean(axis=0), target_vec
 
 
@@ -201,11 +193,6 @@ def _rms_and_gradient(free: np.ndarray, moment: np.ndarray, mean_vec: np.ndarray
     if pinned is not None:
         grad = grad[:-1]
     return value, grad.ravel()
-
-
-def sequence_objective(params: np.ndarray, grid: np.ndarray, target: TargetState) -> float:
-    """RMS Hilbert-Schmidt distance to the target over a (G, 3) grid, in either regime."""
-    return _rms_and_gradient(_as_params(params), *_grid_moments(grid, target), None)[0]
 
 
 def _termination(res, tol: float) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darkpulse import DensityOperator, FieldParams, dark_basis, relax_closed, relax_repumped
+from darkpulse import FieldParams, dark_basis, relax_closed, relax_repumped
 
 
 @pytest.fixture
@@ -29,26 +29,26 @@ def random_pure_ground(rng) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def random_density(rng, ground_only: bool = False) -> DensityOperator:
-    """A random full-rank trace-one density operator (optionally ground-supported)."""
+def random_density(rng, ground_only: bool = False) -> np.ndarray:
+    """A random full-rank trace-one 4x4 density matrix (optionally ground-supported)."""
     dim = 3 if ground_only else 4
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     m = m / np.trace(m).real
     full = np.zeros((4, 4), dtype=complex)
     full[:dim, :dim] = m
-    return DensityOperator(full)
+    return full
 
 
-def fold_repumped(rho: DensityOperator, steps) -> DensityOperator:
+def fold_repumped(rho: np.ndarray, steps) -> np.ndarray:
     """The steps applied with the literal lossy + repumped map, the beta-regime reference."""
     for fp in steps:
         rho = relax_repumped(rho, fp)
     return rho
 
 
-def fold_closed(rho: DensityOperator, steps) -> DensityOperator:
+def fold_closed(rho: np.ndarray, steps) -> np.ndarray:
     """The steps applied one at a time with the literal closed-manifold map."""
     for fp in steps:
-        rho = relax_closed(rho, dark_basis(fp))
+        rho = relax_closed(rho, dark_basis(fp).projector)
     return rho

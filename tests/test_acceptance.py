@@ -94,14 +94,14 @@ def test_criterion_3_steady_state_identity(rng):
     for _ in range(100):
         fp = random_field(rng)
         liou = build_liouvillian(fp, Rates.beta(1.0, 0.9, 1.1))
-        tilde = steady_affine(liou).matrix
+        tilde = steady_affine(liou)
         n2 = embed_ground(dark_basis(fp).n2)
         worst_dyad = max(worst_dyad, np.linalg.norm(tilde - np.outer(n2, n2.conj())))
-        assert np.linalg.norm(repump_steady_state(fp).matrix - tilde) < 1e-12
+        assert np.linalg.norm(repump_steady_state(fp) - tilde) < 1e-12
         for _ in range(10):
             rho = random_density(rng)
-            gap = np.linalg.norm(relax_repumped(rho, fp).matrix
-                                 - relax_closed(rho, dark_basis(fp)).matrix)
+            gap = np.linalg.norm(relax_repumped(rho, fp)
+                                 - relax_closed(rho, dark_basis(fp).projector))
             worst_map_gap = max(worst_map_gap, gap)
     ok = worst_dyad < 1e-12 and worst_map_gap < 1e-12
     report(3, ok,
@@ -129,7 +129,7 @@ def test_criterion_4_map_vs_dynamics(rng):
 
 def test_criterion_5_main_reproduction(main_run, rng):
     cfg, grid, result = main_run
-    rho_f = cfg.target.density_matrix().matrix
+    rho_f = cfg.target.density_matrix()
     rms = result.objective_value
     test_states = random_pure_states(1000, [cfg.optimizer.seed, 1])
     dyads = pure_state_dyads(test_states)
@@ -140,8 +140,9 @@ def test_criterion_5_main_reproduction(main_run, rng):
     for _ in range(200):
         members = rng.integers(0, len(test_states), size=4)
         weights = rng.dirichlet(np.ones(4))
-        mixtures.append(DensityOperator(sum(w * dyads[i] for w, i in zip(weights, members))))
-    mixed = np.stack([rho.matrix for rho in mixtures])
+        mixtures.append(sum(w * dyads[i] for w, i in zip(weights, members)))
+    mixed = np.stack(mixtures)
+    DensityOperator.validate(mixed)
     worst_mixed = float(hs_distance(compose_sequence(mixed, result.sequence), rho_f).max())
     ok = (rms < 1e-4 and max_test < 1e-3
           and max_test < 50.0 * rms          # grid-free generalization bound
@@ -176,14 +177,14 @@ def test_criterion_7_linearity(rng):
     steps = tuple(random_field(rng) for _ in range(4))
     worst = 0.0
     # the mode-free composition (alpha) and the literal lossy-regime fold (beta)
-    for fold in (lambda rho: DensityOperator(compose_sequence(rho.matrix, steps)),
+    for fold in (lambda rho: compose_sequence(rho, steps),
                  lambda rho: fold_repumped(rho, steps)):
         for _ in range(500):
             rho1, rho2 = random_density(rng), random_density(rng)
             p1 = rng.uniform()
-            mixed = DensityOperator(p1 * rho1.matrix + (1.0 - p1) * rho2.matrix)
-            lhs = fold(mixed).matrix
-            rhs = p1 * fold(rho1).matrix + (1.0 - p1) * fold(rho2).matrix
+            mixed = p1 * rho1 + (1.0 - p1) * rho2
+            lhs = fold(mixed)
+            rhs = p1 * fold(rho1) + (1.0 - p1) * fold(rho2)
             worst = max(worst, np.abs(lhs - rhs).max())
     report(7, worst < 1e-12,
            f"composition vs convex mixing over 10^3 mixtures: {worst:.3e} (< 1e-12)")

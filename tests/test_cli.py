@@ -51,6 +51,15 @@ THREE_STATES = [
 ]
 
 
+def tiny_bundled_config(path, **changes):
+    """The bundled scenario on a tiny budget: one step, one short restart, a 2-point grid."""
+    doc = json.loads(bundled_config_path().read_text())
+    doc.update(steps=1, grid_resolution=2, weight_list=[0.5], N_list=[1], **changes)
+    doc["optimizer"].update(restarts=1, max_iter=3, test_states=5)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def without_wall_time(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if "wall_time_s" not in line)
 
@@ -677,7 +686,7 @@ class TestInputEdge:
         # finite numbers the schema accepts, whose spectrum cannot be resolved
         doc = json.loads(write_config(tmp_path / "config.json").read_text())
         if command == "optimize":
-            doc["optimizer"]["max_iter"] = 2  # the duration is computed after the search
+            doc["optimizer"]["max_iter"] = 2  # a short search, should one run
         for path in keys if isinstance(keys[0], tuple) else [keys]:
             if path[0] == "field":
                 doc["field"] = dict(SEQUENCE_STEP)
@@ -698,6 +707,27 @@ class TestInputEdge:
             assert main(argv) == 5
         err = capsys.readouterr().err
         assert err.startswith("spectrum error: ") and cause in err, err
+
+    @pytest.mark.parametrize("command", ["optimize", "reproduce-paper"])
+    def test_unresolvable_rate_exits_5_before_the_search(self, tmp_path, command, monkeypatch,
+                                                          capsys):
+        # the key's duration is checked on its canonical field before any restart runs
+        from scipy.optimize import minimize
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr("darkpulse.optimize.minimize", counting, raising=False)
+        config = tiny_bundled_config(tmp_path / "config.json", omega_peak=1e-310,
+                                     rates={"gamma_in": 1e-310})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("spectrum error: ") and "pulse duration inf" in err, err
+        assert calls == []
 
     @pytest.mark.parametrize("mode, rates", [
         ("alpha", {"gamma_in": 1e-300, "gamma_ext": 0.0, "r_pump": 0.0}),
@@ -726,8 +756,15 @@ ANGLE_PART = st.one_of(st.floats().map(repr),
                        st.text(max_size=3))
 
 
+BUDGETED_FLAGS = {"optimize": ("--seed", "--threads"),
+                  "simulate": ("--sequence", "--threads"),
+                  "bloch-export": ("--sequence", "--threads"),
+                  "sweep-purity": ("--seed",),
+                  "reproduce-paper": ("--seed", "--threads")}
+
+
 class TestArgvFuzz:
-    """Any argv for spectrum and verify ends in a documented exit code, never a traceback."""
+    """Any argv for any command ends in a documented exit code, never a traceback."""
 
     @settings(derandomize=True, database=None, max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -750,6 +787,55 @@ class TestArgvFuzz:
         except SystemExit as exc:  # argparse rejects the argv itself
             code = exc.code
         assert code in {0, 2, 3, 4, 5}
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["optimize", "simulate", "bloch-export", "sweep-purity",
+                                    "reproduce-paper"]),
+           sequence=st.sampled_from(["valid", "missing", "junk"]),
+           seed=st.none() | st.integers(-5, 2 ** 70),
+           threads=st.none() | st.integers(-2, 4),
+           strict=st.booleans())
+    def test_budgeted_commands_exit_code_is_documented(self, tmp_path, command, sequence,
+                                                       seed, threads, strict):
+        config = tiny_bundled_config(tmp_path / "config.json")
+        (tmp_path / "valid").write_text(json.dumps({"sequence": {"steps": [SEQUENCE_STEP]}}))
+        (tmp_path / "junk").write_text("{not json")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+        # only the flags the command takes; TestFlagAttachment covers the others
+        flags = {"--sequence": str(tmp_path / sequence), "--seed": seed, "--threads": threads}
+        for flag in BUDGETED_FLAGS[command]:
+            if flags[flag] is not None:
+                argv += [flag, str(flags[flag])]
+        if strict and command in ("optimize", "reproduce-paper"):
+            argv.append("--strict")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+        assert code in {0, 2, 3, 4, 5}
+
+
+class TestSchemaValidTargets:
+    """A target the schema accepts, within its 1e-9, runs like an exact one."""
+
+    @pytest.mark.parametrize("change", ["weights", "psi1"])
+    def test_commands_exit_0(self, tmp_path, change):
+        # each change stays within the 1e-9 that the schema accepts for weights and norms
+        target = json.loads(bundled_config_path().read_text())["target"]
+        if change == "weights":
+            target["weights"] = [0.3, 0.7000000005]
+        else:
+            target["psi1"] = [[part * (1.0 + 4e-10) for part in entry]
+                              for entry in target["psi1"]]
+        config = tiny_bundled_config(tmp_path / "config.json", target=target)
+        sequence = tmp_path / "sequence.json"
+        sequence.write_text(json.dumps({"sequence": {"steps": [SEQUENCE_STEP]}}))
+        common = ["--config", str(config), "--out"]
+        assert main(["optimize", *common, str(tmp_path / "opt")]) == 0
+        assert main(["simulate", *common, str(tmp_path / "sim"),
+                     "--sequence", str(sequence)]) == 0
+        assert main(["reproduce-paper", *common, str(tmp_path / "repro")]) == 0
 
 
 def run_fresh(script: str, cwd: Path) -> str:

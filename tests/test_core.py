@@ -62,7 +62,7 @@ class TestDensityOperator:
         np.eye(4) / 2.0,
     ], ids=["non_hermitian", "non_psd", "trace_above_one"])
     def test_stack_check_raises_the_constructor_error(self, rng, bad):
-        stack = np.stack([random_density(rng).matrix for _ in range(5)])
+        stack = np.stack([random_density(rng) for _ in range(5)])
         DensityOperator.validate(stack)
         stack[3] = bad
         with pytest.raises(ValueError) as single:
@@ -71,11 +71,14 @@ class TestDensityOperator:
             DensityOperator.validate(stack)
         assert str(batched.value) == str(single.value)
 
-    def test_pure_accepts_ground_and_full_vectors(self):
-        rho3 = DensityOperator.pure(np.array([1.0, 0.0, 0.0]))
-        rho4 = DensityOperator.pure(np.array([1.0, 0.0, 0.0, 0.0]))
-        assert np.allclose(rho3.matrix, rho4.matrix)
-        assert rho3.trace == pytest.approx(1.0)
+    def test_pure_takes_a_ground_vector(self):
+        rho = DensityOperator.pure(np.array([2.0, 0.0, 0.0]))
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 0] = 1.0
+        assert np.array_equal(rho.matrix, expected)
+        assert rho.trace == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            DensityOperator.pure(np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_matrix_is_read_only(self):
         rho = DensityOperator.pure(np.array([0.0, 1.0, 0.0]))
@@ -241,7 +244,22 @@ class TestTargetState:
                              psi1=np.array([1.0, 0.0, 0.0]),
                              psi2=np.array([0.0, 1.0, 0.0]))
         rho = target.density_matrix()
-        assert rho.trace == pytest.approx(1.0, abs=1e-14)
+        DensityOperator.validate(rho)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("weights, scale", [((0.3, 0.7000000005), 1.0),
+                                                ((0.3, 0.7), 1.0 + 4e-10)],
+                             ids=["weights", "psi1"])
+    def test_accepted_inputs_are_normalized(self, weights, scale):
+        # within the 1e-9 the checks accept, the weights are divided by their sum and
+        # the vectors by their norms, so the state passes the 1e-12 trace check
+        psi1 = np.array([0.6, 0.8j, 0.0]) * scale
+        target = TargetState(weights=weights, psi1=psi1, psi2=np.array([0.0, 0.6, 0.8]))
+        assert sum(target.weights) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(target.psi1) == pytest.approx(1.0, abs=1e-15)
+        rho = target.density_matrix()
+        DensityOperator.validate(rho)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="weights"):
@@ -262,7 +280,7 @@ class TestTargetState:
 class TestBlochCoords:
     def test_maximally_mixed_dark_is_origin(self, rng):
         basis = dark_basis(random_field(rng))
-        x, y, z, weight = bloch_coords(basis.maximally_mixed().matrix, basis)
+        x, y, z, weight = bloch_coords(basis.projector / 2.0, basis)
         assert (x, y, z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
         assert weight == pytest.approx(1.0, abs=1e-14)
 
@@ -286,8 +304,8 @@ class TestBlochCoords:
         for _ in range(20):
             rho1, rho2 = random_density(rng), random_density(rng)
             a = rng.uniform()
-            mix = DensityOperator(a * rho1.matrix + (1 - a) * rho2.matrix)
-            p1, p2, pm = (bloch_coords(r.matrix, basis) for r in (rho1, rho2, mix))
+            mix = a * rho1 + (1 - a) * rho2
+            p1, p2, pm = (bloch_coords(r, basis) for r in (rho1, rho2, mix))
             for k in range(4):  # x, y, z, in_span_weight
                 expected = a * p1[k] + (1 - a) * p2[k]
                 assert pm[k] == pytest.approx(expected, abs=1e-12)
@@ -296,20 +314,19 @@ class TestBlochCoords:
         basis = dark_basis(random_field(rng))
         v1, v2 = embed_ground(basis.n1), embed_ground(basis.n2)
         states = [random_density(rng) for _ in range(50)]
-        coords = bloch_coords(np.stack([rho.matrix for rho in states]), basis)
+        coords = bloch_coords(np.stack(states), basis)
         assert coords.shape == (50, 4)
         for rho, row in zip(states, coords):
             # per-state reference: the 2x2 dark block, one matrix element at a time
-            m = rho.matrix
-            r11, r22, r12 = v1.conj() @ m @ v1, v2.conj() @ m @ v2, v1.conj() @ m @ v2
+            r11, r22, r12 = v1.conj() @ rho @ v1, v2.conj() @ rho @ v2, v1.conj() @ rho @ v2
             expected = (2.0 * r12.real, -2.0 * r12.imag, (r11 - r22).real, (r11 + r22).real)
             assert np.abs(row - expected).max() <= 1e-15
-            assert np.abs(bloch_coords(m, basis) - expected).max() <= 1e-15
+            assert np.abs(bloch_coords(rho, basis) - expected).max() <= 1e-15
 
     def test_radius_bounded_by_weight(self, rng):
         from conftest import random_density
         basis = dark_basis(random_field(rng))
         for _ in range(50):
-            x, y, z, weight = bloch_coords(random_density(rng).matrix, basis)
+            x, y, z, weight = bloch_coords(random_density(rng), basis)
             radius_sq = x ** 2 + y ** 2 + z ** 2
             assert radius_sq <= weight ** 2 + 1e-9

@@ -28,8 +28,8 @@ def excited_state() -> np.ndarray:
     return m
 
 
-def stack(*states: DensityOperator) -> np.ndarray:
-    return np.stack([rho.matrix for rho in states])
+def stack(*states: np.ndarray) -> np.ndarray:
+    return np.stack(states)
 
 
 def augmented(liou) -> np.ndarray:
@@ -80,14 +80,14 @@ class TestIntegrateMaster:
     def test_long_square_pulse_reaches_closed_map(self, rng):
         # unit drive and unit decay, as in the reference scenario
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        rho0 = DensityOperator.pure(random_pure_ground(rng))
+        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix
         liou = build_liouvillian(fp, Rates.alpha(1.0))
         t_final = recommended_duration(slowest_rate(liou), 1e-8)
         run_fp = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                              mu_plus=fp.mu_plus, omega_peak=1.0)
         traj = integrate_master(stack(rho0), run_fp, Rates.alpha(1.0), t_final)
-        mapped = relax_closed(rho0, dark_basis(fp))
-        assert hs_distance(traj.states[0, -1], mapped.matrix) < 1e-6
+        mapped = relax_closed(rho0, dark_basis(fp).projector)
+        assert hs_distance(traj.states[0, -1], mapped) < 1e-6
 
     def test_snapshot_count_and_times(self, rng):
         fp = random_field(rng)
@@ -106,10 +106,10 @@ class TestIntegrateMaster:
         ramped = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                              mu_plus=fp.mu_plus, omega_peak=1.0,
                              envelope=Envelope.SINE_SQUARED)
-        rho0 = DensityOperator.pure(random_pure_ground(rng))
+        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix
         traj = integrate_master(stack(rho0), ramped, Rates.alpha(), t_final)
-        mapped = relax_closed(rho0, dark_basis(fp))
-        assert hs_distance(traj.states[0, -1], mapped.matrix) < 1e-5
+        mapped = relax_closed(rho0, dark_basis(fp).projector)
+        assert hs_distance(traj.states[0, -1], mapped) < 1e-5
 
     def test_convergence_order_under_rtol_halving(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
@@ -168,7 +168,7 @@ def malformed_or_invalid_stacks(rng) -> list:
             (not_psd, "not positive semidefinite"), (1.5 * good, "trace")]
 
 
-class TestPropagateExact:
+class TestExactPropagator:
     """The exact propagator of a square pulse: its exponential step's powers."""
 
     def test_pure_decay_closed_form(self):
@@ -187,7 +187,7 @@ class TestPropagateExact:
         # agree to the integrator's rtol at the residual-1e-10 duration
         for _ in range(8):
             fp = random_field(rng, omega_peak=1.0)
-            rho0 = stack(DensityOperator.pure(random_pure_ground(rng)))
+            rho0 = stack(DensityOperator.pure(random_pure_ground(rng)).matrix)
             t_final = recommended_duration(slowest_rate(build_liouvillian(fp, rates)), 1e-10)
             exact = exact_trajectory(rho0, fp, rates, t_final)
             rk45 = integrate_master(rho0, fp, rates, t_final)
@@ -202,10 +202,10 @@ class TestPropagateExact:
         # the map; the exact endpoint carries no integrator error to hide it
         for _ in range(20):
             fp = random_field(rng, omega_peak=1.0)
-            rho0 = DensityOperator.pure(random_pure_ground(rng))
+            rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix
             traj, = run_sequence(stack(rho0), [fp], rates, residual)
-            mapped = relax_closed(rho0, dark_basis(fp))
-            assert hs_distance(traj.states[0, -1], mapped.matrix) < 2.0 * residual
+            mapped = relax_closed(rho0, dark_basis(fp).projector)
+            assert hs_distance(traj.states[0, -1], mapped) < 2.0 * residual
 
 
 def one_norm(a: np.ndarray) -> float:
@@ -440,7 +440,7 @@ class TestSnapshotValidation:
 
     def test_positivity_violation_names_first_offending_time(self, rng):
         times = np.linspace(0.0, 2.0, 5)
-        snaps = np.stack([random_density(rng).matrix for _ in range(5)])
+        snaps = np.stack([random_density(rng) for _ in range(5)])
         for k, eig in ((2, -1e-8), (4, -1e-6)):
             snaps[k] = np.diag([1.0 - eig, eig, 0.0, 0.0])
         basis = dark_basis(random_field(rng))
@@ -453,7 +453,7 @@ class TestSnapshotValidation:
 
     def test_block_violation_names_state_and_first_time(self, rng):
         times = np.linspace(0.0, 2.0, 5)
-        snaps = np.stack([random_density(rng).matrix for _ in range(15)]).reshape(3, 5, 4, 4)
+        snaps = np.stack([random_density(rng) for _ in range(15)]).reshape(3, 5, 4, 4)
         snaps[1, 3] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0])
         snaps[2, 1] = np.diag([1.0 + 1e-8, -1e-8, 0.0, 0.0])
         basis = dark_basis(random_field(rng))
@@ -466,7 +466,7 @@ class TestSnapshotValidation:
     def test_one_eigvalsh_decides_positivity(self, rng, monkeypatch):
         # the monitor's eigenvalues serve the stack's PSD check as well
         times = np.linspace(0.0, 1.0, 5)
-        snaps = np.stack([random_density(rng).matrix for _ in range(10)]).reshape(2, 5, 16)
+        snaps = np.stack([random_density(rng) for _ in range(10)]).reshape(2, 5, 16)
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -508,7 +508,7 @@ class TestSnapshotValidation:
         # an integrator error naming the state and the first time, like the
         # positivity monitor, not the constructor's ValueError
         times = np.linspace(0.0, 1.0, 5)
-        snaps = np.stack([random_density(rng).matrix for _ in range(10)]).reshape(2, 5, 4, 4)
+        snaps = np.stack([random_density(rng) for _ in range(10)]).reshape(2, 5, 4, 4)
         snaps[1, 3] *= 1.0 + 1e-9  # above 1 + 100 * atol at atol 1e-12
         snaps[1, 4] *= 1.0 + 1e-6
         with pytest.raises(TraceViolation, match=r"^state 1: snapshot at t=0\.75 has trace "
@@ -524,11 +524,11 @@ class TestSnapshotValidation:
         # a batch whose cases run for different durations gives each state its own
         # row of times; an excursion names the state's index and its own time
         times = np.stack([np.linspace(0.0, 2.0, 5), np.linspace(0.0, 4.0, 5)])
-        snaps = np.stack([random_density(rng).matrix for _ in range(10)]).reshape(2, 5, 4, 4)
+        snaps = np.stack([random_density(rng) for _ in range(10)]).reshape(2, 5, 4, 4)
         snaps[1, 3] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0])
         with pytest.raises(PositivityViolation, match=r"^state 1: snapshot at t=3 has eigenvalue"):
             _monitor(times, *_symmetrized(snaps)[1:], 1e-12)
-        snaps[1, 3] = random_density(rng).matrix * (1.0 + 1e-6)
+        snaps[1, 3] = random_density(rng) * (1.0 + 1e-6)
         with pytest.raises(TraceViolation, match=r"^state 1: snapshot at t=3 has trace"):
             _monitor(times, *_symmetrized(snaps)[1:], 1e-12)
         # both excursions lie within the floor and slack of a looser atol
@@ -618,7 +618,7 @@ class TestVerifyMap:
 
         monkeypatch.setattr("darkpulse.dynamics._symmetrized", capturing)
         fields = one_key_steps(rng, envelope, n=5, omega_peak=1.0)
-        states = np.stack([random_density(rng).matrix for _ in fields])
+        states = np.stack([random_density(rng) for _ in fields])
         distances = verify_map(states, fields, rates, 1e-3).distances
         t_final = recommended_duration(slowest_rate(build_liouvillian(fields[0], rates)), 1e-3)
         bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
@@ -634,7 +634,7 @@ class TestVerifyMap:
             else:
                 witness = integrate_master(rho0[None], fp, rates, t_final).states
             assert np.abs(own - witness[0]).max() < bound
-            mapped = relax_closed(DensityOperator(rho0), dark_basis(fp)).matrix
+            mapped = relax_closed(rho0, dark_basis(fp).projector)
             assert distance == hs_distance(own[-1], mapped)
         single = verify_map(states[:1], fields[:1], rates, 1e-3).distances[0]
         if envelope is Envelope.SQUARE:
@@ -657,7 +657,7 @@ class TestVerifyMap:
             return wrapper
 
         fields = one_key_steps(rng, Envelope.SQUARE, n=n_cases, omega_peak=1.0)
-        states = np.stack([random_density(rng).matrix for _ in fields])
+        states = np.stack([random_density(rng) for _ in fields])
         monkeypatch.setattr(dynamics, "_snapshots", counted("_snapshots", dynamics._snapshots))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         verify_map(states, fields, Rates.beta(), 1e-3)
@@ -672,7 +672,7 @@ class TestVerifyMap:
         strong = one_key_steps(rng, Envelope.SQUARE, n=3, omega_peak=1.0)
         weak = one_key_steps(rng, Envelope.SQUARE, n=2, omega_peak=0.5)
         fields = [strong[0], weak[0], strong[1], weak[1], strong[2]]
-        states = np.stack([random_density(rng).matrix for _ in fields])
+        states = np.stack([random_density(rng) for _ in fields])
         original = dynamics._snapshots
 
         def injecting(propagator, matrices):
@@ -699,7 +699,7 @@ class TestVerifyMap:
         square = one_key_steps(rng, Envelope.SQUARE, n=3, omega_peak=1.0)
         lone = replace(random_field(rng), omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
         fields = [square[0], lone, square[1], square[2]]
-        states = np.stack([random_density(rng).matrix for _ in fields])
+        states = np.stack([random_density(rng) for _ in fields])
         distances = verify_map(states, fields, Rates.beta(), 1e-3).distances
         own = verify_map(states[[0, 2, 3]], square, Rates.beta(), 1e-3).distances
         assert distances[[0, 2, 3]].tobytes() == own.tobytes()
@@ -710,7 +710,7 @@ class TestVerifyMap:
         strong = one_key_steps(rng, Envelope.SQUARE, n=2, omega_peak=1.0)
         weak = random_field(rng, omega_peak=0.5, envelope=Envelope.SQUARE)
         fields = [strong[0], weak, strong[1]]
-        states = np.stack([random_density(rng).matrix for _ in fields])
+        states = np.stack([random_density(rng) for _ in fields])
         keys = verify_map(states, fields, Rates.beta(), 1e-3).keys
         assert [key["first_case"] for key in keys] == [0, 1]
         for key in keys:
@@ -720,7 +720,7 @@ class TestVerifyMap:
 
     def test_rejects_bad_arguments(self, rng):
         fp = random_field(rng)
-        rho = random_density(rng).matrix[None]
+        rho = random_density(rng)[None]
         with pytest.raises(ValueError):
             verify_map(rho, [fp], Rates.alpha(), 1e-6, atol=0.0)
         with pytest.raises(ValueError):
@@ -731,7 +731,7 @@ class TestVerifyMap:
     def test_rejects_an_invalid_state_stack(self, rng):
         # the input stack is checked as DensityOperator checks one matrix
         fields = [random_field(rng) for _ in range(3)]
-        states = np.stack([random_density(rng).matrix for _ in fields])
+        states = np.stack([random_density(rng) for _ in fields])
         for fault, damage in [("not Hermitian", lambda m: m.__setitem__((1, 0, 1), 0.5)),
                               ("not positive semidefinite",
                                lambda m: m.__setitem__(2, np.diag([1.1, -0.1, 0.0, 0.0]))),

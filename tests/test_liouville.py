@@ -210,7 +210,7 @@ class TestSteadyAffine:
         for _ in range(10):
             fp = random_field(rng)
             liou = build_liouvillian(fp, Rates.beta(1.0, 0.7, 1.3))
-            rho = steady_affine(liou).matrix
+            rho = steady_affine(liou)
             ph, mm, mp = fp.phi, fp.mu_minus, fp.mu_plus
             expected = np.zeros((4, 4), dtype=complex)
             expected[2, 2] = np.sin(ph) ** 2
@@ -222,7 +222,7 @@ class TestSteadyAffine:
     def test_equals_second_dark_dyad(self, rng):
         for _ in range(10):
             fp = random_field(rng)
-            rho = steady_affine(build_liouvillian(fp, Rates.beta())).matrix
+            rho = steady_affine(build_liouvillian(fp, Rates.beta()))
             n2 = dark_basis(fp).n2
             dyad = np.zeros((4, 4), dtype=complex)
             dyad[:3, :3] = np.outer(n2, n2.conj())
@@ -230,7 +230,7 @@ class TestSteadyAffine:
 
     def test_phi_zero_is_sigma_minus_state(self):
         fp = FieldParams(theta=0.4, phi=0.0, mu_minus=0.0, mu_plus=0.0)
-        rho = steady_affine(build_liouvillian(fp, Rates.beta())).matrix
+        rho = steady_affine(build_liouvillian(fp, Rates.beta()))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.abs(rho - expected).max() < 1e-14
@@ -239,7 +239,7 @@ class TestSteadyAffine:
         fp = random_field(rng)
         liou = build_liouvillian(fp, Rates.beta(1.0, 2.0, 0.4))
         rho = steady_affine(liou)
-        assert np.linalg.norm(liou.m @ vec(rho.matrix) + liou.d) < 1e-10
+        assert np.linalg.norm(liou.m @ vec(rho) + liou.d) < 1e-10
 
     def test_requires_mode_beta(self, rng):
         with pytest.raises(ValueError, match="beta"):

@@ -16,83 +16,86 @@ from conftest import (fold_closed, fold_repumped, random_density, random_field,
 TWO_PI = 2.0 * np.pi
 
 
+def _pure(psi) -> np.ndarray:
+    return DensityOperator.pure(psi).matrix
+
+
 class TestRelaxClosed:
     def test_stack_matches_per_state(self, rng):
         # a stack mapped by its projectors gives each state's one-state map, bit for
         # bit; a trace off 1 anywhere in the stack still raises
         fields = [random_field(rng) for _ in range(12)]
-        states = np.stack([random_density(rng).matrix for _ in fields])
+        states = np.stack([random_density(rng) for _ in fields])
         projectors = np.stack([dark_basis(fp).projector for fp in fields])
         out = relax_closed(states, projectors)
         assert out.shape == states.shape
         for rho, fp, mapped in zip(states, fields, out):
-            assert mapped.tobytes() == relax_closed(DensityOperator(rho),
-                                                    dark_basis(fp)).matrix.tobytes()
+            assert mapped.tobytes() == relax_closed(rho, dark_basis(fp).projector).tobytes()
         states[5] *= 0.5
         with pytest.raises(TraceMismatch):
             relax_closed(states, projectors)
 
     def test_dark_state_is_fixed_point(self, rng):
         basis = dark_basis(random_field(rng))
-        rho = DensityOperator.pure(basis.n1)
-        out = relax_closed(rho, basis)
-        assert np.abs(out.matrix - rho.matrix).max() < 1e-14
+        rho = _pure(basis.n1)
+        out = relax_closed(rho, basis.projector)
+        assert np.abs(out - rho).max() < 1e-14
 
     def test_bright_state_maps_to_mixed_dark(self, rng):
         basis = dark_basis(random_field(rng))
-        out = relax_closed(DensityOperator.pure(basis.phi_perp), basis)
-        assert np.abs(out.matrix - basis.projector / 2.0).max() < 1e-12
+        out = relax_closed(_pure(basis.phi_perp), basis.projector)
+        assert np.abs(out - basis.projector / 2.0).max() < 1e-12
 
     def test_ground_identity_maps_to_mixed_dark(self, rng):
         # dark block is P_D/3 with trace 2/3; refill gives exactly P_D/2
         basis = dark_basis(random_field(rng))
         third = np.zeros((4, 4), dtype=complex)
         third[:3, :3] = np.eye(3) / 3.0
-        out = relax_closed(DensityOperator(third), basis)
-        assert np.abs(out.matrix - basis.projector / 2.0).max() < 1e-12
+        out = relax_closed(third, basis.projector)
+        assert np.abs(out - basis.projector / 2.0).max() < 1e-12
 
     def test_trace_mismatch_raises(self, rng):
         basis = dark_basis(random_field(rng))
-        half = DensityOperator(np.eye(4, dtype=complex) / 8.0)
+        half = np.eye(4, dtype=complex) / 8.0
         with pytest.raises(TraceMismatch):
-            relax_closed(half, basis)
+            relax_closed(half, basis.projector)
 
     def test_idempotent(self, rng):
         basis = dark_basis(random_field(rng))
         for _ in range(20):
-            once = relax_closed(random_density(rng), basis)
-            twice = relax_closed(once, basis)
-            assert np.abs(twice.matrix - once.matrix).max() < 1e-12
+            once = relax_closed(random_density(rng), basis.projector)
+            twice = relax_closed(once, basis.projector)
+            assert np.abs(twice - once).max() < 1e-12
 
     def test_trace_positivity_support_preserved(self, rng):
         # 10^3 random trace-one inputs across random bases
         for _ in range(100):
             basis = dark_basis(random_field(rng))
             for _ in range(10):
-                out = relax_closed(random_density(rng), basis)
-                assert out.trace == pytest.approx(1.0, abs=1e-12)
-                assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
+                out = relax_closed(random_density(rng), basis.projector)
+                assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.eigvalsh(out).min() >= -1e-10
                 p = basis.projector
-                assert np.abs(p @ out.matrix @ p - out.matrix).max() < 1e-12
+                assert np.abs(p @ out @ p - out).max() < 1e-12
 
     def test_amplitude_independence(self, rng):
         angles = dict(theta=1.1, phi=0.4, mu_minus=2.0, mu_plus=0.9)
         rho = random_density(rng)
-        reference = relax_closed(rho, dark_basis(FieldParams(**angles))).matrix
+        reference = relax_closed(rho, dark_basis(FieldParams(**angles)).projector)
         for _ in range(10):
             fp = FieldParams(**angles, xi=rng.uniform(0, 6), omega_peak=rng.uniform(0.1, 9),
                              delta=rng.uniform(-3, 3), envelope=Envelope.SINE_SQUARED)
-            assert np.abs(relax_closed(rho, dark_basis(fp)).matrix - reference).max() == 0.0
+            assert np.abs(relax_closed(rho, dark_basis(fp).projector) - reference).max() == 0.0
 
     def test_affine_on_trace_one_hyperplane(self, rng):
         basis = dark_basis(random_field(rng))
         for _ in range(20):
             rho1, rho2 = random_density(rng), random_density(rng)
             a = rng.uniform()
-            mixed = DensityOperator(a * rho1.matrix + (1 - a) * rho2.matrix)
-            lhs = relax_closed(mixed, basis).matrix
-            rhs = (a * relax_closed(rho1, basis).matrix
-                   + (1 - a) * relax_closed(rho2, basis).matrix)
+            mixed = a * rho1 + (1 - a) * rho2
+            lhs = relax_closed(mixed, basis.projector)
+            rhs = (a * relax_closed(rho1, basis.projector)
+                   + (1 - a) * relax_closed(rho2, basis.projector))
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_matches_zero_subspace_projection(self, rng):
@@ -102,9 +105,9 @@ class TestRelaxClosed:
             fp = random_field(rng)
             sub = zero_subspace(build_liouvillian(fp, Rates.alpha()))
             rho = random_density(rng)
-            weights = sub.left.conj() @ vec(rho.matrix)
+            weights = sub.left.conj() @ vec(rho)
             projected = unvec(weights @ sub.right)
-            mapped = relax_closed(rho, dark_basis(fp)).matrix
+            mapped = relax_closed(rho, dark_basis(fp).projector)
             assert np.linalg.norm(projected - mapped) < 1e-9
 
 
@@ -113,18 +116,19 @@ class TestRepumpSteadyState:
         fp = FieldParams(theta=0.7, phi=np.pi / 2.0, mu_minus=0.3, mu_plus=1.0)
         expected = np.zeros((4, 4))
         expected[2, 2] = 1.0
-        assert np.abs(repump_steady_state(fp).matrix - expected).max() < 1e-12
+        assert np.abs(repump_steady_state(fp) - expected).max() < 1e-12
 
     def test_equals_second_dark_dyad(self, rng):
         for _ in range(50):
             fp = random_field(rng)
             n2 = embed_ground(dark_basis(fp).n2)
             dyad = np.outer(n2, n2.conj())
-            assert np.linalg.norm(repump_steady_state(fp).matrix - dyad) < 1e-12
+            assert np.linalg.norm(repump_steady_state(fp) - dyad) < 1e-12
 
     def test_unit_trace_everywhere(self, rng):
         for _ in range(50):
-            assert repump_steady_state(random_field(rng)).trace == pytest.approx(1.0, abs=1e-14)
+            assert np.trace(repump_steady_state(random_field(rng))).real == pytest.approx(
+                1.0, abs=1e-14)
 
 
 class TestRelaxRepumped:
@@ -132,41 +136,41 @@ class TestRelaxRepumped:
         for _ in range(100):
             fp = random_field(rng)
             rho = random_density(rng)
-            lossy = relax_repumped(rho, fp).matrix
-            closed = relax_closed(rho, dark_basis(fp)).matrix
+            lossy = relax_repumped(rho, fp)
+            closed = relax_closed(rho, dark_basis(fp).projector)
             assert np.linalg.norm(lossy - closed) < 1e-12
 
     def test_dark_input_unchanged(self, rng):
         fp = random_field(rng)
-        rho = DensityOperator.pure(dark_basis(fp).n2)
-        assert np.abs(relax_repumped(rho, fp).matrix - rho.matrix).max() < 1e-13
+        rho = _pure(dark_basis(fp).n2)
+        assert np.abs(relax_repumped(rho, fp) - rho).max() < 1e-13
 
     def test_offset_state_is_fixed_point(self, rng):
         fp = random_field(rng)
         tilde = repump_steady_state(fp)
-        assert np.abs(relax_repumped(tilde, fp).matrix - tilde.matrix).max() < 1e-13
+        assert np.abs(relax_repumped(tilde, fp) - tilde).max() < 1e-13
 
 
 class TestComposeSequence:
     def test_single_step_dark_input_unchanged(self, rng):
         fp = random_field(rng)
-        rho = DensityOperator.pure(dark_basis(fp).n1).matrix
+        rho = _pure(dark_basis(fp).n1)
         assert np.abs(compose_sequence(rho, [fp]) - rho).max() < 1e-13
 
     def test_mixture_linearity(self, rng):
         steps = tuple(random_field(rng) for _ in range(3))
-        for fold in (lambda rho: DensityOperator(compose_sequence(rho.matrix, steps)),
+        for fold in (lambda rho: compose_sequence(rho, steps),
                      lambda rho: fold_repumped(rho, steps)):
             for _ in range(10):
                 rho1, rho2 = random_density(rng), random_density(rng)
                 p1 = rng.uniform()
-                mixed = DensityOperator(p1 * rho1.matrix + (1 - p1) * rho2.matrix)
-                lhs = fold(mixed).matrix
-                rhs = p1 * fold(rho1).matrix + (1 - p1) * fold(rho2).matrix
+                mixed = p1 * rho1 + (1 - p1) * rho2
+                lhs = fold(mixed)
+                rhs = p1 * fold(rho1) + (1 - p1) * fold(rho2)
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_empty_sequence_returns_input(self, rng):
-        stack = np.stack([random_density(rng).matrix for _ in range(3)])
+        stack = np.stack([random_density(rng) for _ in range(3)])
         stack[0, 0, 1] = complex(-0.0, stack[0, 0, 1].imag)  # a negative zero survives too
         out = compose_sequence(stack, ())
         assert out.tobytes() == stack.tobytes()
@@ -174,23 +178,19 @@ class TestComposeSequence:
     def test_stack_matches_fold_of_closed_map(self, rng):
         steps = tuple(random_field(rng) for _ in range(4))
         states = [random_density(rng) for _ in range(6)]
-        stack = np.stack([rho.matrix for rho in states]).reshape(2, 3, 4, 4)
+        stack = np.stack(states).reshape(2, 3, 4, 4)
         out = compose_sequence(stack, steps)
         assert out.shape == (2, 3, 4, 4)
         for rho, mapped in zip(states, out.reshape(6, 4, 4)):
-            assert np.abs(mapped - fold_closed(rho, steps).matrix).max() < 1e-12
-            assert np.abs(compose_sequence(rho.matrix, steps) - mapped).max() < 1e-15
+            assert np.abs(mapped - fold_closed(rho, steps)).max() < 1e-12
+            assert np.abs(compose_sequence(rho, steps) - mapped).max() < 1e-15
 
     def test_trace_mismatch_raises_for_any_state(self, rng):
-        stack = np.stack([random_density(rng).matrix for _ in range(3)])
+        stack = np.stack([random_density(rng) for _ in range(3)])
         stack[1] *= 0.5
         for steps in ((), (random_field(rng),)):
             with pytest.raises(TraceMismatch):
                 compose_sequence(stack, steps)
-
-
-def _pure(psi) -> np.ndarray:
-    return DensityOperator.pure(psi).matrix
 
 
 class TestMetrics:
@@ -205,9 +205,9 @@ class TestMetrics:
 
     def test_mismatch_floor_for_mixed_reference(self, rng):
         rho = random_density(rng)
-        floor = np.sqrt(1.0 - rho.purity())
-        assert mismatch(rho.matrix, rho.matrix) == pytest.approx(floor, abs=1e-12)
-        assert mismatch(rho.matrix, rho.matrix) > 0.0
+        floor = np.sqrt(1.0 - np.trace(rho @ rho).real)
+        assert mismatch(rho, rho) == pytest.approx(floor, abs=1e-12)
+        assert mismatch(rho, rho) > 0.0
 
     def test_mismatch_clamps_tiny_negative_radicand(self, rng):
         rho = _pure(random_pure_ground(rng))
@@ -234,12 +234,12 @@ class TestMetrics:
             assert hs_distance(a, b) == pytest.approx(np.sqrt(2.0) * mismatch(a, b), abs=1e-9)
 
     def test_stacks_broadcast_against_one_matrix(self, rng):
-        stack = np.stack([random_density(rng).matrix for _ in range(6)]).reshape(3, 2, 4, 4)
-        reference = random_density(rng).matrix
+        stack = np.stack([random_density(rng) for _ in range(6)]).reshape(3, 2, 4, 4)
+        reference = random_density(rng)
         for metric in (hs_distance, mismatch):
             values = metric(stack, reference)
             assert values.shape == (3, 2)
-            assert type(metric(stack[0, 0], reference)) is float
+            assert isinstance(metric(stack[0, 0], reference), float)
             for index in np.ndindex(3, 2):
                 assert values[index] == pytest.approx(metric(stack[index], reference),
                                                       abs=1e-15)
@@ -256,9 +256,9 @@ class TestAffineForms:
             k, c = relaxation_affine(fp)
             for _ in range(10):
                 rho = random_density(rng)
-                for direct in (relax_closed(rho, dark_basis(fp)), relax_repumped(rho, fp)):
-                    assert np.linalg.norm(unvec(k @ vec(rho.matrix) + c)
-                                          - direct.matrix) < 1e-12
+                for direct in (relax_closed(rho, dark_basis(fp).projector),
+                               relax_repumped(rho, fp)):
+                    assert np.linalg.norm(unvec(k @ vec(rho) + c) - direct) < 1e-12
 
     def test_sequence_matches_composition(self, rng):
         steps = tuple(random_field(rng) for _ in range(4))
@@ -266,7 +266,7 @@ class TestAffineForms:
         for _ in range(10):
             rho = random_density(rng)
             for direct in (fold_closed(rho, steps), fold_repumped(rho, steps)):
-                assert np.linalg.norm(unvec(k @ vec(rho.matrix) + c) - direct.matrix) < 1e-12
+                assert np.linalg.norm(unvec(k @ vec(rho) + c) - direct) < 1e-12
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(theta=st.one_of(st.floats(0.0, 1e-6), st.floats(np.pi - 1e-6, np.pi),
@@ -281,6 +281,6 @@ class TestAffineForms:
         rng = np.random.default_rng(seed)
         for _ in range(3):
             rho = random_density(rng)
-            out = unvec(k @ vec(rho.matrix) + c)
-            assert np.linalg.norm(out - relax_closed(rho, dark_basis(fp)).matrix) < 1e-12
-            assert np.linalg.norm(out - relax_repumped(rho, fp).matrix) < 1e-12
+            out = unvec(k @ vec(rho) + c)
+            assert np.linalg.norm(out - relax_closed(rho, dark_basis(fp).projector)) < 1e-12
+            assert np.linalg.norm(out - relax_repumped(rho, fp)) < 1e-12

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from darkpulse import (DensityOperator, FieldParams, TargetState, dark_basis, field_for_span,
-                       hs_distance, initial_state_grid, optimize_sequence, purity_sweep,
-                       sequence_objective)
+                       hs_distance, initial_state_grid, optimize_sequence, purity_sweep)
 from darkpulse.optimize import (_grid_moments, _rms_and_gradient, random_pure_states,
                                 state_distances)
 from conftest import fold_closed, fold_repumped, random_field
@@ -21,6 +20,11 @@ def _central_gradient(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
         xm[i] -= step
         grad[i] = (fun(xp) - fun(xm)) / (2.0 * step)
     return grad
+
+
+def grid_rms(params: np.ndarray, grid: np.ndarray, target: TargetState) -> float:
+    """The search's objective: RMS distance to the target over the grid, from its moments."""
+    return _rms_and_gradient(params, *_grid_moments(grid, target), None)[0]
 
 
 def small_target() -> TargetState:
@@ -84,14 +88,14 @@ class TestSequenceObjective:
         grid = basis.phi_perp[None, :]
         target = TargetState(weights=(0.5, 0.5), psi1=basis.n1, psi2=basis.n2)
         params = np.array(fp.angles)
-        assert sequence_objective(params, grid, target) < 1e-12
+        assert grid_rms(params, grid, target) < 1e-12
 
     def test_nonnegative(self, rng):
         grid = initial_state_grid(2)
         target = small_target()
         for _ in range(10):
             params = rng.uniform(0, 2 * np.pi, size=8)
-            assert sequence_objective(params, grid, target) >= 0.0
+            assert grid_rms(params, grid, target) >= 0.0
 
     def test_matches_per_state_composition(self, rng):
         grid = initial_state_grid(2)
@@ -103,11 +107,11 @@ class TestSequenceObjective:
                 FieldParams(theta=params[4 * l], phi=params[4 * l + 1],
                             mu_minus=params[4 * l + 2], mu_plus=params[4 * l + 3])
                 for l in range(n_steps))
-            value = sequence_objective(params, grid, target)
+            value = grid_rms(params, grid, target)
             # the closed-manifold composition (alpha) and the lossy fold (beta)
             for fold in (lambda rho: fold_closed(rho, steps),
                          lambda rho: fold_repumped(rho, steps)):
-                distances = [hs_distance(fold(DensityOperator.pure(psi)).matrix, rho_f.matrix)
+                distances = [hs_distance(fold(DensityOperator.pure(psi).matrix), rho_f)
                              for psi in grid]
                 expected = float(np.sqrt(np.mean(np.square(distances))))
                 assert value == pytest.approx(expected, abs=1e-12)
@@ -129,7 +133,7 @@ class TestAnalyticGradient:
 
         def value(x):
             full = x if pinned is None else np.concatenate([x, pinned])
-            return sequence_objective(full, grid, target)
+            return grid_rms(full, grid, target)
 
         rms, grad = _rms_and_gradient(free, *_grid_moments(grid, target), pinned)
         assert rms == pytest.approx(value(free), abs=1e-14)
@@ -175,7 +179,7 @@ class TestOptimizeSequence:
         assert result.objective_value == pytest.approx(
             float(np.sqrt(np.mean(hs ** 2))), abs=1e-12)
         params = np.concatenate([fp.angles for fp in result.sequence])
-        assert sequence_objective(params, grid, small_target()) == pytest.approx(
+        assert grid_rms(params, grid, small_target()) == pytest.approx(
             result.objective_value, abs=1e-12)
 
     def test_converged_is_the_stopping_test(self):
@@ -237,11 +241,11 @@ class TestStateDistances:
         steps = tuple(random_field(rng) for _ in range(3))
         states = random_pure_states(7, [3, 1])
         target = small_target()
-        rho_f = target.density_matrix().matrix
+        rho_f = target.density_matrix()
         distances = state_distances(states, steps, target)
         assert distances.shape == (7, 2)
         for psi, (hs, mis) in zip(states, distances):
-            out = fold_closed(DensityOperator.pure(psi), steps).matrix
+            out = fold_closed(DensityOperator.pure(psi).matrix, steps)
             assert hs == pytest.approx(np.linalg.norm(out - rho_f), abs=1e-14)
             assert mis == pytest.approx(np.sqrt(1.0 - np.trace(out @ rho_f).real), abs=1e-12)
 
