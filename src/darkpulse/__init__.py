@@ -8,7 +8,8 @@ pulse-sequence optimizer (:mod:`optimize`), and the CLI (:mod:`cli`).
 """
 
 from .core import (DarkBasis, DensityOperator, Envelope, FieldParams, Mode, TargetState,
-                   bloch_coords, build_hamiltonian, dark_basis, embed_ground, field_for_span)
+                   bloch_coords, build_hamiltonian, dark_basis, embed_ground, field_for_span,
+                   pure_state_dyads)
 from .dynamics import (PulseRecord, Trajectory, integrate_master, recommended_duration,
                        run_sequence, verify_map)
 from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, DegenerateSpan,
@@ -35,7 +36,7 @@ __all__ = [
     "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
     "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
-    "purity_sweep", "random_pure_states",
+    "pure_state_dyads", "purity_sweep", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
     "repump_steady_state", "run_sequence",
     "sequence_affine", "slowest_rate", "steady_affine", "unvec", "vec",

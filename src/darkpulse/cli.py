@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import (ExperimentConfig, atomic_write_text, load_config, load_sequence, read_number,
                      write_csv)
-from .core import (DarkBasis, DensityOperator, FieldParams, TargetState, _span_normal,
-                   bloch_coords, dark_basis, field_for_span)
+from .core import (DarkBasis, FieldParams, TargetState, _span_normal, bloch_coords, dark_basis,
+                   field_for_span, pure_state_dyads)
 from .dynamics import (propagator_name, recommended_duration, run_sequence, verify_map,
                        write_trajectory_csv)
 from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, TraceViolation,
@@ -33,8 +33,8 @@ from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, TraceV
 from .liouville import (build_liouvillian, principal_angles, slowest_rate,
                         transpose_convention_diagnostic, zero_subspace)
 from .maps import compose_sequence, hs_distance, mismatch
-from .optimize import (initial_state_grid, optimize_sequence, pure_state_dyads, purity_sweep,
-                       random_pure_states, state_distances)
+from .optimize import (initial_state_grid, optimize_sequence, purity_sweep, random_pure_states,
+                       state_distances)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,10 +118,10 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
 def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     started = time.perf_counter()
     steps = load_sequence(sequence_path, cfg)
-    psis = cfg.initial_states if cfg.initial_states is not None else [[1.0, 0.0, 0.0]]
+    psis = cfg.initial_states if cfg.initial_states is not None else np.array([[1.0, 0.0, 0.0]])
 
     # one block through the whole sequence: one propagator per distinct pulse key
-    initial = np.stack([DensityOperator.pure(psi).matrix for psi in psis])
+    initial = pure_state_dyads(psis)
     rows = [{"state_index": i, "durations": [], "trajectories": [], "pulses": []}
             for i in range(len(initial))]
     per_pulse = run_sequence(initial, steps, cfg.rates, cfg.integrator.residual,
@@ -212,8 +212,8 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
     points, radii = [], []
     for stage in range(1, len(steps) + 1):
         out = compose_sequence(dyads, steps[:stage])
+        # made exactly Hermitian: the exported coordinates are taken from this form
         out = 0.5 * (out + out.swapaxes(-1, -2).conj())
-        DensityOperator.validate(out)
         if stage < len(steps):
             basis = dark_basis(steps[stage - 1])
         else:
@@ -260,7 +260,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...]
         "slowest_rate": rate,
         "recommended_durations": {f"{r:.0e}": recommended_duration(rate, r)
                                   for r in RESIDUAL_LADDER},
-        "transpose_convention": transpose_convention_diagnostic(liou),
+        "transpose_convention": transpose_convention_diagnostic(subspace),
     }
     _write_json(out_dir / "spectrum.json", doc)
     print(f"spectrum: zero_dimension={subspace.dimension} slowest_rate={rate:.6g} "
@@ -274,7 +274,8 @@ def cmd_sweep_purity(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = initial_state_grid(cfg.grid_resolution)
     rows = purity_sweep((cfg.target.psi1, cfg.target.psi2), cfg.weight_list, cfg.n_list,
                         cfg.optimizer.seed, grid=grid, restarts=cfg.optimizer.restarts,
-                        max_iter=cfg.optimizer.max_iter, tol=cfg.optimizer.tol)
+                        max_iter=cfg.optimizer.max_iter, tol=cfg.optimizer.tol,
+                        pin_last=cfg.optimizer.pin_last)
     write_csv(out_dir / "purity_sweep.csv",
               ["p1", "N", "rms_objective", "max_distance", "iterations"],
               [[r["p1"], r["n_steps"], r["rms_objective"], r["max_distance"], r["iterations"]]
@@ -391,6 +392,11 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs fail as ConfigError, so a path fault here is --out's
+        if exc.filename is None:  # not a path, e.g. a closed stdout
+            raise
+        print(f"config error: --out: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StepSizeUnderflow, PositivityViolation, TraceViolation) as exc:
         print(f"integrator error: {exc}", file=sys.stderr)

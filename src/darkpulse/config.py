@@ -182,9 +182,10 @@ _CONFIG = {
         "pin_last": _exact(bool, "a boolean"), "test_states": _COUNT}),
     "integrator": _section(IntegratorSettings, {
         "rtol": _OPEN_UNIT, "atol": _OPEN_UNIT, "residual": _OPEN_UNIT}),
-    "initial_states": _bounded(_list(_bounded(
+    "initial_states": _bounded(_list(_bounded(  # normalized, as TargetState's vectors are
         _COMPLEX3, lambda v: abs(np.linalg.norm(v) - 1.0) <= 1e-9, "must have norm 1"),
-        into=np.array), len, "must not be empty"),
+        into=lambda rows: np.array(rows) / np.linalg.norm(rows, axis=-1, keepdims=True)),
+        len, "must not be empty"),
     "weight_list": _list(_bounded(read_number, lambda x: 0 <= x <= 1, "must lie in [0, 1]")),
     "N_list": _list(_COUNT),
     "field": _section(FieldParams, _FIELD),

@@ -12,9 +12,10 @@ relative phases (mu-, mu+), a global phase xi, a peak Rabi amplitude, a
 detuning, and an envelope.  For every such field the ground space splits into
 a two-dimensional dark subspace (decoupled from the drive) and one bright
 direction; ``dark_basis`` returns that geometry and ``field_for_span`` solves
-the inverse problem of aiming the dark subspace at a prescribed span.  A state
-is checked once, where it enters (``DensityOperator``); past that it is a plain
-``(..., 4, 4)`` array.
+the inverse problem of aiming the dark subspace at a prescribed span.  Pure
+states are built from ground vectors by ``pure_state_dyads`` alone.  A state is
+checked once, where it enters (``DensityOperator.validate``); past that it is a
+plain ``(..., 4, 4)`` array.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "DarkBasis",
     "TargetState",
     "embed_ground",
+    "pure_state_dyads",
     "build_hamiltonian",
     "bright_vector",
     "bright_vector_jacobian",
@@ -159,23 +161,6 @@ class DensityOperator:
         if not (0.0 < low and high <= 1.0 + cls.TRACE_TOL):
             raise ValueError(f"trace {(high if 0.0 < low else low)!r} outside (0, 1]")
 
-    @classmethod
-    def pure(cls, state: np.ndarray) -> "DensityOperator":
-        """Projector onto the pure state of a ground 3-vector."""
-        psi = embed_ground(state)
-        psi = psi / np.linalg.norm(psi)
-        return cls(np.outer(psi, psi.conj()))
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(trace={self.trace:.6f}, purity={self.purity():.6f})"
-
 
 @dataclass(frozen=True)
 class DarkBasis:
@@ -194,9 +179,8 @@ class DarkBasis:
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "phi_perp"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=complex)))
-        v1, v2 = embed_ground(self.n1), embed_ground(self.n2)
-        object.__setattr__(self, "projector",
-                           _readonly(np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())))
+        d1, d2 = pure_state_dyads(np.stack([self.n1, self.n2]))
+        object.__setattr__(self, "projector", _readonly(d1 + d2))
 
 
 @dataclass(frozen=True)
@@ -231,15 +215,21 @@ class TargetState:
     def density_matrix(self) -> np.ndarray:
         """The 4x4 target state p1 |psi1><psi1| + p2 |psi2><psi2|."""
         p1, p2 = self.weights
-        v1, v2 = embed_ground(self.psi1), embed_ground(self.psi2)
-        return p1 * np.outer(v1, v1.conj()) + p2 * np.outer(v2, v2.conj())
+        d1, d2 = pure_state_dyads(np.stack([self.psi1, self.psi2]))
+        return p1 * d1 + p2 * d2
 
 
 def embed_ground(psi: np.ndarray) -> np.ndarray:
-    """Lift a ground-space 3-vector into the full 4-dimensional space."""
-    full = np.zeros(4, dtype=complex)
-    full[:3] = psi
+    """Lift a (..., 3) stack of ground-space vectors into the full space, shape (..., 4)."""
+    full = np.zeros(np.shape(psi)[:-1] + (4,), dtype=complex)
+    full[..., :3] = psi
     return full
+
+
+def pure_state_dyads(states: np.ndarray) -> np.ndarray:
+    """Pure states |psi><psi| of (..., 3) unit ground vectors (not normalized), (..., 4, 4)."""
+    full = embed_ground(states)
+    return full[..., :, None] * full.conj()[..., None, :]
 
 
 def _coupling_components(fp: FieldParams, envelope_value: float) -> np.ndarray:
@@ -362,7 +352,8 @@ def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.
         If psi1 and psi2 do not span a two-dimensional subspace.
     """
     c = _span_normal(psi1, psi2)
-    theta = float(np.arccos(np.clip(-c[G_PI].real, -1.0, 1.0)))
+    # theta from both its sine and cosine; arccos of -c_pi loses half the digits near 0 and pi
+    theta = float(np.arctan2(np.hypot(abs(c[G_MINUS]), abs(c[G_PLUS])), -c[G_PI].real))
     if np.sin(theta) < 1e-12:
         warnings.warn("span normal is pi-polarized; phi and mu+- set to 0 by convention",
                       AngleUnderdetermined, stacklevel=2)

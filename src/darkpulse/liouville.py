@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DarkBasis, FieldParams, Mode, _readonly, build_hamiltonian, embed_ground
+from .core import (DarkBasis, FieldParams, Mode, _readonly, build_hamiltonian, embed_ground,
+                   pure_state_dyads)
 from .errors import SingularSystem, UnexpectedDimension, UnstableSpectrum
 from .maps import repump_steady_state
 
@@ -203,9 +204,8 @@ def closed_form_zero_modes(basis: DarkBasis, mode: Mode) -> ZeroSubspace:
     the first three, which are self-dual.  The family is biorthonormal as
     returned.
     """
-    v1, v2 = embed_ground(basis.n1), embed_ground(basis.n2)
-    d11 = np.outer(v1, v1.conj())
-    d22 = np.outer(v2, v2.conj())
+    v1, v2 = embed_ground(np.stack([basis.n1, basis.n2]))
+    d11, d22 = pure_state_dyads(np.stack([basis.n1, basis.n2]))
     d12 = np.outer(v1, v2.conj())
     d21 = np.outer(v2, v1.conj())
     s = 1.0 / np.sqrt(2.0)
@@ -299,19 +299,13 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arctan2(sines[::-1], cosines)[::-1]
 
 
-def transpose_convention_diagnostic(liou: Liouvillian) -> dict:
+def transpose_convention_diagnostic(subspace: ZeroSubspace) -> dict:
     """Compare the plain-transpose left kernel against the conjugate-transpose one.
 
-    Left eigenvectors can be read either as ker(m^T) or as ker(m^dagger);
-    these differ for complex generators.  Returns the maximum principal angle
-    between the two subspaces and whether they coincide to 1e-9.
+    Left eigenvectors can be read either as ker(m^T) or as ker(m^dagger), which differ for
+    complex generators; the first is exactly the conjugate of ``subspace.left``, the second.
+    Returns the maximum principal angle between them and whether they coincide to 1e-9.
     """
-    left_conj = _null_space(liou.m.conj().T)
-    left_plain = _null_space(liou.m.T)
-    if left_conj.shape[0] != left_plain.shape[0]:
-        return {"coincide": False, "max_principal_angle_rad": float(np.pi / 2),
-                "dim_conjugate": int(left_conj.shape[0]), "dim_plain": int(left_plain.shape[0])}
-    angles = principal_angles(left_conj.T, left_plain.T)
-    max_angle = float(angles.max()) if angles.size else 0.0
+    max_angle = float(principal_angles(subspace.left.T, subspace.left.T.conj()).max())
     return {"coincide": bool(max_angle < 1e-9), "max_principal_angle_rad": max_angle,
-            "dim_conjugate": int(left_conj.shape[0]), "dim_plain": int(left_plain.shape[0])}
+            "dim_conjugate": subspace.dimension, "dim_plain": subspace.dimension}

@@ -16,7 +16,8 @@ J. Magn. Reson. 172, 296 (2005)); one kernel returns value and gradient from
 the angle array alone.  Every restart draws fresh random angles except the
 last pulse, which is seeded (optionally pinned) from the inverse dark-span
 solver so the final dark subspace starts out containing the target span.
-Results are deterministic for a fixed seed.
+Grid states enter as ``core.pure_state_dyads`` projectors; ``purity_sweep``
+passes ``pin_last`` on.  Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Envelope, FieldParams, TargetState, bright_vector, bright_vector_jacobian,
-                   field_for_span)
+                   field_for_span, pure_state_dyads)
 from .maps import compose_sequence, hs_distance, mismatch
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "OptimizationResult",
     "initial_state_grid",
     "random_pure_states",
-    "pure_state_dyads",
     "state_distances",
     "optimize_sequence",
     "purity_sweep",
@@ -113,13 +113,6 @@ def random_pure_states(n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     psis = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     return psis / np.linalg.norm(psis, axis=1)[:, None]
-
-
-def pure_state_dyads(states: np.ndarray) -> np.ndarray:
-    """Density matrices |psi><psi| of (G, 3) pure ground states, shape (G, 4, 4)."""
-    full = np.zeros((states.shape[0], 4), dtype=complex)
-    full[:, :3] = states
-    return full[:, :, None] * full.conj()[:, None, :]
 
 
 def state_distances(states: np.ndarray, steps, target: TargetState) -> np.ndarray:
@@ -274,8 +267,8 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray, seed:
 
 def purity_sweep(target_vectors: tuple[np.ndarray, np.ndarray], weight_list, n_list,
                  seed: int, *, grid: np.ndarray, restarts: int = 3, max_iter: int = 300,
-                 tol: float = 1e-6) -> list[dict]:
-    """Optimize for every (weight, step-count) pair under one shared budget.
+                 tol: float = 1e-6, pin_last: bool = False) -> list[dict]:
+    """Optimize for every (weight, step-count) pair under one shared budget and ``pin_last``.
 
     Returns one row per combination with the achieved RMS objective, the
     maximum per-state distance, and the iteration count.  Only completion is
@@ -288,7 +281,7 @@ def purity_sweep(target_vectors: tuple[np.ndarray, np.ndarray], weight_list, n_l
         target = TargetState(weights=(float(p1), float(1.0 - p1)), psi1=psi1, psi2=psi2)
         for n in n_list:
             result = optimize_sequence(int(n), target, grid, seed, restarts=restarts,
-                                       max_iter=max_iter, tol=tol)
+                                       max_iter=max_iter, tol=tol, pin_last=pin_last)
             rows.append({
                 "p1": float(p1),
                 "n_steps": int(n),

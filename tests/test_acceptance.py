@@ -14,12 +14,12 @@ import scipy.linalg
 
 from darkpulse import (DensityOperator, Mode, Rates, TargetState, build_hamiltonian, build_liouvillian,
                        closed_form_zero_modes, compose_sequence, dark_basis, embed_ground,
-                       hs_distance, initial_state_grid, optimize_sequence, relax_closed,
-                       relax_repumped, repump_steady_state, steady_affine, verify_map,
-                       zero_subspace)
+                       hs_distance, initial_state_grid, optimize_sequence, pure_state_dyads,
+                       relax_closed, relax_repumped, repump_steady_state, steady_affine,
+                       verify_map, zero_subspace)
 from darkpulse.cli import _sequence_doc, bundled_config_path, main
 from darkpulse.config import load_config
-from darkpulse.optimize import pure_state_dyads, random_pure_states
+from darkpulse.optimize import random_pure_states
 from conftest import fold_repumped, random_density, random_field
 
 
@@ -118,7 +118,7 @@ def test_criterion_4_map_vs_dynamics(rng):
         for _ in range(50):
             fields.append(random_field(rng, omega_peak=1.0, delta=0.0))
             psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-            states.append(DensityOperator.pure(psi / np.linalg.norm(psi)).matrix)
+            states.append(pure_state_dyads(psi / np.linalg.norm(psi)))
         distances = verify_map(np.stack(states), fields, rates, 1e-10).distances
         worst[rates.mode.value] = float(distances.max())
     ok = worst["alpha"] < 1e-6 and worst["beta"] < 1e-6

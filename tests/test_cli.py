@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from darkpulse import TargetState, initial_state_grid, optimize_sequence
 from darkpulse.cli import _write_json, build_parser, bundled_config_path, main
+from darkpulse.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -528,6 +530,26 @@ class TestSweepPurityCommand:
         assert [r["N"] for r in rows] == ["1", "2"]
         assert {"p1", "N", "rms_objective", "max_distance", "iterations"} == set(rows[0])
 
+    def test_rows_follow_pin_last(self, tmp_path):
+        # each row is the optimizer's own run at its (p1, N) under the config's pin_last
+        budget = {"restarts": 1, "max_iter": 30, "tol": 1e-6}
+        path = write_config(tmp_path / "sweep.json", weight_list=[0.5, 0.2], N_list=[1, 2],
+                            optimizer={"seed": 3, "test_states": 5, "pin_last": True,
+                                       **budget})
+        assert main(["sweep-purity", "--config", str(path), "--out", str(tmp_path / "w")]) == 0
+        with open(tmp_path / "w" / "purity_sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        cfg = load_config(path)
+        for row in rows:
+            p1 = float(row["p1"])
+            target = TargetState(weights=(p1, 1.0 - p1), psi1=cfg.target.psi1,
+                                 psi2=cfg.target.psi2)
+            result = optimize_sequence(int(row["N"]), target, initial_state_grid(3), 3,
+                                       pin_last=True, **budget)
+            assert float(row["rms_objective"]) == result.objective_value
+            assert float(row["max_distance"]) == result.per_state_distances[:, 0].max()
+            assert int(row["iterations"]) == result.iterations
+
 
 class TestReproduceCommand:
     def test_chains_all_three_stages(self, tmp_path, config_path):
@@ -626,6 +648,24 @@ NAN, INF = float("nan"), float("inf")
 
 class TestInputEdge:
     """Bad numbers from a config or sequence file exit 2 and name the field."""
+
+    @pytest.mark.parametrize("command, blocker, out", [
+        ("spectrum", "f", "f"),
+        ("spectrum", "f", "f/sub"),
+        ("reproduce-paper", "r/optimize", "r"),
+        ("verify", "v/verify.json/", "v"),
+    ], ids=["out-is-a-file", "out-under-a-file", "stage-dir-is-a-file", "artifact-is-a-dir"])
+    def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, config_path, capsys,
+                                                     command, blocker, out):
+        # a blocker ending in "/" is a directory, any other a file
+        blocked = tmp_path / blocker
+        blocked.parent.mkdir(parents=True, exist_ok=True)
+        blocked.mkdir() if blocker.endswith("/") else blocked.write_text("")
+        argv = [command, "--config", str(config_path), "--out", str(tmp_path / out)]
+        assert main(argv + (["--states", "1"] if command == "verify" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and str(blocked) in err
+        assert not list(tmp_path.rglob(".tmp-*"))
 
     @pytest.mark.parametrize("command, keys, value, named", [
         ("spectrum", ("omega_peak",), NAN, "omega_peak"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpulse import ConfigError, Envelope, Mode
+from darkpulse import ConfigError, DensityOperator, Envelope, Mode, pure_state_dyads
 from darkpulse.cli import bundled_config_path
 from darkpulse.config import load_config, parse_config
 
@@ -98,6 +98,16 @@ class TestParseConfig:
         cfg = parse_config(doc)
         assert cfg.initial_states.shape == (1, 3)
         assert cfg.initial_states[0, 1] == 1j
+
+    def test_accepted_initial_states_are_normalized(self):
+        # within the 1e-9 the check accepts, each vector is divided by its norm, so
+        # the states pass the dynamics' 1e-12 trace check
+        doc = base_doc()
+        doc["initial_states"] = [[[0.6 * s, 0.0], [0.0, 0.8 * s], [0.0, 0.0]]
+                                 for s in (1.0 + 4e-10, 1.0 - 4e-10)]
+        states = parse_config(doc).initial_states
+        assert np.abs(np.linalg.norm(states, axis=-1) - 1.0).max() <= 2e-16
+        DensityOperator.validate(pure_state_dyads(states))
 
     def test_sweep_lists_parsed_and_validated(self):
         doc = base_doc()

@@ -5,7 +5,7 @@ import pytest
 
 from darkpulse import (AngleUnderdetermined, DegenerateSpan, DensityOperator,
                        Envelope, FieldParams, TargetState, bloch_coords, build_hamiltonian,
-                       dark_basis, embed_ground, field_for_span)
+                       dark_basis, embed_ground, field_for_span, pure_state_dyads)
 from darkpulse.core import bright_vector
 from conftest import random_density, random_field, random_pure_ground
 
@@ -71,19 +71,42 @@ class TestDensityOperator:
             DensityOperator.validate(stack)
         assert str(batched.value) == str(single.value)
 
-    def test_pure_takes_a_ground_vector(self):
-        rho = DensityOperator.pure(np.array([2.0, 0.0, 0.0]))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = 1.0
-        assert np.array_equal(rho.matrix, expected)
-        assert rho.trace == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            DensityOperator.pure(np.array([1.0, 0.0, 0.0, 0.0]))
-
     def test_matrix_is_read_only(self):
-        rho = DensityOperator.pure(np.array([0.0, 1.0, 0.0]))
+        rho = DensityOperator(pure_state_dyads(np.array([0.0, 1.0, 0.0])))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+
+class TestPureStateDyads:
+    def test_takes_ground_vectors(self, rng):
+        # a ground vector gives the unit-trace projector, a stack of them a stack;
+        # a 4-vector is rejected
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 0] = 1.0
+        assert np.array_equal(pure_state_dyads(np.array([1.0, 0.0, 0.0])), expected)
+        psis = np.stack([random_pure_ground(rng) for _ in range(6)]).reshape(2, 3, 3)
+        dyads = pure_state_dyads(psis)
+        assert dyads.shape == (2, 3, 4, 4)
+        for psi, rho in zip(psis.reshape(6, 3), dyads.reshape(6, 4, 4)):
+            assert rho.tobytes() == pure_state_dyads(psi).tobytes()
+        DensityOperator.validate(dyads)
+        with pytest.raises(ValueError):
+            pure_state_dyads(np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_projectors_match_the_outer_products_bit_for_bit(self, rng):
+        # reference: the dark projector and the target state as sums of np.outer
+        # pairs, to the last bit
+        for _ in range(10_000):
+            basis = dark_basis(random_field(rng))
+            v1, v2 = embed_ground(basis.n1), embed_ground(basis.n2)
+            outer = np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())
+            assert basis.projector.tobytes() == outer.tobytes()
+            p1 = rng.uniform()
+            target = TargetState(weights=(p1, 1.0 - p1), psi1=basis.n1, psi2=basis.phi_perp)
+            q1, q2 = embed_ground(target.psi1), embed_ground(target.psi2)
+            w1, w2 = target.weights
+            expected = w1 * np.outer(q1, q1.conj()) + w2 * np.outer(q2, q2.conj())
+            assert target.density_matrix().tobytes() == expected.tobytes()
 
 
 class TestHamiltonian:
@@ -232,6 +255,29 @@ class TestFieldForSpan:
             ground_block = dark_basis(fp).projector[:3, :3]
             assert np.linalg.norm(span_projector - ground_block) < 1e-9
 
+    def test_dark_projector_near_pi_polarized_normal(self, rng):
+        # spans whose unit normal c lies at angle `distance` from +-|g_pi>: theta is taken
+        # from its sine and cosine, so the dark projector stays I - c c^dagger to rounding;
+        # below sin(theta) = 1e-12 phi and mu+- are set to 0, which moves it by ~2 distance
+        for distance in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-13):
+            worst = 0.0
+            for k in range(200):
+                u = rng.normal(size=2) + 1j * rng.normal(size=2)
+                u *= np.sin(distance) / np.linalg.norm(u)
+                c = np.array([u[0], (-1) ** k * np.cos(distance), u[1]])
+                q, _ = np.linalg.qr(np.column_stack([c, rng.normal(size=(3, 2))]))
+                a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                psi1, psi2 = (q[:, 1:] @ a).T
+                args = (psi1 / np.linalg.norm(psi1), psi2 / np.linalg.norm(psi2))
+                if distance < 1e-12:
+                    with pytest.warns(AngleUnderdetermined):
+                        fp = field_for_span(*args)
+                else:
+                    fp = field_for_span(*args)
+                span = np.eye(3) - np.outer(c, c.conj())
+                worst = max(worst, np.abs(dark_basis(fp).projector[:3, :3] - span).max())
+            assert worst <= (1e-13 if distance > 1e-12 else 2.5 * distance), distance
+
     def test_degenerate_span_raises(self):
         psi = np.array([0.3, 0.4j, np.sqrt(1 - 0.25)], dtype=complex)
         with pytest.raises(DegenerateSpan):
@@ -286,7 +332,7 @@ class TestBlochCoords:
 
     def test_first_dark_vector_is_north_pole(self, rng):
         basis = dark_basis(random_field(rng))
-        x, _, z, weight = bloch_coords(DensityOperator.pure(basis.n1).matrix, basis)
+        x, _, z, weight = bloch_coords(pure_state_dyads(basis.n1), basis)
         assert z == pytest.approx(1.0, abs=1e-12)
         assert x == pytest.approx(0.0, abs=1e-12)
         assert weight == pytest.approx(1.0, abs=1e-12)
@@ -294,7 +340,7 @@ class TestBlochCoords:
     def test_bright_state_has_zero_weight(self, rng):
         fp = random_field(rng)
         basis = dark_basis(fp)
-        x, y, z, weight = bloch_coords(DensityOperator.pure(basis.phi_perp).matrix, basis)
+        x, y, z, weight = bloch_coords(pure_state_dyads(basis.phi_perp), basis)
         assert weight == pytest.approx(0.0, abs=1e-12)
         assert (x, y, z) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 

@@ -13,7 +13,7 @@ import scipy.linalg
 from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
                        TraceViolation, Trajectory, UnstableSpectrum, build_liouvillian,
                        dark_basis, hs_distance, integrate_master, recommended_duration,
-                       relax_closed, run_sequence, slowest_rate, verify_map)
+                       pure_state_dyads, relax_closed, run_sequence, slowest_rate, verify_map)
 import darkpulse.dynamics as dynamics
 from darkpulse.dynamics import (_BLOCK, DEFAULT_ATOL, DEFAULT_RTOL, MIN_SNAPSHOTS, _expm,
                                 _ground_frame, _monitor, _snapshots, _step, _symmetrized,
@@ -80,7 +80,7 @@ class TestIntegrateMaster:
     def test_long_square_pulse_reaches_closed_map(self, rng):
         # unit drive and unit decay, as in the reference scenario
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix
+        rho0 = pure_state_dyads(random_pure_ground(rng))
         liou = build_liouvillian(fp, Rates.alpha(1.0))
         t_final = recommended_duration(slowest_rate(liou), 1e-8)
         run_fp = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
@@ -106,7 +106,7 @@ class TestIntegrateMaster:
         ramped = FieldParams(theta=fp.theta, phi=fp.phi, mu_minus=fp.mu_minus,
                              mu_plus=fp.mu_plus, omega_peak=1.0,
                              envelope=Envelope.SINE_SQUARED)
-        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix
+        rho0 = pure_state_dyads(random_pure_ground(rng))
         traj = integrate_master(stack(rho0), ramped, Rates.alpha(), t_final)
         mapped = relax_closed(rho0, dark_basis(fp).projector)
         assert hs_distance(traj.states[0, -1], mapped) < 1e-5
@@ -187,7 +187,7 @@ class TestExactPropagator:
         # agree to the integrator's rtol at the residual-1e-10 duration
         for _ in range(8):
             fp = random_field(rng, omega_peak=1.0)
-            rho0 = stack(DensityOperator.pure(random_pure_ground(rng)).matrix)
+            rho0 = stack(pure_state_dyads(random_pure_ground(rng)))
             t_final = recommended_duration(slowest_rate(build_liouvillian(fp, rates)), 1e-10)
             exact = exact_trajectory(rho0, fp, rates, t_final)
             rk45 = integrate_master(rho0, fp, rates, t_final)
@@ -202,7 +202,7 @@ class TestExactPropagator:
         # the map; the exact endpoint carries no integrator error to hide it
         for _ in range(20):
             fp = random_field(rng, omega_peak=1.0)
-            rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix
+            rho0 = pure_state_dyads(random_pure_ground(rng))
             traj, = run_sequence(stack(rho0), [fp], rates, residual)
             mapped = relax_closed(rho0, dark_basis(fp).projector)
             assert hs_distance(traj.states[0, -1], mapped) < 2.0 * residual
@@ -550,7 +550,7 @@ class TestRecommendedDuration:
     def test_certifies_map_at_tight_residual(self, rng):
         # 20 random initial states, unit drive and decay, residual 1e-10
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        states = np.stack([DensityOperator.pure(random_pure_ground(rng)).matrix
+        states = np.stack([pure_state_dyads(random_pure_ground(rng))
                            for _ in range(20)])
         assert verify_map(states, [fp] * 20, Rates.alpha(1.0), 1e-10).distances.max() < 1e-8
 
@@ -587,17 +587,17 @@ class TestRateRatioSweep:
 class TestVerifyMap:
     def test_dark_input_does_not_evolve(self, rng):
         fp = random_field(rng, omega_peak=1.0)
-        rho0 = DensityOperator.pure(dark_basis(fp).n1).matrix[None]
+        rho0 = pure_state_dyads(dark_basis(fp).n1)[None]
         assert verify_map(rho0, [fp], Rates.alpha(), 1e-6).distances[0] < 10 * 1e-12
 
     def test_alpha_certification(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix[None]
+        rho0 = pure_state_dyads(random_pure_ground(rng))[None]
         assert verify_map(rho0, [fp], Rates.alpha(1.0), 1e-10).distances[0] < 1e-6
 
     def test_beta_certification_all_rates_unity(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
-        rho0 = DensityOperator.pure(random_pure_ground(rng)).matrix[None]
+        rho0 = pure_state_dyads(random_pure_ground(rng))[None]
         assert verify_map(rho0, [fp], Rates.beta(1.0, 1.0, 1.0), 1e-10).distances[0] < 1e-6
 
     @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],

@@ -9,7 +9,7 @@ from darkpulse import (FieldParams, Liouvillian, Mode, Rates, UnexpectedDimensio
                        dark_basis, slowest_rate, steady_affine, unvec, vec,
                        zero_subspace)
 from darkpulse.core import build_hamiltonian
-from darkpulse.liouville import (_relaxation_part, principal_angles,
+from darkpulse.liouville import (_null_space, _relaxation_part, principal_angles,
                                  transpose_convention_diagnostic)
 from conftest import random_field
 
@@ -289,17 +289,40 @@ class TestSlowestRate:
             slowest_rate(liou)
 
 
+def transpose_diagnostic(fp, rates):
+    return transpose_convention_diagnostic(zero_subspace(build_liouvillian(fp, rates)))
+
+
 class TestTransposeDiagnostic:
     def test_generic_field_spans_differ(self, rng):
         fp = random_field(rng, mu_minus=1.1, mu_plus=2.3)
-        result = transpose_convention_diagnostic(build_liouvillian(fp, Rates.alpha()))
+        result = transpose_diagnostic(fp, Rates.alpha())
         assert not result["coincide"]
         assert result["max_principal_angle_rad"] > 1e-3
 
     def test_real_dark_vectors_spans_coincide(self):
         fp = FieldParams(theta=0.8, phi=0.6, mu_minus=0.0, mu_plus=0.0, xi=0.0)
-        result = transpose_convention_diagnostic(build_liouvillian(fp, Rates.alpha()))
+        result = transpose_diagnostic(fp, Rates.alpha())
         assert result["coincide"]
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_plain_kernel_matches_its_own_svd(self, rng, rates):
+        # oracle: ker(m^T) by its own SVD; real dark vectors (mu+- = 0) give
+        # coinciding spans, so both decisions are exercised
+        decisions = set()
+        for k in range(40):
+            fp = random_field(rng, **({"mu_minus": 0.0, "mu_plus": 0.0} if k % 2 else {}))
+            liou = build_liouvillian(fp, rates)
+            left_conj, left_plain = _null_space(liou.m.conj().T), _null_space(liou.m.T)
+            assert left_plain.shape == left_conj.shape
+            angle = float(principal_angles(left_conj.T, left_plain.T).max())
+            result = transpose_convention_diagnostic(zero_subspace(liou))
+            assert result["dim_plain"] == result["dim_conjugate"] == left_plain.shape[0]
+            assert abs(result["max_principal_angle_rad"] - angle) <= 1e-12
+            assert result["coincide"] == (angle < 1e-9)
+            decisions.add(result["coincide"])
+        assert decisions == {True, False}
 
 
 def subspaces_at_angles(rng, angles, extra=0, n=16):

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpulse import (DensityOperator, Envelope, FieldParams, NegativeRadicand, Rates,
-                       TraceMismatch, build_liouvillian, compose_sequence, dark_basis,
-                       embed_ground, hs_distance, mismatch, relax_closed, relax_repumped,
+from darkpulse import (Envelope, FieldParams, NegativeRadicand, Rates, TraceMismatch,
+                       build_liouvillian, compose_sequence, dark_basis, embed_ground,
+                       hs_distance, mismatch, pure_state_dyads, relax_closed, relax_repumped,
                        relaxation_affine, repump_steady_state, sequence_affine, unvec, vec,
                        zero_subspace)
 from conftest import (fold_closed, fold_repumped, random_density, random_field,
                       random_pure_ground)
 
 TWO_PI = 2.0 * np.pi
-
-
-def _pure(psi) -> np.ndarray:
-    return DensityOperator.pure(psi).matrix
+# theta at 0 or pi, or 1e-12 to 1e-4 inside [0, pi] from either, where phi and mu+- fade out
+POLAR_THETA = st.one_of(
+    st.sampled_from([0.0, np.pi]),
+    st.tuples(st.sampled_from([0.0, np.pi]), st.floats(-12.0, -4.0)).map(
+        lambda pole_exp: abs(pole_exp[0] - 10.0 ** pole_exp[1])))
 
 
 class TestRelaxClosed:
@@ -37,13 +38,13 @@ class TestRelaxClosed:
 
     def test_dark_state_is_fixed_point(self, rng):
         basis = dark_basis(random_field(rng))
-        rho = _pure(basis.n1)
+        rho = pure_state_dyads(basis.n1)
         out = relax_closed(rho, basis.projector)
         assert np.abs(out - rho).max() < 1e-14
 
     def test_bright_state_maps_to_mixed_dark(self, rng):
         basis = dark_basis(random_field(rng))
-        out = relax_closed(_pure(basis.phi_perp), basis.projector)
+        out = relax_closed(pure_state_dyads(basis.phi_perp), basis.projector)
         assert np.abs(out - basis.projector / 2.0).max() < 1e-12
 
     def test_ground_identity_maps_to_mixed_dark(self, rng):
@@ -111,6 +112,28 @@ class TestRelaxClosed:
             assert np.linalg.norm(projected - mapped) < 1e-9
 
 
+class TestNearPolarTheta:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(theta=POLAR_THETA, phi=st.floats(0.0, TWO_PI), mu_minus=st.floats(0.0, TWO_PI),
+           mu_plus=st.floats(0.0, TWO_PI), seed=st.integers(0, 2 ** 32 - 1))
+    def test_map_invariants(self, theta, phi, mu_minus, mu_plus, seed):
+        # the projector map and the sequence's affine form: trace 1, Hermitian, positive,
+        # idempotent over one step and linear in mixtures, each within 1e-12
+        fp = FieldParams(theta=theta, phi=phi, mu_minus=mu_minus, mu_plus=mu_plus)
+        rng = np.random.default_rng(seed)
+        rho1, rho2 = random_density(rng), random_density(rng)
+        a = rng.uniform()
+        for step in (lambda rho: relax_closed(rho, dark_basis(fp).projector),
+                     lambda rho: compose_sequence(rho, [fp])):
+            out = step(np.stack([rho1, rho2]))
+            assert np.abs(np.trace(out, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+            assert np.abs(out - out.swapaxes(1, 2).conj()).max() <= 1e-12
+            assert np.linalg.eigvalsh(out).min() >= -1e-12
+            assert np.abs(step(out) - out).max() <= 1e-12
+            mixed = step(a * rho1 + (1.0 - a) * rho2)
+            assert np.abs(mixed - (a * out[0] + (1.0 - a) * out[1])).max() <= 1e-12
+
+
 class TestRepumpSteadyState:
     def test_phi_half_pi_is_sigma_plus_state(self):
         fp = FieldParams(theta=0.7, phi=np.pi / 2.0, mu_minus=0.3, mu_plus=1.0)
@@ -142,7 +165,7 @@ class TestRelaxRepumped:
 
     def test_dark_input_unchanged(self, rng):
         fp = random_field(rng)
-        rho = _pure(dark_basis(fp).n2)
+        rho = pure_state_dyads(dark_basis(fp).n2)
         assert np.abs(relax_repumped(rho, fp) - rho).max() < 1e-13
 
     def test_offset_state_is_fixed_point(self, rng):
@@ -154,7 +177,7 @@ class TestRelaxRepumped:
 class TestComposeSequence:
     def test_single_step_dark_input_unchanged(self, rng):
         fp = random_field(rng)
-        rho = _pure(dark_basis(fp).n1)
+        rho = pure_state_dyads(dark_basis(fp).n1)
         assert np.abs(compose_sequence(rho, [fp]) - rho).max() < 1e-13
 
     def test_mixture_linearity(self, rng):
@@ -195,12 +218,14 @@ class TestComposeSequence:
 
 class TestMetrics:
     def test_mismatch_zero_for_equal_pure(self, rng):
-        rho = _pure(random_pure_ground(rng))
+        # normalized once more: with |psi| one ulp below 1 the overlap form reads 1.5e-8
+        psi = random_pure_ground(rng)
+        rho = pure_state_dyads(psi / np.linalg.norm(psi))
         assert mismatch(rho, rho) == 0.0
 
     def test_mismatch_mixed_dark_vs_dark_state(self, rng):
         basis = dark_basis(random_field(rng))
-        value = mismatch(basis.projector / 2.0, _pure(basis.n1))
+        value = mismatch(basis.projector / 2.0, pure_state_dyads(basis.n1))
         assert value == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_mismatch_floor_for_mixed_reference(self, rng):
@@ -210,7 +235,8 @@ class TestMetrics:
         assert mismatch(rho, rho) > 0.0
 
     def test_mismatch_clamps_tiny_negative_radicand(self, rng):
-        rho = _pure(random_pure_ground(rng))
+        psi = random_pure_ground(rng)
+        rho = pure_state_dyads(psi / np.linalg.norm(psi))  # as above
         assert mismatch(rho, rho) == 0.0  # exact overlap 1 within roundoff
 
     def test_mismatch_rejects_overlap_beyond_one(self):
@@ -221,16 +247,16 @@ class TestMetrics:
             mismatch(inflated, inflated)
 
     def test_hs_distance_zero_and_orthogonal(self, rng):
-        rho = _pure(random_pure_ground(rng))
+        rho = pure_state_dyads(random_pure_ground(rng))
         assert hs_distance(rho, rho) == 0.0
-        a = _pure(np.array([1.0, 0, 0]))
-        b = _pure(np.array([0, 1.0, 0]))
+        a = pure_state_dyads(np.array([1.0, 0, 0]))
+        b = pure_state_dyads(np.array([0, 1.0, 0]))
         assert hs_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
     def test_hs_equals_sqrt2_mismatch_for_pure(self, rng):
         for _ in range(20):
-            a = _pure(random_pure_ground(rng))
-            b = _pure(random_pure_ground(rng))
+            a = pure_state_dyads(random_pure_ground(rng))
+            b = pure_state_dyads(random_pure_ground(rng))
             assert hs_distance(a, b) == pytest.approx(np.sqrt(2.0) * mismatch(a, b), abs=1e-9)
 
     def test_stacks_broadcast_against_one_matrix(self, rng):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from darkpulse import (DensityOperator, FieldParams, TargetState, dark_basis, field_for_span,
-                       hs_distance, initial_state_grid, optimize_sequence, purity_sweep)
+from darkpulse import (FieldParams, TargetState, dark_basis, field_for_span, hs_distance,
+                       initial_state_grid, optimize_sequence, pure_state_dyads, purity_sweep)
 from darkpulse.optimize import (_grid_moments, _rms_and_gradient, random_pure_states,
                                 state_distances)
 from conftest import fold_closed, fold_repumped, random_field
@@ -111,7 +111,7 @@ class TestSequenceObjective:
             # the closed-manifold composition (alpha) and the lossy fold (beta)
             for fold in (lambda rho: fold_closed(rho, steps),
                          lambda rho: fold_repumped(rho, steps)):
-                distances = [hs_distance(fold(DensityOperator.pure(psi).matrix), rho_f)
+                distances = [hs_distance(fold(pure_state_dyads(psi)), rho_f)
                              for psi in grid]
                 expected = float(np.sqrt(np.mean(np.square(distances))))
                 assert value == pytest.approx(expected, abs=1e-12)
@@ -245,7 +245,7 @@ class TestStateDistances:
         distances = state_distances(states, steps, target)
         assert distances.shape == (7, 2)
         for psi, (hs, mis) in zip(states, distances):
-            out = fold_closed(DensityOperator.pure(psi).matrix, steps)
+            out = fold_closed(pure_state_dyads(psi), steps)
             assert hs == pytest.approx(np.linalg.norm(out - rho_f), abs=1e-14)
             assert mis == pytest.approx(np.sqrt(1.0 - np.trace(out @ rho_f).real), abs=1e-12)
 
