@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -48,6 +49,14 @@ RESIDUAL_LADDER = (1e-6, 1e-10, 1e-12)
 def bundled_config_path() -> Path:
     """Path of the packaged reference-scenario configuration."""
     return Path(resources.files("darkpulse").joinpath("data/paper_target.json"))
+
+
+def _report(line: str) -> None:
+    """Print a summary line; a closed stdout is pointed at os.devnull and the run goes on."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:  # so the exit flush of the held line cannot fail either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -108,8 +117,8 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
         "meta": {"wall_time_s": time.perf_counter() - started},
     }
     _write_json(out_dir / "result.json", doc)
-    print(f"optimize: objective_rms={result.objective_value:.3e} "
-          f"converged={result.converged} -> {out_dir / 'result.json'}")
+    _report(f"optimize: objective_rms={result.objective_value:.3e} "
+            f"converged={result.converged} -> {out_dir / 'result.json'}")
     if strict and not result.converged:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -153,8 +162,8 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
         "meta": {"wall_time_s": time.perf_counter() - started},
     }
     _write_json(out_dir / "summary.json", doc)
-    print(f"simulate: {len(rows)} state(s) through {len(steps)} pulse(s); "
-          f"max |ODE - map| = {doc['max_hs_ode_vs_map']:.3e} -> {out_dir / 'summary.json'}")
+    _report(f"simulate: {len(rows)} state(s) through {len(steps)} pulse(s); "
+            f"max |ODE - map| = {doc['max_hs_ode_vs_map']:.3e} -> {out_dir / 'summary.json'}")
     return EXIT_OK
 
 
@@ -189,8 +198,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, strict: bool
         "meta": {"wall_time_s": time.perf_counter() - started},
     }
     _write_json(out_dir / "verify.json", doc)
-    print(f"verify: {n_states} random pulses, max |ODE - map| = {distances.max():.3e} "
-          f"-> {out_dir / 'verify.json'}")
+    _report(f"verify: {n_states} random pulses, max |ODE - map| = {distances.max():.3e} "
+            f"-> {out_dir / 'verify.json'}")
     return EXIT_NO_CONVERGENCE if strict and not doc["certified"] else EXIT_OK
 
 
@@ -227,24 +236,21 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
               np.concatenate(points))
     write_csv(out_dir / "bloch_radii.csv", ["stage", "radius"], radii)
     shown = ", ".join(f"{radius:.3e}" for _, radius in radii)
-    print(f"bloch-export: {len(steps)} stage(s) x {len(grid)} points; "
-          f"stage radii [{shown}] -> {out_dir}")
+    _report(f"bloch-export: {len(steps)} stage(s) x {len(grid)} points; "
+            f"stage radii [{shown}] -> {out_dir}")
     return EXIT_OK
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...] | None) -> int:
     if angles is not None:
-        fp = FieldParams(theta=angles[0], phi=angles[1], mu_minus=angles[2],
-                         mu_plus=angles[3], omega_peak=cfg.omega_peak, envelope=cfg.envelope)
+        fp = FieldParams(*angles, omega_peak=cfg.omega_peak, envelope=cfg.envelope)
     elif cfg.field_params is not None:
         fp = cfg.field_params
     else:
         fp = field_for_span(cfg.target.psi1, cfg.target.psi2,
                             omega_peak=cfg.omega_peak, envelope=cfg.envelope)
     liou = build_liouvillian(fp, cfg.rates, 1.0)
-    eigenvalues = np.linalg.eigvals(liou.m)
-    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues = eigenvalues[order]
+    eigenvalues = np.sort_complex(np.linalg.eigvals(liou.m))  # by real, then imaginary part
     subspace = zero_subspace(liou)
     span_gap = float(np.max(principal_angles(subspace.right.T, subspace.left.T)))
     rate = slowest_rate(liou)
@@ -263,8 +269,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...]
         "transpose_convention": transpose_convention_diagnostic(subspace),
     }
     _write_json(out_dir / "spectrum.json", doc)
-    print(f"spectrum: zero_dimension={subspace.dimension} slowest_rate={rate:.6g} "
-          f"-> {out_dir / 'spectrum.json'}")
+    _report(f"spectrum: zero_dimension={subspace.dimension} slowest_rate={rate:.6g} "
+            f"-> {out_dir / 'spectrum.json'}")
     return EXIT_OK
 
 
@@ -280,23 +286,19 @@ def cmd_sweep_purity(cfg: ExperimentConfig, out_dir: Path) -> int:
               ["p1", "N", "rms_objective", "max_distance", "iterations"],
               [[r["p1"], r["n_steps"], r["rms_objective"], r["max_distance"], r["iterations"]]
                for r in rows])
-    print(f"sweep-purity: {len(rows)} row(s) -> {out_dir / 'purity_sweep.csv'}")
+    _report(f"sweep-purity: {len(rows)} row(s) -> {out_dir / 'purity_sweep.csv'}")
     return EXIT_OK
 
 
 def cmd_reproduce(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
-    opt_dir = out_dir / "optimize"
-    sim_dir = out_dir / "simulate"
-    bloch_dir = out_dir / "bloch"
+    opt_dir, sim_dir, bloch_dir = (out_dir / name for name in ("optimize", "simulate", "bloch"))
     for d in (opt_dir, sim_dir, bloch_dir):
         d.mkdir(parents=True, exist_ok=True)
     code = cmd_optimize(cfg, opt_dir, strict)
     if code != EXIT_OK:
         return code
     sequence = opt_dir / "result.json"
-    code = cmd_simulate(cfg, sequence, sim_dir)
-    if code != EXIT_OK:
-        return code
+    cmd_simulate(cfg, sequence, sim_dir)
     return cmd_bloch_export(cfg, sequence, bloch_dir)
 
 
@@ -394,7 +396,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # inputs fail as ConfigError, so a path fault here is --out's
-        if exc.filename is None:  # not a path, e.g. a closed stdout
+        if exc.filename is None:  # not a path, e.g. a full disk
             raise
         print(f"config error: --out: {exc}", file=sys.stderr)
         return EXIT_CONFIG

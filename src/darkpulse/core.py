@@ -205,9 +205,7 @@ class TargetState:
         for name, psi in (("psi1", psi1), ("psi2", psi2)):
             if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
                 raise ValueError(f"{name} must be a unit vector")
-        smin = np.linalg.svd(np.column_stack([psi1, psi2]), compute_uv=False)[-1]
-        if smin < 1e-10:
-            raise DegenerateSpan(f"psi1 and psi2 are linearly dependent (sigma_min={smin:.3e})")
+        _span_normal(psi1, psi2)  # raises DegenerateSpan unless the pair spans a plane
         object.__setattr__(self, "weights", (p1 / (p1 + p2), p2 / (p1 + p2)))
         object.__setattr__(self, "psi1", _readonly(psi1 / np.linalg.norm(psi1)))
         object.__setattr__(self, "psi2", _readonly(psi2 / np.linalg.norm(psi2)))
@@ -321,13 +319,11 @@ def _span_normal(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """
     psi1 = np.asarray(psi1, dtype=complex)[:3]
     psi2 = np.asarray(psi2, dtype=complex)[:3]
-    smin = np.linalg.svd(np.column_stack([psi1, psi2]), compute_uv=False)[-1]
-    if smin < 1e-10:
-        raise DegenerateSpan(f"target vectors are linearly dependent (sigma_min={smin:.3e})")
-    # rows <psi_i| ; the right-singular vector of the smallest singular value
-    # is the direction annihilated by both overlaps
-    overlaps = np.vstack([psi1.conj(), psi2.conj()])
-    _, _, vh = np.linalg.svd(overlaps)
+    # rows <psi_i|: one SVD gives sigma_min and, as the last right-singular
+    # vector, the direction annihilated by both overlaps
+    _, s, vh = np.linalg.svd(np.vstack([psi1.conj(), psi2.conj()]))
+    if s[-1] < 1e-10:
+        raise DegenerateSpan(f"psi1 and psi2 are linearly dependent (sigma_min={s[-1]:.3e})")
     c = vh[-1].conj()
     for idx in (G_PI, G_MINUS, G_PLUS):
         if abs(c[idx]) > 1e-12:
@@ -342,9 +338,9 @@ def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.
 
     Solves the inverse problem: the bright vector of the returned field is the
     unit normal of the requested span, so both target vectors are annihilated
-    by the drive.  When the normal is purely pi-polarized the angles phi and
-    mu+- are unobservable; they are set to 0 and an :class:`AngleUnderdetermined`
-    warning is emitted.
+    by the drive.  Only when the normal is pi-polarized to rounding (sin theta
+    < 1e-15) are phi and mu+- unobservable; they are then set to 0 and an
+    :class:`AngleUnderdetermined` warning is emitted.
 
     Raises
     ------
@@ -354,7 +350,7 @@ def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.
     c = _span_normal(psi1, psi2)
     # theta from both its sine and cosine; arccos of -c_pi loses half the digits near 0 and pi
     theta = float(np.arctan2(np.hypot(abs(c[G_MINUS]), abs(c[G_PLUS])), -c[G_PI].real))
-    if np.sin(theta) < 1e-12:
+    if np.sin(theta) < 1e-15:
         warnings.warn("span normal is pi-polarized; phi and mu+- set to 0 by convention",
                       AngleUnderdetermined, stacklevel=2)
         return FieldParams(theta=theta, phi=0.0, mu_minus=0.0, mu_plus=0.0,

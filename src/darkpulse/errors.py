@@ -46,4 +46,4 @@ class ConfigError(DarkpulseError):
 
 
 class AngleUnderdetermined(UserWarning):
-    """Flag: a pure pi-polarized normal leaves phi and mu+- unobservable (set to 0)."""
+    """Flag: a normal pi-polarized to rounding (sin theta < 1e-15) leaves phi, mu+- unset (0)."""

@@ -15,7 +15,6 @@ kernel of the homogeneous part is three-dimensional and self-dual.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .core import (DarkBasis, FieldParams, Mode, _readonly, build_hamiltonian, embed_ground,
                    pure_state_dyads)
 from .errors import SingularSystem, UnexpectedDimension, UnstableSpectrum
-from .maps import repump_steady_state
+from .maps import _TRACE_ROW, repump_steady_state
 
 __all__ = [
     "Mode",
@@ -45,7 +44,6 @@ NULL_SPACE_RTOL = 1e-10
 
 _EXCITED_PROJECTOR = np.zeros((4, 4))
 _EXCITED_PROJECTOR[3, 3] = 1.0
-_TRACE_ROW = np.eye(4).reshape(16)
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,7 @@ class Liouvillian:
 
     def __post_init__(self) -> None:
         for name in ("m", "d"):
-            a = np.asarray(getattr(self, name), dtype=complex)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -111,9 +107,7 @@ class ZeroSubspace:
 
     def __post_init__(self) -> None:
         for name in ("right", "left"):
-            a = np.asarray(getattr(self, name), dtype=complex)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=complex)))
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -126,9 +120,8 @@ def unvec(r: np.ndarray) -> np.ndarray:
     return np.asarray(r, dtype=complex).reshape(4, 4)
 
 
-@functools.lru_cache(maxsize=16)
 def _relaxation_part(rates: Rates) -> tuple[np.ndarray, np.ndarray]:
-    """The field-independent ``(m, d)`` of ``rates``: decay, loss and repump, read-only.
+    """The field-independent ``(m, d)`` of ``rates``: decay, loss and repump.
 
     The three internal channels |g_q><e| decay at rate gamma_in/3 each; their
     jump operators sum to the excited projector in the anticommutator.  The
@@ -145,47 +138,45 @@ def _relaxation_part(rates: Rates) -> tuple[np.ndarray, np.ndarray]:
     m = m - half_loss * (np.kron(_EXCITED_PROJECTOR, eye4) + np.kron(eye4, _EXCITED_PROJECTOR))
     m = m - rates.r_pump * np.outer(vec(_EXCITED_PROJECTOR), _TRACE_ROW)
     d = rates.r_pump * vec(_EXCITED_PROJECTOR)
-    return _readonly(m), _readonly(d)
+    return m, d
 
 
 def build_liouvillian(fp: FieldParams, rates: Rates, envelope_value: float = 1.0) -> Liouvillian:
     """Assemble the vectorized generator for one instantaneous envelope value.
 
     Uses vec(A rho B) = (A kron B^T) vec(rho) for the row-major convention.
-    Only the commutator depends on the field; the relaxation part is built
-    once per ``Rates``.
+    Only the commutator depends on the field; the relaxation part comes from
+    ``rates`` alone.  Raises UnstableSpectrum if an entry overflows the double range.
     """
     h = build_hamiltonian(fp, envelope_value)
     eye4 = np.eye(4)
-    relaxation, d = _relaxation_part(rates)
-    m = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T)) + relaxation
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        relaxation, d = _relaxation_part(rates)
+        m = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T)) + relaxation
+    if not np.isfinite(m).all():
+        raise UnstableSpectrum("generator entries overflow the double range")
     return Liouvillian(m=m, d=d, rates=rates, field=fp)
-
-
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Rows spanning the right null space of ``a``, by SVD thresholding."""
-    _, s, vh = np.linalg.svd(a)
-    return vh[s < NULL_SPACE_RTOL * s[0]].conj()
 
 
 def zero_subspace(liou: Liouvillian) -> ZeroSubspace:
     """Biorthonormalized zero-eigenvalue subspaces of the homogeneous generator.
 
-    Right vectors span ker(m); left vectors span ker(m^dagger) and are
-    rescaled so the pairing (left_k | right_l) is the identity.  The detected
-    dimension must be 4 in mode alpha and 3 in mode beta.
+    Right vectors span ker(m) and left vectors ker(m^dagger), both read off one SVD
+    of ``m`` at its zero singular values; the left ones are rescaled so the pairing
+    (left_k | right_l) is the identity.  The dimension must be 4 in alpha, 3 in beta.
 
     Raises
     ------
     UnexpectedDimension
-        If SVD thresholding finds a different null dimension on either side.
+        If SVD thresholding finds a different null dimension.
     """
     expected = 4 if liou.rates.mode is Mode.ALPHA else 3
-    right = _null_space(liou.m)
-    left = _null_space(liou.m.conj().T)
-    if right.shape[0] != expected or left.shape[0] != expected:
+    u, s, vh = np.linalg.svd(liou.m)
+    zero = s < NULL_SPACE_RTOL * s[0]
+    right, left = vh[zero].conj(), u[:, zero].T
+    if right.shape[0] != expected:
         raise UnexpectedDimension(
-            f"null dimensions (right={right.shape[0]}, left={left.shape[0]}) "
+            f"null dimensions (right=left={right.shape[0]}) "
             f"differ from {expected} expected in mode {liou.rates.mode.value}")
     # rescale the left family so the cross Gram matrix becomes the identity:
     # with left'_k = sum_j conj(inv(G))_kj left_j the pairing becomes delta_kl

@@ -856,6 +856,38 @@ class TestArgvFuzz:
         assert code in {0, 2, 3, 4, 5}
 
 
+# a finite positive float, log-uniform over 1e-300 to 1e300, or one of the double range's ends
+MAGNITUDE = (st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+             | st.sampled_from([5e-324, 1.7e308]))
+ERROR_PREFIXES = ("config error:", "integrator error:", "spectrum error:")
+
+
+class TestConfigFuzz:
+    """Any finite drive, rates and residual end in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["verify", "--states", "2"],
+                                         ["optimize"]], ids=lambda argv: argv[0])
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mode=st.sampled_from(["alpha", "beta"]), omega_peak=MAGNITUDE,
+           rates=st.lists(MAGNITUDE, min_size=3, max_size=3), residual=MAGNITUDE)
+    def test_exit_code_is_documented(self, tmp_path, capsys, command, mode, omega_peak,
+                                     rates, residual):
+        # square pulses only: a weak sine-squared drive takes minutes to integrate
+        doc = json.loads(bundled_config_path().read_text())
+        gamma_in, gamma_ext, r_pump = rates if mode == "beta" else (rates[0], 0.0, 0.0)
+        doc.update(mode=mode, omega_peak=omega_peak, envelope="square", grid_resolution=2,
+                   rates={"gamma_in": gamma_in, "gamma_ext": gamma_ext, "r_pump": r_pump})
+        doc["optimizer"].update(restarts=1, max_iter=3, test_states=10)
+        doc["integrator"]["residual"] = residual
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        code = main([command[0], "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "o"), *command[1:]])
+        err = capsys.readouterr().err
+        assert code in {0, 2, 3, 4, 5}
+        assert code == 0 or err.startswith(ERROR_PREFIXES), err
+
+
 class TestSchemaValidTargets:
     """A target the schema accepts, within its 1e-9, runs like an exact one."""
 
@@ -885,6 +917,47 @@ def run_fresh(script: str, cwd: Path) -> str:
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def artifacts(out: Path) -> dict:
+    """Every file under ``out``: CSV text, and JSON values without their ``meta`` block."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".json":
+            files[path.relative_to(out)] = {k: v for k, v in json.loads(path.read_text()).items()
+                                            if k != "meta"}
+        elif path.is_file():
+            files[path.relative_to(out)] = path.read_text()
+    return files
+
+
+class TestClosedStdout:
+    """A reader that goes away neither stops a run nor changes its exit code."""
+
+    @pytest.mark.parametrize("command", ["spectrum", "reproduce-paper"])
+    def test_run_completes_silently(self, tmp_path, command):
+        config = tiny_bundled_config(tmp_path / "config.json")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def run(out, stdout):
+            argv = [sys.executable, "-m", "darkpulse.cli", command, "--config", str(config),
+                    "--out", str(tmp_path / out)]
+            return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=300, check=False)
+
+        open_run = run("open", subprocess.PIPE)
+        assert open_run.returncode == 0, open_run.stderr
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            closed_run = run("closed", write_end)
+        finally:
+            os.close(write_end)
+        assert closed_run.returncode == 0, closed_run.stderr
+        assert "Traceback" not in closed_run.stderr
+        assert "Exception ignored" not in closed_run.stderr
+        written = artifacts(tmp_path / "closed")
+        assert written and written == artifacts(tmp_path / "open")
 
 
 class TestStartup:

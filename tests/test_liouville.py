@@ -9,13 +9,12 @@ from darkpulse import (FieldParams, Liouvillian, Mode, Rates, UnexpectedDimensio
                        dark_basis, slowest_rate, steady_affine, unvec, vec,
                        zero_subspace)
 from darkpulse.core import build_hamiltonian
-from darkpulse.liouville import (_null_space, _relaxation_part, principal_angles,
-                                 transpose_convention_diagnostic)
+from darkpulse.liouville import principal_angles, transpose_convention_diagnostic
 from conftest import random_field
 
 
 def uncached_generator(fp, rates, envelope_value):
-    """The generator assembled term by term on every call, as before the relaxation cache."""
+    """The generator with each relaxation term added onto the commutator in turn."""
     h = build_hamiltonian(fp, envelope_value)
     eye4 = np.eye(4)
     excited = np.zeros((4, 4))
@@ -105,7 +104,7 @@ class TestBuildLiouvillian:
     @pytest.mark.parametrize("rates", [Rates.alpha(1.3), Rates.beta(0.8, 1.7, 0.6)],
                              ids=["alpha", "beta"])
     def test_matches_uncached_formula_bytes(self, rng, rates):
-        # the relaxation part is cached per Rates; the generator must not move a bit
+        # the relaxation part is built apart from the commutator; the generator must not move a bit
         for _ in range(200):
             fp = random_field(rng)
             for envelope_value in (0.0, rng.uniform(0.0, 1.0), 1.0):
@@ -114,12 +113,17 @@ class TestBuildLiouvillian:
                 assert liou.m.tobytes() == m.tobytes()
                 assert liou.d.tobytes() == d.astype(complex).tobytes()
 
-    def test_relaxation_part_is_cached_and_readonly(self):
-        rates = Rates.beta(1.0, 2.0, 0.5)
-        m, d = _relaxation_part(rates)
-        again = _relaxation_part(Rates.beta(1.0, 2.0, 0.5))  # equal, not identical, key
-        assert again[0] is m and again[1] is d
-        for a in (m, d):
+    def test_overflowing_generator_raises(self):
+        # finite rates whose loss rate overflows: an unresolvable spectrum, and no numpy warning
+        with pytest.raises(UnstableSpectrum, match="overflow"):
+            build_liouvillian(FieldParams(0.4, 1.2, 0.3, 2.0), Rates.beta(1.7e308, 1.7e308, 1.0))
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(), Rates.beta(1.0, 2.0, 0.5)],
+                             ids=["alpha", "beta"])
+    def test_generator_and_kernels_are_readonly(self, rates):
+        liou = build_liouvillian(FieldParams(0.4, 1.2, 0.3, 2.0), rates)
+        sub = zero_subspace(liou)
+        for a in (liou.m, liou.d, sub.right, sub.left):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
@@ -289,6 +293,12 @@ class TestSlowestRate:
             slowest_rate(liou)
 
 
+def svd_null_space(a):
+    """Rows spanning the right null space of ``a``, by its own SVD at zero_subspace's cut."""
+    _, s, vh = np.linalg.svd(a)
+    return vh[s < 1e-10 * s[0]].conj()
+
+
 def transpose_diagnostic(fp, rates):
     return transpose_convention_diagnostic(zero_subspace(build_liouvillian(fp, rates)))
 
@@ -314,7 +324,7 @@ class TestTransposeDiagnostic:
         for k in range(40):
             fp = random_field(rng, **({"mu_minus": 0.0, "mu_plus": 0.0} if k % 2 else {}))
             liou = build_liouvillian(fp, rates)
-            left_conj, left_plain = _null_space(liou.m.conj().T), _null_space(liou.m.T)
+            left_conj, left_plain = svd_null_space(liou.m.conj().T), svd_null_space(liou.m.T)
             assert left_plain.shape == left_conj.shape
             angle = float(principal_angles(left_conj.T, left_plain.T).max())
             result = transpose_convention_diagnostic(zero_subspace(liou))
