@@ -21,7 +21,7 @@ from .liouville import (Liouvillian, Rates, ZeroSubspace, build_liouvillian,
                         zero_subspace)
 from .maps import (compose_sequence, hs_distance, mismatch, relax_closed, relax_repumped,
                    relaxation_affine, repump_steady_state, sequence_affine)
-from .optimize import (OptimizationResult, initial_state_grid, optimize_sequence, purity_sweep,
+from .optimize import (OptimizationResult, initial_state_grid, optimize_sequence,
                        random_pure_states)
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
     "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
-    "pure_state_dyads", "purity_sweep", "random_pure_states",
+    "pure_state_dyads", "random_pure_states",
     "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
     "repump_steady_state", "run_sequence",
     "sequence_affine", "slowest_rate", "steady_affine", "unvec", "vec",

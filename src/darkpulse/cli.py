@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -34,8 +34,7 @@ from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, TraceV
 from .liouville import (build_liouvillian, principal_angles, slowest_rate,
                         transpose_convention_diagnostic, zero_subspace)
 from .maps import compose_sequence, hs_distance, mismatch
-from .optimize import (initial_state_grid, optimize_sequence, purity_sweep, random_pure_states,
-                       state_distances)
+from .optimize import initial_state_grid, optimize_sequence, random_pure_states, state_distances
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,14 +73,8 @@ def _stats(distances: np.ndarray) -> dict:
 
 
 def _sequence_doc(steps, durations) -> dict:
-    return {
-        "steps": [{
-            "theta": fp.theta, "phi": fp.phi,
-            "mu_minus": fp.mu_minus, "mu_plus": fp.mu_plus,
-            "xi": fp.xi, "omega_peak": fp.omega_peak, "delta": fp.delta,
-            "envelope": fp.envelope.value, "duration": duration,
-        } for fp, duration in zip(steps, durations)],
-    }
+    # json writes the Envelope str-enum as its value
+    return {"steps": [{**asdict(fp), "duration": d} for fp, d in zip(steps, durations)]}
 
 
 def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
@@ -278,14 +271,17 @@ def cmd_sweep_purity(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.weight_list is None or cfg.n_list is None:
         raise ConfigError("sweep-purity requires 'weight_list' and 'N_list' in the config")
     grid = initial_state_grid(cfg.grid_resolution)
-    rows = purity_sweep((cfg.target.psi1, cfg.target.psi2), cfg.weight_list, cfg.n_list,
-                        cfg.optimizer.seed, grid=grid, restarts=cfg.optimizer.restarts,
-                        max_iter=cfg.optimizer.max_iter, tol=cfg.optimizer.tol,
-                        pin_last=cfg.optimizer.pin_last)
+    opt = cfg.optimizer
+    rows = []
+    for p1 in cfg.weight_list:
+        target = replace(cfg.target, weights=(p1, 1.0 - p1))
+        for n in cfg.n_list:
+            result = optimize_sequence(n, target, grid, opt.seed, restarts=opt.restarts,
+                                       max_iter=opt.max_iter, tol=opt.tol, pin_last=opt.pin_last)
+            rows.append([p1, n, result.objective_value, result.per_state_distances[:, 0].max(),
+                         result.iterations])
     write_csv(out_dir / "purity_sweep.csv",
-              ["p1", "N", "rms_objective", "max_distance", "iterations"],
-              [[r["p1"], r["n_steps"], r["rms_objective"], r["max_distance"], r["iterations"]]
-               for r in rows])
+              ["p1", "N", "rms_objective", "max_distance", "iterations"], rows)
     _report(f"sweep-purity: {len(rows)} row(s) -> {out_dir / 'purity_sweep.csv'}")
     return EXIT_OK
 

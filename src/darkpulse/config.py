@@ -241,13 +241,16 @@ def load_sequence(path, cfg: ExperimentConfig) -> list[FieldParams]:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a file atomically (temp file + rename in the same directory)."""
+    """Write a file atomically (temp file + rename in the same directory), mode 0666 & ~umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)  # mkstemp makes the file 0600; reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -102,11 +102,11 @@ class FieldParams:
     envelope: Envelope = Envelope.SQUARE
 
     def __post_init__(self) -> None:
-        angles = (self.theta, self.phi, self.mu_minus, self.mu_plus, self.xi)
-        if not all(np.isfinite(a) for a in angles):
-            raise ValueError("all angles must be finite")
-        if not (self.omega_peak > 0):
-            raise ValueError(f"omega_peak must be positive, got {self.omega_peak}")
+        for name in ("theta", "phi", "mu_minus", "mu_plus", "xi", "delta"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not 0 < self.omega_peak < np.inf:
+            raise ValueError(f"omega_peak must be positive and finite, got {self.omega_peak}")
         theta = _wrap_angle(self.theta)
         phi = float(self.phi)
         if theta > np.pi:
@@ -196,14 +196,14 @@ class TargetState:
 
     def __post_init__(self) -> None:
         p1, p2 = self.weights
-        if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-9:
+        if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError(f"weights must be nonnegative and sum to 1, got {self.weights}")
         psi1 = np.asarray(self.psi1, dtype=complex)
         psi2 = np.asarray(self.psi2, dtype=complex)
         if psi1.shape != (3,) or psi2.shape != (3,):
             raise ValueError("psi1 and psi2 must be ground-space 3-vectors")
         for name, psi in (("psi1", psi1), ("psi2", psi2)):
-            if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} must be a unit vector")
         _span_normal(psi1, psi2)  # raises DegenerateSpan unless the pair spans a plane
         object.__setattr__(self, "weights", (p1 / (p1 + p2), p2 / (p1 + p2)))
@@ -230,26 +230,17 @@ def pure_state_dyads(states: np.ndarray) -> np.ndarray:
     return full[..., :, None] * full.conj()[..., None, :]
 
 
-def _coupling_components(fp: FieldParams, envelope_value: float) -> np.ndarray:
-    """Rabi frequencies (Omega_-, Omega_pi, Omega_+) at the given envelope value."""
-    om = fp.omega_peak * envelope_value / 3.0
-    phase = np.exp(1j * fp.xi)
-    return np.array([
-        om * phase * np.exp(1j * fp.mu_minus) * np.sin(fp.theta) * np.sin(fp.phi),
-        -om * phase * np.cos(fp.theta),
-        om * phase * np.exp(1j * fp.mu_plus) * np.sin(fp.theta) * np.cos(fp.phi),
-    ])
-
-
 def build_hamiltonian(fp: FieldParams, envelope_value: float = 1.0) -> np.ndarray:
     """Rotating-frame Hamiltonian (divided by hbar) for one instantaneous envelope value.
 
-    Each ground state couples to the excited state with half its Rabi
-    frequency; the detuning sits on the excited-state projector.
+    The Rabi frequencies are the bright vector times the drive's complex
+    amplitude; each ground state couples to the excited state with half its
+    Rabi frequency, and the detuning sits on the excited-state projector.
     """
     if envelope_value < 0:
         raise ValueError("envelope_value must be nonnegative")
-    omegas = _coupling_components(fp, envelope_value)
+    omegas = bright_vector(np.array(fp.angles),
+                           fp.omega_peak * envelope_value / 3.0 * np.exp(1j * fp.xi))
     h = np.zeros((4, 4), dtype=complex)
     h[:3, EXCITED] = omegas / 2.0
     h[EXCITED, :3] = omegas.conj() / 2.0
@@ -257,8 +248,8 @@ def build_hamiltonian(fp: FieldParams, envelope_value: float = 1.0) -> np.ndarra
     return h
 
 
-def bright_vector(angles: np.ndarray) -> np.ndarray:
-    """Bright ground vector for rows of angles (theta, phi, mu-, mu+).
+def bright_vector(angles: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+    """Bright ground vector for rows of angles (theta, phi, mu-, mu+), times ``scale``.
 
     The unit vector that couples to the excited state,
     ``[e^{i mu-} sin(theta) sin(phi), -cos(theta), e^{i mu+} sin(theta) cos(phi)]``;
@@ -266,10 +257,12 @@ def bright_vector(angles: np.ndarray) -> np.ndarray:
     reflection FieldParams applies to theta leaves this vector unchanged.
     """
     th, ph, mm, mp = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    # scale is multiplied in first, so each component is rounded in one fixed
+    # order; scale * bright_vector(angles) would move the Hamiltonian's last bits
     return np.stack([
-        np.exp(1j * mm) * np.sin(th) * np.sin(ph),
-        -np.cos(th),
-        np.exp(1j * mp) * np.sin(th) * np.cos(ph),
+        scale * np.exp(1j * mm) * np.sin(th) * np.sin(ph),
+        -scale * np.cos(th),
+        scale * np.exp(1j * mp) * np.sin(th) * np.cos(ph),
     ], axis=-1)
 
 

@@ -60,10 +60,11 @@ class Rates:
     mode: Mode = Mode.ALPHA
 
     def __post_init__(self) -> None:
-        if not (self.gamma_in > 0):
-            raise ValueError(f"gamma_in must be positive, got {self.gamma_in}")
-        if self.gamma_ext < 0 or self.r_pump < 0:
-            raise ValueError("gamma_ext and r_pump must be nonnegative")
+        if not 0 < self.gamma_in < np.inf:
+            raise ValueError(f"gamma_in must be positive and finite, got {self.gamma_in}")
+        for name in ("gamma_ext", "r_pump"):
+            if not 0 <= (value := getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         if self.mode is Mode.ALPHA and (self.gamma_ext != 0 or self.r_pump != 0):
             raise ValueError("mode alpha requires gamma_ext = r_pump = 0")
         if self.mode is Mode.BETA and not (self.gamma_ext > 0 and self.r_pump > 0):

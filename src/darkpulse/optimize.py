@@ -16,8 +16,8 @@ J. Magn. Reson. 172, 296 (2005)); one kernel returns value and gradient from
 the angle array alone.  Every restart draws fresh random angles except the
 last pulse, which is seeded (optionally pinned) from the inverse dark-span
 solver so the final dark subspace starts out containing the target span.
-Grid states enter as ``core.pure_state_dyads`` projectors; ``purity_sweep``
-passes ``pin_last`` on.  Results are deterministic for a fixed seed.
+Grid states enter as ``core.pure_state_dyads`` projectors.  Results are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "random_pure_states",
     "state_distances",
     "optimize_sequence",
-    "purity_sweep",
 ]
 
 # positions of the 3x3 ground block in a row-major vectorized 4x4 matrix
@@ -263,30 +262,3 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray, seed:
         restart_history=tuple(history),
         restarts=tuple(records),
     )
-
-
-def purity_sweep(target_vectors: tuple[np.ndarray, np.ndarray], weight_list, n_list,
-                 seed: int, *, grid: np.ndarray, restarts: int = 3, max_iter: int = 300,
-                 tol: float = 1e-6, pin_last: bool = False) -> list[dict]:
-    """Optimize for every (weight, step-count) pair under one shared budget and ``pin_last``.
-
-    Returns one row per combination with the achieved RMS objective, the
-    maximum per-state distance, and the iteration count.  Only completion is
-    guaranteed; the purity-vs-steps trend is recorded for the caller to
-    inspect.
-    """
-    psi1, psi2 = target_vectors
-    rows = []
-    for p1 in weight_list:
-        target = TargetState(weights=(float(p1), float(1.0 - p1)), psi1=psi1, psi2=psi2)
-        for n in n_list:
-            result = optimize_sequence(int(n), target, grid, seed, restarts=restarts,
-                                       max_iter=max_iter, tol=tol, pin_last=pin_last)
-            rows.append({
-                "p1": float(p1),
-                "n_steps": int(n),
-                "rms_objective": result.objective_value,
-                "max_distance": float(result.per_state_distances[:, 0].max()),
-                "iterations": result.iterations,
-            })
-    return rows

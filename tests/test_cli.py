@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from darkpulse import TargetState, initial_state_grid, optimize_sequence
 from darkpulse.cli import _write_json, build_parser, bundled_config_path, main
-from darkpulse.config import load_config
+from darkpulse.config import load_config, write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -530,6 +531,12 @@ class TestSweepPurityCommand:
         assert [r["N"] for r in rows] == ["1", "2"]
         assert {"p1", "N", "rms_objective", "max_distance", "iterations"} == set(rows[0])
 
+    def test_empty_n_list_writes_header_only(self, tmp_path):
+        cfg = write_config(tmp_path / "sweep.json", weight_list=[0.5], N_list=[])
+        assert main(["sweep-purity", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+        text = (tmp_path / "w" / "purity_sweep.csv").read_text()
+        assert text == "p1,N,rms_objective,max_distance,iterations\n"
+
     def test_rows_follow_pin_last(self, tmp_path):
         # each row is the optimizer's own run at its (p1, N) under the config's pin_last
         budget = {"restarts": 1, "max_iter": 30, "tol": 1e-6}
@@ -540,6 +547,8 @@ class TestSweepPurityCommand:
         with open(tmp_path / "w" / "purity_sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         cfg = load_config(path)
+        assert [(float(r["p1"]), int(r["N"])) for r in rows] == [(0.5, 1), (0.5, 2),
+                                                                  (0.2, 1), (0.2, 2)]
         for row in rows:
             p1 = float(row["p1"])
             target = TargetState(weights=(p1, 1.0 - p1), psi1=cfg.target.psi1,
@@ -549,6 +558,7 @@ class TestSweepPurityCommand:
             assert float(row["rms_objective"]) == result.objective_value
             assert float(row["max_distance"]) == result.per_state_distances[:, 0].max()
             assert int(row["iterations"]) == result.iterations
+            assert float(row["max_distance"]) >= float(row["rms_objective"]) - 1e-12
 
 
 class TestReproduceCommand:
@@ -572,6 +582,19 @@ class TestReproduceCommand:
         simulated = [duration for state in states for duration in state["durations"]]
         assert len(recorded) == 4 and len(simulated) == 4
         assert set(recorded) == set(simulated) and len(set(simulated)) == 1
+
+
+class TestFileMode:
+    def test_artifacts_follow_the_umask(self, tmp_path, config_path):
+        previous = os.umask(0o027)
+        try:
+            write_csv(tmp_path / "table.csv", ["x"], [[1.0]])
+            assert main(["spectrum", "--config", str(config_path),
+                         "--out", str(tmp_path / "spec")]) == 0
+        finally:
+            os.umask(previous)
+        for path in (tmp_path / "table.csv", tmp_path / "spec" / "spectrum.json"):
+            assert path.stat().st_mode & 0o777 == 0o640
 
 
 class TestWriteJson:
@@ -1030,3 +1053,14 @@ class TestStartup:
         installed = set(json.loads(run_fresh(script, tmp_path)))
         assert "maps.compose_sequence" in spans
         assert sorted(spans - installed) == []
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self, tmp_path):
+        blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        assert len(blocks) == 1
+        proc = subprocess.run([sys.executable, "-c", blocks[0]], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300, check=False,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].endswith("True")

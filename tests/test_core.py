@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from darkpulse import (AngleUnderdetermined, DegenerateSpan, DensityOperator,
-                       Envelope, FieldParams, TargetState, bloch_coords, build_hamiltonian,
-                       dark_basis, embed_ground, field_for_span, pure_state_dyads)
+                       Envelope, FieldParams, Rates, TargetState, bloch_coords,
+                       build_hamiltonian, dark_basis, embed_ground, field_for_span,
+                       pure_state_dyads)
 from darkpulse.core import bright_vector
 from conftest import random_density, random_field, random_pure_ground
 
@@ -322,6 +323,25 @@ class TestTargetState:
         with pytest.raises(ValueError, match="unit"):
             TargetState(weights=(0.5, 0.5), psi1=np.array([0.9, 0, 0]),
                         psi2=np.array([0, 1.0, 0]))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, build", [
+    ("weights", lambda: TargetState(weights=(NAN, 1.0), psi1=np.array([1.0, 0, 0]),
+                                    psi2=np.array([0, 1.0, 0]))),
+    ("psi1", lambda: TargetState(weights=(0.5, 0.5), psi1=np.array([NAN, 1.0, 0]),
+                                 psi2=np.array([0, 1.0, 0]))),
+    ("omega_peak", lambda: FieldParams(0.1, 0.2, 0.3, 0.4, omega_peak=INF)),
+    ("delta", lambda: FieldParams(0.1, 0.2, 0.3, 0.4, delta=NAN)),
+    ("gamma_in", lambda: Rates(gamma_in=INF)),
+    ("gamma_ext", lambda: Rates.beta(1.0, INF, 1.0)),
+], ids=["weights", "psi1", "omega_peak", "delta", "gamma_in", "gamma_ext"])
+def test_constructors_reject_non_finite_numbers(name, build):
+    # the message starts with the field's name, so a config error names its dotted path
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
 
 
 class TestBlochCoords:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darkpulse import (FieldParams, TargetState, dark_basis, field_for_span, hs_distance,
-                       initial_state_grid, optimize_sequence, pure_state_dyads, purity_sweep)
+                       initial_state_grid, optimize_sequence, pure_state_dyads)
 from darkpulse.optimize import (_grid_moments, _rms_and_gradient, random_pure_states,
                                 state_distances)
 from conftest import fold_closed, fold_repumped, random_field
@@ -217,23 +217,6 @@ class TestOptimizeSequence:
     def test_rejects_bad_step_count(self):
         with pytest.raises(ValueError):
             optimize_sequence(0, small_target(), initial_state_grid(2), seed=0)
-
-
-class TestPuritySweep:
-    def test_empty_n_list_gives_empty_table(self):
-        rows = purity_sweep((small_target().psi1, small_target().psi2), [0.5], [],
-                            seed=0, grid=initial_state_grid(2))
-        assert rows == []
-
-    def test_rows_complete_with_finite_objectives(self):
-        target = small_target()
-        rows = purity_sweep((target.psi1, target.psi2), [0.5, 0.1], [1, 2], seed=2,
-                            grid=initial_state_grid(2), restarts=1, max_iter=15)
-        assert len(rows) == 4
-        for row in rows:
-            assert np.isfinite(row["rms_objective"])
-            assert row["max_distance"] >= row["rms_objective"] - 1e-12
-            assert {"p1", "n_steps", "rms_objective", "max_distance", "iterations"} <= set(row)
 
 
 class TestStateDistances:
