@@ -537,6 +537,20 @@ class TestSweepPurityCommand:
         text = (tmp_path / "w" / "purity_sweep.csv").read_text()
         assert text == "p1,N,rms_objective,max_distance,iterations\n"
 
+    def test_rows_complete_with_finite_objectives(self, tmp_path):
+        cfg = write_config(tmp_path / "sweep.json", weight_list=[0.5, 0.1], N_list=[1, 2],
+                           grid_resolution=2,
+                           optimizer={"seed": 2, "restarts": 1, "max_iter": 15,
+                                      "tol": 1e-6, "test_states": 5})
+        assert main(["sweep-purity", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+        with open(tmp_path / "w" / "purity_sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["p1"]), int(r["N"])) for r in rows] == [(0.5, 1), (0.5, 2),
+                                                                  (0.1, 1), (0.1, 2)]
+        for row in rows:
+            assert np.isfinite(float(row["rms_objective"]))
+            assert float(row["max_distance"]) >= float(row["rms_objective"]) - 1e-12
+
     def test_rows_follow_pin_last(self, tmp_path):
         # each row is the optimizer's own run at its (p1, N) under the config's pin_last
         budget = {"restarts": 1, "max_iter": 30, "tol": 1e-6}
@@ -547,8 +561,6 @@ class TestSweepPurityCommand:
         with open(tmp_path / "w" / "purity_sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         cfg = load_config(path)
-        assert [(float(r["p1"]), int(r["N"])) for r in rows] == [(0.5, 1), (0.5, 2),
-                                                                  (0.2, 1), (0.2, 2)]
         for row in rows:
             p1 = float(row["p1"])
             target = TargetState(weights=(p1, 1.0 - p1), psi1=cfg.target.psi1,
@@ -558,7 +570,6 @@ class TestSweepPurityCommand:
             assert float(row["rms_objective"]) == result.objective_value
             assert float(row["max_distance"]) == result.per_state_distances[:, 0].max()
             assert int(row["iterations"]) == result.iterations
-            assert float(row["max_distance"]) >= float(row["rms_objective"]) - 1e-12
 
 
 class TestReproduceCommand:
