@@ -97,7 +97,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     test_distances = state_distances(test_states, result.sequence, cfg.target)
 
     doc = {
-        "sequence": {"mode": cfg.mode.value, **_sequence_doc(result.sequence, durations)},
+        "sequence": {"mode": cfg.rates.mode.value, **_sequence_doc(result.sequence, durations)},
         "objective_rms": result.objective_value,
         "objective_history": list(result.restart_history),
         "train_stats": _stats(result.per_state_distances),
@@ -149,7 +149,7 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
 
     doc = {
         "n_pulses": len(steps),
-        "mode": cfg.mode.value,
+        "mode": cfg.rates.mode.value,
         "states": rows,
         "max_hs_ode_vs_map": max((r["hs_ode_vs_map"] for r in rows), default=0.0),
         "meta": {"wall_time_s": time.perf_counter() - started},
@@ -177,7 +177,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, strict: bool
              "mu_plus": fp.mu_plus, "distance": float(distance)}
             for i, (fp, distance) in enumerate(zip(fields, distances))]
     doc = {
-        "mode": cfg.mode.value,
+        "mode": cfg.rates.mode.value,
         "propagator": propagator_name(cfg.envelope),
         "residual": cfg.integrator.residual,
         "n_states": n_states,
@@ -251,7 +251,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...]
         "field": {"theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
                   "mu_plus": fp.mu_plus, "xi": fp.xi, "delta": fp.delta,
                   "omega_peak": fp.omega_peak},
-        "mode": cfg.mode.value,
+        "mode": cfg.rates.mode.value,
         "eigenvalues": [[float(z.real), float(z.imag)] for z in eigenvalues],
         "zero_dimension": subspace.dimension,
         "left_right_max_principal_angle_rad": span_gap,

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,11 +68,6 @@ class ExperimentConfig:
     weight_list: tuple[float, ...] | None = None
     n_list: tuple[int, ...] | None = None
     field_params: FieldParams | None = None
-
-    @property
-    def mode(self) -> Mode:
-        """The relaxation regime, as carried by ``rates``."""
-        return self.rates.mode
 
 
 def read_number(value, path: str) -> float:
@@ -243,14 +237,12 @@ def load_sequence(path, cfg: ExperimentConfig) -> list[FieldParams]:
 def atomic_write_text(path, text: str) -> None:
     """Write a file atomically (temp file + rename in the same directory), mode 0666 & ~umask."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
+    # created 0666, so the kernel applies the umask; the process umask is never touched
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0)  # mkstemp makes the file 0600; reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

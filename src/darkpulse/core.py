@@ -147,9 +147,11 @@ class DensityOperator:
     def validate(cls, matrices: np.ndarray) -> None:
         """Check a (..., 4, 4) stack of matrices as the constructor checks one.
 
-        Raises the constructor's ValueError, naming the largest asymmetry, the
-        smallest eigenvalue, or the smallest or largest trace of the stack.
+        Raises the constructor's ValueError, naming a non-finite entry, the largest
+        asymmetry, the smallest eigenvalue, or the smallest or largest trace of the stack.
         """
+        if not np.isfinite(matrices).all():
+            raise ValueError("matrix has a non-finite entry")
         herm = np.max(np.abs(matrices - matrices.swapaxes(-1, -2).conj()))
         if herm >= cls.HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
@@ -200,12 +202,10 @@ class TargetState:
             raise ValueError(f"weights must be nonnegative and sum to 1, got {self.weights}")
         psi1 = np.asarray(self.psi1, dtype=complex)
         psi2 = np.asarray(self.psi2, dtype=complex)
-        if psi1.shape != (3,) or psi2.shape != (3,):
-            raise ValueError("psi1 and psi2 must be ground-space 3-vectors")
         for name, psi in (("psi1", psi1), ("psi2", psi2)):
             if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} must be a unit vector")
-        _span_normal(psi1, psi2)  # raises DegenerateSpan unless the pair spans a plane
+        _span_normal(psi1, psi2)  # raises unless the pair are 3-vectors spanning a plane
         object.__setattr__(self, "weights", (p1 / (p1 + p2), p2 / (p1 + p2)))
         object.__setattr__(self, "psi1", _readonly(psi1 / np.linalg.norm(psi1)))
         object.__setattr__(self, "psi2", _readonly(psi2 / np.linalg.norm(psi2)))
@@ -309,9 +309,12 @@ def _span_normal(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     The global phase is fixed so the pi component is real and nonnegative;
     if that component vanishes, the sigma- component is made real nonnegative
     instead (then the sigma+ one).  This pins the one-parameter gauge freedom.
+    Raises ValueError unless both are finite 3-vectors, DegenerateSpan unless they span a plane.
     """
-    psi1 = np.asarray(psi1, dtype=complex)[:3]
-    psi2 = np.asarray(psi2, dtype=complex)[:3]
+    psi1, psi2 = np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex)
+    for name, psi in (("psi1", psi1), ("psi2", psi2)):
+        if psi.shape != (3,) or not np.isfinite(psi).all():
+            raise ValueError(f"{name} must be a finite ground-space 3-vector")
     # rows <psi_i|: one SVD gives sigma_min and, as the last right-singular
     # vector, the direction annihilated by both overlaps
     _, s, vh = np.linalg.svd(np.vstack([psi1.conj(), psi2.conj()]))
@@ -337,6 +340,8 @@ def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.
 
     Raises
     ------
+    ValueError
+        If psi1 or psi2 is not a finite 3-vector.
     DegenerateSpan
         If psi1 and psi2 do not span a two-dimensional subspace.
     """

@@ -46,7 +46,7 @@ from .config import write_csv
 from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
 from .errors import PositivityViolation, StepSizeUnderflow, TraceViolation, UnstableSpectrum
 from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
-from .maps import hs_distance, relax_closed
+from .maps import _check_trace_one, hs_distance, relax_closed
 
 __all__ = [
     "MapCheck",
@@ -213,30 +213,30 @@ def _stack(states, n_fields: int | None = None) -> np.ndarray:
     return states.astype(complex, copy=False)
 
 
-def _solve(fp: FieldParams, on: Liouvillian, t_final: float, y0: np.ndarray, feed: np.ndarray,
-           rtol: float, atol: float) -> tuple[np.ndarray, int]:
+def _solve(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray, rtol: float,
+           atol: float) -> tuple[np.ndarray, int]:
     """RK45 of ``dY/dt = (M0 + E(t) Mdrive) Y + feed`` through one pulse, in one ``solve_ivp``.
 
-    ``on`` is the generator at envelope 1, ``fp`` carries the envelope, which
-    runs over ``t_final``; ``y0`` is a (16, n) block and ``feed`` broadcasts
-    against it.  The error norm is taken over the whole block.  Returns the
-    (16, n, 65) snapshots at ``linspace(0, t_final, 65)`` and the number of
+    ``on`` is the generator at envelope 1, whose field carries the envelope,
+    which runs over ``times[-1]``; ``y0`` is a (16, n) block and ``feed``
+    broadcasts against it.  The error norm is taken over the whole block.
+    Returns the (16, n, len(times)) snapshots at ``times`` and the number of
     right-hand-side evaluations.
     """
+    t_final = times[-1]
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    m0 = build_liouvillian(fp, on.rates, 0.0).m
+    m0 = build_liouvillian(on.field, on.rates, 0.0).m
     m_drive = on.m - m0
-    envelope = fp.envelope
+    envelope = on.field.envelope
 
     def rhs(t, y):
         # a square envelope reads 1.0, and m0 + 1.0 * m_drive is m0 + m_drive exactly
         return ((m0 + envelope.value_at(t, t_final) * m_drive) @ y.reshape(y0.shape)
                 + feed).ravel()
 
-    times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
     sol = sys.modules[__name__].solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
                                           rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
@@ -289,10 +289,9 @@ def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
     """
     states = _stack(states)
     liou = build_liouvillian(fp, rates, 1.0)
-    snapshots, nfev = _solve(fp, liou, t_final, states.reshape(-1, 16).T, liou.d[:, None],
-                             rtol, atol)
-    return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS), snapshots.transpose(1, 2, 0),
-                       atol, "rk45", nfev, dark_basis(fp))
+    times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
+    snapshots, nfev = _solve(liou, times, states.reshape(-1, 16).T, liou.d[:, None], rtol, atol)
+    return _trajectory(times, snapshots.transpose(1, 2, 0), atol, "rk45", nfev, dark_basis(fp))
 
 
 def propagator_name(envelope: Envelope) -> str:
@@ -322,11 +321,9 @@ def _ground_frame(fp: FieldParams, basis: DarkBasis) -> np.ndarray:
 
 
 class _Key(NamedTuple):
-    """A key's first field, inverse ground frame, generator, slowest rate, times and propagator."""
+    """A key's first field, generator (on that field), slowest rate, times and propagator."""
 
     first: int
-    reference: FieldParams
-    frame: np.ndarray
     liou: Liouvillian
     rate: float
     times: np.ndarray
@@ -334,59 +331,56 @@ class _Key(NamedTuple):
     nfev: int
 
 
-def _key_table(fields, bases, rates: Rates, residual: float, rtol: float,
-               atol: float) -> list[_Key]:
-    """The key of each field: the only place that decides which fields share a propagator.
+def _key_table(fields, rates: Rates, residual: float, rtol: float,
+               atol: float) -> list[tuple[DarkBasis, _Key, np.ndarray]]:
+    """Each field's dark basis, key and rotation: the only per-field set-up.
 
-    A key's propagator is its (65, 16, 17) stack of snapshot propagators: the
+    The key is the only place that decides which fields share a propagator.
+    Its propagator is its (65, 16, 17) stack of snapshot propagators: the
     powers of the exponential step (square), or one RK45 solve of ``[Phi | c]``
     from ``[1 | 0]`` (the homogeneous flow and the repump feed's response).  A
     time-dependent key that occurs once gets None: with no field to reuse it,
-    that solve costs more than its states' own.
+    that solve costs more than its states' own.  The rotation is
+    ``U = V(fp) V(ref)^dagger``, exactly 1 for the key's first field.
     """
     if atol <= 0:
         raise ValueError("atol must be positive")
     keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in fields]
-    table = {}
+    table, frames, out = {}, {}, []
     for i, (fp, key) in enumerate(zip(fields, keys)):
-        if key in table:
-            continue
-        liou = build_liouvillian(fp, rates, 1.0)
-        rate = slowest_rate(liou)
-        t_final = recommended_duration(rate, residual)
-        propagator, nfev = None, 0
-        if propagator_name(fp.envelope) == "exact":
-            propagator = _step(liou, t_final)
-        elif keys.count(key) > 1:
-            feed = np.column_stack([np.zeros((16, 16), dtype=complex), liou.d])
-            propagator, nfev = _solve(fp, liou, t_final, np.eye(16, 17, dtype=complex), feed,
-                                      rtol, atol)
-            propagator = propagator.transpose(2, 0, 1)
-        table[key] = _Key(i, fp, _ground_frame(fp, bases[i]).conj().T, liou, rate,
-                          np.linspace(0.0, t_final, MIN_SNAPSHOTS), propagator, nfev)
-    return [table[key] for key in keys]
-
-
-def _rotation(key: _Key, fp: FieldParams, basis: DarkBasis) -> np.ndarray:
-    """The rotation ``U = V(fp) V(ref)^dagger`` of a field of ``key``; exactly 1 for ``ref``."""
-    u = np.eye(4, dtype=complex)
-    if fp is not key.reference:
-        u[:3, :3] = _ground_frame(fp, basis) @ key.frame
-    return u
+        basis, u = dark_basis(fp), np.eye(4, dtype=complex)
+        if key not in table:
+            liou = build_liouvillian(fp, rates, 1.0)
+            rate = slowest_rate(liou)
+            times = np.linspace(0.0, recommended_duration(rate, residual), MIN_SNAPSHOTS)
+            propagator, nfev = None, 0
+            if propagator_name(fp.envelope) == "exact":
+                propagator = _step(liou, times[-1])
+            elif keys.count(key) > 1:
+                feed = np.column_stack([np.zeros((16, 16), dtype=complex), liou.d])
+                propagator, nfev = _solve(liou, times, np.eye(16, 17, dtype=complex), feed,
+                                          rtol, atol)
+                propagator = propagator.transpose(2, 0, 1)
+            table[key] = _Key(i, liou, rate, times, propagator, nfev)
+            frames[key] = _ground_frame(fp, basis).conj().T
+        elif fp is not table[key].liou.field:
+            u[:3, :3] = _ground_frame(fp, basis) @ frames[key]
+        out.append((basis, table[key], u))
+    return out
 
 
 def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray, rtol: float,
            atol: float) -> tuple[np.ndarray, int]:
     """The (S, 65, 16) snapshots of an (S, 4, 4) stack under ``key``'s propagator, in its frame.
 
-    ``u`` (:func:`_rotation`, one for all states or one each; exactly 1 for the reference)
-    takes them in as ``U^dagger rho U``, so a snapshot ``X`` is ``U X U^dagger`` in their
+    ``u`` (the rotation of :func:`_key_table`, one for all states or one each) takes
+    them in as ``U^dagger rho U``, so a snapshot ``X`` is ``U X U^dagger`` in their
     frame.  A lone key takes one RK45 solve, whose ``nfev`` is returned (else 0).
     """
     matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
     if key.propagator is None:
-        snapshots, nfev = _solve(key.reference, key.liou, key.times[-1],
-                                 matrices.reshape(-1, 16).T, key.liou.d[:, None], rtol, atol)
+        snapshots, nfev = _solve(key.liou, key.times, matrices.reshape(-1, 16).T,
+                                 key.liou.d[:, None], rtol, atol)
         return snapshots.transpose(1, 2, 0), nfev
     return _snapshots(key.propagator, matrices), 0
 
@@ -400,11 +394,9 @@ def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEF
     pulse that made it, 0 to the others.
     """
     matrices = _stack(states)
-    bases = [dark_basis(fp) for fp in steps]
-    table = _key_table(steps, bases, rates, residual, rtol, atol)
+    table = _key_table(steps, rates, residual, rtol, atol)
     out = []
-    for i, (fp, basis, key) in enumerate(zip(steps, bases, table)):
-        u = _rotation(key, fp, basis)
+    for i, (fp, (basis, key, u)) in enumerate(zip(steps, table)):
         snapshots, nfev = _drive(key, matrices, u, rtol, atol)
         snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
                      @ u.conj().T).reshape(snapshots.shape)
@@ -432,9 +424,10 @@ def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFA
     integrator error names a case by its index in the batch and its own time.
     """
     states = _stack(states, len(fields))
-    bases = [dark_basis(fp) for fp in fields]
-    table = _key_table(fields, bases, rates, residual, rtol, atol)
-    u = np.stack([_rotation(key, fp, basis) for key, fp, basis in zip(table, fields, bases)])
+    _check_trace_one(states)  # the map's own check, made before any propagator is built
+    bases, table, u = zip(*_key_table(fields, rates, residual, rtol, atol))
+    mapped = relax_closed(states, np.stack([basis.projector for basis in bases]))
+    u = np.stack(u)
     finals = np.empty(states.shape, dtype=complex)
     min_eigs, traces = np.empty((2, len(fields), MIN_SNAPSHOTS))
     keys = {key.first: key for key in table}
@@ -445,7 +438,6 @@ def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFA
                 _drive(key, states[block], u[block], rtol, atol)[0])
             finals[block] = u[block] @ stack[:, -1] @ u[block].conj().swapaxes(-1, -2)
     _monitor(np.stack([key.times for key in table]), min_eigs, traces, atol)
-    mapped = relax_closed(states, np.stack([basis.projector for basis in bases]))
     return MapCheck(hs_distance(finals, mapped), tuple(
         {"first_case": k.first, "duration": float(k.times[-1]), "slowest_rate": k.rate}
         for k in keys.values()))

@@ -25,7 +25,6 @@ from .errors import SingularSystem, UnexpectedDimension, UnstableSpectrum
 from .maps import _TRACE_ROW, repump_steady_state
 
 __all__ = [
-    "Mode",
     "Rates",
     "Liouvillian",
     "ZeroSubspace",

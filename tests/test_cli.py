@@ -450,6 +450,16 @@ class TestBlochExportCommand:
             assert main(["bloch-export", "--config", str(config), "--sequence", str(sequence),
                          "--out", str(tmp_path / "b")]) == 0
 
+    def test_empty_sequence_is_a_config_error(self, tmp_path, config_path, capsys):
+        sequence = tmp_path / "empty.json"
+        sequence.write_text(json.dumps({"sequence": {"steps": []}}))
+        out = tmp_path / "b"
+        assert main(["bloch-export", "--config", str(config_path), "--sequence", str(sequence),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: sequence file {sequence}: needs at least one step\n"
+        assert list(out.glob("*.csv")) == []
+
 
 class TestSpectrumCommand:
     def test_alpha_report(self, tmp_path, config_path):
@@ -606,6 +616,19 @@ class TestFileMode:
             os.umask(previous)
         for path in (tmp_path / "table.csv", tmp_path / "spec" / "spectrum.json"):
             assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_the_process_umask_is_left_alone(self, tmp_path, monkeypatch):
+        # reading the umask means setting it, which would leave a window in which a
+        # file made by another thread gets no umask; the kernel applies it instead
+        umask = os.umask(0o022)
+        os.umask(umask)
+
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr("darkpulse.config.os.umask", refuse)
+        write_csv(tmp_path / "table.csv", ["x"], [[1.0]])
+        assert (tmp_path / "table.csv").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestWriteJson:

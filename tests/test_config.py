@@ -35,7 +35,7 @@ def base_doc() -> dict:
 class TestParseConfig:
     def test_minimal_document_parses_with_defaults(self):
         cfg = parse_config(base_doc())
-        assert cfg.mode is Mode.ALPHA
+        assert cfg.rates.mode is Mode.ALPHA
         assert cfg.envelope is Envelope.SQUARE
         assert cfg.optimizer.restarts == 8
         assert cfg.optimizer.max_iter == 2000

@@ -285,6 +285,18 @@ class TestFieldForSpan:
         with pytest.raises(DegenerateSpan):
             field_for_span(psi, psi * np.exp(0.7j))
 
+    @pytest.mark.parametrize("bad", [np.array([1.0, 0.0, 0.0, 0.0]), np.full(5, 0.5),
+                                     np.array([0.6, 0.8]), np.array([np.nan, 0.0, 1.0])],
+                             ids=["length4", "length5", "length2", "nan"])
+    @pytest.mark.parametrize("slot", ["psi1", "psi2"])
+    def test_rejects_a_vector_that_is_not_a_finite_3_vector(self, bad, slot):
+        # longer vectors were cut to 3 entries, a shorter one indexed out of range,
+        # and a NaN failed inside the SVD
+        good = np.array([0.0, 1.0, 0.0], dtype=complex)
+        args = (bad, good) if slot == "psi1" else (good, bad)
+        with pytest.raises(ValueError, match=f"^{slot} must be a finite ground-space 3-vector$"):
+            field_for_span(*args)
+
 
 class TestTargetState:
     def test_density_matrix_is_valid(self):

@@ -11,9 +11,10 @@ import pytest
 import scipy.linalg
 
 from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
-                       TraceViolation, Trajectory, UnstableSpectrum, build_liouvillian,
-                       dark_basis, hs_distance, integrate_master, recommended_duration,
-                       pure_state_dyads, relax_closed, run_sequence, slowest_rate, verify_map)
+                       TraceMismatch, TraceViolation, Trajectory, UnstableSpectrum,
+                       build_liouvillian, dark_basis, hs_distance, integrate_master,
+                       recommended_duration, pure_state_dyads, relax_closed, run_sequence,
+                       slowest_rate, verify_map)
 import darkpulse.dynamics as dynamics
 from darkpulse.dynamics import (_BLOCK, DEFAULT_ATOL, DEFAULT_RTOL, MIN_SNAPSHOTS, _expm,
                                 _ground_frame, _monitor, _snapshots, _step, _symmetrized,
@@ -742,6 +743,31 @@ class TestVerifyMap:
                 verify_map(stack, fields, Rates.alpha(), 1e-6)
         with pytest.raises(ValueError, match="one field per state"):
             verify_map([DensityOperator(m) for m in states], fields, Rates.alpha(), 1e-6)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)], ids=["00", "01", "10"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_entry(self, rng, value, entry):
+        # a NaN above the diagonal passed the Hermiticity test (nan >= tol is false)
+        # and eigvalsh, which reads the lower triangle; every entry point names it
+        fp = random_field(rng)
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0] = 1.0
+        m[entry] = value
+        for check in (lambda: DensityOperator.validate(m[None]), lambda: DensityOperator(m),
+                      lambda: run_sequence(m[None], [fp], Rates.alpha(), 1e-6),
+                      lambda: verify_map(m[None], [fp], Rates.alpha(), 1e-6)):
+            with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+                check()
+
+    def test_trace_mismatch_is_rejected_before_any_solve(self, rng, monkeypatch):
+        # a stack of valid states whose trace is not 1 costs no drive before the map rejects it
+        solves = []
+        monkeypatch.setattr(dynamics, "solve_ivp", lambda *args, **kwargs: solves.append(1))
+        fields = one_key_steps(rng, Envelope.SINE_SQUARED, n=3, omega_peak=1.0)
+        states = 0.5 * np.stack([random_density(rng) for _ in fields])
+        with pytest.raises(TraceMismatch, match="input trace differs from 1"):
+            verify_map(states, fields, Rates.beta(), 1e-3)
+        assert solves == []
 
 
 class TestTrajectoryExport:
