@@ -4,9 +4,10 @@ The package splits into the state space and dark-state geometry (:mod:`core`),
 the vectorized master-equation generator and its zero subspaces
 (:mod:`liouville`), the asymptotic relaxation maps and metrics (:mod:`maps`),
 full master-equation integration and certification (:mod:`dynamics`), the
-pulse-sequence optimizer (:mod:`optimize`), and the CLI (:mod:`cli`).
+pulse-sequence optimizer (:mod:`optimize`), config (:mod:`config`) and CLI (:mod:`cli`).
 """
 
+from .config import IntegratorSettings, OptimizerSettings
 from .core import (DarkBasis, DensityOperator, Envelope, FieldParams, Mode, TargetState,
                    bloch_coords, build_hamiltonian, dark_basis, embed_ground, field_for_span,
                    pure_state_dyads)
@@ -28,10 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleUnderdetermined", "ConfigError", "DarkBasis", "DarkpulseError",
-    "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "Liouvillian",
-    "Mode", "NegativeRadicand", "OptimizationResult", "PositivityViolation",
-    "PulseRecord", "Rates", "SingularSystem", "StepSizeUnderflow", "TargetState",
-    "TraceMismatch", "TraceViolation", "Trajectory", "UnexpectedDimension",
+    "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "IntegratorSettings",
+    "Liouvillian", "Mode", "NegativeRadicand", "OptimizationResult", "OptimizerSettings",
+    "PositivityViolation", "PulseRecord", "Rates", "SingularSystem", "StepSizeUnderflow",
+    "TargetState", "TraceMismatch", "TraceViolation", "Trajectory", "UnexpectedDimension",
     "UnstableSpectrum", "ZeroSubspace", "bloch_coords",
     "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
     "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",

@@ -85,26 +85,25 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
                                               envelope=cfg.envelope), cfg.rates, 1.0)
     recommended_duration(slowest_rate(canonical), cfg.integrator.residual)
     grid = initial_state_grid(cfg.grid_resolution)
-    result = optimize_sequence(
-        cfg.steps, cfg.target, grid, cfg.optimizer.seed,
-        restarts=cfg.optimizer.restarts, max_iter=cfg.optimizer.max_iter,
-        tol=cfg.optimizer.tol, pin_last=cfg.optimizer.pin_last,
-        omega_peak=cfg.omega_peak, envelope=cfg.envelope)
+    result = optimize_sequence(cfg.steps, cfg.target, grid, cfg.optimizer)
+    # the search leaves the drive at its default; the steps take the config's
+    steps = [replace(fp, omega_peak=cfg.omega_peak, envelope=cfg.envelope)
+             for fp in result.sequence]
 
-    rate = slowest_rate(build_liouvillian(result.sequence[0], cfg.rates, 1.0))
-    durations = [recommended_duration(rate, cfg.integrator.residual)] * len(result.sequence)
+    rate = slowest_rate(build_liouvillian(steps[0], cfg.rates, 1.0))
+    durations = [recommended_duration(rate, cfg.integrator.residual)] * len(steps)
     test_states = random_pure_states(cfg.optimizer.test_states, [cfg.optimizer.seed, 1])
-    test_distances = state_distances(test_states, result.sequence, cfg.target)
+    test_distances = state_distances(test_states, steps, cfg.target)
 
     doc = {
-        "sequence": {"mode": cfg.rates.mode.value, **_sequence_doc(result.sequence, durations)},
+        "sequence": {"mode": cfg.rates.mode.value, **_sequence_doc(steps, durations)},
         "objective_rms": result.objective_value,
         "objective_history": list(result.restart_history),
         "train_stats": _stats(result.per_state_distances),
         "test_stats": {**_stats(test_distances), "n_states": int(test_states.shape[0])},
         "iterations": result.iterations,
         "restarts": [record._asdict() for record in result.restarts],
-        "seed": result.seed,
+        "seed": cfg.optimizer.seed,
         "converged": result.converged,
         "grid_resolution": cfg.grid_resolution,
         "meta": {"wall_time_s": time.perf_counter() - started},
@@ -126,8 +125,7 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     initial = pure_state_dyads(psis)
     rows = [{"state_index": i, "durations": [], "trajectories": [], "pulses": []}
             for i in range(len(initial))]
-    per_pulse = run_sequence(initial, steps, cfg.rates, cfg.integrator.residual,
-                             rtol=cfg.integrator.rtol, atol=cfg.integrator.atol)
+    per_pulse = run_sequence(initial, steps, cfg.rates, cfg.integrator)
     for l, traj in enumerate(per_pulse):
         for s, (row, record) in enumerate(zip(rows, traj.records)):
             path = out_dir / f"trajectory_state{s:03d}_pulse{l:02d}.csv"
@@ -170,9 +168,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, strict: bool
 
     fields = [FieldParams(theta=a[0], phi=a[1], mu_minus=a[2], mu_plus=a[3],
                           omega_peak=cfg.omega_peak, envelope=cfg.envelope) for a in angles]
-    distances, keys = verify_map(pure_state_dyads(states), fields, cfg.rates,
-                                 cfg.integrator.residual, rtol=cfg.integrator.rtol,
-                                 atol=cfg.integrator.atol)
+    distances, keys = verify_map(pure_state_dyads(states), fields, cfg.rates, cfg.integrator)
     rows = [{"index": i, "theta": fp.theta, "phi": fp.phi, "mu_minus": fp.mu_minus,
              "mu_plus": fp.mu_plus, "distance": float(distance)}
             for i, (fp, distance) in enumerate(zip(fields, distances))]
@@ -240,8 +236,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...]
     elif cfg.field_params is not None:
         fp = cfg.field_params
     else:
-        fp = field_for_span(cfg.target.psi1, cfg.target.psi2,
-                            omega_peak=cfg.omega_peak, envelope=cfg.envelope)
+        fp = replace(field_for_span(cfg.target.psi1, cfg.target.psi2),
+                     omega_peak=cfg.omega_peak, envelope=cfg.envelope)
     liou = build_liouvillian(fp, cfg.rates, 1.0)
     eigenvalues = np.sort_complex(np.linalg.eigvals(liou.m))  # by real, then imaginary part
     subspace = zero_subspace(liou)
@@ -271,13 +267,11 @@ def cmd_sweep_purity(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.weight_list is None or cfg.n_list is None:
         raise ConfigError("sweep-purity requires 'weight_list' and 'N_list' in the config")
     grid = initial_state_grid(cfg.grid_resolution)
-    opt = cfg.optimizer
     rows = []
     for p1 in cfg.weight_list:
         target = replace(cfg.target, weights=(p1, 1.0 - p1))
         for n in cfg.n_list:
-            result = optimize_sequence(n, target, grid, opt.seed, restarts=opt.restarts,
-                                       max_iter=opt.max_iter, tol=opt.tol, pin_last=opt.pin_last)
+            result = optimize_sequence(n, target, grid, cfg.optimizer)
             rows.append([p1, n, result.objective_value, result.per_state_distances[:, 0].max(),
                          result.iterations])
     write_csv(out_dir / "purity_sweep.csv",

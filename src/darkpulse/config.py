@@ -1,10 +1,10 @@
 """Experiment configuration: strict JSON ingestion and deterministic emission.
 
 Configs are plain JSON with complex numbers as [re, im] pairs.  One walker reads
-configs and sequence-file steps through key tables that give each key a reader
-and a bound; unknown keys and non-finite numbers are rejected, and every error
-names the offending field by its dotted path.  CSV emission writes floats with
-17 significant digits so tables re-parse exactly and reruns are byte-identical.
+configs and sequence-file steps through key tables of readers (and of bounds
+that no type holds); unknown keys and non-finite numbers are rejected, and every
+error names the field by its dotted path.  CSV emission writes floats with 17
+significant digits so tables re-parse exactly and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerSettings:
+    """The search's seed, budget, stopping value and test sample; each bound is checked here."""
+
     seed: int
     restarts: int = 8
     max_iter: int = 2000
@@ -44,12 +46,26 @@ class OptimizerSettings:
     pin_last: bool = False
     test_states: int = 1000
 
+    def __post_init__(self) -> None:
+        for name, least in (("seed", 0), ("restarts", 1), ("max_iter", 1), ("test_states", 1)):
+            if not (value := getattr(self, name)) >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
+
 
 @dataclass(frozen=True)
 class IntegratorSettings:
+    """RK45's relative and absolute tolerances and the residual that sets pulse durations."""
+
     rtol: float = 1e-9
     atol: float = 1e-12
     residual: float = 1e-10
+
+    def __post_init__(self) -> None:
+        for name in ("rtol", "atol", "residual"):
+            if not 0 < (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,6 @@ def _build(cls, path: str, values: dict, **fixed):
 
 _INTEGER = _exact(int, "an integer")
 _POSITIVE = _bounded(read_number, lambda x: x > 0, "must be positive")
-_OPEN_UNIT = _bounded(read_number, lambda x: 0 < x < 1, "must lie in (0, 1)")
 _COUNT = _bounded(_INTEGER, lambda n: n >= 1, "must be at least 1")
 _COMPLEX3 = _list(_list(read_number, 2, lambda pair: complex(*pair)), 3, np.array)
 
@@ -171,11 +186,10 @@ _CONFIG = {
     "envelope": _choice(Envelope),
     "grid_resolution": _bounded(_INTEGER, lambda n: n >= 2, "must be at least 2"),
     "optimizer": _section(OptimizerSettings, {
-        "seed": _bounded(_INTEGER, lambda n: n >= 0, "must be nonnegative"),
-        "restarts": _COUNT, "max_iter": _COUNT, "tol": _POSITIVE,
-        "pin_last": _exact(bool, "a boolean"), "test_states": _COUNT}),
+        "seed": _INTEGER, "restarts": _INTEGER, "max_iter": _INTEGER, "tol": read_number,
+        "pin_last": _exact(bool, "a boolean"), "test_states": _INTEGER}),
     "integrator": _section(IntegratorSettings, {
-        "rtol": _OPEN_UNIT, "atol": _OPEN_UNIT, "residual": _OPEN_UNIT}),
+        "rtol": read_number, "atol": read_number, "residual": read_number}),
     "initial_states": _bounded(_list(_bounded(  # normalized, as TargetState's vectors are
         _COMPLEX3, lambda v: abs(np.linalg.norm(v) - 1.0) <= 1e-9, "must have norm 1"),
         into=lambda rows: np.array(rows) / np.linalg.norm(rows, axis=-1, keepdims=True)),
@@ -184,6 +198,7 @@ _CONFIG = {
     "N_list": _list(_COUNT),
     "field": _section(FieldParams, _FIELD),
 }
+_MODE_RATES = {Mode.ALPHA: "gamma_ext = r_pump = 0", Mode.BETA: "gamma_ext > 0 and r_pump > 0"}
 _CONFIG_REQUIRED = ("target", "steps", "mode", "rates", "omega_peak", "envelope",
                     "grid_resolution", "optimizer", "integrator")
 
@@ -199,12 +214,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     values = _fields(doc, "", _CONFIG, _CONFIG_REQUIRED)
     drive = {"omega_peak": values["omega_peak"], "envelope": values["envelope"]}
     field = values.get("field")
+    rates, mode = _build(Rates, "rates", values["rates"]), values["mode"]
+    if rates.mode is not mode:
+        raise ConfigError(f"rates: mode {mode.value} requires {_MODE_RATES[mode]}")
     return ExperimentConfig(
         target=_build(TargetState, "target", values["target"]), steps=values["steps"],
-        rates=_build(Rates, "rates", values["rates"], mode=values["mode"]), **drive,
-        grid_resolution=values["grid_resolution"],
-        optimizer=OptimizerSettings(**values["optimizer"]),
-        integrator=IntegratorSettings(**values["integrator"]),
+        rates=rates, **drive, grid_resolution=values["grid_resolution"],
+        optimizer=_build(OptimizerSettings, "optimizer", values["optimizer"]),
+        integrator=_build(IntegratorSettings, "integrator", values["integrator"]),
         initial_states=values.get("initial_states"), weight_list=values.get("weight_list"),
         n_list=values.get("N_list"),
         field_params=None if field is None else _build(FieldParams, "field", field, **drive))

@@ -328,9 +328,8 @@ def _span_normal(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     return c
 
 
-def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.0,
-                   envelope: Envelope = Envelope.SQUARE) -> FieldParams:
-    """Field angles whose dark subspace is span{psi1, psi2}.
+def field_for_span(psi1: np.ndarray, psi2: np.ndarray) -> FieldParams:
+    """Field angles whose dark subspace is span{psi1, psi2}, at the default drive.
 
     Solves the inverse problem: the bright vector of the returned field is the
     unit normal of the requested span, so both target vectors are annihilated
@@ -351,14 +350,12 @@ def field_for_span(psi1: np.ndarray, psi2: np.ndarray, *, omega_peak: float = 1.
     if np.sin(theta) < 1e-15:
         warnings.warn("span normal is pi-polarized; phi and mu+- set to 0 by convention",
                       AngleUnderdetermined, stacklevel=2)
-        return FieldParams(theta=theta, phi=0.0, mu_minus=0.0, mu_plus=0.0,
-                           omega_peak=omega_peak, envelope=envelope)
+        return FieldParams(theta=theta, phi=0.0, mu_minus=0.0, mu_plus=0.0)
     return FieldParams(
         theta=theta,
         phi=float(np.arctan2(abs(c[G_MINUS]), abs(c[G_PLUS]))),
         mu_minus=float(np.angle(c[G_MINUS])),
         mu_plus=float(np.angle(c[G_PLUS])),
-        omega_peak=omega_peak, envelope=envelope,
     )
 
 

@@ -10,7 +10,7 @@ runs it on a block of states through any one pulse, square ones included, and
 is the RK45 witness of :func:`run_sequence`, which drives a block of states
 through a sequence, and of :func:`verify_map`, which drives a batch of cases,
 each state through its own field.  All three take one validated (S, 4, 4)
-stack of states.
+stack of states and one ``IntegratorSettings``, checked when it was made.
 
 Both share propagators through one key table.  The relaxation part of the
 generator is invariant under ground-space unitaries, so fields that share
@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import write_csv
-from .core import DarkBasis, DensityOperator, Envelope, FieldParams, dark_basis
+from .config import IntegratorSettings, write_csv
+from .core import DarkBasis, DensityOperator, Envelope, FieldParams, _readonly, dark_basis
 from .errors import PositivityViolation, StepSizeUnderflow, TraceViolation, UnstableSpectrum
 from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
 from .maps import _check_trace_one, hs_distance, relax_closed
@@ -60,8 +60,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-12
 MIN_SNAPSHOTS = 65
 _BLOCK = 8  # the cases of a key whose snapshots verify_map holds at once
 
@@ -95,21 +93,14 @@ class PulseRecord(NamedTuple):
 class Trajectory:
     """Density-operator snapshots of a block of states along one pulse, and how they were made.
 
-    ``states`` is the read-only (S, n, 4, 4) block at ``times``, ``records``
-    holds one :class:`PulseRecord` per state, and ``basis`` is the pulse's dark basis.
+    ``states`` is the read-only (S, n, 4, 4) block at ``times`` (read-only too),
+    ``records`` holds one :class:`PulseRecord` per state, and ``basis`` is the pulse's dark basis.
     """
 
     times: np.ndarray
     states: np.ndarray
     records: tuple[PulseRecord, ...]
     basis: DarkBasis
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
 
 
 # The degree-13 Pade approximant r = (V - U)^-1 (V + U) of exp (Higham, SIAM J.
@@ -213,8 +204,8 @@ def _stack(states, n_fields: int | None = None) -> np.ndarray:
     return states.astype(complex, copy=False)
 
 
-def _solve(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray, rtol: float,
-           atol: float) -> tuple[np.ndarray, int]:
+def _solve(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
+           tols: IntegratorSettings) -> tuple[np.ndarray, int]:
     """RK45 of ``dY/dt = (M0 + E(t) Mdrive) Y + feed`` through one pulse, in one ``solve_ivp``.
 
     ``on`` is the generator at envelope 1, whose field carries the envelope,
@@ -226,8 +217,6 @@ def _solve(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
     t_final = times[-1]
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
     m0 = build_liouvillian(on.field, on.rates, 0.0).m
     m_drive = on.m - m0
     envelope = on.field.envelope
@@ -238,7 +227,7 @@ def _solve(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
                 + feed).ravel()
 
     sol = sys.modules[__name__].solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
-                                          rtol=rtol, atol=atol, t_eval=times)
+                                          rtol=tols.rtol, atol=tols.atol, t_eval=times)
     if not sol.success:
         raise StepSizeUnderflow(f"integrator failed: {sol.message}")
     return sol.y.reshape(*y0.shape, -1), int(sol.nfev)
@@ -271,7 +260,7 @@ def _snapshots(propagator: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 
 
 def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
-                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
+                     tols: IntegratorSettings = IntegratorSettings()) -> Trajectory:
     """Integrate the master equation through one pulse with RK45, for an (S, 4, 4) stack.
 
     The block takes one solve, whose error norm spans all its states.
@@ -289,9 +278,10 @@ def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
     """
     states = _stack(states)
     liou = build_liouvillian(fp, rates, 1.0)
-    times = np.linspace(0.0, t_final, MIN_SNAPSHOTS)
-    snapshots, nfev = _solve(liou, times, states.reshape(-1, 16).T, liou.d[:, None], rtol, atol)
-    return _trajectory(times, snapshots.transpose(1, 2, 0), atol, "rk45", nfev, dark_basis(fp))
+    times = _readonly(np.linspace(0.0, t_final, MIN_SNAPSHOTS))
+    snapshots, nfev = _solve(liou, times, states.reshape(-1, 16).T, liou.d[:, None], tols)
+    return _trajectory(times, snapshots.transpose(1, 2, 0), tols.atol, "rk45", nfev,
+                       dark_basis(fp))
 
 
 def propagator_name(envelope: Envelope) -> str:
@@ -331,8 +321,8 @@ class _Key(NamedTuple):
     nfev: int
 
 
-def _key_table(fields, rates: Rates, residual: float, rtol: float,
-               atol: float) -> list[tuple[DarkBasis, _Key, np.ndarray]]:
+def _key_table(fields, rates: Rates,
+               tols: IntegratorSettings) -> list[tuple[DarkBasis, _Key, np.ndarray]]:
     """Each field's dark basis, key and rotation: the only per-field set-up.
 
     The key is the only place that decides which fields share a propagator.
@@ -343,8 +333,6 @@ def _key_table(fields, rates: Rates, residual: float, rtol: float,
     that solve costs more than its states' own.  The rotation is
     ``U = V(fp) V(ref)^dagger``, exactly 1 for the key's first field.
     """
-    if atol <= 0:
-        raise ValueError("atol must be positive")
     keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in fields]
     table, frames, out = {}, {}, []
     for i, (fp, key) in enumerate(zip(fields, keys)):
@@ -352,14 +340,14 @@ def _key_table(fields, rates: Rates, residual: float, rtol: float,
         if key not in table:
             liou = build_liouvillian(fp, rates, 1.0)
             rate = slowest_rate(liou)
-            times = np.linspace(0.0, recommended_duration(rate, residual), MIN_SNAPSHOTS)
+            times = _readonly(np.linspace(0.0, recommended_duration(rate, tols.residual),
+                                          MIN_SNAPSHOTS))
             propagator, nfev = None, 0
             if propagator_name(fp.envelope) == "exact":
                 propagator = _step(liou, times[-1])
             elif keys.count(key) > 1:
                 feed = np.column_stack([np.zeros((16, 16), dtype=complex), liou.d])
-                propagator, nfev = _solve(liou, times, np.eye(16, 17, dtype=complex), feed,
-                                          rtol, atol)
+                propagator, nfev = _solve(liou, times, np.eye(16, 17, dtype=complex), feed, tols)
                 propagator = propagator.transpose(2, 0, 1)
             table[key] = _Key(i, liou, rate, times, propagator, nfev)
             frames[key] = _ground_frame(fp, basis).conj().T
@@ -369,8 +357,8 @@ def _key_table(fields, rates: Rates, residual: float, rtol: float,
     return out
 
 
-def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray, rtol: float,
-           atol: float) -> tuple[np.ndarray, int]:
+def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray,
+           tols: IntegratorSettings) -> tuple[np.ndarray, int]:
     """The (S, 65, 16) snapshots of an (S, 4, 4) stack under ``key``'s propagator, in its frame.
 
     ``u`` (the rotation of :func:`_key_table`, one for all states or one each) takes
@@ -380,13 +368,13 @@ def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray, rtol: float,
     matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
     if key.propagator is None:
         snapshots, nfev = _solve(key.liou, key.times, matrices.reshape(-1, 16).T,
-                                 key.liou.d[:, None], rtol, atol)
+                                 key.liou.d[:, None], tols)
         return snapshots.transpose(1, 2, 0), nfev
     return _snapshots(key.propagator, matrices), 0
 
 
-def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
-                 atol: float = DEFAULT_ATOL) -> tuple[Trajectory, ...]:
+def run_sequence(states, steps, rates: Rates,
+                 tols: IntegratorSettings = IntegratorSettings()) -> tuple[Trajectory, ...]:
     """Drive an (S, 4, 4) stack through a sequence of pulses, each for its key's duration.
 
     Returns one trajectory per pulse; each pulse starts from the previous
@@ -394,15 +382,15 @@ def run_sequence(states, steps, rates: Rates, residual: float, rtol: float = DEF
     pulse that made it, 0 to the others.
     """
     matrices = _stack(states)
-    table = _key_table(steps, rates, residual, rtol, atol)
+    table = _key_table(steps, rates, tols)
     out = []
     for i, (fp, (basis, key, u)) in enumerate(zip(steps, table)):
-        snapshots, nfev = _drive(key, matrices, u, rtol, atol)
+        snapshots, nfev = _drive(key, matrices, u, tols)
         snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
                      @ u.conj().T).reshape(snapshots.shape)
         nfev += key.nfev if i == key.first else 0
-        out.append(_trajectory(key.times, snapshots, atol, propagator_name(fp.envelope), nfev,
-                               basis))
+        out.append(_trajectory(key.times, snapshots, tols.atol, propagator_name(fp.envelope),
+                               nfev, basis))
         matrices = out[-1].states[:, -1]
     return tuple(out)
 
@@ -414,18 +402,18 @@ class MapCheck(NamedTuple):
     keys: tuple[dict, ...]
 
 
-def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL) -> MapCheck:
+def verify_map(states, fields, rates: Rates,
+               tols: IntegratorSettings = IntegratorSettings()) -> MapCheck:
     """Distances between driven endpoints and the analytic relaxation map, one per case.
 
     Case ``s`` drives ``states[s]``, of one validated (S, 4, 4) stack, through ``fields[s]``
-    for its key's duration at ``residual``, sharing propagators as :func:`run_sequence`
+    for its key's duration at ``tols.residual``, sharing propagators as :func:`run_sequence`
     does, and is compared with the relaxation map, which both regimes share.  An
     integrator error names a case by its index in the batch and its own time.
     """
     states = _stack(states, len(fields))
     _check_trace_one(states)  # the map's own check, made before any propagator is built
-    bases, table, u = zip(*_key_table(fields, rates, residual, rtol, atol))
+    bases, table, u = zip(*_key_table(fields, rates, tols))
     mapped = relax_closed(states, np.stack([basis.projector for basis in bases]))
     u = np.stack(u)
     finals = np.empty(states.shape, dtype=complex)
@@ -435,9 +423,9 @@ def verify_map(states, fields, rates: Rates, residual: float, rtol: float = DEFA
         cases = np.flatnonzero([k is key for k in table])
         for block in np.split(cases, range(_BLOCK, len(cases), _BLOCK)):
             stack, min_eigs[block], traces[block] = _symmetrized(
-                _drive(key, states[block], u[block], rtol, atol)[0])
+                _drive(key, states[block], u[block], tols)[0])
             finals[block] = u[block] @ stack[:, -1] @ u[block].conj().swapaxes(-1, -2)
-    _monitor(np.stack([key.times for key in table]), min_eigs, traces, atol)
+    _monitor(np.stack([key.times for key in table]), min_eigs, traces, tols.atol)
     return MapCheck(hs_distance(finals, mapped), tuple(
         {"first_case": k.first, "duration": float(k.times[-1]), "slowest_rate": k.rate}
         for k in keys.values()))

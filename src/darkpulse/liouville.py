@@ -47,16 +47,15 @@ _EXCITED_PROJECTOR[3, 3] = 1.0
 
 @dataclass(frozen=True)
 class Rates:
-    """Decay and repump rates, with the regime they imply.
+    """Decay and repump rates; the regime is read off them.
 
-    Mode alpha requires gamma_ext = r_pump = 0; mode beta requires both
-    positive.  gamma_in sets the unit system and must be positive.
+    gamma_ext = r_pump = 0 is mode alpha and both positive is mode beta; a
+    mixed pair is rejected.  gamma_in sets the unit system and must be positive.
     """
 
     gamma_in: float
     gamma_ext: float = 0.0
     r_pump: float = 0.0
-    mode: Mode = Mode.ALPHA
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma_in < np.inf:
@@ -64,18 +63,21 @@ class Rates:
         for name in ("gamma_ext", "r_pump"):
             if not 0 <= (value := getattr(self, name)) < np.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-        if self.mode is Mode.ALPHA and (self.gamma_ext != 0 or self.r_pump != 0):
-            raise ValueError("mode alpha requires gamma_ext = r_pump = 0")
-        if self.mode is Mode.BETA and not (self.gamma_ext > 0 and self.r_pump > 0):
-            raise ValueError("mode beta requires gamma_ext > 0 and r_pump > 0")
+        if (self.gamma_ext > 0) != (self.r_pump > 0):
+            raise ValueError(f"mixed rates gamma_ext = {self.gamma_ext} and r_pump = {self.r_pump}: "
+                             "both must be 0 (mode alpha) or both positive (mode beta)")
+
+    @property
+    def mode(self) -> Mode:
+        return Mode.BETA if self.gamma_ext > 0 else Mode.ALPHA
 
     @classmethod
     def alpha(cls, gamma_in: float = 1.0) -> "Rates":
-        return cls(gamma_in=gamma_in, mode=Mode.ALPHA)
+        return cls(gamma_in=gamma_in)
 
     @classmethod
     def beta(cls, gamma_in: float = 1.0, gamma_ext: float = 1.0, r_pump: float = 1.0) -> "Rates":
-        return cls(gamma_in=gamma_in, gamma_ext=gamma_ext, r_pump=r_pump, mode=Mode.BETA)
+        return cls(gamma_in=gamma_in, gamma_ext=gamma_ext, r_pump=r_pump)
 
 
 @dataclass(frozen=True)

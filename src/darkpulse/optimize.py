@@ -16,8 +16,9 @@ J. Magn. Reson. 172, 296 (2005)); one kernel returns value and gradient from
 the angle array alone.  Every restart draws fresh random angles except the
 last pulse, which is seeded (optionally pinned) from the inverse dark-span
 solver so the final dark subspace starts out containing the target span.
-Grid states enter as ``core.pure_state_dyads`` projectors.  Results are
-deterministic for a fixed seed.
+Grid states enter as ``core.pure_state_dyads`` projectors.  The search takes
+one ``OptimizerSettings`` and no drive: its steps carry ``FieldParams``'
+default amplitude and envelope.  Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Envelope, FieldParams, TargetState, bright_vector, bright_vector_jacobian,
+from .config import OptimizerSettings
+from .core import (FieldParams, TargetState, bright_vector, bright_vector_jacobian,
                    field_for_span, pure_state_dyads)
 from .maps import compose_sequence, hs_distance, mismatch
 
@@ -73,7 +75,6 @@ class OptimizationResult:
     objective_value: float
     per_state_distances: np.ndarray  # (G, 2) columns: hs_distance, mismatch
     iterations: int
-    seed: int
     converged: bool
     restart_history: tuple[float, ...]  # best-so-far after each restart
     restarts: tuple[RestartRecord, ...]
@@ -195,41 +196,40 @@ def _termination(res, tol: float) -> str:
     return str(res.message)
 
 
-def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray, seed: int,
-                      restarts: int = 8, max_iter: int = 2000, tol: float = 1e-6, *,
-                      pin_last: bool = False, omega_peak: float = 1.0,
-                      envelope: Envelope = Envelope.SQUARE) -> OptimizationResult:
+def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray,
+                      settings: OptimizerSettings) -> OptimizationResult:
     """Multi-start conjugate-gradient search for an N-step steering sequence.
 
-    Each restart draws angles uniformly from a seeded generator; the last
-    pulse is always initialized from :func:`field_for_span` on the target
-    vectors and held fixed when ``pin_last`` is set.  A restart stops once the
-    objective drops below ``tol`` or after ``max_iter`` iterations; the whole
-    search stops early when the best value is below ``tol``, and ``converged``
-    reports exactly that test.  The reported ``objective_value`` is recomputed
-    from the per-state distances; it differs from the moment-formula value the
-    search stops on by rounding, about 1e-10 near an optimum of 1e-6, so it
-    can sit on the other side of ``tol``.  Results are bit-reproducible for
-    fixed arguments.
+    Each restart draws angles uniformly from a generator seeded with
+    ``settings.seed``; the last pulse is always initialized from
+    :func:`field_for_span` on the target vectors and held fixed when
+    ``pin_last`` is set.  A restart stops once the objective drops below
+    ``tol`` or after ``max_iter`` iterations; the whole search stops early
+    when the best value is below ``tol``, and ``converged`` reports exactly
+    that test.  The reported ``objective_value`` is recomputed from the
+    per-state distances; it differs from the moment-formula value the search
+    stops on by rounding, about 1e-10 near an optimum of 1e-6, so it can sit
+    on the other side of ``tol``.  Results are bit-reproducible for fixed
+    arguments.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     moments = _grid_moments(grid, target)
     last_angles = np.array(field_for_span(target.psi1, target.psi2).angles)
-    pinned = last_angles if pin_last else None
+    pinned = last_angles if settings.pin_last else None
 
     def stop_below_tol(intermediate_result):
-        if intermediate_result.fun < tol:
+        if intermediate_result.fun < settings.tol:
             raise StopIteration
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(settings.seed)
     best_value, best_params = np.inf, None
     history: list[float] = []
     records: list[RestartRecord] = []
-    for _ in range(restarts):
+    for _ in range(settings.restarts):
         x0 = rng.uniform(0.0, 2.0 * np.pi, size=4 * n_steps)
         x0[-4:] = last_angles
-        free0 = x0[:-4] if pin_last else x0
+        free0 = x0[:-4] if settings.pin_last else x0
         if free0.size == 0:
             value = _rms_and_gradient(free0, *moments, pinned)[0]
             params = x0
@@ -237,19 +237,18 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray, seed:
         else:
             res = sys.modules[__name__].minimize(
                 _rms_and_gradient, free0, args=(*moments, pinned), method="CG", jac=True,
-                callback=stop_below_tol, options={"maxiter": max_iter, "gtol": 1e-14})
+                callback=stop_below_tol, options={"maxiter": settings.max_iter, "gtol": 1e-14})
             value = float(res.fun)
-            params = np.concatenate([res.x, last_angles]) if pin_last else res.x.copy()
+            params = np.concatenate([res.x, last_angles]) if settings.pin_last else res.x.copy()
             records.append(RestartRecord(int(res.nit), int(res.nfev), value,
-                                         _termination(res, tol)))
+                                         _termination(res, settings.tol)))
         if value < best_value:
             best_value, best_params = value, params
         history.append(best_value)
-        if best_value < tol:
+        if best_value < settings.tol:
             break
 
-    steps = tuple(FieldParams(theta=a[0], phi=a[1], mu_minus=a[2], mu_plus=a[3],
-                              omega_peak=omega_peak, envelope=envelope)
+    steps = tuple(FieldParams(theta=a[0], phi=a[1], mu_minus=a[2], mu_plus=a[3])
                   for a in best_params.reshape(-1, 4))
     per_state = state_distances(grid, steps, target)
     return OptimizationResult(
@@ -257,8 +256,7 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray, seed:
         objective_value=float(np.sqrt(np.mean(per_state[:, 0] ** 2))),
         per_state_distances=per_state,
         iterations=sum(r.iterations for r in records),
-        seed=int(seed),
-        converged=bool(best_value < tol),
+        converged=bool(best_value < settings.tol),
         restart_history=tuple(history),
         restarts=tuple(records),
     )

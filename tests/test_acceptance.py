@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from darkpulse import (DensityOperator, Mode, Rates, TargetState, build_hamiltonian, build_liouvillian,
+from darkpulse import (DensityOperator, IntegratorSettings, Mode, OptimizerSettings, Rates,
+                       TargetState, build_hamiltonian, build_liouvillian,
                        closed_form_zero_modes, compose_sequence, dark_basis, embed_ground,
                        hs_distance, initial_state_grid, optimize_sequence, pure_state_dyads,
                        relax_closed, relax_repumped, repump_steady_state, steady_affine,
@@ -39,10 +40,7 @@ def main_run(bundled_config):
     """The reference optimization: bundled target, N = 4, spec-default budget."""
     cfg = bundled_config
     grid = initial_state_grid(cfg.grid_resolution)
-    result = optimize_sequence(cfg.steps, cfg.target, grid, cfg.optimizer.seed,
-                               restarts=cfg.optimizer.restarts,
-                               max_iter=cfg.optimizer.max_iter,
-                               tol=cfg.optimizer.tol)
+    result = optimize_sequence(cfg.steps, cfg.target, grid, cfg.optimizer)
     return cfg, grid, result
 
 
@@ -119,7 +117,8 @@ def test_criterion_4_map_vs_dynamics(rng):
             fields.append(random_field(rng, omega_peak=1.0, delta=0.0))
             psi = rng.normal(size=3) + 1j * rng.normal(size=3)
             states.append(pure_state_dyads(psi / np.linalg.norm(psi)))
-        distances = verify_map(np.stack(states), fields, rates, 1e-10).distances
+        distances = verify_map(np.stack(states), fields, rates,
+                               IntegratorSettings(residual=1e-10)).distances
         worst[rates.mode.value] = float(distances.max())
     ok = worst["alpha"] < 1e-6 and worst["beta"] < 1e-6
     report(4, ok,
@@ -197,8 +196,8 @@ def test_criterion_8_purity_trend(bundled_config):
     budget = dict(restarts=3, max_iter=300, tol=1e-6)
     best = {}
     for n in (4, 8):
-        best[n] = optimize_sequence(n, target, grid, seed=cfg.optimizer.seed,
-                                    **budget).objective_value
+        best[n] = optimize_sequence(n, target, grid, OptimizerSettings(
+            seed=cfg.optimizer.seed, **budget)).objective_value
     print(f"  purity table: p1=0.02: N=4 -> {best[4]:.6e}, N=8 -> {best[8]:.6e}")
     report(8, best[8] < best[4],
            f"weights (0.02, 0.98): N=8 objective {best[8]:.3e} < N=4 objective "

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darkpulse import TargetState, initial_state_grid, optimize_sequence
+from darkpulse import OptimizerSettings, TargetState, initial_state_grid, optimize_sequence
 from darkpulse.cli import _write_json, build_parser, bundled_config_path, main
 from darkpulse.config import load_config, write_csv
 
@@ -575,8 +575,8 @@ class TestSweepPurityCommand:
             p1 = float(row["p1"])
             target = TargetState(weights=(p1, 1.0 - p1), psi1=cfg.target.psi1,
                                  psi2=cfg.target.psi2)
-            result = optimize_sequence(int(row["N"]), target, initial_state_grid(3), 3,
-                                       pin_last=True, **budget)
+            result = optimize_sequence(int(row["N"]), target, initial_state_grid(3),
+                                       OptimizerSettings(seed=3, pin_last=True, **budget))
             assert float(row["rms_objective"]) == result.objective_value
             assert float(row["max_distance"]) == result.per_state_distances[:, 0].max()
             assert int(row["iterations"]) == result.iterations

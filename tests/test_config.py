@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkpulse import ConfigError, DensityOperator, Envelope, Mode, pure_state_dyads
+from darkpulse import (ConfigError, DensityOperator, Envelope, IntegratorSettings, Mode,
+                       OptimizerSettings, pure_state_dyads)
 from darkpulse.cli import bundled_config_path
 from darkpulse.config import load_config, parse_config
 
@@ -141,6 +142,47 @@ class TestParseConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+
+# (type, field, the first value past its bound, the last value inside it)
+SETTINGS_BOUNDS = [
+    (OptimizerSettings, "seed", -1, 0),
+    (OptimizerSettings, "restarts", 0, 1),
+    (OptimizerSettings, "max_iter", 0, 1),
+    (OptimizerSettings, "test_states", 0, 1),
+    (OptimizerSettings, "tol", 0.0, 5e-324),
+    (OptimizerSettings, "tol", float("nan"), 1e-6),
+    *[(IntegratorSettings, name, bad, good) for name in ("rtol", "atol", "residual")
+      for bad, good in ((0.0, 5e-324), (1.0, 1.0 - 2.0 ** -53), (float("nan"), 0.5))],
+]
+# a config's NaN never reaches a type: read_number rejects it first
+FINITE_BOUNDS = [case for case in SETTINGS_BOUNDS if not np.isnan(case[2])]
+
+
+def bound_id(case) -> str:
+    cls, name, bad, _ = case
+    return f"{cls.__name__}.{name}={bad}"
+
+
+class TestSettingsBounds:
+    """Each settings type holds its bounds, so the library and the config share them."""
+
+    @pytest.mark.parametrize("cls, name, bad, good", SETTINGS_BOUNDS,
+                             ids=map(bound_id, SETTINGS_BOUNDS))
+    def test_each_bound_is_held_by_its_type(self, cls, name, bad, good):
+        required = {"seed": 0} if cls is OptimizerSettings else {}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            cls(**{**required, name: bad})
+        assert getattr(cls(**{**required, name: good}), name) == good
+
+    @pytest.mark.parametrize("cls, name, bad, good", FINITE_BOUNDS,
+                             ids=map(bound_id, FINITE_BOUNDS))
+    def test_config_names_the_dotted_path(self, cls, name, bad, good):
+        section = "optimizer" if cls is OptimizerSettings else "integrator"
+        doc = base_doc()
+        doc[section][name] = bad
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: {name} must"):
+            parse_config(doc)
 
 
 def leaf_paths(node, path=()):

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from darkpulse import (DensityOperator, Envelope, FieldParams, PositivityViolation, Rates,
+from darkpulse import (DensityOperator, Envelope, FieldParams, IntegratorSettings,
+                       PositivityViolation, Rates,
                        TraceMismatch, TraceViolation, Trajectory, UnstableSpectrum,
                        build_liouvillian, dark_basis, hs_distance, integrate_master,
                        recommended_duration, pure_state_dyads, relax_closed, run_sequence,
                        slowest_rate, verify_map)
 import darkpulse.dynamics as dynamics
-from darkpulse.dynamics import (_BLOCK, DEFAULT_ATOL, DEFAULT_RTOL, MIN_SNAPSHOTS, _expm,
+from darkpulse.dynamics import (_BLOCK, MIN_SNAPSHOTS, _expm,
                                 _ground_frame, _monitor, _snapshots, _step, _symmetrized,
                                 _trajectory, write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
@@ -31,6 +32,11 @@ def excited_state() -> np.ndarray:
 
 def stack(*states: np.ndarray) -> np.ndarray:
     return np.stack(states)
+
+
+def tols(residual: float, **kwargs) -> IntegratorSettings:
+    """The integrator settings at ``residual``, defaults elsewhere unless given."""
+    return IntegratorSettings(residual=residual, **kwargs)
 
 
 def augmented(liou) -> np.ndarray:
@@ -57,8 +63,8 @@ def exact_trajectory(states: np.ndarray, fp, rates, t_final: float) -> Trajector
     """A square pulse's trajectory from its own exponential step, as run_sequence makes it."""
     liou = build_liouvillian(fp, rates)
     return _trajectory(np.linspace(0.0, t_final, MIN_SNAPSHOTS),
-                       _snapshots(_step(liou, t_final), states), DEFAULT_ATOL, "exact", 0,
-                       dark_basis(fp))
+                       _snapshots(_step(liou, t_final), states), IntegratorSettings().atol,
+                       "exact", 0, dark_basis(fp))
 
 
 class TestIntegrateMaster:
@@ -97,6 +103,7 @@ class TestIntegrateMaster:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(3.0)
         assert np.all(np.diff(traj.times) > 0)
+        assert not traj.times.flags.writeable
 
     def test_sine_squared_envelope_converges_to_same_map(self, rng):
         # the asymptotic map is envelope independent; a ramped pulse of twice
@@ -118,11 +125,11 @@ class TestIntegrateMaster:
                          mu_plus=fp.mu_plus, omega_peak=1.0)
         rho0 = stack(random_density(rng))
         reference = integrate_master(rho0, fp, Rates.alpha(), 8.0,
-                                     rtol=1e-12, atol=1e-14).states[0, -1]
+                                     IntegratorSettings(rtol=1e-12, atol=1e-14)).states[0, -1]
         errors = []
         for rtol in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
             final = integrate_master(rho0, fp, Rates.alpha(), 8.0,
-                                     rtol=rtol, atol=1e-14).states[0, -1]
+                                     IntegratorSettings(rtol=rtol, atol=1e-14)).states[0, -1]
             errors.append(np.linalg.norm(final - reference))
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
@@ -143,7 +150,7 @@ class TestIntegrateMaster:
         with pytest.raises(ValueError):
             integrate_master(rho, fp, Rates.alpha(), -1.0)
         with pytest.raises(ValueError):
-            integrate_master(rho, fp, Rates.alpha(), 1.0, rtol=0.0)
+            integrate_master(rho, fp, Rates.alpha(), 1.0, IntegratorSettings(rtol=0.0))
 
     def test_rejects_a_malformed_or_invalid_stack(self, rng):
         # the stack check verify_map makes, before any solve
@@ -151,11 +158,6 @@ class TestIntegrateMaster:
         for bad, fault in malformed_or_invalid_stacks(rng):
             with pytest.raises(ValueError, match=fault):
                 integrate_master(bad, fp, Rates.alpha(), 1.0)
-
-    def test_trajectory_time_validation(self, rng):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.5, 1.0]), states=np.stack([excited_state()] * 2, axis=1),
-                       records=(), basis=dark_basis(random_field(rng)))
 
 
 def malformed_or_invalid_stacks(rng) -> list:
@@ -193,7 +195,7 @@ class TestExactPropagator:
             exact = exact_trajectory(rho0, fp, rates, t_final)
             rk45 = integrate_master(rho0, fp, rates, t_final)
             assert np.array_equal(exact.times, rk45.times)
-            assert hs_distance(exact.states[0, -1], rk45.states[0, -1]) < DEFAULT_RTOL
+            assert hs_distance(exact.states[0, -1], rk45.states[0, -1]) < IntegratorSettings().rtol
 
     @pytest.mark.parametrize("residual", [1e-6, 1e-10])
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
@@ -204,7 +206,7 @@ class TestExactPropagator:
         for _ in range(20):
             fp = random_field(rng, omega_peak=1.0)
             rho0 = pure_state_dyads(random_pure_ground(rng))
-            traj, = run_sequence(stack(rho0), [fp], rates, residual)
+            traj, = run_sequence(stack(rho0), [fp], rates, tols(residual))
             mapped = relax_closed(rho0, dark_basis(fp).projector)
             assert hs_distance(traj.states[0, -1], mapped) < 2.0 * residual
 
@@ -322,7 +324,7 @@ class TestRunSequence:
         steps = one_key_steps(rng, envelope, omega_peak=1.0)
         inputs = stack(*(random_density(rng) for _ in range(2)))
         bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
-        for fp, traj in zip(steps, run_sequence(inputs, steps, rates, 1e-3)):
+        for fp, traj in zip(steps, run_sequence(inputs, steps, rates, tols(1e-3))):
             t_final = traj.times[-1]
             for s, rho0 in enumerate(inputs):
                 if envelope is Envelope.SQUARE:
@@ -340,10 +342,10 @@ class TestRunSequence:
         for rates in (Rates.alpha(), Rates.beta()):
             steps = one_key_steps(rng, envelope, omega_peak=1.0)
             states = stack(*(random_density(rng) for _ in range(3)))
-            blocks = run_sequence(states, steps, rates, 1e-3)
+            blocks = run_sequence(states, steps, rates, tols(1e-3))
             for s in range(len(states)):
-                for block, single in zip(blocks, run_sequence(states[s:s + 1], steps, rates,
-                                                              1e-3)):
+                for block, single in zip(blocks, run_sequence(
+                        states[s:s + 1], steps, rates, tols(1e-3))):
                     assert block.records[s] == single.records[0]
                     assert block.states[s].tobytes() == single.states[0].tobytes()
 
@@ -355,7 +357,7 @@ class TestRunSequence:
         fp = random_field(rng, omega_peak=1.0)
         t_final = recommended_duration(slowest_rate(build_liouvillian(fp, rates)), 1e-6)
         states = stack(*(random_density(rng) for _ in range(3)))
-        traj, = run_sequence(states, [fp], rates, 1e-6)
+        traj, = run_sequence(states, [fp], rates, tols(1e-6))
         assert traj.times[-1] == t_final
         for s in range(len(states)):
             direct = exact_trajectory(states[s:s + 1], fp, rates, t_final)
@@ -370,7 +372,7 @@ class TestRunSequence:
         # tolerance, not bit for bit (measured below 4e-11)
         fp = random_field(rng, omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
         states = stack(*(random_density(rng) for _ in range(4)))
-        traj, = run_sequence(states, [fp], rates, 1e-6)
+        traj, = run_sequence(states, [fp], rates, tols(1e-6))
         assert len(traj.records) == 4
         assert len({record.nfev for record in traj.records}) == 1
         for s in range(len(states)):
@@ -385,7 +387,7 @@ class TestRunSequence:
         strong = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=1.0)
         weak = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=0.5)
         steps = [strong[0], weak[0], strong[1], weak[1]]
-        blocks = run_sequence(stack(random_density(rng)), steps, Rates.alpha(), 1e-3)
+        blocks = run_sequence(stack(random_density(rng)), steps, Rates.alpha(), tols(1e-3))
         durations = [block.times[-1] for block in blocks]
         expected = [recommended_duration(slowest_rate(build_liouvillian(fp, Rates.alpha())), 1e-3)
                     for fp in steps[:2]]
@@ -401,7 +403,7 @@ class TestRunSequence:
         recurring = one_key_steps(rng, Envelope.SINE_SQUARED, n=2, omega_peak=1.0)
         lone = replace(random_field(rng), omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
         blocks = run_sequence(stack(random_density(rng)), [recurring[0], lone, recurring[1]],
-                              Rates.beta(), 1e-3)
+                              Rates.beta(), tols(1e-3))
         witness = integrate_master(blocks[0].states[:, -1], lone, Rates.beta(),
                                    blocks[1].times[-1])
         assert blocks[1].records == witness.records
@@ -411,18 +413,18 @@ class TestRunSequence:
     def test_empty_sequence_and_bad_arguments(self, rng):
         fp = random_field(rng)
         rho = stack(random_density(rng))
-        assert run_sequence(rho, [], Rates.alpha(), 1e-6) == ()
+        assert run_sequence(rho, [], Rates.alpha(), tols(1e-6)) == ()
         with pytest.raises(ValueError):
-            run_sequence(rho, [fp], Rates.alpha(), 1e-6, atol=0.0)
+            run_sequence(rho, [fp], Rates.alpha(), tols(1e-6, atol=0.0))
         with pytest.raises(ValueError):
-            run_sequence(rho, [fp], Rates.alpha(), 1.0)
+            run_sequence(rho, [fp], Rates.alpha(), tols(1.0))
 
     def test_rejects_a_malformed_or_invalid_stack(self, rng):
         # the stack check verify_map makes, before any propagator is made
         fp = random_field(rng)
         for bad, fault in malformed_or_invalid_stacks(rng):
             with pytest.raises(ValueError, match=fault):
-                run_sequence(bad, [fp], Rates.alpha(), 1e-6)
+                run_sequence(bad, [fp], Rates.alpha(), tols(1e-6))
 
 
 class TestSnapshotValidation:
@@ -497,10 +499,11 @@ class TestSnapshotValidation:
         monkeypatch.setattr("darkpulse.dynamics._trajectory", capturing)
         fp = random_field(rng, omega_peak=1.0, envelope=envelope)
         traj, = run_sequence(stack(*(random_density(rng) for _ in range(3))), [fp],
-                             Rates.beta(), 1e-6)
+                             Rates.beta(), tols(1e-6))
         block, = blocks
         assert traj.states.shape == (3, 65, 4, 4)
         assert not traj.states.flags.writeable
+        assert not traj.times.flags.writeable  # the key table's times, made read-only
         assert traj.states.flags.c_contiguous
         assert not np.shares_memory(traj.states, block)
         assert np.array_equal(traj.basis.projector, dark_basis(fp).projector)
@@ -553,7 +556,7 @@ class TestRecommendedDuration:
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         states = np.stack([pure_state_dyads(random_pure_ground(rng))
                            for _ in range(20)])
-        assert verify_map(states, [fp] * 20, Rates.alpha(1.0), 1e-10).distances.max() < 1e-8
+        assert verify_map(states, [fp] * 20, Rates.alpha(1.0), tols(1e-10)).distances.max() < 1e-8
 
     def test_rejects_bad_residual(self, rng):
         liou = build_liouvillian(random_field(rng), Rates.alpha())
@@ -589,17 +592,18 @@ class TestVerifyMap:
     def test_dark_input_does_not_evolve(self, rng):
         fp = random_field(rng, omega_peak=1.0)
         rho0 = pure_state_dyads(dark_basis(fp).n1)[None]
-        assert verify_map(rho0, [fp], Rates.alpha(), 1e-6).distances[0] < 10 * 1e-12
+        assert verify_map(rho0, [fp], Rates.alpha(), tols(1e-6)).distances[0] < 10 * 1e-12
 
     def test_alpha_certification(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         rho0 = pure_state_dyads(random_pure_ground(rng))[None]
-        assert verify_map(rho0, [fp], Rates.alpha(1.0), 1e-10).distances[0] < 1e-6
+        assert verify_map(rho0, [fp], Rates.alpha(1.0), tols(1e-10)).distances[0] < 1e-6
 
     def test_beta_certification_all_rates_unity(self, rng):
         fp = random_field(rng, omega_peak=1.0, delta=0.0)
         rho0 = pure_state_dyads(random_pure_ground(rng))[None]
-        assert verify_map(rho0, [fp], Rates.beta(1.0, 1.0, 1.0), 1e-10).distances[0] < 1e-6
+        assert verify_map(rho0, [fp], Rates.beta(1.0, 1.0, 1.0),
+                          tols(1e-10)).distances[0] < 1e-6
 
     @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
                              ids=["square", "sine_squared"])
@@ -620,7 +624,7 @@ class TestVerifyMap:
         monkeypatch.setattr("darkpulse.dynamics._symmetrized", capturing)
         fields = one_key_steps(rng, envelope, n=5, omega_peak=1.0)
         states = np.stack([random_density(rng) for _ in fields])
-        distances = verify_map(states, fields, rates, 1e-3).distances
+        distances = verify_map(states, fields, rates, tols(1e-3)).distances
         t_final = recommended_duration(slowest_rate(build_liouvillian(fields[0], rates)), 1e-3)
         bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
         assert len(stacks) == 1
@@ -637,7 +641,7 @@ class TestVerifyMap:
             assert np.abs(own - witness[0]).max() < bound
             mapped = relax_closed(rho0, dark_basis(fp).projector)
             assert distance == hs_distance(own[-1], mapped)
-        single = verify_map(states[:1], fields[:1], rates, 1e-3).distances[0]
+        single = verify_map(states[:1], fields[:1], rates, tols(1e-3)).distances[0]
         if envelope is Envelope.SQUARE:
             # case 0 is its key's reference: the batch leaves it unrotated
             assert distances[0] == single
@@ -661,7 +665,7 @@ class TestVerifyMap:
         states = np.stack([random_density(rng) for _ in fields])
         monkeypatch.setattr(dynamics, "_snapshots", counted("_snapshots", dynamics._snapshots))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        verify_map(states, fields, Rates.beta(), 1e-3)
+        verify_map(states, fields, Rates.beta(), tols(1e-3))
         blocks = -(-n_cases // _BLOCK)
         assert calls == {"_snapshots": blocks, "eigvalsh": blocks + 1}
 
@@ -692,7 +696,7 @@ class TestVerifyMap:
         error = TraceViolation if excursion == "trace" else PositivityViolation
         with pytest.raises(error, match=rf"^state 3: snapshot at t={re.escape(f'{t:.6g}')} "
                                         rf"has {excursion}"):
-            verify_map(states, fields, Rates.alpha(), 1e-3)
+            verify_map(states, fields, Rates.alpha(), tols(1e-3))
 
     def test_cases_of_two_keys_match_their_own_batches(self, rng):
         # interleaved keys share nothing: each case equals its run in a batch of
@@ -701,10 +705,11 @@ class TestVerifyMap:
         lone = replace(random_field(rng), omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
         fields = [square[0], lone, square[1], square[2]]
         states = np.stack([random_density(rng) for _ in fields])
-        distances = verify_map(states, fields, Rates.beta(), 1e-3).distances
-        own = verify_map(states[[0, 2, 3]], square, Rates.beta(), 1e-3).distances
+        distances = verify_map(states, fields, Rates.beta(), tols(1e-3)).distances
+        own = verify_map(states[[0, 2, 3]], square, Rates.beta(), tols(1e-3)).distances
         assert distances[[0, 2, 3]].tobytes() == own.tobytes()
-        assert distances[1] == verify_map(states[1:2], [lone], Rates.beta(), 1e-3).distances[0]
+        lone_alone = verify_map(states[1:2], [lone], Rates.beta(), tols(1e-3)).distances[0]
+        assert distances[1] == lone_alone
 
     def test_records_each_key(self, rng):
         # one record per key, in order of first case, with the duration rule's values
@@ -712,7 +717,7 @@ class TestVerifyMap:
         weak = random_field(rng, omega_peak=0.5, envelope=Envelope.SQUARE)
         fields = [strong[0], weak, strong[1]]
         states = np.stack([random_density(rng) for _ in fields])
-        keys = verify_map(states, fields, Rates.beta(), 1e-3).keys
+        keys = verify_map(states, fields, Rates.beta(), tols(1e-3)).keys
         assert [key["first_case"] for key in keys] == [0, 1]
         for key in keys:
             liou = build_liouvillian(fields[key["first_case"]], Rates.beta())
@@ -723,11 +728,11 @@ class TestVerifyMap:
         fp = random_field(rng)
         rho = random_density(rng)[None]
         with pytest.raises(ValueError):
-            verify_map(rho, [fp], Rates.alpha(), 1e-6, atol=0.0)
+            verify_map(rho, [fp], Rates.alpha(), tols(1e-6, atol=0.0))
         with pytest.raises(ValueError):
-            verify_map(rho, [fp], Rates.alpha(), 1.0)
+            verify_map(rho, [fp], Rates.alpha(), tols(1.0))
         with pytest.raises(ValueError, match="one field per state"):
-            verify_map(rho, [fp, fp], Rates.alpha(), 1e-6)
+            verify_map(rho, [fp, fp], Rates.alpha(), tols(1e-6))
 
     def test_rejects_an_invalid_state_stack(self, rng):
         # the input stack is checked as DensityOperator checks one matrix
@@ -740,9 +745,9 @@ class TestVerifyMap:
             stack = states.copy()
             damage(stack)
             with pytest.raises(ValueError, match=fault):
-                verify_map(stack, fields, Rates.alpha(), 1e-6)
+                verify_map(stack, fields, Rates.alpha(), tols(1e-6))
         with pytest.raises(ValueError, match="one field per state"):
-            verify_map([DensityOperator(m) for m in states], fields, Rates.alpha(), 1e-6)
+            verify_map([DensityOperator(m) for m in states], fields, Rates.alpha(), tols(1e-6))
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)], ids=["00", "01", "10"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -754,8 +759,8 @@ class TestVerifyMap:
         m[0, 0] = 1.0
         m[entry] = value
         for check in (lambda: DensityOperator.validate(m[None]), lambda: DensityOperator(m),
-                      lambda: run_sequence(m[None], [fp], Rates.alpha(), 1e-6),
-                      lambda: verify_map(m[None], [fp], Rates.alpha(), 1e-6)):
+                      lambda: run_sequence(m[None], [fp], Rates.alpha(), tols(1e-6)),
+                      lambda: verify_map(m[None], [fp], Rates.alpha(), tols(1e-6))):
             with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
                 check()
 
@@ -766,7 +771,7 @@ class TestVerifyMap:
         fields = one_key_steps(rng, Envelope.SINE_SQUARED, n=3, omega_peak=1.0)
         states = 0.5 * np.stack([random_density(rng) for _ in fields])
         with pytest.raises(TraceMismatch, match="input trace differs from 1"):
-            verify_map(states, fields, Rates.beta(), 1e-3)
+            verify_map(states, fields, Rates.beta(), tols(1e-3))
         assert solves == []
 
 

@@ -38,12 +38,15 @@ def random_hermitian(rng):
 
 class TestRates:
     def test_mode_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            Rates(gamma_in=1.0, gamma_ext=0.5, mode=Mode.ALPHA)
-        with pytest.raises(ValueError):
-            Rates(gamma_in=1.0, gamma_ext=0.0, r_pump=0.0, mode=Mode.BETA)
+        # the regime is read off the rates, so a mixed pair has none
+        with pytest.raises(ValueError, match="gamma_ext = 0.5 and r_pump = 0.0"):
+            Rates(gamma_in=1.0, gamma_ext=0.5)
+        with pytest.raises(ValueError, match="gamma_ext = 0.0 and r_pump = 0.5"):
+            Rates(gamma_in=1.0, gamma_ext=0.0, r_pump=0.5)
         with pytest.raises(ValueError):
             Rates(gamma_in=0.0)
+        assert Rates(gamma_in=1.0).mode is Mode.ALPHA
+        assert Rates(gamma_in=1.0, gamma_ext=0.5, r_pump=0.5).mode is Mode.BETA
 
     def test_constructors(self):
         assert Rates.alpha().mode is Mode.ALPHA

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from darkpulse import (FieldParams, TargetState, dark_basis, field_for_span, hs_distance,
-                       initial_state_grid, optimize_sequence, pure_state_dyads)
+from darkpulse import (FieldParams, OptimizerSettings, TargetState, dark_basis, field_for_span,
+                       hs_distance, initial_state_grid, optimize_sequence, pure_state_dyads)
 from darkpulse.optimize import (_grid_moments, _rms_and_gradient, random_pure_states,
                                 state_distances)
 from conftest import fold_closed, fold_repumped, random_field
@@ -147,8 +147,8 @@ class TestOptimizeSequence:
         grid = initial_state_grid(3)
         target = small_target()
         kwargs = dict(restarts=2, max_iter=40, tol=1e-6)
-        a = optimize_sequence(2, target, grid, seed=11, **kwargs)
-        b = optimize_sequence(2, target, grid, seed=11, **kwargs)
+        a = optimize_sequence(2, target, grid, OptimizerSettings(seed=11, **kwargs))
+        b = optimize_sequence(2, target, grid, OptimizerSettings(seed=11, **kwargs))
         assert a.objective_value == b.objective_value
         assert a.iterations == b.iterations
         assert a.restart_history == b.restart_history
@@ -159,8 +159,8 @@ class TestOptimizeSequence:
 
     def test_restart_history_non_increasing(self):
         grid = initial_state_grid(3)
-        result = optimize_sequence(2, small_target(), grid, seed=5,
-                                   restarts=4, max_iter=30, tol=1e-12)
+        result = optimize_sequence(2, small_target(), grid,
+                                   OptimizerSettings(seed=5, restarts=4, max_iter=30, tol=1e-12))
         history = np.array(result.restart_history)
         assert np.all(np.diff(history) <= 0)
         assert len(result.restarts) == len(history)
@@ -173,8 +173,8 @@ class TestOptimizeSequence:
 
     def test_objective_value_consistent_with_distances(self):
         grid = initial_state_grid(3)
-        result = optimize_sequence(2, small_target(), grid, seed=5,
-                                   restarts=1, max_iter=25, tol=1e-9)
+        result = optimize_sequence(2, small_target(), grid,
+                                   OptimizerSettings(seed=5, restarts=1, max_iter=25, tol=1e-9))
         hs = result.per_state_distances[:, 0]
         assert result.objective_value == pytest.approx(
             float(np.sqrt(np.mean(hs ** 2))), abs=1e-12)
@@ -189,13 +189,14 @@ class TestOptimizeSequence:
         kwargs = dict(restarts=2, max_iter=40)
         outcomes = set()
         for seed in (3, 5, 7):
-            probe = optimize_sequence(2, small_target(), grid, seed=seed, tol=1e-9, **kwargs)
+            probe = optimize_sequence(2, small_target(), grid,
+                                      OptimizerSettings(seed=seed, tol=1e-9, **kwargs))
             stop_value = min(r.final_value for r in probe.restarts)
             assert stop_value != probe.objective_value
             between = 0.5 * (stop_value + probe.objective_value)
             for tol in (0.2, between, 1e-9):
-                result = optimize_sequence(2, small_target(), grid, seed=seed, tol=tol,
-                                           **kwargs)
+                result = optimize_sequence(2, small_target(), grid,
+                                           OptimizerSettings(seed=seed, tol=tol, **kwargs))
                 best = min(r.final_value for r in result.restarts)
                 assert result.converged == (best < tol)
                 assert result.converged == any(r.termination == "tol"
@@ -208,15 +209,16 @@ class TestOptimizeSequence:
         target = small_target()
         pinned = field_for_span(target.psi1, target.psi2)
         for n_steps in (1, 2):
-            result = optimize_sequence(n_steps, target, grid, seed=3, restarts=1,
-                                       max_iter=20, tol=1e-9, pin_last=True)
+            result = optimize_sequence(n_steps, target, grid, OptimizerSettings(
+                seed=3, restarts=1, max_iter=20, tol=1e-9, pin_last=True))
             assert result.sequence[-1].angles == pytest.approx(pinned.angles, abs=1e-14)
             if n_steps == 1:  # a single pinned pulse leaves nothing to optimize
                 assert [r.termination for r in result.restarts] == ["no free angles"]
 
     def test_rejects_bad_step_count(self):
         with pytest.raises(ValueError):
-            optimize_sequence(0, small_target(), initial_state_grid(2), seed=0)
+            optimize_sequence(0, small_target(), initial_state_grid(2),
+                              OptimizerSettings(seed=0))
 
 
 class TestStateDistances:

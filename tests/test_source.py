@@ -1,11 +1,16 @@
-"""Source hygiene: every name a package module imports is used."""
+"""Source hygiene: every name a package module imports is used, and no setting has two holders."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from darkpulse import IntegratorSettings, OptimizerSettings
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "darkpulse").glob("*.py"))
+SETTINGS = frozenset(field.name for cls in (OptimizerSettings, IntegratorSettings)
+                     for field in dataclasses.fields(cls))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +43,42 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def settings_with_defaults(source: str, settings=SETTINGS) -> list[str]:
+    """Parameters of public functions and methods that are settings fields with a default.
+
+    A public function is a module-level ``def``, or a method of a module-level
+    class, whose name does not start with ``_``.  Such a parameter would be a
+    second holder of the setting and of its default; a caller passes the settings
+    object instead.
+    """
+    tree = ast.parse(source)
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+    found = []
+    for fn in functions:
+        if fn.name.startswith("_"):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        found += [f"{fn.name}({arg.arg}) (line {fn.lineno})" for arg in defaulted
+                  if arg.arg in settings]
+    return found
+
+
+def test_checker_finds_a_defaulted_setting():
+    source = ("def run(states, rate, residual, *, rtol=1e-9, scale=1.0):\n    pass\n"
+              "def _inner(tol=1e-6):\n    pass\n"
+              "class Search:\n    def solve(self, seed, restarts=8):\n        pass\n"
+              "def duration(rate, residual):\n    def step(atol=0.0):\n        pass\n")
+    assert settings_with_defaults(source) == ["run(rtol) (line 1)", "solve(restarts) (line 6)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_public_function_redeclares_a_setting(path):
+    assert settings_with_defaults(path.read_text()) == []
