@@ -360,9 +360,10 @@ def main(argv=None) -> int:
         if args.command == "verify" and args.states < 1:
             raise ConfigError(f"--states: must be at least 1, got {args.states}")
         if getattr(args, "seed", None) is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be nonnegative")
-            cfg = replace(cfg, optimizer=replace(cfg.optimizer, seed=args.seed))
+            try:
+                cfg = replace(cfg, optimizer=replace(cfg.optimizer, seed=args.seed))
+            except ValueError as exc:  # OptimizerSettings holds the seed's bound
+                raise ConfigError(f"--seed: {exc}") from exc
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 

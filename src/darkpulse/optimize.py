@@ -9,11 +9,12 @@ matrix A, and the objective, the root-mean-square Hilbert-Schmidt distance to
 the target over a grid of initial states, needs only the grid's first and
 second moments (the maximum is reported alongside).
 
-Descent is multi-start nonlinear conjugate gradient.  The gradient is
-analytic and computed in reverse mode through the N-step composition from
-prefix and suffix products of the step maps, as in GRAPE (Khaneja et al.,
-J. Magn. Reson. 172, 296 (2005)); one kernel returns value and gradient from
-the angle array alone.  Every restart draws fresh random angles except the
+Descent is multi-start L-BFGS with a strong-Wolfe line search, in numpy
+(Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 3.5-3.6 and 7.5).
+The gradient is analytic and computed in reverse mode through the N-step
+composition from prefix and suffix products of the step maps, as in GRAPE
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005)); one kernel returns value
+and gradient from the angle array alone.  Every restart draws fresh random angles except the
 last pulse, which is seeded (optionally pinned) from the inverse dark-span
 solver so the final dark subspace starts out containing the target span.
 Grid states enter as ``core.pure_state_dyads`` projectors.  The search takes
@@ -23,8 +24,9 @@ default amplitude and envelope.  Results are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import sys
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -46,16 +48,10 @@ __all__ = [
 # positions of the 3x3 ground block in a row-major vectorized 4x4 matrix
 _GROUND = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
 
-
-def __getattr__(name: str):
-    # scipy.optimize costs most of a second to import and only the optimizer
-    # uses it, so minimize is loaded on first use and kept as a module global;
-    # optimize_sequence calls it through the module, so a rebinding is seen
-    if name == "minimize":
-        from scipy.optimize import minimize
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+MEMORY = 10  # (step, gradient change) pairs kept by the L-BFGS two-loop recursion
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease and curvature constants
+STATIONARY_NORM = 1e-14  # a gradient this small stops a restart
+LINE_SEARCH_TRIALS = 20  # evaluations one line search may spend
 
 
 class RestartRecord(NamedTuple):
@@ -64,7 +60,7 @@ class RestartRecord(NamedTuple):
     iterations: int
     function_evals: int  # each one is a value and its gradient
     final_value: float
-    termination: str  # "tol", "maxiter", "no free angles", or scipy's message
+    termination: str  # "tol", "maxiter", "stationary", "line search" or "no free angles"
 
 
 @dataclass(frozen=True)
@@ -74,15 +70,23 @@ class OptimizationResult:
     sequence: tuple[FieldParams, ...]
     objective_value: float
     per_state_distances: np.ndarray  # (G, 2) columns: hs_distance, mismatch
-    iterations: int
     converged: bool
-    restart_history: tuple[float, ...]  # best-so-far after each restart
     restarts: tuple[RestartRecord, ...]
 
     def __post_init__(self) -> None:
         d = np.asarray(self.per_state_distances, dtype=float)
         d.setflags(write=False)
         object.__setattr__(self, "per_state_distances", d)
+
+    @property
+    def iterations(self) -> int:
+        """Iterations summed over the restarts."""
+        return sum(r.iterations for r in self.restarts)
+
+    @property
+    def restart_history(self) -> tuple[float, ...]:
+        """Best value so far after each restart."""
+        return tuple(accumulate((r.final_value for r in self.restarts), min))
 
 
 def initial_state_grid(resolution: int) -> np.ndarray:
@@ -188,29 +192,107 @@ def _rms_and_gradient(free: np.ndarray, moment: np.ndarray, mean_vec: np.ndarray
     return value, grad.ravel()
 
 
-def _termination(res, tol: float) -> str:
-    if res.fun < tol:
-        return "tol"
-    if res.status == 1:
-        return "maxiter"
-    return str(res.message)
+def _cubic_step(lo: tuple, hi: tuple) -> float:
+    """The minimizer of the cubic through two (step, value, slope) ends (N&W eq. 3.59),
+    if it lies in the bracket's inner 80 percent, else the bracket's midpoint."""
+    (a0, f0, d0), (a1, f1, d1) = lo, hi
+    e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    radicand = e1 * e1 - d0 * d1
+    if radicand >= 0.0:
+        e2 = float(np.copysign(np.sqrt(radicand), a1 - a0))
+        denominator = d1 - d0 + 2.0 * e2
+        if denominator != 0.0:
+            step = a1 - (a1 - a0) * (d1 + e2 - e1) / denominator
+            if abs(step - 0.5 * (a0 + a1)) <= 0.4 * abs(a1 - a0):
+                return step
+    return 0.5 * (a0 + a1)
+
+
+def _line_search(fun, x: np.ndarray, value: float, grad: np.ndarray, direction: np.ndarray,
+                 step: float):
+    """Evaluations spent, and (step, value, gradient) at a strong-Wolfe point or None.
+
+    Doubles the step until a (step, value, slope) bracket [lo, hi] holds such a
+    point, then zooms in by cubic interpolation (N&W Alg. 3.5-3.6).
+    """
+    slope0 = float(grad @ direction)
+    lo, hi = (0.0, value, slope0), None
+    for trials in range(1, LINE_SEARCH_TRIALS + 1):
+        trial_value, trial_grad = fun(x + step * direction)
+        slope = float(trial_grad @ direction)
+        if trial_value > value + WOLFE_C1 * step * slope0 or trial_value >= lo[1]:
+            hi = (step, trial_value, slope)
+        elif abs(slope) <= -WOLFE_C2 * slope0:
+            return trials, (step, trial_value, trial_grad)
+        else:
+            # a slope pointing back at lo puts a minimizer between lo and the trial
+            if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = (step, trial_value, slope)
+        step = 2.0 * lo[0] if hi is None else _cubic_step(lo, hi)
+    return LINE_SEARCH_TRIALS, None
+
+
+def minimize(fun, x0, settings: OptimizerSettings) -> tuple[np.ndarray, RestartRecord]:
+    """L-BFGS (N&W Alg. 7.4-7.5) on ``fun``, which returns a value and its gradient.
+
+    Stops when the value drops below ``settings.tol`` ("tol"), after
+    ``settings.max_iter`` iterations ("maxiter"), at a gradient norm of at most
+    ``STATIONARY_NORM`` ("stationary"), or when the line search finds no Wolfe
+    point ("line search").  Returns the last iterate and the restart's record.
+    """
+    x = np.array(x0, dtype=float)
+    value, grad = fun(x)
+    evaluations = 1
+    pairs: deque = deque(maxlen=MEMORY)  # (s, y, 1 / y.s)
+    iterations, termination = 0, None
+    while termination is None:
+        if value < settings.tol:
+            termination = "tol"
+        elif iterations == settings.max_iter:
+            termination = "maxiter"
+        elif np.linalg.norm(grad) <= STATIONARY_NORM:
+            termination = "stationary"
+        else:
+            direction = -grad
+            alphas = []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * (s @ direction))
+                direction = direction - alphas[-1] * y
+            if pairs:
+                s, y, rho = pairs[-1]
+                direction = direction / (rho * (y @ y))  # initial H = (s.y / y.y) I
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                direction = direction + (alpha - rho * (y @ direction)) * s
+            first = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(grad)))
+            trials, found = _line_search(fun, x, value, grad, direction, first)
+            evaluations += trials
+            if found is None:
+                termination = "line search"
+            else:
+                step, value, new_grad = found
+                s, y = step * direction, new_grad - grad
+                if s @ y > 0.0:
+                    pairs.append((s, y, 1.0 / (s @ y)))
+                x, grad = x + s, new_grad
+                iterations += 1
+    return x, RestartRecord(iterations, evaluations, float(value), termination)
 
 
 def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray,
                       settings: OptimizerSettings) -> OptimizationResult:
-    """Multi-start conjugate-gradient search for an N-step steering sequence.
+    """Multi-start L-BFGS search for an N-step steering sequence.
 
     Each restart draws angles uniformly from a generator seeded with
     ``settings.seed``; the last pulse is always initialized from
     :func:`field_for_span` on the target vectors and held fixed when
-    ``pin_last`` is set.  A restart stops once the objective drops below
-    ``tol`` or after ``max_iter`` iterations; the whole search stops early
-    when the best value is below ``tol``, and ``converged`` reports exactly
-    that test.  The reported ``objective_value`` is recomputed from the
-    per-state distances; it differs from the moment-formula value the search
-    stops on by rounding, about 1e-10 near an optimum of 1e-6, so it can sit
-    on the other side of ``tol``.  Results are bit-reproducible for fixed
-    arguments.
+    ``pin_last`` is set.  Each restart is one :func:`minimize` run, whose
+    record says why it stopped; the whole search stops early when the best
+    value is below ``tol``, and ``converged`` reports exactly that test.  The
+    reported ``objective_value`` is recomputed from the per-state distances;
+    it differs from the moment-formula value the search stops on by rounding,
+    about 1e-10 near an optimum of 1e-6, so it can sit on the other side of
+    ``tol``.  Results are bit-reproducible for fixed arguments.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -218,45 +300,33 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray,
     last_angles = np.array(field_for_span(target.psi1, target.psi2).angles)
     pinned = last_angles if settings.pin_last else None
 
-    def stop_below_tol(intermediate_result):
-        if intermediate_result.fun < settings.tol:
-            raise StopIteration
+    def objective(free):
+        return _rms_and_gradient(free, *moments, pinned)
 
     rng = np.random.default_rng(settings.seed)
     best_value, best_params = np.inf, None
-    history: list[float] = []
     records: list[RestartRecord] = []
     for _ in range(settings.restarts):
         x0 = rng.uniform(0.0, 2.0 * np.pi, size=4 * n_steps)
         x0[-4:] = last_angles
         free0 = x0[:-4] if settings.pin_last else x0
         if free0.size == 0:
-            value = _rms_and_gradient(free0, *moments, pinned)[0]
-            params = x0
-            records.append(RestartRecord(0, 1, value, "no free angles"))
+            params, record = x0, RestartRecord(0, 1, objective(free0)[0], "no free angles")
         else:
-            res = sys.modules[__name__].minimize(
-                _rms_and_gradient, free0, args=(*moments, pinned), method="CG", jac=True,
-                callback=stop_below_tol, options={"maxiter": settings.max_iter, "gtol": 1e-14})
-            value = float(res.fun)
-            params = np.concatenate([res.x, last_angles]) if settings.pin_last else res.x.copy()
-            records.append(RestartRecord(int(res.nit), int(res.nfev), value,
-                                         _termination(res, settings.tol)))
-        if value < best_value:
-            best_value, best_params = value, params
-        history.append(best_value)
+            free, record = minimize(objective, free0, settings)
+            params = np.concatenate([free, last_angles]) if settings.pin_last else free
+        records.append(record)
+        if record.final_value < best_value:
+            best_value, best_params = record.final_value, params
         if best_value < settings.tol:
             break
 
-    steps = tuple(FieldParams(theta=a[0], phi=a[1], mu_minus=a[2], mu_plus=a[3])
-                  for a in best_params.reshape(-1, 4))
+    steps = tuple(FieldParams(*angles) for angles in best_params.reshape(-1, 4))
     per_state = state_distances(grid, steps, target)
     return OptimizationResult(
         sequence=steps,
         objective_value=float(np.sqrt(np.mean(per_state[:, 0] ** 2))),
         per_state_distances=per_state,
-        iterations=sum(r.iterations for r in records),
         converged=bool(best_value < settings.tol),
-        restart_history=tuple(history),
         restarts=tuple(records),
     )

@@ -105,6 +105,13 @@ class TestOptimizeCommand:
                      "--seed", "9"]) == 0
         assert json.loads((out / "result.json").read_text())["seed"] == 9
 
+    def test_negative_seed_flag_exits_2_naming_the_bound(self, tmp_path, config_path, capsys):
+        # the bound is OptimizerSettings', reported under the flag that carried the value
+        assert main(["optimize", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: --seed: seed must be at least 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_weights_exit_2_naming_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json")
         doc = json.loads(cfg.read_text())
@@ -809,14 +816,14 @@ class TestInputEdge:
     def test_unresolvable_rate_exits_5_before_the_search(self, tmp_path, command, monkeypatch,
                                                           capsys):
         # the key's duration is checked on its canonical field before any restart runs
-        from scipy.optimize import minimize
+        from darkpulse.optimize import minimize
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return minimize(*args, **kwargs)
 
-        monkeypatch.setattr("darkpulse.optimize.minimize", counting, raising=False)
+        monkeypatch.setattr("darkpulse.optimize.minimize", counting)
         config = tiny_bundled_config(tmp_path / "config.json", omega_peak=1e-310,
                                      rates={"gamma_in": 1e-310})
         with warnings.catch_warnings():
@@ -1043,9 +1050,22 @@ class TestStartup:
         """)
         assert json.loads(run_fresh(script, tmp_path)) == [0, []]
 
+    @pytest.mark.parametrize("command", ["optimize", "reproduce-paper"])
+    def test_optimizer_loads_no_scipy(self, tmp_path, command):
+        # the search is numpy's own; square pulses need no RK45 either
+        script = textwrap.dedent(f"""
+            import json, sys
+            from darkpulse import cli
+            code = cli.main([{command!r}, "--config", str(cli.bundled_config_path()),
+                             "--out", {str(tmp_path / "o")!r}])
+            print(json.dumps([code, sorted(m for m in sys.modules
+                                           if m.split(".")[0] == "scipy")]))
+        """)
+        assert json.loads(run_fresh(script, tmp_path)) == [0, []]
+
     def test_tracer_counts_rhs_evaluations(self, tmp_path):
-        # the tracer reads and rebinds dynamics.solve_ivp and optimize.minimize,
-        # so both must stay module attributes although they load on first use
+        # the tracer reads and rebinds dynamics.solve_ivp and optimize.minimize, so
+        # both must stay module attributes, the first although it loads on first use
         cfg = write_config(tmp_path / "sine.json", envelope="sine_squared",
                            initial_states=THREE_STATES[:1])
         sequence = tmp_path / "sequence.json"

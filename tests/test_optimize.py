@@ -5,8 +5,9 @@ import pytest
 
 from darkpulse import (FieldParams, OptimizerSettings, TargetState, dark_basis, field_for_span,
                        hs_distance, initial_state_grid, optimize_sequence, pure_state_dyads)
-from darkpulse.optimize import (_grid_moments, _rms_and_gradient, random_pure_states,
-                                state_distances)
+from darkpulse import optimize
+from darkpulse.optimize import (WOLFE_C1, WOLFE_C2, _grid_moments, _rms_and_gradient, minimize,
+                                random_pure_states, state_distances)
 from conftest import fold_closed, fold_repumped, random_field
 
 
@@ -169,7 +170,8 @@ class TestOptimizeSequence:
         assert tuple(best) == result.restart_history
         for record in result.restarts:
             assert record.function_evals >= record.iterations
-            assert record.termination == "maxiter"  # tol 1e-12 is out of reach in 30
+            assert record.termination != "tol"  # tol 1e-12 is out of reach in 30
+            assert record.termination != "maxiter" or record.iterations == 30
 
     def test_objective_value_consistent_with_distances(self):
         grid = initial_state_grid(3)
@@ -219,6 +221,70 @@ class TestOptimizeSequence:
         with pytest.raises(ValueError):
             optimize_sequence(0, small_target(), initial_state_grid(2),
                               OptimizerSettings(seed=0))
+
+
+def rosenbrock(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The 2-D Rosenbrock function and its gradient; the minimum 0 is at (1, 1)."""
+    a, b = x
+    grad = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
+    return float((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2), grad
+
+
+def n4_objective():
+    """The search's objective at N = 4 on a grid-3 target, and a random start."""
+    moments = _grid_moments(initial_state_grid(3), small_target())
+    x0 = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=16)
+    return (lambda x: _rms_and_gradient(x, *moments, None)), x0
+
+
+PROBLEMS = {"rosenbrock": lambda: (rosenbrock, np.array([-1.2, 1.0])), "n4": n4_objective}
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_every_step_meets_the_strong_wolfe_conditions(self, problem, monkeypatch):
+        fun, x0 = PROBLEMS[problem]()
+        searches = []
+
+        def recording(fun, x, value, grad, direction, step):
+            trials, found = line_search(fun, x, value, grad, direction, step)
+            searches.append((value, grad, direction, found))
+            return trials, found
+
+        line_search = optimize._line_search
+        monkeypatch.setattr(optimize, "_line_search", recording)
+        x, record = minimize(fun, x0, OptimizerSettings(seed=0, max_iter=400, tol=1e-7))
+        assert record.termination == "tol"
+        assert len(searches) == record.iterations > 10
+        for value, grad, direction, (step, new_value, new_grad) in searches:
+            slope = grad @ direction
+            assert slope < 0.0
+            assert new_value <= value + WOLFE_C1 * step * slope
+            assert abs(new_grad @ direction) <= WOLFE_C2 * abs(slope)
+        assert fun(x)[0] == record.final_value < 1e-7
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_two_runs_are_bit_identical(self, problem):
+        fun, x0 = PROBLEMS[problem]()
+        settings = OptimizerSettings(seed=0, max_iter=60, tol=1e-12)
+        (xa, a), (xb, b) = minimize(fun, x0, settings), minimize(fun, x0, settings)
+        assert xa.tobytes() == xb.tobytes()
+        assert a == b
+
+    def test_each_termination_is_reached(self):
+        n4, start = n4_objective()
+        cases = {"tol": (n4, start, 400), "maxiter": (n4, start, 5),
+                 # a quadratic started at its minimum, whose value stays above tol
+                 "stationary": (lambda x: (1.0 + x @ x, 2.0 * x), np.zeros(2), 5),
+                 # the negated gradient points uphill, so no step decreases the value
+                 "line search": (lambda x: (x @ x, -2.0 * x), np.ones(2), 5)}
+        for name, (fun, x0, max_iter) in cases.items():
+            x, record = minimize(fun, x0, OptimizerSettings(seed=0, max_iter=max_iter, tol=1e-7))
+            assert record.termination == name
+            if name == "maxiter":
+                assert record.iterations == max_iter
+            if name in ("stationary", "line search"):
+                assert record.iterations == 0 and np.array_equal(x, x0)
 
 
 class TestStateDistances:

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used, and no setting has two holders."""
+"""Source hygiene: every imported name is used, scipy serves only the integrator, and no
+setting has two holders."""
 
 import ast
 import dataclasses
@@ -43,6 +44,38 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_imports(source: str) -> list[tuple[str, int]]:
+    """Every scipy module a source imports, at any depth, with its line, in line order.
+
+    ``from scipy import optimize`` imports ``scipy.optimize``; ``from
+    scipy.integrate import solve_ivp`` imports ``scipy.integrate``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found += [(f"scipy.{alias.name}", node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy."):
+            found.append((node.module, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_checker_finds_every_scipy_import():
+    source = ("import numpy as np\nimport scipy.linalg\nfrom scipy import optimize\n"
+              "from scipyx import y\ndef f():\n    from scipy.integrate import solve_ivp\n")
+    assert scipy_imports(source) == [("scipy.linalg", 2), ("scipy.optimize", 3),
+                                     ("scipy.integrate", 6)]
+
+
+def test_scipy_is_imported_only_for_the_integrator():
+    # scipy.optimize costs about half a second to import; the search is numpy's own
+    found = {(path.name, module) for path in SOURCES
+             for module, _ in scipy_imports(path.read_text())}
+    assert found == {("dynamics.py", "scipy.integrate")}
 
 
 def settings_with_defaults(source: str, settings=SETTINGS) -> list[str]:
