@@ -64,10 +64,11 @@ class Envelope(str, Enum):
     SQUARE = "square"
     SINE_SQUARED = "sine_squared"
 
-    def value_at(self, t: float, duration: float) -> float:
+    def value_at(self, t: np.ndarray, duration: float) -> np.ndarray:
+        """The envelope at the times ``t`` of a pulse of ``duration``."""
         if self is Envelope.SQUARE:
-            return 1.0
-        return float(np.sin(np.pi * t / duration) ** 2)
+            return np.ones_like(t)
+        return np.sin(np.pi * t / duration) ** 2
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

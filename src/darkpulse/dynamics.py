@@ -4,8 +4,8 @@ Within one pulse the generator is ``dr/dt = (M0 + E(t) Mdrive) r + d``; on
 the augmented state ``y = [r; 1]`` it is ``dy/dt = A(t) y`` with
 ``A = [[M, d], [0, 0]]`` (Van Loan 1978).  A square envelope makes ``A``
 constant, so one matrix exponential gives its exact snapshots.  Time-dependent
-envelopes are integrated by an embedded adaptive Runge-Kutta pair
-(Dormand-Prince 5(4)) under local error control; :func:`integrate_master`
+envelopes are integrated by the package's own RK45 in numpy (Dormand-Prince 5(4)
+under local error control), so no command imports scipy; :func:`integrate_master`
 runs it on a block of states through any one pulse, square ones included, and
 is the RK45 witness of :func:`run_sequence`, which drives a block of states
 through a sequence, and of :func:`verify_map`, which drives a batch of cases,
@@ -36,7 +36,6 @@ the same in both relaxation regimes; only the driven dynamics differ.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,17 +61,6 @@ __all__ = [
 
 MIN_SNAPSHOTS = 65
 _BLOCK = 8  # the cases of a key whose snapshots verify_map holds at once
-
-
-def __getattr__(name: str):
-    # scipy.integrate costs most of a second to import and only time-dependent
-    # envelopes use it, so solve_ivp is loaded on first use and kept as a module
-    # global; _solve calls it through the module, so a rebinding is seen
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        globals()["solve_ivp"] = solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PulseRecord(NamedTuple):
@@ -204,33 +192,104 @@ def _stack(states, n_fields: int | None = None) -> np.ndarray:
     return states.astype(complex, copy=False)
 
 
-def _solve(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
-           tols: IntegratorSettings) -> tuple[np.ndarray, int]:
-    """RK45 of ``dY/dt = (M0 + E(t) Mdrive) Y + feed`` through one pulse, in one ``solve_ivp``.
+# Dormand and Prince's 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) as scipy's RK45
+# runs it: times _C and weights _A of stages 1..5 (stage 0 is the last step's final
+# derivative, stage 6 the new one), fifth-order weights _B, error weights _E, and
+# Shampine's quartic dense output _P (Math. Comp. 46, 135 (1986)), column j for x^(j+1).
+_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_A = [np.array(row) for row in ([1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+                                [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+                                [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                 -5103 / 18656])]
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+class Solution(NamedTuple):
+    """The (len(times), 16, n) snapshots of one solve and its right-hand-side evaluations."""
+
+    y: np.ndarray
+    nfev: int
+
+
+def solve_ivp(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
+              tols: IntegratorSettings) -> Solution:
+    """RK45 of ``dY/dt = (M0 + E(t) Mdrive) Y + feed`` through one pulse, in numpy alone.
 
     ``on`` is the generator at envelope 1, whose field carries the envelope,
     which runs over ``times[-1]``; ``y0`` is a (16, n) block and ``feed``
-    broadcasts against it.  The error norm is taken over the whole block.
-    Returns the (16, n, len(times)) snapshots at ``times`` and the number of
-    right-hand-side evaluations.
+    broadcasts against it.  It takes scipy's RK45 steps without importing scipy:
+    the initial step of Hairer, Norsett and Wanner (Solving ODEs I, Sec. II.4),
+    an RMS error norm over the whole block with scale ``atol + max(|y|, |y_new|) rtol``,
+    step factors ``0.9 err^(-1/5)`` within [0.2, 10] and none above 1 right after a
+    rejection, a least step of 10 ulp of ``t``, and the quartic interpolant at ``times``.
+
+    Returns a :class:`Solution`; raises :class:`StepSizeUnderflow` if the step falls
+    below its least size or the error norm is not finite (a non-finite derivative).
     """
     t_final = times[-1]
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     m0 = build_liouvillian(on.field, on.rates, 0.0).m
     m_drive = on.m - m0
-    envelope = on.field.envelope
 
-    def rhs(t, y):
-        # a square envelope reads 1.0, and m0 + 1.0 * m_drive is m0 + m_drive exactly
-        return ((m0 + envelope.value_at(t, t_final) * m_drive) @ y.reshape(y0.shape)
-                + feed).ravel()
+    def generators(ts):  # at all of a step's times at once; m0 + 1.0 * m_drive is exact
+        return m0 + on.field.envelope.value_at(ts, t_final)[:, None, None] * m_drive
 
-    sol = sys.modules[__name__].solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
-                                          rtol=tols.rtol, atol=tols.atol, t_eval=times)
-    if not sol.success:
-        raise StepSizeUnderflow(f"integrator failed: {sol.message}")
-    return sol.y.reshape(*y0.shape, -1), int(sol.nfev)
+    stages = np.empty((7, *y0.shape), dtype=complex)
+    flat, out = stages.reshape(7, -1), np.empty((len(times), *y0.shape), dtype=complex)
+    root = y0.size ** 0.5  # an RMS norm is the 2-norm over root
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
+        stages[0] = generators(np.zeros(1))[0] @ y0 + feed
+        scale = tols.atol + np.abs(y0) * tols.rtol
+        d0, d1 = np.linalg.norm(y0 / scale) / root, np.linalg.norm(stages[0] / scale) / root
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
+        d2 = np.linalg.norm((generators(np.array([h0]))[0] @ (y0 + h0 * stages[0]) + feed
+                             - stages[0]) / scale) / root / h0
+        h_abs = min(100 * h0, t_final, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+                    else (0.01 / max(d1, d2)) ** 0.2)
+        t, y, nfev, k = 0.0, y0, 2, 0
+        while t < t_final:
+            min_step, rejected = 10 * np.spacing(t), False
+            h_abs = max(h_abs, min_step)
+            while True:
+                if h_abs < min_step:
+                    raise StepSizeUnderflow(f"RK45 at t={t:.6g}: step size {h_abs:.3g} is "
+                                            f"below 10 ulp of t")
+                t_new = min(t + h_abs, t_final)
+                h = t_new - t
+                m = generators(t + _C * h)
+                for s, a in enumerate(_A, start=1):
+                    stages[s] = m[s - 1] @ (y + (a @ flat[:s]).reshape(y.shape) * h) + feed
+                y_new = y + h * (_B @ flat[:6]).reshape(y.shape)
+                stages[6] = m[4] @ y_new + feed
+                nfev += 6
+                scale = tols.atol + np.maximum(np.abs(y), np.abs(y_new)) * tols.rtol
+                error = np.linalg.norm((_E @ flat).reshape(y.shape) * h / scale) / root
+                if error < 1:
+                    factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
+                    h_abs = h * (min(1, factor) if rejected else factor)
+                    break
+                if not np.isfinite(error):
+                    raise StepSizeUnderflow(f"RK45 at t={t:.6g}: error norm {float(error)!r} "
+                                            f"is not finite (a non-finite derivative)")
+                h_abs, rejected = h * max(0.2, 0.9 * error ** -0.2), True
+            j = np.searchsorted(times, t_new, side="right")
+            if j > k:  # the outputs in (t, t_new] from the step's quartic interpolant
+                x = np.cumprod(np.tile((times[k:j] - t) / h, (4, 1)), axis=0)
+                out[k:j] = y + h * (x.T @ (_P.T @ flat)).reshape(-1, *y.shape)
+                k = j
+            t, y, stages[0] = t_new, y_new, stages[6]
+    return Solution(out, nfev)
 
 
 def _step(liou: Liouvillian, t_final: float) -> np.ndarray:
@@ -279,8 +338,8 @@ def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
     states = _stack(states)
     liou = build_liouvillian(fp, rates, 1.0)
     times = _readonly(np.linspace(0.0, t_final, MIN_SNAPSHOTS))
-    snapshots, nfev = _solve(liou, times, states.reshape(-1, 16).T, liou.d[:, None], tols)
-    return _trajectory(times, snapshots.transpose(1, 2, 0), tols.atol, "rk45", nfev,
+    snapshots, nfev = solve_ivp(liou, times, states.reshape(-1, 16).T, liou.d[:, None], tols)
+    return _trajectory(times, snapshots.transpose(2, 0, 1), tols.atol, "rk45", nfev,
                        dark_basis(fp))
 
 
@@ -347,8 +406,8 @@ def _key_table(fields, rates: Rates,
                 propagator = _step(liou, times[-1])
             elif keys.count(key) > 1:
                 feed = np.column_stack([np.zeros((16, 16), dtype=complex), liou.d])
-                propagator, nfev = _solve(liou, times, np.eye(16, 17, dtype=complex), feed, tols)
-                propagator = propagator.transpose(2, 0, 1)
+                propagator, nfev = solve_ivp(liou, times, np.eye(16, 17, dtype=complex), feed,
+                                             tols)
             table[key] = _Key(i, liou, rate, times, propagator, nfev)
             frames[key] = _ground_frame(fp, basis).conj().T
         elif fp is not table[key].liou.field:
@@ -367,9 +426,9 @@ def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray,
     """
     matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
     if key.propagator is None:
-        snapshots, nfev = _solve(key.liou, key.times, matrices.reshape(-1, 16).T,
-                                 key.liou.d[:, None], tols)
-        return snapshots.transpose(1, 2, 0), nfev
+        snapshots, nfev = solve_ivp(key.liou, key.times, matrices.reshape(-1, 16).T,
+                                    key.liou.d[:, None], tols)
+        return snapshots.transpose(2, 0, 1), nfev
     return _snapshots(key.propagator, matrices), 0
 
 

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, artifact formats, and byte-exact determinism."""
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -853,6 +854,30 @@ class TestInputEdge:
         assert err.startswith("integrator error: state 0: snapshot at t=2.2413e+33 has "
                               "eigenvalue nan"), err
 
+    def test_non_finite_derivative_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a sine-squared generator whose undriven part has an infinite entry: the RK45
+        # error norm is nan at the first step, an integrator error at once
+        import darkpulse.dynamics as dynamics
+
+        build = dynamics.build_liouvillian
+
+        def poisoned(fp, rates, envelope_value=1.0):
+            liou = build(fp, rates, envelope_value)
+            if envelope_value != 0.0:
+                return liou
+            m = liou.m.copy()
+            m[3, 5] = np.inf
+            return dataclasses.replace(liou, m=m)
+
+        monkeypatch.setattr(dynamics, "build_liouvillian", poisoned)
+        doc = json.loads(bundled_config_path().read_text())
+        doc["envelope"] = "sine_squared"
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(tmp_path / "config.json"), "--out",
+                     str(tmp_path / "o"), "--states", "2"]) == 4
+        assert capsys.readouterr().err == ("integrator error: RK45 at t=0: error norm nan is "
+                                           "not finite (a non-finite derivative)\n")
+
 
 # one entry of --angles: a float's repr, a non-finite or out-of-range token, or junk
 ANGLE_PART = st.one_of(st.floats().map(repr),
@@ -1063,9 +1088,32 @@ class TestStartup:
         """)
         assert json.loads(run_fresh(script, tmp_path)) == [0, []]
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_sine_squared_runs_load_no_scipy(self, tmp_path, command):
+        # the RK45 of time-dependent envelopes is numpy's own too
+        cfg = write_config(tmp_path / "sine.json", envelope="sine_squared",
+                           initial_states=THREE_STATES[:1])
+        sequence = tmp_path / "sequence.json"
+        sequence.write_text(json.dumps({"sequence": {"mode": "alpha", "steps": [SEQUENCE_STEP]}}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        argv += ["--sequence", str(sequence)] if command == "simulate" else ["--states", "2"]
+        script = textwrap.dedent(f"""
+            import json, sys
+            from darkpulse import cli
+            code = cli.main({argv!r})
+            print(json.dumps([code, sorted(m for m in sys.modules
+                                           if m.split(".")[0] == "scipy")]))
+        """)
+        assert json.loads(run_fresh(script, tmp_path)) == [0, []]
+        if command == "simulate":
+            doc = json.loads((tmp_path / "o" / "summary.json").read_text())
+            assert doc["states"][0]["pulses"][0]["propagator"] == "rk45"
+        else:
+            assert json.loads((tmp_path / "o" / "verify.json").read_text())["propagator"] == "rk45"
+
     def test_tracer_counts_rhs_evaluations(self, tmp_path):
         # the tracer reads and rebinds dynamics.solve_ivp and optimize.minimize, so
-        # both must stay module attributes, the first although it loads on first use
+        # both must stay module attributes, which every caller looks up at call time
         cfg = write_config(tmp_path / "sine.json", envelope="sine_squared",
                            initial_states=THREE_STATES[:1])
         sequence = tmp_path / "sequence.json"

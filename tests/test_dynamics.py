@@ -4,14 +4,16 @@ from dataclasses import replace
 
 import csv
 import re
+import time
 import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from darkpulse import (DensityOperator, Envelope, FieldParams, IntegratorSettings,
-                       PositivityViolation, Rates,
+                       PositivityViolation, Rates, StepSizeUnderflow,
                        TraceMismatch, TraceViolation, Trajectory, UnstableSpectrum,
                        build_liouvillian, dark_basis, hs_distance, integrate_master,
                        recommended_duration, pure_state_dyads, relax_closed, run_sequence,
@@ -269,6 +271,71 @@ class TestPadeExpm:
     def test_rejects_non_finite_matrix(self):
         with pytest.raises(ValueError, match="non-finite"):
             _expm(np.full((3, 3), np.nan))
+
+
+def scipy_rk45(on, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
+               settings: IntegratorSettings):
+    """Scipy's ``solve_ivp(method="RK45")`` on the system of ``dynamics.solve_ivp``, the oracle.
+
+    Its right-hand side reads the package's own envelope at each time, so both
+    integrators step through the same function.  Returns the (len(times), 16, n)
+    snapshots and the number of right-hand-side evaluations.
+    """
+    t_final = times[-1]
+    m0 = build_liouvillian(on.field, on.rates, 0.0).m
+
+    def rhs(t, y):
+        value = on.field.envelope.value_at(np.array([t]), t_final)[0]
+        return ((m0 + value * (on.m - m0)) @ y.reshape(y0.shape) + feed).ravel()
+
+    sol = scipy.integrate.solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
+                                    rtol=settings.rtol, atol=settings.atol, t_eval=times)
+    assert sol.success
+    return sol.y.reshape(*y0.shape, -1).transpose(2, 0, 1), sol.nfev
+
+
+class TestDormandPrince:
+    """The package's RK45 against scipy's, the oracle: the same steps, so the same ``nfev``."""
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    @pytest.mark.parametrize("envelope", list(Envelope), ids=lambda e: e.value)
+    def test_matches_scipy_step_for_step(self, rng, envelope, rates, omega):
+        # two states and the repump feed at the default tolerances over 100 decay times.
+        # Scipy releases without the interval-aware initial step (1.11 among them) skip
+        # the clamp h0 <= t_final, which is inactive while 0.01 d0 / d1 < t_final, as
+        # asserted here; the two rules then agree, so nfev is pinned on every release
+        settings = IntegratorSettings()
+        liou = build_liouvillian(random_field(rng, omega_peak=omega, envelope=envelope), rates)
+        times = np.linspace(0.0, 100.0, MIN_SNAPSHOTS)
+        y0 = np.stack([random_density(rng).ravel() for _ in range(2)], axis=1)
+        feed = liou.d[:, None]
+        at_start = (liou if envelope is Envelope.SQUARE
+                    else build_liouvillian(liou.field, rates, 0.0))
+        scale = settings.atol + np.abs(y0) * settings.rtol
+        d0, d1 = (np.linalg.norm(y / scale) for y in (y0, at_start.m @ y0 + feed))
+        assert 0.01 * d0 / d1 < times[-1]
+        own = dynamics.solve_ivp(liou, times, y0, feed, settings)
+        oracle, nfev = scipy_rk45(liou, times, y0, feed, settings)
+        assert own.y.shape == (MIN_SNAPSHOTS, 16, 2)
+        assert own.nfev == nfev
+        assert np.abs(own.y - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("envelope", list(Envelope), ids=lambda e: e.value)
+    def test_non_finite_generator_raises_at_once(self, rng, envelope, value):
+        # a non-finite derivative gives a non-finite error norm, which raises instead of
+        # shrinking the step forever (scipy's RK45 loops on a nan step size)
+        liou = build_liouvillian(random_field(rng, envelope=envelope), Rates.beta())
+        m = liou.m.copy()
+        m[3, 5] = value
+        started = time.perf_counter()
+        with pytest.raises(StepSizeUnderflow, match=r"^RK45 at t=0: error norm nan is not "
+                                                    r"finite \(a non-finite derivative\)$"):
+            dynamics.solve_ivp(replace(liou, m=m), np.linspace(0.0, 50.0, MIN_SNAPSHOTS),
+                               np.eye(16, 17, dtype=complex), liou.d[:, None], tols(1e-4))
+        assert time.perf_counter() - started < 1.0
 
 
 def matched_gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,5 +1,5 @@
-"""Source hygiene: every imported name is used, scipy serves only the integrator, and no
-setting has two holders."""
+"""Source hygiene: every imported name is used, no module imports scipy, and no setting
+has two holders."""
 
 import ast
 import dataclasses
@@ -71,11 +71,12 @@ def test_checker_finds_every_scipy_import():
                                      ("scipy.integrate", 6)]
 
 
-def test_scipy_is_imported_only_for_the_integrator():
-    # scipy.optimize costs about half a second to import; the search is numpy's own
+def test_no_module_imports_scipy():
+    # scipy.optimize and scipy.integrate each cost about half a second to import; the
+    # search and the RK45 are numpy's own, and scipy serves the tests only as an oracle
     found = {(path.name, module) for path in SOURCES
              for module, _ in scipy_imports(path.read_text())}
-    assert found == {("dynamics.py", "scipy.integrate")}
+    assert found == set()
 
 
 def settings_with_defaults(source: str, settings=SETTINGS) -> list[str]:
