@@ -14,14 +14,12 @@ from .core import (DarkBasis, DensityOperator, Envelope, FieldParams, Mode, Targ
 from .dynamics import (PulseRecord, Trajectory, integrate_master, recommended_duration,
                        run_sequence, verify_map)
 from .errors import (AngleUnderdetermined, ConfigError, DarkpulseError, DegenerateSpan,
-                     NegativeRadicand, PositivityViolation, SingularSystem,
-                     StepSizeUnderflow, TraceMismatch, TraceViolation,
-                     UnexpectedDimension, UnstableSpectrum)
+                     NegativeRadicand, PositivityViolation, StepSizeUnderflow,
+                     TraceMismatch, TraceViolation, UnexpectedDimension, UnstableSpectrum)
 from .liouville import (Liouvillian, Rates, ZeroSubspace, build_liouvillian,
-                        closed_form_zero_modes, slowest_rate, steady_affine, unvec, vec,
-                        zero_subspace)
-from .maps import (compose_sequence, hs_distance, mismatch, relax_closed, relax_repumped,
-                   relaxation_affine, repump_steady_state, sequence_affine)
+                        closed_form_zero_modes, slowest_rate, unvec, vec, zero_subspace)
+from .maps import (compose_sequence, hs_distance, mismatch, relax_closed, relaxation_affine,
+                   sequence_affine)
 from .optimize import (OptimizationResult, initial_state_grid, optimize_sequence,
                        random_pure_states)
 
@@ -31,15 +29,14 @@ __all__ = [
     "AngleUnderdetermined", "ConfigError", "DarkBasis", "DarkpulseError",
     "DegenerateSpan", "DensityOperator", "Envelope", "FieldParams", "IntegratorSettings",
     "Liouvillian", "Mode", "NegativeRadicand", "OptimizationResult", "OptimizerSettings",
-    "PositivityViolation", "PulseRecord", "Rates", "SingularSystem", "StepSizeUnderflow",
+    "PositivityViolation", "PulseRecord", "Rates", "StepSizeUnderflow",
     "TargetState", "TraceMismatch", "TraceViolation", "Trajectory", "UnexpectedDimension",
     "UnstableSpectrum", "ZeroSubspace", "bloch_coords",
     "build_hamiltonian", "build_liouvillian", "closed_form_zero_modes",
     "compose_sequence", "dark_basis", "embed_ground", "field_for_span", "hs_distance",
     "initial_state_grid", "integrate_master", "mismatch", "optimize_sequence",
     "pure_state_dyads", "random_pure_states",
-    "recommended_duration", "relax_closed", "relax_repumped", "relaxation_affine",
-    "repump_steady_state", "run_sequence",
-    "sequence_affine", "slowest_rate", "steady_affine", "unvec", "vec",
+    "recommended_duration", "relax_closed", "relaxation_affine", "run_sequence",
+    "sequence_affine", "slowest_rate", "unvec", "vec",
     "verify_map", "zero_subspace",
 ]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ExperimentConfig, atomic_write_text, load_config, load_sequence, read_number,
+from .config import (MAX_STATES, ExperimentConfig, atomic_write_text, load_config, load_sequence,
                      write_csv)
 from .core import (DarkBasis, FieldParams, TargetState, _span_normal, bloch_coords, dark_basis,
                    field_for_span, pure_state_dyads)
@@ -230,10 +230,8 @@ def cmd_bloch_export(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path, angles: tuple[float, ...] | None) -> int:
-    if angles is not None:
-        fp = FieldParams(*angles, omega_peak=cfg.omega_peak, envelope=cfg.envelope)
-    elif cfg.field_params is not None:
+def cmd_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
+    if cfg.field_params is not None:
         fp = cfg.field_params
     else:
         fp = replace(field_for_span(cfg.target.psi1, cfg.target.psi2),
@@ -292,16 +290,6 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     return cmd_bloch_export(cfg, sequence, bloch_dir)
 
 
-def _parse_angles(text: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("--angles expects 'theta,phi,mu_minus,mu_plus'")
-    try:
-        return tuple(read_number(float(p), "--angles") for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"--angles: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darkpulse",
@@ -335,11 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, default=20, help="number of random cases")
     p = sub.add_parser("bloch-export", help="export staged Bloch point clouds")
     common(p, sequence=True)
-    p = sub.add_parser("spectrum", help="eigenvalues and zero-subspace diagnostics")
-    common(p, threads=False)
-    p.add_argument("--angles", default=None,
-                   help="field angles 'theta,phi,mu_minus,mu_plus' "
-                        "(default: config field block, else the target-span field)")
+    common(sub.add_parser("spectrum", help="eigenvalues and zero-subspace diagnostics of the "
+                          "config's field block, else of the target-span field"), threads=False)
     common(sub.add_parser("sweep-purity", help="objective vs target purity and step count"),
            seed=True, threads=False)
     common(sub.add_parser("reproduce-paper",
@@ -359,6 +344,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         if args.command == "verify" and args.states < 1:
             raise ConfigError(f"--states: must be at least 1, got {args.states}")
+        if args.command == "verify" and args.states > MAX_STATES:
+            raise ConfigError(f"--states: must be at most {MAX_STATES}, got {args.states}")
         if getattr(args, "seed", None) is not None:
             try:
                 cfg = replace(cfg, optimizer=replace(cfg.optimizer, seed=args.seed))
@@ -376,8 +363,7 @@ def main(argv=None) -> int:
         if args.command == "bloch-export":
             return cmd_bloch_export(cfg, args.sequence, out_dir)
         if args.command == "spectrum":
-            angles = _parse_angles(args.angles) if args.angles else None
-            return cmd_spectrum(cfg, out_dir, angles)
+            return cmd_spectrum(cfg, out_dir)
         if args.command == "sweep-purity":
             return cmd_sweep_purity(cfg, out_dir)
         if args.command == "reproduce-paper":

@@ -34,6 +34,10 @@ __all__ = [
     "write_csv",
 ]
 
+# counts from outside size arrays, so each is bounded where it is read, before any work:
+MAX_STATES = 2 ** 24  # states per batch: grid_resolution ** 4, test_states, verify --states
+MAX_PULSES = 2 ** 16  # pulses per sequence: steps and each N_list entry
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
@@ -50,6 +54,8 @@ class OptimizerSettings:
         for name, least in (("seed", 0), ("restarts", 1), ("max_iter", 1), ("test_states", 1)):
             if not (value := getattr(self, name)) >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        if self.test_states > MAX_STATES:
+            raise ValueError(f"test_states must be at most {MAX_STATES}, got {self.test_states!r}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
 
@@ -166,7 +172,8 @@ def _build(cls, path: str, values: dict, **fixed):
 
 _INTEGER = _exact(int, "an integer")
 _POSITIVE = _bounded(read_number, lambda x: x > 0, "must be positive")
-_COUNT = _bounded(_INTEGER, lambda n: n >= 1, "must be at least 1")
+_PULSES = _bounded(_INTEGER, lambda n: 1 <= n <= MAX_PULSES, f"must lie in [1, {MAX_PULSES}]")
+_GRID_MAX = round(MAX_STATES ** 0.25)  # a grid has resolution ** 4 states
 _COMPLEX3 = _list(_list(read_number, 2, lambda pair: complex(*pair)), 3, np.array)
 
 _FIELD = {"theta": read_number, "phi": read_number, "mu_minus": read_number,
@@ -178,13 +185,14 @@ _SEQUENCE = {"mode": None, "steps": _list(_section(FieldParams, {
 _CONFIG = {
     "target": _section(TargetState, {"weights": _list(read_number, 2),
                                      "psi1": _COMPLEX3, "psi2": _COMPLEX3}),
-    "steps": _COUNT,
+    "steps": _PULSES,
     "mode": _choice(Mode),
     "rates": _section(Rates, {"gamma_in": read_number, "gamma_ext": read_number,
                               "r_pump": read_number}),
     "omega_peak": _POSITIVE,
     "envelope": _choice(Envelope),
-    "grid_resolution": _bounded(_INTEGER, lambda n: n >= 2, "must be at least 2"),
+    "grid_resolution": _bounded(_INTEGER, lambda n: 2 <= n <= _GRID_MAX,
+                                f"must lie in [2, {_GRID_MAX}]"),
     "optimizer": _section(OptimizerSettings, {
         "seed": _INTEGER, "restarts": _INTEGER, "max_iter": _INTEGER, "tol": read_number,
         "pin_last": _exact(bool, "a boolean"), "test_states": _INTEGER}),
@@ -195,7 +203,7 @@ _CONFIG = {
         into=lambda rows: np.array(rows) / np.linalg.norm(rows, axis=-1, keepdims=True)),
         len, "must not be empty"),
     "weight_list": _list(_bounded(read_number, lambda x: 0 <= x <= 1, "must lie in [0, 1]")),
-    "N_list": _list(_COUNT),
+    "N_list": _list(_PULSES),
     "field": _section(FieldParams, _FIELD),
 }
 _MODE_RATES = {Mode.ALPHA: "gamma_ext = r_pump = 0", Mode.BETA: "gamma_ext > 0 and r_pump > 0"}

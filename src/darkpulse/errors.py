@@ -21,10 +21,6 @@ class UnexpectedDimension(DarkpulseError):
     """The numerically detected null-space dimension is not the expected one."""
 
 
-class SingularSystem(DarkpulseError):
-    """The affine steady-state linear system has no solution matching the closed form."""
-
-
 class UnstableSpectrum(DarkpulseError):
     """A generator eigenvalue has a positive real part beyond tolerance."""
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import (DarkBasis, FieldParams, Mode, _readonly, build_hamiltonian, embed_ground,
                    pure_state_dyads)
-from .errors import SingularSystem, UnexpectedDimension, UnstableSpectrum
-from .maps import _TRACE_ROW, repump_steady_state
+from .errors import UnexpectedDimension, UnstableSpectrum
+from .maps import _TRACE_ROW
 
 __all__ = [
     "Rates",
@@ -33,7 +33,6 @@ __all__ = [
     "build_liouvillian",
     "zero_subspace",
     "closed_form_zero_modes",
-    "steady_affine",
     "slowest_rate",
     "principal_angles",
     "transpose_convention_diagnostic",
@@ -209,33 +208,6 @@ def closed_form_zero_modes(basis: DarkBasis, mode: Mode) -> ZeroSubspace:
     right = np.array([vec(r) for r in rights])
     left = np.array([vec(l) for l in lefts])
     return ZeroSubspace(right=right, left=left, dimension=right.shape[0])
-
-
-def steady_affine(liou: Liouvillian) -> np.ndarray:
-    """The constant offset state of the repumped dynamics, solving m r + d = 0.
-
-    The minimum-norm least-squares solution fixes the component outside the
-    kernel; the kernel component is then matched to the closed-form offset
-    state (the second dark dyad), and the combined vector is verified to
-    solve the system.
-
-    Raises
-    ------
-    SingularSystem
-        If no solution within tolerance matches the closed form.
-    """
-    if liou.rates.mode is not Mode.BETA:
-        raise ValueError("steady_affine requires mode beta (gamma_ext, r_pump > 0)")
-    particular, *_ = np.linalg.lstsq(liou.m, -liou.d, rcond=None)
-    closed = vec(repump_steady_state(liou.field))
-    # the two solutions may only differ inside the kernel
-    gap = closed - particular
-    if np.linalg.norm(liou.m @ gap) > 1e-9 * max(np.linalg.norm(liou.m), 1.0):
-        raise SingularSystem("least-squares solution is not reconcilable with the closed form")
-    residual = np.linalg.norm(liou.m @ closed + liou.d)
-    if residual > 1e-10:
-        raise SingularSystem(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return unvec(closed)
 
 
 def slowest_rate(liou: Liouvillian) -> float:

@@ -8,8 +8,8 @@ emerges, because the constant offset state (the second dark dyad) lies inside
 the dark block and cancels.  The map therefore depends only on the four
 polarization/phase angles, never on the relaxation regime, amplitude, global
 phase, detuning, envelope, or duration.  Sequences and affine forms use the
-closed-manifold map; :func:`relax_repumped` keeps the literal lossy-regime
-form as the reference that the tests check it against.
+closed-manifold map; the tests keep the literal lossy-regime form as the
+reference they check it against.
 
 A pulse sequence is the composition of these maps, one per step; because each
 step is affine on the trace-one hyperplane, convex mixtures commute with the
@@ -28,8 +28,6 @@ from .errors import NegativeRadicand, TraceMismatch
 
 __all__ = [
     "relax_closed",
-    "relax_repumped",
-    "repump_steady_state",
     "compose_sequence",
     "mismatch",
     "hs_distance",
@@ -62,36 +60,6 @@ def relax_closed(states: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     block = projectors @ states @ projectors
     weight = 1.0 - np.trace(block, axis1=-2, axis2=-1).real
     return block + 0.5 * weight[..., None, None] * projectors
-
-
-def repump_steady_state(fp: FieldParams) -> np.ndarray:
-    """Constant offset state of the lossy + repumped dynamics.
-
-    Built from the polarization angles alone; equals the dyad of the second
-    dark vector, which makes it invisible to the relaxation map itself.
-    """
-    ph, mm, mp = fp.phi, fp.mu_minus, fp.mu_plus
-    out = np.zeros((4, 4), dtype=complex)
-    out[2, 2] = np.sin(ph) ** 2
-    out[0, 0] = np.cos(ph) ** 2
-    cross = -0.5 * np.exp(1j * (mp - mm)) * np.sin(2.0 * ph)
-    out[2, 0] = cross
-    out[0, 2] = np.conj(cross)
-    return out
-
-
-def relax_repumped(rho: np.ndarray, fp: FieldParams) -> np.ndarray:
-    """Relaxation map with external loss compensated by repumping, on one 4x4 state.
-
-    The offset state minus its own dark block cancels, so this coincides with
-    the closed-manifold map; it is kept as the literal lossy-regime form and
-    exercises the offset-state construction.
-    """
-    _check_trace_one(rho)
-    p = dark_basis(fp).projector
-    tilde = repump_steady_state(fp)
-    block = p @ rho @ p
-    return tilde - p @ tilde @ p + block + 0.5 * (1.0 - np.trace(block).real) * p
 
 
 def compose_sequence(states: np.ndarray, steps: Sequence[FieldParams]) -> np.ndarray:

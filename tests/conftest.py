@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from darkpulse import FieldParams, dark_basis, relax_closed, relax_repumped
+from darkpulse import FieldParams, dark_basis, relax_closed
+from witnesses import relax_repumped
 
 
 @pytest.fixture

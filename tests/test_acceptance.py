@@ -16,12 +16,12 @@ from darkpulse import (DensityOperator, IntegratorSettings, Mode, OptimizerSetti
                        TargetState, build_hamiltonian, build_liouvillian,
                        closed_form_zero_modes, compose_sequence, dark_basis, embed_ground,
                        hs_distance, initial_state_grid, optimize_sequence, pure_state_dyads,
-                       relax_closed, relax_repumped, repump_steady_state, steady_affine,
-                       verify_map, zero_subspace)
+                       relax_closed, verify_map, zero_subspace)
 from darkpulse.cli import _sequence_doc, bundled_config_path, main
 from darkpulse.config import load_config
 from darkpulse.optimize import random_pure_states
 from conftest import fold_repumped, random_density, random_field
+from witnesses import relax_repumped, repump_steady_state, steady_affine
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:

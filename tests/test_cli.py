@@ -399,8 +399,9 @@ class TestVerifyCommand:
         # every case shares one key; its record repeats the spectrum's duration rule
         assert main(["verify", "--config", str(config_path), "--out", str(tmp_path / "v"),
                      "--states", "3"]) == 0
-        assert main(["spectrum", "--config", str(config_path), "--out", str(tmp_path / "s"),
-                     "--angles", "0.1,0.2,0.3,0.4"]) == 0
+        field = write_config(tmp_path / "field.json",
+                             field={"theta": 0.1, "phi": 0.2, "mu_minus": 0.3, "mu_plus": 0.4})
+        assert main(["spectrum", "--config", str(field), "--out", str(tmp_path / "s")]) == 0
         keys = json.loads((tmp_path / "v" / "verify.json").read_text())["keys"]
         spectrum = json.loads((tmp_path / "s" / "spectrum.json").read_text())
         assert [key["first_case"] for key in keys] == [0]
@@ -413,6 +414,14 @@ class TestVerifyCommand:
             assert main(["verify", "--config", str(config_path), "--out",
                          str(tmp_path / "v"), "--states", states]) == 2
             assert "--states" in capsys.readouterr().err
+
+    def test_states_past_the_bound_exit_2_before_any_work(self, tmp_path, config_path, capsys):
+        # 10**15 cases would end in numpy's MemoryError when the angles are drawn
+        assert main(["verify", "--config", str(config_path), "--out", str(tmp_path / "v"),
+                     "--states", str(10 ** 15)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --states: must be at most 16777216, got 1000000000000000\n")
+        assert not (tmp_path / "v").exists()
 
 
 class TestBlochExportCommand:
@@ -482,22 +491,16 @@ class TestSpectrumCommand:
         assert not doc["left_right_spans_coincide"]
         assert "transpose_convention" in doc
 
-    def test_beta_report_and_angles_flag(self, tmp_path):
+    def test_beta_report_and_field_block(self, tmp_path):
         cfg = write_config(tmp_path / "beta.json", mode="beta",
-                           rates={"gamma_in": 1.0, "gamma_ext": 1.0, "r_pump": 1.0})
+                           rates={"gamma_in": 1.0, "gamma_ext": 1.0, "r_pump": 1.0},
+                           field={**SEQUENCE_STEP, "xi": 0.4, "delta": 0.2})
         out = tmp_path / "spec"
-        assert main(["spectrum", "--config", str(cfg), "--out", str(out),
-                     "--angles", "0.7,1.1,0.3,2.0"]) == 0
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "spectrum.json").read_text())
         assert doc["zero_dimension"] == 3
         assert doc["left_right_spans_coincide"]
-        assert doc["field"]["theta"] == pytest.approx(0.7)
-
-    def test_non_finite_angles_exit_2_naming_flag(self, tmp_path, config_path, capsys):
-        for angles in ("nan,0,0,0", "0,inf,0,0"):
-            assert main(["spectrum", "--config", str(config_path), "--out",
-                         str(tmp_path / "spec"), "--angles", angles]) == 2
-            assert "--angles" in capsys.readouterr().err
+        assert doc["field"] == {**SEQUENCE_STEP, "xi": 0.4, "delta": 0.2, "omega_peak": 1.0}
 
     def test_deterministic(self, tmp_path, config_path):
         texts = []
@@ -679,12 +682,15 @@ class TestFlagAttachment:
         ("spectrum", "--strict"), ("sweep-purity", "--strict"),
         ("simulate", "--seed"), ("bloch-export", "--seed"), ("spectrum", "--seed"),
         ("spectrum", "--threads"), ("sweep-purity", "--threads"),
+        # spectrum's field comes from the config's field block, which also sets xi and delta
+        ("spectrum", "--angles"),
     ])
     def test_unused_flag_is_an_argparse_error(self, tmp_path, config_path, command, flag):
         argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o")]
         if command in ("simulate", "bloch-export"):
             argv += ["--sequence", str(tmp_path / "result.json")]
-        argv += [flag] + (["3"] if flag in ("--seed", "--threads") else [])
+        value = {"--seed": ["3"], "--threads": ["3"], "--angles": ["0.7,1.1,0.3,2.0"]}
+        argv += [flag] + value.get(flag, [])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -754,6 +760,13 @@ class TestInputEdge:
         ("simulate", ("steps", 0, "theta"), "1", "sequence.steps[0].theta"),
         ("verify", ("integrator", "atol"), 1e300, "integrator.atol"),
         ("verify", ("integrator", "rtol"), 1.0, "integrator.rtol"),
+        # each count sizes an array: unbounded, numpy fails mid-run or after the search
+        ("optimize", ("steps",), 10 ** 15, "steps: must lie in [1, 65536]"),
+        ("sweep-purity", ("N_list", 0), 10 ** 15, "N_list[0]: must lie in [1, 65536]"),
+        ("optimize", ("optimizer", "test_states"), 10 ** 15,
+         "optimizer.test_states: test_states must be at most 16777216"),
+        ("optimize", ("grid_resolution",), 10 ** 6, "grid_resolution: must lie in [2, 64]"),
+        ("bloch-export", ("grid_resolution",), 10 ** 6, "grid_resolution: must lie in [2, 64]"),
     ])
     def test_bad_number_exits_2_naming_field(self, tmp_path, command, keys, value, named,
                                              capsys):
@@ -761,14 +774,15 @@ class TestInputEdge:
         doc.update(weight_list=[0.5], N_list=[1], field=dict(SEQUENCE_STEP),
                    initial_states=[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
         sequence = {"sequence": {"mode": "alpha", "steps": [dict(SEQUENCE_STEP)]}}
-        node = sequence["sequence"] if keys[0] == "steps" else doc
+        # simulate's steps are the sequence file's; other commands' are the config's count
+        node = sequence["sequence"] if (command, keys[0]) == ("simulate", "steps") else doc
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = value
         (tmp_path / "config.json").write_text(json.dumps(doc))
         (tmp_path / "result.json").write_text(json.dumps(sequence))
         argv = [command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]
-        if command == "simulate":
+        if command in ("simulate", "bloch-export"):
             argv += ["--sequence", str(tmp_path / "result.json")]
         if command == "verify":
             argv += ["--states", "1"]
@@ -879,10 +893,12 @@ class TestInputEdge:
                                            "not finite (a non-finite derivative)\n")
 
 
-# one entry of --angles: a float's repr, a non-finite or out-of-range token, or junk
-ANGLE_PART = st.one_of(st.floats().map(repr),
-                       st.sampled_from(["nan", "inf", "-inf", "1e999", "", " 0.5 ", "0x1"]),
-                       st.text(max_size=3))
+# a field block: any subset of its keys and an unknown one, each holding a float (non-finite
+# ones included, which json writes as NaN or Infinity), a huge integer or a non-number
+FIELD_BLOCK = st.dictionaries(
+    st.sampled_from(["theta", "phi", "mu_minus", "mu_plus", "xi", "delta", "junk"]),
+    st.floats() | st.integers(-2 ** 1100, 2 ** 1100)
+    | st.sampled_from([None, True, "0.5", [0.5], {}]))
 
 
 BUDGETED_FLAGS = {"optimize": ("--seed", "--threads"),
@@ -895,18 +911,21 @@ BUDGETED_FLAGS = {"optimize": ("--seed", "--threads"),
 class TestArgvFuzz:
     """Any argv for any command ends in a documented exit code, never a traceback."""
 
+    # spectrum takes no flag of its own: its field block is drawn instead
     @settings(derandomize=True, database=None, max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(["spectrum", "verify"]),
-           angles=st.none() | st.lists(ANGLE_PART, min_size=4, max_size=4).map(",".join)
-           | st.lists(ANGLE_PART, max_size=6).map(",".join),
+           field=st.none() | FIELD_BLOCK,
            states=st.none() | st.integers(-3, 3),
            seed=st.none() | st.integers(-5, 2 ** 70),
            threads=st.none() | st.integers(-2, 4))
-    def test_exit_code_is_documented(self, tmp_path, command, angles, states, seed, threads):
-        argv = [command, "--config", str(bundled_config_path()), "--out", str(tmp_path / "o")]
-        if command == "spectrum" and angles is not None:
-            argv.append(f"--angles={angles}")
+    def test_exit_code_is_documented(self, tmp_path, command, field, states, seed, threads):
+        config = bundled_config_path()
+        if command == "spectrum" and field is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**json.loads(bundled_config_path().read_text()),
+                                          "field": field}))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
         if command == "verify":
             for flag, value in (("--states", states), ("--seed", seed), ("--threads", threads)):
                 if value is not None:

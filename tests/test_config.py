@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from darkpulse import (ConfigError, DensityOperator, Envelope, IntegratorSettings, Mode,
                        OptimizerSettings, pure_state_dyads)
 from darkpulse.cli import bundled_config_path
-from darkpulse.config import load_config, parse_config
+from darkpulse.config import MAX_PULSES, MAX_STATES, load_config, parse_config
 
 
 def base_doc() -> dict:
@@ -121,6 +122,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="N_list"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("target", "weights"), 5, "target.weights: expected a list of 2"),
+        (("rates",), [1, 0, 0], "rates: expected an object"),
+    ], ids=["list", "object"])
+    def test_wrong_container_names_field(self, path, value, message):
+        doc = base_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == message
+
     def test_field_block_parsed(self):
         doc = base_doc()
         doc["field"] = {"theta": 0.7, "phi": 1.1, "mu_minus": 0.3, "mu_plus": 2.0}
@@ -150,6 +165,7 @@ SETTINGS_BOUNDS = [
     (OptimizerSettings, "restarts", 0, 1),
     (OptimizerSettings, "max_iter", 0, 1),
     (OptimizerSettings, "test_states", 0, 1),
+    (OptimizerSettings, "test_states", MAX_STATES + 1, MAX_STATES),
     (OptimizerSettings, "tol", 0.0, 5e-324),
     (OptimizerSettings, "tol", float("nan"), 1e-6),
     *[(IntegratorSettings, name, bad, good) for name in ("rtol", "atol", "residual")
@@ -183,6 +199,28 @@ class TestSettingsBounds:
         doc[section][name] = bad
         with pytest.raises(ConfigError, match=rf"^{section}\.{name}: {name} must"):
             parse_config(doc)
+
+
+# (key path, the first value past its bound, the last value inside it); no array is sized here
+COUNT_BOUNDS = [(("steps",), MAX_PULSES + 1, MAX_PULSES),
+                (("N_list", 0), MAX_PULSES + 1, MAX_PULSES),
+                (("grid_resolution",), 65, 64)]
+
+
+@pytest.mark.parametrize("path, bad, good", COUNT_BOUNDS,
+                         ids=[".".join(map(str, case[0])) for case in COUNT_BOUNDS])
+def test_count_bound_names_its_key(path, bad, good):
+    doc = base_doc()
+    doc["N_list"] = [1]
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = good
+    parse_config(doc)
+    node[path[-1]] = bad
+    named = path[0] + "".join(f"[{key}]" for key in path[1:])
+    with pytest.raises(ConfigError, match=rf"^{re.escape(named)}: must lie in"):
+        parse_config(doc)
 
 
 def leaf_paths(node, path=()):

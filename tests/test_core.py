@@ -53,6 +53,10 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="semidefinite"):
             DensityOperator(m)
 
+    def test_rejects_a_matrix_that_is_not_4x4(self):
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(3, 3\)"):
+            DensityOperator(np.eye(3) / 3.0)
+
     def test_rejects_trace_above_one(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(np.eye(4, dtype=complex) / 2.0)

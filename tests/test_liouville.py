@@ -6,11 +6,11 @@ import scipy.linalg
 
 from darkpulse import (FieldParams, Liouvillian, Mode, Rates, UnexpectedDimension,
                        UnstableSpectrum, build_liouvillian, closed_form_zero_modes,
-                       dark_basis, slowest_rate, steady_affine, unvec, vec,
-                       zero_subspace)
+                       dark_basis, slowest_rate, unvec, vec, zero_subspace)
 from darkpulse.core import build_hamiltonian
 from darkpulse.liouville import principal_angles, transpose_convention_diagnostic
 from conftest import random_field
+from witnesses import steady_affine
 
 
 def uncached_generator(fp, rates, envelope_value):
@@ -286,6 +286,15 @@ class TestSlowestRate:
         bad = Liouvillian(m=np.eye(16, dtype=complex) * 1e-3,
                           d=np.zeros(16, dtype=complex), rates=Rates.alpha(), field=fp)
         with pytest.raises(UnstableSpectrum):
+            slowest_rate(bad)
+
+    def test_growing_nonzero_mode_raises(self, rng):
+        # Re 5e-10 passes the 1e-9 check on the whole spectrum, not the 1e-12 one on the
+        # modes that are not zero modes (|0.5i| is far above 1e-9 of the radius)
+        m = np.diag([-1.0, -0.3, 5e-10 + 0.5j] + [0.0] * 13).astype(complex)
+        bad = Liouvillian(m=m, d=np.zeros(16, dtype=complex), rates=Rates.alpha(),
+                          field=random_field(rng))
+        with pytest.raises(UnstableSpectrum, match=r"nonzero eigenvalue with Re = 5\.000e-10"):
             slowest_rate(bad)
 
     def test_unresolved_rate_raises(self, rng):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from darkpulse import (Envelope, FieldParams, NegativeRadicand, Rates, TraceMismatch,
                        build_liouvillian, compose_sequence, dark_basis, embed_ground,
-                       hs_distance, mismatch, pure_state_dyads, relax_closed, relax_repumped,
-                       relaxation_affine, repump_steady_state, sequence_affine, unvec, vec,
-                       zero_subspace)
+                       hs_distance, mismatch, pure_state_dyads, relax_closed,
+                       relaxation_affine, sequence_affine, unvec, vec, zero_subspace)
 from conftest import (fold_closed, fold_repumped, random_density, random_field,
                       random_pure_ground)
+from witnesses import relax_repumped, repump_steady_state
 
 TWO_PI = 2.0 * np.pi
 # theta at 0 or pi, or 1e-12 to 1e-4 inside [0, pi] from either, where phi and mu+- fade out

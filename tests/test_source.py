@@ -1,5 +1,5 @@
-"""Source hygiene: every imported name is used, no module imports scipy, and no setting
-has two holders."""
+"""Source hygiene: every imported name is used, every exported name is read, no module
+imports scipy, and no setting has two holders."""
 
 import ast
 import dataclasses
@@ -14,6 +14,13 @@ SETTINGS = frozenset(field.name for cls in (OptimizerSettings, IntegratorSetting
                      for field in dataclasses.fields(cls))
 
 
+def exports(tree: ast.Module) -> list[str]:
+    """The names of a module's ``__all__``, in order; none if it has no ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import that the module never reads, except ``__all__`` entries.
 
@@ -21,15 +28,11 @@ def unused_imports(source: str) -> list[str]:
     ``np.linalg.norm`` reads its first name, so it counts as a use of ``np``.
     """
     tree = ast.parse(source)
-    imported, exported = {}, {"annotations"}
+    imported, exported = {}, {"annotations", *exports(tree)}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
-                                                for t in node.targets):
-            exported |= set(ast.literal_eval(node.value))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in read | exported)
@@ -44,6 +47,65 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_exports(sources: dict[str, str]) -> list[str]:
+    """Names in some module's ``__all__`` that no module of ``sources`` reads.
+
+    A read is a loaded name or an attribute (``module.name``) anywhere but inside
+    the top-level definition of that same name.  An import and an ``__all__``
+    entry are not reads, so a name only re-exported by ``__init__`` is unread.
+    """
+    read, exported = set(), []
+    for source in sources.values():
+        tree = ast.parse(source)
+        exported += exports(tree)
+        for statement in tree.body:
+            owner = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return sorted(set(exported) - read)
+
+
+def test_checker_finds_an_unread_export():
+    sources = {
+        "a.py": "__all__ = ['grow', 'Cell', 'tick', 'size']\n"
+                "def grow(n):\n    return grow(n - 1)\n"
+                "class Cell:\n    def copy(self) -> 'Cell':\n        return Cell()\n"
+                "def tick(x: Cell):\n    return x\n"
+                "def size():\n    return 4\n",
+        "b.py": "import a\nfrom .a import grow, tick\n__all__ = ['run', 'grow']\n"
+                "def run():\n    return tick(a.size())\n",
+        "__init__.py": "from .b import run\n__all__ = ['run']\n",
+    }
+    # grow reads only itself, run is only re-exported; Cell is read in an
+    # annotation, tick by a call, size as an attribute
+    assert unread_exports(sources) == ["grow", "run"]
+
+
+# exported names that no module reads, each with the reason it stays in the package
+UNREAD_EXPORTS = {
+    # perfbench/layer_trace.py times it: BENCHMARK.json lists dynamics.integrate_master.*
+    "integrate_master",
+    # the structural form from which ROADMAP item 2 builds the zero modes
+    "closed_form_zero_modes",
+    # vec's inverse, the other half of the row-major convention
+    "unvec",
+}
+
+
+def test_every_export_is_read():
+    # a name only the tests call belongs with the tests (tests/witnesses.py); an
+    # exception that becomes read, or goes, leaves the set too
+    assert set(unread_exports({path.name: path.read_text() for path in SOURCES})) == \
+        UNREAD_EXPORTS
 
 
 def scipy_imports(source: str) -> list[tuple[str, int]]:
