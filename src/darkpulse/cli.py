@@ -112,6 +112,9 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     _report(f"optimize: objective_rms={result.objective_value:.3e} "
             f"converged={result.converged} -> {out_dir / 'result.json'}")
     if strict and not result.converged:
+        history = ", ".join(f"{r.final_value:.6e} ({r.termination})" for r in result.restarts)
+        print(f"optimize: not converged: best value {min(result.restart_history):.6e} is not "
+              f"below tol {cfg.optimizer.tol:g}; restarts: {history}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -6,17 +6,21 @@ rho -> P rho P + (b^dagger rho b) P / 2 of the 3x3 ground block, where b is
 the bright vector and P = I - b b^dagger; the map is the same in both
 relaxation regimes.  A candidate sequence therefore collapses to one 9x9
 matrix A, and the objective, the root-mean-square Hilbert-Schmidt distance to
-the target over a grid of initial states, needs only the grid's first and
-second moments (the maximum is reported alongside).
+the target over a grid of initial states, needs only the grid's second
+moment (the maximum is reported alongside).
 
-Descent is multi-start L-BFGS with a strong-Wolfe line search, in numpy
-(Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 3.5-3.6 and 7.5).
-The gradient is analytic and computed in reverse mode through the N-step
+The mean square is a nonlinear least-squares objective, so descent is
+multi-start Levenberg-Marquardt on the Gauss-Newton model (More, LNM 630,
+1978), with NL2SOL's structured secant correction for targets the sequence
+cannot reach (Dennis, Gay & Welsch, ACM TOMS 7, 348 (1981)), in numpy.  The
+derivatives are analytic and computed in reverse mode through the N-step
 composition from prefix and suffix products of the step maps, as in GRAPE
-(Khaneja et al., J. Magn. Reson. 172, 296 (2005)); one kernel returns value
-and gradient from the angle array alone.  Every restart draws fresh random angles except the
-last pulse, which is seeded (optionally pinned) from the inverse dark-span
-solver so the final dark subspace starts out containing the target span.
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005)); one kernel returns value,
+gradient and Gauss-Newton matrix from the angle array alone.  The value is
+formed from the residual map itself, so it is the per-state RMS to rounding.
+Every restart draws fresh random angles except the last pulse, which is
+seeded (optionally pinned) from the inverse dark-span solver so the final
+dark subspace starts out containing the target span.
 Grid states enter as ``core.pure_state_dyads`` projectors.  The search takes
 one ``OptimizerSettings`` and no drive: its steps carry ``FieldParams``'
 default amplitude and envelope.  Results are deterministic for a fixed seed.
@@ -24,7 +28,6 @@ default amplitude and envelope.  Results are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -48,19 +51,22 @@ __all__ = [
 # positions of the 3x3 ground block in a row-major vectorized 4x4 matrix
 _GROUND = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
 
-MEMORY = 10  # (step, gradient change) pairs kept by the L-BFGS two-loop recursion
-WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease and curvature constants
+_TRACE = np.eye(3).reshape(9)  # vec(I_3): its inner product with vec(rho) is tr(rho)
+
+ACCEPT_RATIO = 1e-4  # least share of the model's decrease that takes a step
+START_DAMPING = 1e-3  # lam of each restart's first step
+MAX_DAMPING = 1e16  # a lam above this stops a restart
 STATIONARY_NORM = 1e-14  # a gradient this small stops a restart
-LINE_SEARCH_TRIALS = 20  # evaluations one line search may spend
 
 
 class RestartRecord(NamedTuple):
     """Work done by one optimizer restart and why it stopped."""
 
     iterations: int
-    function_evals: int  # each one is a value and its gradient
+    function_evals: int  # each one is a value, its gradient and Gauss-Newton matrix
     final_value: float
-    termination: str  # "tol", "maxiter", "stationary", "line search" or "no free angles"
+    gradient_norm: float  # of half the mean square, at the last iterate
+    termination: str  # "tol", "maxiter", "stationary", "no progress" or "no free angles"
 
 
 @dataclass(frozen=True)
@@ -126,13 +132,11 @@ def state_distances(states: np.ndarray, steps, target: TargetState) -> np.ndarra
     return np.column_stack([hs_distance(out, rho_f), mismatch(out, rho_f)])
 
 
-def _grid_moments(states: np.ndarray, target: TargetState
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second moment C, mean m of the grid's ground blocks, and the target block t."""
+def _grid_moments(states: np.ndarray, target: TargetState) -> tuple[np.ndarray, np.ndarray]:
+    """Second moment C of the grid's ground blocks, and the target block t."""
     vecs = pure_state_dyads(states).reshape(-1, 16)[:, _GROUND]
     moment = vecs.T @ vecs.conj() / vecs.shape[0]
-    target_vec = target.density_matrix().reshape(16)[_GROUND]
-    return moment, vecs.mean(axis=0), target_vec
+    return moment, target.density_matrix().reshape(16)[_GROUND]
 
 
 def _kron_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,19 +145,11 @@ def _kron_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return e.reshape(e.shape[:-4] + (9, 9))
 
 
-def _rms_and_gradient(free: np.ndarray, moment: np.ndarray, mean_vec: np.ndarray,
-                      target_vec: np.ndarray, pinned: np.ndarray | None
-                      ) -> tuple[float, np.ndarray]:
-    """Grid RMS distance to the target and its gradient in the free angles.
+def _step_maps(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's 9x9 ground-block map and its derivatives by the step's four angles.
 
-    ``free`` holds four angles per step; ``pinned``, when given, is appended
-    as the fixed last step and gets no gradient.  With step maps A_l, prefix
-    products Pre_l = A_{l-1}...A_1 and suffix products Suf_l = A_N...A_{l+1},
-    the mean squared distance is Q = tr(A C A^dagger) - 2 Re(t^dagger A m) + |t|^2
-    for A = A_N...A_1, and dQ/dx = 2 Re tr(dA_l/dx Pre_l G Suf_l) with
-    G = C A^dagger - m t^dagger.
+    Shapes (n, 4) -> (n, 9, 9) and (n, 4, 9, 9).
     """
-    angles = (free if pinned is None else np.concatenate([free, pinned])).reshape(-1, 4)
     n = angles.shape[0]
     b = bright_vector(angles)                    # (n, 3)
     db = bright_vector_jacobian(angles)          # (n, 4, 3)
@@ -169,7 +165,26 @@ def _rms_and_gradient(free: np.ndarray, moment: np.ndarray, mean_vec: np.ndarray
     dsteps = (_kron_t(dproj, proj[:, None]) + _kron_t(proj[:, None], dproj)
               + 0.5 * (dvproj[..., :, None] * w[:, None, None, :]
                        + vproj[:, None, :, None] * dw[..., None, :]))
+    return steps, dsteps
 
+
+def _least_squares(free: np.ndarray, moment: np.ndarray, target_vec: np.ndarray,
+                   pinned: np.ndarray | None) -> tuple[float, np.ndarray, np.ndarray]:
+    """Half the grid's mean squared distance to the target, its gradient and Gauss-Newton matrix.
+
+    ``free`` holds four angles per step; ``pinned``, when given, is appended
+    as the fixed last step and gets no derivatives.  A trace-one input v
+    leaves the sequence A = A_N...A_1 with residual E v, E = A - t u^dagger
+    and u = vec(I_3), so the value f = Re tr(E C E^dagger) / 2 is formed from
+    E, not from moments whose terms cancel.  With prefix products
+    Pre_l = A_{l-1}...A_1 and suffix products Suf_l = A_N...A_{l+1}, each angle
+    x_i of step l has dA_i = Suf_l dA_l/dx_i Pre_l, the gradient is
+    g_i = Re tr(dA_i C E^dagger) and the Gauss-Newton matrix is
+    H_ij = Re tr(dA_i C dA_j^dagger).
+    """
+    angles = (free if pinned is None else np.concatenate([free, pinned])).reshape(-1, 4)
+    n = angles.shape[0]
+    steps, dsteps = _step_maps(angles)
     prefix = np.empty((n, 9, 9), dtype=complex)
     suffix = np.empty((n, 9, 9), dtype=complex)
     total = np.eye(9, dtype=complex)
@@ -179,109 +194,93 @@ def _rms_and_gradient(free: np.ndarray, moment: np.ndarray, mean_vec: np.ndarray
     suffix[n - 1] = np.eye(9)
     for l in range(n - 1, 0, -1):
         suffix[l - 1] = suffix[l] @ steps[l]
+    k = n if pinned is None else n - 1  # steps with free angles
 
-    quad = np.vdot(total, total @ moment).real
-    cross = np.vdot(target_vec, total @ mean_vec).real
-    value = float(np.sqrt(max(quad - 2.0 * cross + np.vdot(target_vec, target_vec).real, 0.0)))
-
-    g = moment @ total.conj().T - np.outer(mean_vec, target_vec.conj())
-    dq = 2.0 * np.einsum("lapq,lqp->la", dsteps, prefix @ g @ suffix).real
-    grad = dq / (2.0 * value) if value > 0.0 else np.zeros_like(dq)
-    if pinned is not None:
-        grad = grad[:-1]
-    return value, grad.ravel()
+    residual = total - np.outer(target_vec, _TRACE)
+    d_total = suffix[:k, None] @ dsteps[:k] @ prefix[:k, None]          # (k, 4, 9, 9)
+    weighted = (d_total @ moment).reshape(4 * k, 81)
+    value = 0.5 * max(np.vdot(residual, residual @ moment).real, 0.0)  # rounding, singular C
+    grad = (weighted @ residual.conj().ravel()).real
+    gauss_newton = (weighted @ d_total.reshape(4 * k, 81).conj().T).real
+    return float(value), grad, gauss_newton
 
 
-def _cubic_step(lo: tuple, hi: tuple) -> float:
-    """The minimizer of the cubic through two (step, value, slope) ends (N&W eq. 3.59),
-    if it lies in the bracket's inner 80 percent, else the bracket's midpoint."""
-    (a0, f0, d0), (a1, f1, d1) = lo, hi
-    e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
-    radicand = e1 * e1 - d0 * d1
-    if radicand >= 0.0:
-        e2 = float(np.copysign(np.sqrt(radicand), a1 - a0))
-        denominator = d1 - d0 + 2.0 * e2
-        if denominator != 0.0:
-            step = a1 - (a1 - a0) * (d1 + e2 - e1) / denominator
-            if abs(step - 0.5 * (a0 + a1)) <= 0.4 * abs(a1 - a0):
-                return step
-    return 0.5 * (a0 + a1)
+def _secant_update(secant: np.ndarray, s: np.ndarray, y: np.ndarray,
+                   gauss_newton: np.ndarray) -> np.ndarray:
+    """NL2SOL's correction S_+, sized and symmetric, with (H_+ + S_+) s = y.
 
-
-def _line_search(fun, x: np.ndarray, value: float, grad: np.ndarray, direction: np.ndarray,
-                 step: float):
-    """Evaluations spent, and (step, value, gradient) at a strong-Wolfe point or None.
-
-    Doubles the step until a (step, value, slope) bracket [lo, hi] holds such a
-    point, then zooms in by cubic interpolation (N&W Alg. 3.5-3.6).
+    S is first scaled by min(1, |s.y#| / |s.S s|) for y# = y - H_+ s, then
+    takes the symmetric rank-two update that maps s to y# (Dennis, Gay &
+    Welsch, ACM TOMS 7, 348 (1981)).  Skipped, S unchanged, when s.y <= 0.
     """
-    slope0 = float(grad @ direction)
-    lo, hi = (0.0, value, slope0), None
-    for trials in range(1, LINE_SEARCH_TRIALS + 1):
-        trial_value, trial_grad = fun(x + step * direction)
-        slope = float(trial_grad @ direction)
-        if trial_value > value + WOLFE_C1 * step * slope0 or trial_value >= lo[1]:
-            hi = (step, trial_value, slope)
-        elif abs(slope) <= -WOLFE_C2 * slope0:
-            return trials, (step, trial_value, trial_grad)
-        else:
-            # a slope pointing back at lo puts a minimizer between lo and the trial
-            if slope * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
-                hi = lo
-            lo = (step, trial_value, slope)
-        step = 2.0 * lo[0] if hi is None else _cubic_step(lo, hi)
-    return LINE_SEARCH_TRIALS, None
+    sy = s @ y
+    if sy <= 0.0:
+        return secant
+    y_sharp = y - gauss_newton @ s
+    curvature = s @ secant @ s
+    if curvature != 0.0:
+        secant = secant * min(1.0, abs(s @ y_sharp) / abs(curvature))
+    w = y_sharp - secant @ s
+    return secant + (np.outer(w, y) + np.outer(y, w)) / sy - (w @ s) * np.outer(y, y) / sy ** 2
 
 
 def minimize(fun, x0, settings: OptimizerSettings) -> tuple[np.ndarray, RestartRecord]:
-    """L-BFGS (N&W Alg. 7.4-7.5) on ``fun``, which returns a value and its gradient.
+    """Damped structured quasi-Newton descent on a least-squares ``fun``.
 
-    Stops when the value drops below ``settings.tol`` ("tol"), after
-    ``settings.max_iter`` iterations ("maxiter"), at a gradient norm of at most
-    ``STATIONARY_NORM`` ("stationary"), or when the line search finds no Wolfe
-    point ("line search").  Returns the last iterate and the restart's record.
+    ``fun`` returns half a squared residual norm f, its gradient g and its
+    Gauss-Newton matrix H.  A step solves (H + S + lam D) d = -g, where S is
+    :func:`_secant_update`'s correction and D the running maximum of diag H
+    (More, LNM 630, 1978).  A step is taken when the actual decrease is above
+    ``ACCEPT_RATIO`` of the model's, and lam then follows Nielsen's rule
+    (IMM-REP-1999-05).  The value is the residual norm sqrt(2 f).  Stops when
+    there is nothing to vary ("no free angles"), the value drops below
+    ``settings.tol`` ("tol"), after ``settings.max_iter`` taken steps
+    ("maxiter"), at a gradient norm of at most ``STATIONARY_NORM``
+    ("stationary"), or when lam exceeds ``MAX_DAMPING`` ("no progress").
+    Returns the last iterate and the restart's record.
     """
     x = np.array(x0, dtype=float)
-    value, grad = fun(x)
-    evaluations = 1
-    pairs: deque = deque(maxlen=MEMORY)  # (s, y, 1 / y.s)
-    iterations, termination = 0, None
+    half_square, grad, gauss_newton = fun(x)
+    evaluations, iterations, termination = 1, 0, None
+    secant = np.zeros_like(gauss_newton)
+    scale = np.diag(gauss_newton).copy()
+    scale[scale == 0.0] = 1.0  # an angle with no effect yet is damped as in MINPACK's lmder
+    damping, growth = START_DAMPING, 2.0
     while termination is None:
-        if value < settings.tol:
+        if x.size == 0:
+            termination = "no free angles"
+        elif np.sqrt(2.0 * half_square) < settings.tol:
             termination = "tol"
         elif iterations == settings.max_iter:
             termination = "maxiter"
         elif np.linalg.norm(grad) <= STATIONARY_NORM:
             termination = "stationary"
+        elif damping > MAX_DAMPING:
+            termination = "no progress"
         else:
-            direction = -grad
-            alphas = []
-            for s, y, rho in reversed(pairs):
-                alphas.append(rho * (s @ direction))
-                direction = direction - alphas[-1] * y
-            if pairs:
-                s, y, rho = pairs[-1]
-                direction = direction / (rho * (y @ y))  # initial H = (s.y / y.y) I
-            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-                direction = direction + (alpha - rho * (y @ direction)) * s
-            first = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(grad)))
-            trials, found = _line_search(fun, x, value, grad, direction, first)
-            evaluations += trials
-            if found is None:
-                termination = "line search"
-            else:
-                step, value, new_grad = found
-                s, y = step * direction, new_grad - grad
-                if s @ y > 0.0:
-                    pairs.append((s, y, 1.0 / (s @ y)))
-                x, grad = x + s, new_grad
+            model = gauss_newton + secant
+            step = np.linalg.solve(model + damping * np.diag(scale), -grad)
+            predicted = -(grad @ step + 0.5 * step @ model @ step)
+            trial = fun(x + step)
+            evaluations += 1
+            ratio = (half_square - trial[0]) / predicted if predicted > 0.0 else -np.inf
+            if ratio > ACCEPT_RATIO:
+                secant = _secant_update(secant, step, trial[1] - grad, trial[2])
+                x = x + step
+                half_square, grad, gauss_newton = trial
+                scale = np.maximum(scale, np.diag(gauss_newton))
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth = 2.0
                 iterations += 1
-    return x, RestartRecord(iterations, evaluations, float(value), termination)
+            else:
+                damping, growth = damping * growth, 2.0 * growth
+    return x, RestartRecord(iterations, evaluations, float(np.sqrt(2.0 * half_square)),
+                            float(np.linalg.norm(grad)), termination)
 
 
 def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray,
                       settings: OptimizerSettings) -> OptimizationResult:
-    """Multi-start L-BFGS search for an N-step steering sequence.
+    """Multi-start least-squares search for an N-step steering sequence.
 
     Each restart draws angles uniformly from a generator seeded with
     ``settings.seed``; the last pulse is always initialized from
@@ -289,10 +288,8 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray,
     ``pin_last`` is set.  Each restart is one :func:`minimize` run, whose
     record says why it stopped; the whole search stops early when the best
     value is below ``tol``, and ``converged`` reports exactly that test.  The
-    reported ``objective_value`` is recomputed from the per-state distances;
-    it differs from the moment-formula value the search stops on by rounding,
-    about 1e-10 near an optimum of 1e-6, so it can sit on the other side of
-    ``tol``.  Results are bit-reproducible for fixed arguments.
+    reported ``objective_value`` is recomputed from the per-state distances.
+    Results are bit-reproducible for fixed arguments.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -301,7 +298,7 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray,
     pinned = last_angles if settings.pin_last else None
 
     def objective(free):
-        return _rms_and_gradient(free, *moments, pinned)
+        return _least_squares(free, *moments, pinned)
 
     rng = np.random.default_rng(settings.seed)
     best_value, best_params = np.inf, None
@@ -309,15 +306,11 @@ def optimize_sequence(n_steps: int, target: TargetState, grid: np.ndarray,
     for _ in range(settings.restarts):
         x0 = rng.uniform(0.0, 2.0 * np.pi, size=4 * n_steps)
         x0[-4:] = last_angles
-        free0 = x0[:-4] if settings.pin_last else x0
-        if free0.size == 0:
-            params, record = x0, RestartRecord(0, 1, objective(free0)[0], "no free angles")
-        else:
-            free, record = minimize(objective, free0, settings)
-            params = np.concatenate([free, last_angles]) if settings.pin_last else free
+        free, record = minimize(objective, x0[:-4] if settings.pin_last else x0, settings)
         records.append(record)
         if record.final_value < best_value:
-            best_value, best_params = record.final_value, params
+            best_value = record.final_value
+            best_params = np.concatenate([free, last_angles]) if settings.pin_last else free
         if best_value < settings.tol:
             break
 

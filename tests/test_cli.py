@@ -88,7 +88,8 @@ class TestOptimizeCommand:
         assert len(doc["restarts"]) == len(doc["objective_history"])
         for record in doc["restarts"]:
             assert set(record) == {"iterations", "function_evals", "final_value",
-                                   "termination"}
+                                   "gradient_norm", "termination"}
+            assert record["gradient_norm"] >= 0.0
         assert sum(r["iterations"] for r in doc["restarts"]) == doc["iterations"]
         assert "wall_time_s" in doc["meta"]
 
@@ -126,17 +127,23 @@ class TestOptimizeCommand:
         assert main(["optimize", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_strict_non_convergence_exit_3(self, tmp_path):
-        # one restart of 5 iterations cannot reach 1e-6 on this target
+    def test_strict_non_convergence_exit_3(self, tmp_path, capsys):
+        # two restarts of 2 iterations cannot reach 1e-6 on this target
         cfg = write_config(tmp_path / "tiny.json",
-                           optimizer={"seed": 3, "restarts": 1, "max_iter": 5,
+                           optimizer={"seed": 3, "restarts": 2, "max_iter": 2,
                                       "tol": 1e-6, "test_states": 5})
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--strict"]) == 3
-        # without --strict the same run exits 0
+        err = capsys.readouterr().err
+        # without --strict the same run exits 0 and writes no stderr
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 0
+        assert capsys.readouterr().err == ""
         doc = json.loads((tmp_path / "o2" / "result.json").read_text())
-        assert [r["termination"] for r in doc["restarts"]] == ["maxiter"]
+        assert [r["termination"] for r in doc["restarts"]] == ["maxiter", "maxiter"]
+        # the exit-3 message gives the best value and every restart's value and reason
+        history = ", ".join(f"{r['final_value']:.6e} (maxiter)" for r in doc["restarts"])
+        assert err == (f"optimize: not converged: best value {min(doc['objective_history']):.6e}"
+                       f" is not below tol 1e-06; restarts: {history}\n")
 
     def test_threads_below_one_exit_2_naming_flag(self, tmp_path, config_path, capsys):
         for threads in ("0", "-2"):

@@ -3,29 +3,32 @@
 import numpy as np
 import pytest
 
-from darkpulse import (FieldParams, OptimizerSettings, TargetState, dark_basis, field_for_span,
-                       hs_distance, initial_state_grid, optimize_sequence, pure_state_dyads)
+from darkpulse import (FieldParams, OptimizerSettings, TargetState, compose_sequence, dark_basis,
+                       field_for_span, hs_distance, initial_state_grid, optimize_sequence,
+                       pure_state_dyads)
 from darkpulse import optimize
-from darkpulse.optimize import (WOLFE_C1, WOLFE_C2, _grid_moments, _rms_and_gradient, minimize,
-                                random_pure_states, state_distances)
+from darkpulse.cli import bundled_config_path
+from darkpulse.config import load_config
+from darkpulse.optimize import (_GROUND, ACCEPT_RATIO, MAX_DAMPING, _grid_moments, _least_squares,
+                                _step_maps, minimize, random_pure_states, state_distances)
 from conftest import fold_closed, fold_repumped, random_field
 
 
-def _central_gradient(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient: the oracle for the analytic one."""
-    grad = np.empty_like(x)
+def _central_difference(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference derivative of a scalar or array ``fun``, one row per coordinate."""
+    rows = []
     for i in range(x.size):
         xp = x.copy()
         xp[i] += step
         xm = x.copy()
         xm[i] -= step
-        grad[i] = (fun(xp) - fun(xm)) / (2.0 * step)
-    return grad
+        rows.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * step))
+    return np.array(rows)
 
 
 def grid_rms(params: np.ndarray, grid: np.ndarray, target: TargetState) -> float:
-    """The search's objective: RMS distance to the target over the grid, from its moments."""
-    return _rms_and_gradient(params, *_grid_moments(grid, target), None)[0]
+    """The search's value: RMS distance to the target over the grid, from its second moment."""
+    return float(np.sqrt(2.0 * _least_squares(params, *_grid_moments(grid, target), None)[0]))
 
 
 def small_target() -> TargetState:
@@ -117,6 +120,36 @@ class TestSequenceObjective:
                 expected = float(np.sqrt(np.mean(np.square(distances))))
                 assert value == pytest.approx(expected, abs=1e-12)
 
+    def test_value_is_the_per_state_rms_without_cancellation(self):
+        # a sequence at RMS ~1e-13, moved along a fixed direction to RMS 1e-2 ... 1e-10
+        grid = initial_state_grid(3)
+        target = small_target()
+        base = optimize_sequence(4, target, grid, OptimizerSettings(seed=3, tol=1e-12))
+        assert base.converged
+        start = np.concatenate([fp.angles for fp in base.sequence])
+        direction = np.random.default_rng(1).normal(size=start.size)
+        moment, target_vec = _grid_moments(grid, target)
+        gauss_newton = _least_squares(start, moment, target_vec, None)[2]
+        per_unit = np.sqrt(direction @ gauss_newton @ direction)  # RMS per unit move
+        vecs = pure_state_dyads(grid).reshape(-1, 16)[:, _GROUND]
+        for rms in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            angles = start + (rms / per_unit) * direction
+            value = grid_rms(angles, grid, target)
+            assert 0.5 * rms < value < 2.0 * rms
+            # each state's residual (A - t u^dagger) v through the kernel's own map A
+            total = np.eye(9, dtype=complex)
+            for step in _step_maps(angles.reshape(-1, 4))[0]:
+                total = step @ total
+            residual_map = total - np.outer(target_vec, np.eye(3).ravel())
+            per_state = np.sqrt(np.mean(np.sum(np.abs(vecs @ residual_map.T) ** 2, axis=1)))
+            assert value == pytest.approx(per_state, rel=1e-14)
+        # the moment form of the same map, tr(A C A^dagger) - 2 Re t^dagger A m + |t|^2,
+        # cancels: at RMS 1e-10 it is off by more than a percent
+        mean_vec = vecs.mean(axis=0)
+        moment_form = (np.vdot(total, total @ moment) - 2.0 * np.vdot(target_vec, total @ mean_vec)
+                       + np.vdot(target_vec, target_vec)).real
+        assert abs(np.sqrt(max(moment_form, 0.0)) - value) > 1e-2 * value
+
 
 class TestAnalyticGradient:
     @pytest.mark.parametrize("n_steps", [1, 4, 8])
@@ -124,23 +157,38 @@ class TestAnalyticGradient:
     @pytest.mark.parametrize("theta_range", [(0.0, 2 * np.pi), (1e-4, 1e-2),
                                              (np.pi - 1e-2, np.pi - 1e-4)])
     def test_matches_central_differences(self, rng, n_steps, pin_last, theta_range):
+        # the oracle is the per-state composition, not the kernel: its residuals
+        # r_g = rho_g - rho_f give f = |r|^2 / 2G, g = J^T r / G and H = J^T J / G
         grid = initial_state_grid(3)
         target = small_target()
+        rho_f = target.density_matrix()
         params = rng.uniform(0, 2 * np.pi, size=(n_steps, 4))
         params[:, 0] = rng.uniform(*theta_range, size=n_steps)
         params = params.ravel()
         pinned = params[-4:] if pin_last else None
         free = params[:-4] if pin_last else params
 
-        def value(x):
+        def residuals(x):
             full = x if pinned is None else np.concatenate([x, pinned])
-            return grid_rms(full, grid, target)
+            steps = tuple(FieldParams(*angles) for angles in full.reshape(-1, 4))
+            r = (compose_sequence(pure_state_dyads(grid), steps) - rho_f).ravel()
+            return np.concatenate([r.real, r.imag]) / np.sqrt(len(grid))
 
-        rms, grad = _rms_and_gradient(free, *_grid_moments(grid, target), pinned)
-        assert rms == pytest.approx(value(free), abs=1e-14)
-        expected = _central_gradient(value, free)
-        assert grad.shape == free.shape
-        assert np.linalg.norm(grad - expected) <= 1e-6 * np.linalg.norm(expected)
+        half_square, grad, gauss_newton = _least_squares(free, *_grid_moments(grid, target),
+                                                         pinned)
+        r = residuals(free)
+        assert half_square == pytest.approx(0.5 * r @ r, rel=1e-13)
+        assert grad.shape == free.shape and gauss_newton.shape == (free.size, free.size)
+        if free.size == 0:
+            return
+        jacobian = _central_difference(residuals, free)          # (free, residuals)
+        expected_grad, expected_gn = jacobian @ r, jacobian @ jacobian.T
+        assert np.linalg.norm(grad - expected_grad) <= 1e-6 * np.linalg.norm(expected_grad)
+        assert np.linalg.norm(gauss_newton - expected_gn) <= 1e-6 * np.linalg.norm(expected_gn)
+        # and the gradient is the value's own derivative
+        by_value = _central_difference(
+            lambda x: _least_squares(x, *_grid_moments(grid, target), pinned)[0], free)
+        assert np.linalg.norm(grad - by_value) <= 1e-6 * np.linalg.norm(by_value)
 
 
 class TestOptimizeSequence:
@@ -185,18 +233,12 @@ class TestOptimizeSequence:
             result.objective_value, abs=1e-12)
 
     def test_converged_is_the_stopping_test(self):
-        # converged must read the value the restarts stop on, not the
-        # per-state recomputation; a tol between the two separates them
+        # converged reads the value the restarts stop on, and only a "tol" stop sets it
         grid = initial_state_grid(3)
-        kwargs = dict(restarts=2, max_iter=40)
+        kwargs = dict(restarts=2, max_iter=10)
         outcomes = set()
         for seed in (3, 5, 7):
-            probe = optimize_sequence(2, small_target(), grid,
-                                      OptimizerSettings(seed=seed, tol=1e-9, **kwargs))
-            stop_value = min(r.final_value for r in probe.restarts)
-            assert stop_value != probe.objective_value
-            between = 0.5 * (stop_value + probe.objective_value)
-            for tol in (0.2, between, 1e-9):
+            for tol in (0.2, 1e-6, 1e-12):
                 result = optimize_sequence(2, small_target(), grid,
                                            OptimizerSettings(seed=seed, tol=tol, **kwargs))
                 best = min(r.final_value for r in result.restarts)
@@ -205,6 +247,31 @@ class TestOptimizeSequence:
                                                for r in result.restarts)
                 outcomes.add(result.converged)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_stopping_value_is_the_reported_rms(self, tol):
+        # the value the search stops on and the RMS recomputed from the per-state
+        # distances differ only by the rounding of the O(1) output states
+        result = optimize_sequence(4, small_target(), initial_state_grid(3),
+                                   OptimizerSettings(seed=3, tol=tol))
+        assert result.converged
+        best = min(r.final_value for r in result.restarts)
+        assert abs(best - result.objective_value) <= 1e-15
+
+    @pytest.mark.parametrize("n_steps, pin_last", [(1, True), (2, False)])
+    def test_one_minimize_call_per_restart(self, monkeypatch, n_steps, pin_last):
+        # the benchmark's tracer counts restarts by wrapping optimize.minimize
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return minimize(*args)
+
+        monkeypatch.setattr(optimize, "minimize", counting)
+        result = optimize_sequence(n_steps, small_target(), initial_state_grid(2),
+                                   OptimizerSettings(seed=3, restarts=3, max_iter=5, tol=1e-12,
+                                                     pin_last=pin_last))
+        assert len(calls) == len(result.restarts) == 3
 
     def test_pinned_last_pulse_keeps_target_span(self):
         grid = initial_state_grid(3)
@@ -223,45 +290,75 @@ class TestOptimizeSequence:
                               OptimizerSettings(seed=0))
 
 
-def rosenbrock(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """The 2-D Rosenbrock function and its gradient; the minimum 0 is at (1, 1)."""
+def rosenbrock(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Rosenbrock's function as least squares, r = (10 (b - a^2), 1 - a): f = |r|^2 / 2,
+    its gradient and J^T J.  The zero residual is at (1, 1)."""
     a, b = x
-    grad = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
-    return float((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2), grad
+    r = np.array([10.0 * (b - a * a), 1.0 - a])
+    jacobian = np.array([[-20.0 * a, 10.0], [-1.0, 0.0]])
+    return 0.5 * float(r @ r), jacobian.T @ r, jacobian.T @ jacobian
 
 
-def n4_objective():
-    """The search's objective at N = 4 on a grid-3 target, and a random start."""
-    moments = _grid_moments(initial_state_grid(3), small_target())
-    x0 = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=16)
-    return (lambda x: _rms_and_gradient(x, *moments, None)), x0
+def grid_objective(n_steps: int, weights: tuple) -> tuple:
+    """The search's objective at N steps on a grid-3 target, and a random start."""
+    target = TargetState(weights=weights, psi1=small_target().psi1, psi2=small_target().psi2)
+    moments = _grid_moments(initial_state_grid(3), target)
+    x0 = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=4 * n_steps)
+    return (lambda x: _least_squares(x, *moments, None)), x0
 
 
-PROBLEMS = {"rosenbrock": lambda: (rosenbrock, np.array([-1.2, 1.0])), "n4": n4_objective}
+# a reachable target, and one (a pure state at N = 3) whose floor is far above tol
+PROBLEMS = {"rosenbrock": lambda: (rosenbrock, np.array([-1.2, 1.0])),
+            "n4": lambda: grid_objective(4, (0.4, 0.6)),
+            "pure floor": lambda: grid_objective(3, (1.0, 0.0))}
 
 
 class TestMinimize:
     @pytest.mark.parametrize("problem", PROBLEMS)
-    def test_every_step_meets_the_strong_wolfe_conditions(self, problem, monkeypatch):
+    def test_every_taken_step_meets_the_acceptance_ratio(self, problem, monkeypatch):
+        # each taken step calls the secant update once, with the correction its model used
         fun, x0 = PROBLEMS[problem]()
-        searches = []
+        taken = []
 
-        def recording(fun, x, value, grad, direction, step):
-            trials, found = line_search(fun, x, value, grad, direction, step)
-            searches.append((value, grad, direction, found))
-            return trials, found
+        def recording(secant, step, y, gauss_newton):
+            updated = update(secant, step, y, gauss_newton)
+            taken.append((secant, step, y, gauss_newton, updated))
+            return updated
 
-        line_search = optimize._line_search
-        monkeypatch.setattr(optimize, "_line_search", recording)
-        x, record = minimize(fun, x0, OptimizerSettings(seed=0, max_iter=400, tol=1e-7))
-        assert record.termination == "tol"
-        assert len(searches) == record.iterations > 10
-        for value, grad, direction, (step, new_value, new_grad) in searches:
-            slope = grad @ direction
-            assert slope < 0.0
-            assert new_value <= value + WOLFE_C1 * step * slope
-            assert abs(new_grad @ direction) <= WOLFE_C2 * abs(slope)
-        assert fun(x)[0] == record.final_value < 1e-7
+        update = optimize._secant_update
+        monkeypatch.setattr(optimize, "_secant_update", recording)
+        x, record = minimize(fun, x0, OptimizerSettings(seed=0, max_iter=1000, tol=1e-7))
+        assert record.termination == ("no progress" if problem == "pure floor" else "tol")
+        assert len(taken) == record.iterations > 5
+        point = np.array(x0, dtype=float)
+        for secant, step, y, gauss_newton, updated in taken:
+            half_square, grad, model = fun(point)
+            predicted = -(grad @ step + 0.5 * step @ (model + secant) @ step)
+            point = point + step
+            new_half_square, new_grad, new_model = fun(point)
+            assert predicted > 0.0
+            assert half_square - new_half_square > ACCEPT_RATIO * predicted
+            assert np.array_equal(y, new_grad - grad) and np.array_equal(gauss_newton, new_model)
+            assert np.array_equal(updated, updated.T)
+            if step @ y > 0.0:  # the secant equation (H_+ + S_+) s = y
+                gap = np.linalg.norm((gauss_newton + updated) @ step - y)
+                assert gap <= 1e-8 * (np.linalg.norm(y) + np.linalg.norm(gauss_newton @ step))
+            else:
+                assert updated is secant
+        assert point.tobytes() == x.tobytes()
+        assert record.final_value == np.sqrt(2.0 * fun(x)[0])
+        assert record.gradient_norm == np.linalg.norm(fun(x)[1])
+
+    def test_secant_correction_carries_the_large_residual(self, monkeypatch):
+        # without the correction the damped Gauss-Newton step crawls on the pure floor
+        fun, x0 = PROBLEMS["pure floor"]()
+        settings = OptimizerSettings(seed=0, max_iter=1000, tol=1e-7)
+        with_secant = minimize(fun, x0, settings)[1]
+        monkeypatch.setattr(optimize, "_secant_update", lambda secant, *rest: secant)
+        without = minimize(fun, x0, settings)[1]
+        assert with_secant.termination == "no progress"
+        assert with_secant.final_value <= without.final_value * (1.0 + 1e-9)
+        assert 3 * with_secant.iterations < without.iterations
 
     @pytest.mark.parametrize("problem", PROBLEMS)
     def test_two_runs_are_bit_identical(self, problem):
@@ -271,20 +368,46 @@ class TestMinimize:
         assert xa.tobytes() == xb.tobytes()
         assert a == b
 
+    def test_rosenbrock_reaches_its_zero_residual(self):
+        x, record = minimize(rosenbrock, np.array([-1.2, 1.0]),
+                             OptimizerSettings(seed=0, max_iter=100, tol=1e-12))
+        assert record.termination == "tol" and record.iterations < 30
+        assert np.abs(x - 1.0).max() < 1e-11
+
     def test_each_termination_is_reached(self):
-        n4, start = n4_objective()
-        cases = {"tol": (n4, start, 400), "maxiter": (n4, start, 5),
-                 # a quadratic started at its minimum, whose value stays above tol
-                 "stationary": (lambda x: (1.0 + x @ x, 2.0 * x), np.zeros(2), 5),
-                 # the negated gradient points uphill, so no step decreases the value
-                 "line search": (lambda x: (x @ x, -2.0 * x), np.ones(2), 5)}
+        n4, start = PROBLEMS["n4"]()
+        cases = {"tol": (n4, start, 400), "maxiter": (n4, start, 2),
+                 # r = (1, x): at its stationary start the value 1 stays above tol
+                 "stationary": (lambda x: (0.5 * (1.0 + x @ x), x, np.eye(2)), np.zeros(2), 5),
+                 # a gradient of the wrong sign: every step climbs and is refused
+                 "no progress": (lambda x: (0.5 * x @ x, -x, np.eye(2)), np.ones(2), 5),
+                 "no free angles": (lambda x: (0.5, np.zeros(0), np.zeros((0, 0))),
+                                    np.zeros(0), 5)}
         for name, (fun, x0, max_iter) in cases.items():
             x, record = minimize(fun, x0, OptimizerSettings(seed=0, max_iter=max_iter, tol=1e-7))
             assert record.termination == name
             if name == "maxiter":
                 assert record.iterations == max_iter
-            if name in ("stationary", "line search"):
+            if name not in ("tol", "maxiter"):
                 assert record.iterations == 0 and np.array_equal(x, x0)
+            if name == "no progress":
+                # lam = 1e-3 * 2^(k (k + 1) / 2) after k refusals first exceeds 1e16 at k = 11
+                assert MAX_DAMPING == 1e16 and record.function_evals == 12
+            if name in ("stationary", "no free angles"):
+                assert record.function_evals == 1
+
+
+class TestUnreachableFloors:
+    @pytest.mark.parametrize("n_steps, floor", [(2, 0.3692576350), (3, 0.1844541034)])
+    def test_pure_target_floor(self, n_steps, floor):
+        # the bundled search's floors (seed 7, grid 5) for a pure target, as the earlier
+        # L-BFGS search found them: the secant correction must reach the same minima
+        cfg = load_config(bundled_config_path())
+        target = TargetState(weights=(1.0, 0.0), psi1=cfg.target.psi1, psi2=cfg.target.psi2)
+        result = optimize_sequence(n_steps, target, initial_state_grid(cfg.grid_resolution),
+                                   cfg.optimizer)
+        assert not result.converged
+        assert result.objective_value == pytest.approx(floor, rel=1e-6)
 
 
 class TestStateDistances:
