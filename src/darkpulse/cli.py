@@ -27,8 +27,7 @@ from .config import (MAX_STATES, ExperimentConfig, atomic_write_text, load_confi
                      write_csv)
 from .core import (DarkBasis, FieldParams, TargetState, _span_normal, bloch_coords, dark_basis,
                    field_for_span, pure_state_dyads)
-from .dynamics import (propagator_name, recommended_duration, run_sequence, verify_map,
-                       write_trajectory_csv)
+from .dynamics import recommended_duration, run_sequence, verify_map, write_trajectory_csv
 from .errors import (ConfigError, PositivityViolation, StepSizeUnderflow, TraceViolation,
                      UnexpectedDimension, UnstableSpectrum)
 from .liouville import (build_liouvillian, principal_angles, slowest_rate,
@@ -126,14 +125,12 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
 
     # one block through the whole sequence: one propagator per distinct pulse key
     initial = pure_state_dyads(psis)
-    rows = [{"state_index": i, "durations": [], "trajectories": [], "pulses": []}
-            for i in range(len(initial))]
+    rows = [{"state_index": i, "trajectories": [], "pulses": []} for i in range(len(initial))]
     per_pulse = run_sequence(initial, steps, cfg.rates, cfg.integrator)
     for l, traj in enumerate(per_pulse):
         for s, (row, record) in enumerate(zip(rows, traj.records)):
             path = out_dir / f"trajectory_state{s:03d}_pulse{l:02d}.csv"
             write_trajectory_csv(traj, s, path)
-            row["durations"].append(float(traj.times[-1]))
             row["trajectories"].append(path.name)
             row["pulses"].append(record._asdict())
 
@@ -151,6 +148,8 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
     doc = {
         "n_pulses": len(steps),
         "mode": cfg.rates.mode.value,
+        "pulses": [{"duration": float(traj.times[-1]), "propagator": traj.propagator,
+                    "nfev": traj.nfev} for traj in per_pulse],
         "states": rows,
         "max_hs_ode_vs_map": max((r["hs_ode_vs_map"] for r in rows), default=0.0),
         "meta": {"wall_time_s": time.perf_counter() - started},
@@ -177,7 +176,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, strict: bool
             for i, (fp, distance) in enumerate(zip(fields, distances))]
     doc = {
         "mode": cfg.rates.mode.value,
-        "propagator": propagator_name(cfg.envelope),
         "residual": cfg.integrator.residual,
         "n_states": n_states,
         "seed": seed,
@@ -374,6 +372,9 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an admitted count can still size arrays past the memory
+        print(f"config error: the requested sizes do not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # inputs fail as ConfigError, so a path fault here is --out's
         if exc.filename is None:  # not a path, e.g. a full disk

@@ -52,7 +52,6 @@ __all__ = [
     "PulseRecord",
     "Trajectory",
     "integrate_master",
-    "propagator_name",
     "recommended_duration",
     "run_sequence",
     "verify_map",
@@ -64,15 +63,12 @@ _BLOCK = 8  # the cases of a key whose snapshots verify_map holds at once
 
 
 class PulseRecord(NamedTuple):
-    """The work done on one pulse and the worst excursions among its snapshots.
+    """The worst excursions among one state's snapshots along one pulse.
 
-    ``nfev`` counts right-hand-side evaluations (0 for the exact propagator);
     ``min_eigenvalue`` is the smallest snapshot eigenvalue and
     ``max_trace_error`` the largest ``|trace - 1|``.
     """
 
-    propagator: str
-    nfev: int
     min_eigenvalue: float
     max_trace_error: float
 
@@ -81,12 +77,15 @@ class PulseRecord(NamedTuple):
 class Trajectory:
     """Density-operator snapshots of a block of states along one pulse, and how they were made.
 
-    ``states`` is the read-only (S, n, 4, 4) block at ``times`` (read-only too),
+    ``states`` is the read-only (S, n, 4, 4) block at ``times`` (read-only too), made by
+    ``propagator`` (``"exact"`` or ``"rk45"``) in ``nfev`` right-hand-side evaluations.
     ``records`` holds one :class:`PulseRecord` per state, and ``basis`` is the pulse's dark basis.
     """
 
     times: np.ndarray
     states: np.ndarray
+    propagator: str
+    nfev: int
     records: tuple[PulseRecord, ...]
     basis: DarkBasis
 
@@ -177,8 +176,8 @@ def _trajectory(times: np.ndarray, snapshots: np.ndarray, atol: float, propagato
     """The trajectory of a block of snapshots that passes :func:`_monitor`."""
     stack, min_eigs, traces = _symmetrized(snapshots)
     _monitor(times, min_eigs, traces, atol)
-    return Trajectory(times, stack, tuple(
-        PulseRecord(propagator, nfev, float(eigs.min()), float(np.abs(trace - 1.0).max()))
+    return Trajectory(times, stack, propagator, nfev, tuple(
+        PulseRecord(float(eigs.min()), float(np.abs(trace - 1.0).max()))
         for eigs, trace in zip(min_eigs, traces)), basis)
 
 
@@ -343,11 +342,6 @@ def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
                        dark_basis(fp))
 
 
-def propagator_name(envelope: Envelope) -> str:
-    """The propagator a pulse takes: ``"exact"`` for a square envelope, else ``"rk45"``."""
-    return "exact" if envelope is Envelope.SQUARE else "rk45"
-
-
 def recommended_duration(rate: float, residual: float) -> float:
     """Pulse duration ``ln(1/residual) / rate`` that damps the slowest mode to ``residual``.
 
@@ -370,12 +364,13 @@ def _ground_frame(fp: FieldParams, basis: DarkBasis) -> np.ndarray:
 
 
 class _Key(NamedTuple):
-    """A key's first field, generator (on that field), slowest rate, times and propagator."""
+    """A key's first field, generator, slowest rate, times and propagator (name, stack, nfev)."""
 
     first: int
     liou: Liouvillian
     rate: float
     times: np.ndarray
+    name: str
     propagator: np.ndarray | None
     nfev: int
 
@@ -384,7 +379,8 @@ def _key_table(fields, rates: Rates,
                tols: IntegratorSettings) -> list[tuple[DarkBasis, _Key, np.ndarray]]:
     """Each field's dark basis, key and rotation: the only per-field set-up.
 
-    The key is the only place that decides which fields share a propagator.
+    The key is the only place that decides which fields share a propagator, and
+    which propagator they take: ``"exact"`` for a square envelope, else ``"rk45"``.
     Its propagator is its (65, 16, 17) stack of snapshot propagators: the
     powers of the exponential step (square), or one RK45 solve of ``[Phi | c]``
     from ``[1 | 0]`` (the homogeneous flow and the repump feed's response).  A
@@ -401,14 +397,15 @@ def _key_table(fields, rates: Rates,
             rate = slowest_rate(liou)
             times = _readonly(np.linspace(0.0, recommended_duration(rate, tols.residual),
                                           MIN_SNAPSHOTS))
+            name = "exact" if fp.envelope is Envelope.SQUARE else "rk45"
             propagator, nfev = None, 0
-            if propagator_name(fp.envelope) == "exact":
+            if name == "exact":
                 propagator = _step(liou, times[-1])
             elif keys.count(key) > 1:
                 feed = np.column_stack([np.zeros((16, 16), dtype=complex), liou.d])
                 propagator, nfev = solve_ivp(liou, times, np.eye(16, 17, dtype=complex), feed,
                                              tols)
-            table[key] = _Key(i, liou, rate, times, propagator, nfev)
+            table[key] = _Key(i, liou, rate, times, name, propagator, nfev)
             frames[key] = _ground_frame(fp, basis).conj().T
         elif fp is not table[key].liou.field:
             u[:3, :3] = _ground_frame(fp, basis) @ frames[key]
@@ -437,25 +434,25 @@ def run_sequence(states, steps, rates: Rates,
     """Drive an (S, 4, 4) stack through a sequence of pulses, each for its key's duration.
 
     Returns one trajectory per pulse; each pulse starts from the previous
-    pulse's final snapshots.  A record charges a solve's evaluations to the
-    pulse that made it, 0 to the others.
+    pulse's final snapshots.  A trajectory's ``nfev`` charges a solve's evaluations
+    to the pulse that made it, 0 to the others.
     """
     matrices = _stack(states)
-    table = _key_table(steps, rates, tols)
     out = []
-    for i, (fp, (basis, key, u)) in enumerate(zip(steps, table)):
+    for i, (basis, key, u) in enumerate(_key_table(steps, rates, tols)):
         snapshots, nfev = _drive(key, matrices, u, tols)
         snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
                      @ u.conj().T).reshape(snapshots.shape)
         nfev += key.nfev if i == key.first else 0
-        out.append(_trajectory(key.times, snapshots, tols.atol, propagator_name(fp.envelope),
-                               nfev, basis))
+        out.append(_trajectory(key.times, snapshots, tols.atol, key.name, nfev, basis))
         matrices = out[-1].states[:, -1]
     return tuple(out)
 
 
 class MapCheck(NamedTuple):
-    """Each case's distance, and each key's ``first_case``, ``duration`` and ``slowest_rate``."""
+    """Each case's distance, and each key's ``first_case``, ``duration``, ``slowest_rate``,
+    ``propagator`` and ``nfev`` (the evaluations of its shared solve and its cases' own).
+    """
 
     distances: np.ndarray
     keys: tuple[dict, ...]
@@ -477,17 +474,18 @@ def verify_map(states, fields, rates: Rates,
     u = np.stack(u)
     finals = np.empty(states.shape, dtype=complex)
     min_eigs, traces = np.empty((2, len(fields), MIN_SNAPSHOTS))
-    keys = {key.first: key for key in table}
-    for key in keys.values():
-        cases = np.flatnonzero([k is key for k in table])
+    records = []
+    for key in {key.first: key for key in table}.values():
+        cases, nfev = np.flatnonzero([k is key for k in table]), key.nfev
         for block in np.split(cases, range(_BLOCK, len(cases), _BLOCK)):
-            stack, min_eigs[block], traces[block] = _symmetrized(
-                _drive(key, states[block], u[block], tols)[0])
+            snapshots, solved = _drive(key, states[block], u[block], tols)
+            stack, min_eigs[block], traces[block] = _symmetrized(snapshots)
             finals[block] = u[block] @ stack[:, -1] @ u[block].conj().swapaxes(-1, -2)
+            nfev += solved
+        records.append({"first_case": key.first, "duration": float(key.times[-1]),
+                        "slowest_rate": key.rate, "propagator": key.name, "nfev": nfev})
     _monitor(np.stack([key.times for key in table]), min_eigs, traces, tols.atol)
-    return MapCheck(hs_distance(finals, mapped), tuple(
-        {"first_case": k.first, "duration": float(k.times[-1]), "slowest_rate": k.rate}
-        for k in keys.values()))
+    return MapCheck(hs_distance(finals, mapped), tuple(records))
 
 
 def write_trajectory_csv(traj: Trajectory, state: int, path) -> None:

@@ -262,3 +262,20 @@ def test_criterion_9_determinism(tmp_path):
     report(9, not mismatched,
            f"byte-identical data artifacts for all 7 commands"
            + (f"; mismatches: {mismatched}" if mismatched else ""))
+
+
+def test_criterion_10_wide_class_of_mixed_states(main_run):
+    # the bundled search (seed 7, grid 5) on the bundled target vectors: a pure target
+    # is out of reach at N = 2..6, and its floor halves with each added step, while the
+    # bundled mixed target (p1 = 1/3) is reached at N = 4 (main_run)
+    cfg, grid, result = main_run
+    pure = TargetState(weights=(1.0, 0.0), psi1=cfg.target.psi1, psi2=cfg.target.psi2)
+    floors = {n: optimize_sequence(n, pure, grid, cfg.optimizer).objective_value
+              for n in range(2, 7)}
+    ratios = [floors[n] / floors[n + 1] for n in range(2, 6)]
+    print("  pure-target floors: " + ", ".join(f"N={n} -> {f:.6e}" for n, f in floors.items()))
+    ok = all(1.8 <= r <= 2.2 for r in ratios) and result.objective_value <= 1e-6
+    report(10, ok,
+           f"pure-target floor ratios N -> N+1 for N = 2..5: "
+           f"{[f'{r:.4f}' for r in ratios]} (in [1.8, 2.2]); p1 = 1/3 at N = 4: "
+           f"{result.objective_value:.3e} (<= 1e-6)")

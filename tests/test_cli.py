@@ -166,14 +166,16 @@ class TestSimulateCommand:
                      "--sequence", str(optimized), "--out", str(out)]) == 0
         doc = json.loads((out / "summary.json").read_text())
         assert doc["n_pulses"] == 2
+        assert [set(pulse) for pulse in doc["pulses"]] == [{"duration", "propagator", "nfev"}] * 2
+        assert [(p["propagator"], p["nfev"]) for p in doc["pulses"]] == [("exact", 0)] * 2
         state = doc["states"][0]
+        assert not {"durations", "propagator", "nfev"} & set(state)
         assert state["hs_ode_vs_map"] < 1e-5
         for name in state["trajectories"]:
             assert (out / name).exists()
         assert len(state["pulses"]) == 2
         for pulse in state["pulses"]:
-            assert set(pulse) == {"propagator", "nfev", "min_eigenvalue", "max_trace_error"}
-            assert pulse["propagator"] == "exact" and pulse["nfev"] == 0
+            assert set(pulse) == {"min_eigenvalue", "max_trace_error"}
             assert pulse["min_eigenvalue"] >= -100 * 1e-12
             assert 0.0 <= pulse["max_trace_error"] < 1e-9  # alpha conserves trace
 
@@ -182,14 +184,17 @@ class TestSimulateCommand:
         out = tmp_path / "sims"
         assert main(["simulate", "--config", str(cfg), "--sequence", str(optimized),
                      "--out", str(out)]) == 0
-        pulses = json.loads((out / "summary.json").read_text())["states"][0]["pulses"]
+        pulses = json.loads((out / "summary.json").read_text())["pulses"]
         assert [p["propagator"] for p in pulses] == ["rk45", "rk45"]
         # both pulses share one key: the first makes the one solve, the second reuses it
         assert pulses[0]["nfev"] > 0
         assert [p["nfev"] for p in pulses[1:]] == [0]
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "vs"),
                      "--states", "1"]) == 0
-        assert json.loads((tmp_path / "vs" / "verify.json").read_text())["propagator"] == "rk45"
+        doc = json.loads((tmp_path / "vs" / "verify.json").read_text())
+        assert "propagator" not in doc
+        # the lone case takes its own solve, which its key's record counts
+        assert [(key["propagator"], key["nfev"] > 0) for key in doc["keys"]] == [("rk45", True)]
 
     def test_deterministic(self, tmp_path, config_path, optimized):
         texts = []
@@ -245,11 +250,12 @@ class TestSimulateCommand:
         out = tmp_path / "sim3"
         assert main(["simulate", "--config", str(cfg), "--sequence", str(optimized),
                      "--out", str(out)]) == 0
-        rows = json.loads((out / "summary.json").read_text())["states"]
+        doc = json.loads((out / "summary.json").read_text())
         assert len(solves) == 1  # one per pulse key, not per pulse or per state
-        assert [r["state_index"] for r in rows] == [0, 1, 2]
-        for row in rows:
-            assert [p["nfev"] for p in row["pulses"]] == [solves[0], 0]
+        assert [p["nfev"] for p in doc["pulses"]] == [solves[0], 0]
+        assert [r["state_index"] for r in doc["states"]] == [0, 1, 2]
+        for row in doc["states"]:
+            assert len(row["pulses"]) == 2
             assert row["hs_ode_vs_map"] < 1e-3
 
     def test_one_dark_basis_per_pulse(self, tmp_path, monkeypatch):
@@ -309,7 +315,8 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "v1" / "verify.json").read_text())
         assert doc["n_states"] == 3
         assert doc["max_distance"] < 1e-5
-        assert doc["propagator"] == "exact"
+        assert "propagator" not in doc
+        assert [(key["propagator"], key["nfev"]) for key in doc["keys"]] == [("exact", 0)]
 
     @pytest.mark.parametrize("envelope, atol, states, certified", [
         pytest.param("square", 1e-12, "3", True, id="square-1e-12-True"),
@@ -616,9 +623,9 @@ class TestReproduceCommand:
         out = tmp_path / "repro"
         assert main(["reproduce-paper", "--out", str(out)]) == 0
         steps = json.loads((out / "optimize" / "result.json").read_text())["sequence"]["steps"]
-        states = json.loads((out / "simulate" / "summary.json").read_text())["states"]
+        pulses = json.loads((out / "simulate" / "summary.json").read_text())["pulses"]
         recorded = [step["duration"] for step in steps]
-        simulated = [duration for state in states for duration in state["durations"]]
+        simulated = [pulse["duration"] for pulse in pulses]
         assert len(recorded) == 4 and len(simulated) == 4
         assert set(recorded) == set(simulated) and len(set(simulated)) == 1
 
@@ -744,6 +751,32 @@ class TestInputEdge:
         err = capsys.readouterr().err
         assert err.startswith("config error: --out: ") and str(blocked) in err
         assert not list(tmp_path.rglob(".tmp-*"))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_admitted_count_past_the_memory_exits_2(self, tmp_path):
+        # grid_resolution 40 lies within its bound (64), but the grid's (G, 4, 4) stack
+        # of dyads alone is 625 MiB, which a 1 GiB address space cannot hold
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("RLIMIT_AS is unavailable")
+        doc = json.loads(bundled_config_path().read_text())
+        doc["grid_resolution"] = 40
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        # one BLAS thread, so that no per-thread buffer counts against the limit
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-m", "darkpulse.cli", "optimize", "--config",
+                               str(config), "--out", str(tmp_path / "o")], env=env,
+                              capture_output=True, text=True, timeout=300, check=False,
+                              preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: the requested sizes do not fit in memory: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command, keys, value, named", [
         ("spectrum", ("omega_peak",), NAN, "omega_peak"),
@@ -1101,13 +1134,17 @@ class TestStartup:
         """)
         assert json.loads(run_fresh(script, tmp_path)) == [0, []]
 
-    @pytest.mark.parametrize("command", ["optimize", "reproduce-paper"])
+    @pytest.mark.parametrize("command", ["optimize", "reproduce-paper", "sweep-purity"])
     def test_optimizer_loads_no_scipy(self, tmp_path, command):
-        # the search is numpy's own; square pulses need no RK45 either
+        # the search is numpy's own; square pulses need no RK45 either.  The sweep's
+        # pure target at N = 2 is out of reach, so its search ends at a floor
+        doc = json.loads(bundled_config_path().read_text())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**doc, "weight_list": [1.0], "N_list": [2]}))
         script = textwrap.dedent(f"""
             import json, sys
             from darkpulse import cli
-            code = cli.main([{command!r}, "--config", str(cli.bundled_config_path()),
+            code = cli.main([{command!r}, "--config", {str(config)!r},
                              "--out", {str(tmp_path / "o")!r}])
             print(json.dumps([code, sorted(m for m in sys.modules
                                            if m.split(".")[0] == "scipy")]))
@@ -1133,9 +1170,10 @@ class TestStartup:
         assert json.loads(run_fresh(script, tmp_path)) == [0, []]
         if command == "simulate":
             doc = json.loads((tmp_path / "o" / "summary.json").read_text())
-            assert doc["states"][0]["pulses"][0]["propagator"] == "rk45"
+            assert doc["pulses"][0]["propagator"] == "rk45"
         else:
-            assert json.loads((tmp_path / "o" / "verify.json").read_text())["propagator"] == "rk45"
+            keys = json.loads((tmp_path / "o" / "verify.json").read_text())["keys"]
+            assert [key["propagator"] for key in keys] == ["rk45"]
 
     def test_tracer_counts_rhs_evaluations(self, tmp_path):
         # the tracer reads and rebinds dynamics.solve_ivp and optimize.minimize, so
@@ -1159,7 +1197,7 @@ class TestStartup:
         """)
         code, rhs_evals = json.loads(run_fresh(script, tmp_path))
         assert code == 0
-        pulses = json.loads((tmp_path / "sim" / "summary.json").read_text())["states"][0]["pulses"]
+        pulses = json.loads((tmp_path / "sim" / "summary.json").read_text())["pulses"]
         assert [p["propagator"] for p in pulses] == ["rk45", "rk45"]
         assert rhs_evals == sum(p["nfev"] for p in pulses) > 0
 

@@ -414,6 +414,7 @@ class TestRunSequence:
                 for block, single in zip(blocks, run_sequence(
                         states[s:s + 1], steps, rates, tols(1e-3))):
                     assert block.records[s] == single.records[0]
+                    assert (block.propagator, block.nfev) == (single.propagator, single.nfev)
                     assert block.states[s].tobytes() == single.states[0].tobytes()
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
@@ -428,7 +429,8 @@ class TestRunSequence:
         assert traj.times[-1] == t_final
         for s in range(len(states)):
             direct = exact_trajectory(states[s:s + 1], fp, rates, t_final)
-            assert traj.records[s] == direct.records[0] and direct.records[0].propagator == "exact"
+            assert traj.records[s] == direct.records[0]
+            assert (traj.propagator, traj.nfev) == (direct.propagator, direct.nfev) == ("exact", 0)
             assert traj.states[s].tobytes() == direct.states[0].tobytes()
 
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
@@ -441,7 +443,7 @@ class TestRunSequence:
         states = stack(*(random_density(rng) for _ in range(4)))
         traj, = run_sequence(states, [fp], rates, tols(1e-6))
         assert len(traj.records) == 4
-        assert len({record.nfev for record in traj.records}) == 1
+        assert traj.propagator == "rk45" and traj.nfev > 0  # one solve, for the whole block
         for s in range(len(states)):
             single = integrate_master(states[s:s + 1], fp, rates, traj.times[-1])
             assert np.array_equal(traj.times, single.times)
@@ -460,9 +462,9 @@ class TestRunSequence:
                     for fp in steps[:2]]
         assert durations == expected * 2
         assert durations[0] != durations[1]
-        nfev = [block.records[0].nfev for block in blocks]
+        nfev = [block.nfev for block in blocks]
         assert nfev[0] > 0 and nfev[1] > 0 and nfev[2:] == [0, 0]
-        assert {block.records[0].propagator for block in blocks} == {"rk45"}
+        assert {block.propagator for block in blocks} == {"rk45"}
 
     def test_key_that_does_not_recur_integrates_its_states(self, rng):
         # a lone time-dependent key has no pulse to share a propagator with: its
@@ -474,8 +476,9 @@ class TestRunSequence:
         witness = integrate_master(blocks[0].states[:, -1], lone, Rates.beta(),
                                    blocks[1].times[-1])
         assert blocks[1].records == witness.records
+        assert (blocks[1].propagator, blocks[1].nfev) == (witness.propagator, witness.nfev)
         assert blocks[1].states.tobytes() == witness.states.tobytes()
-        assert [block.records[0].nfev > 0 for block in blocks] == [True, True, False]
+        assert [block.nfev > 0 for block in blocks] == [True, True, False]
 
     def test_empty_sequence_and_bad_arguments(self, rng):
         fp = random_field(rng)
@@ -790,6 +793,34 @@ class TestVerifyMap:
             liou = build_liouvillian(fields[key["first_case"]], Rates.beta())
             assert key["slowest_rate"] == slowest_rate(liou)
             assert key["duration"] == recommended_duration(slowest_rate(liou), 1e-3)
+            assert (key["propagator"], key["nfev"]) == ("exact", 0)
+
+    def test_records_the_work_of_each_key(self, rng, monkeypatch):
+        # a key's nfev is its shared solve's count plus its cases' own: a recurring
+        # sine-squared key makes one shared solve, a lone one its case's own solve
+        # (integrate_master's on that case), and a square key none
+        import darkpulse.dynamics as dynamics
+
+        counted, solve_ivp = [], dynamics.solve_ivp
+
+        def counting(*args):
+            sol = solve_ivp(*args)
+            counted.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        recurring = one_key_steps(rng, Envelope.SINE_SQUARED, n=3, omega_peak=1.0)
+        lone = random_field(rng, omega_peak=0.5, envelope=Envelope.SINE_SQUARED)
+        square = random_field(rng, omega_peak=1.0, envelope=Envelope.SQUARE)
+        fields = [recurring[0], lone, recurring[1], square, recurring[2]]
+        states = np.stack([random_density(rng) for _ in fields])
+        keys = verify_map(states, fields, Rates.beta(), tols(1e-3)).keys
+        assert [(key["first_case"], key["propagator"]) for key in keys] == [
+            (0, "rk45"), (1, "rk45"), (3, "exact")]
+        assert len(counted) == 2 and [key["nfev"] for key in keys] == counted + [0]
+        witness = integrate_master(states[1:2], lone, Rates.beta(), keys[1]["duration"],
+                                   tols(1e-3))
+        assert keys[0]["nfev"] > 0 and keys[1]["nfev"] == witness.nfev > 0
 
     def test_rejects_bad_arguments(self, rng):
         fp = random_field(rng)
