@@ -17,14 +17,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .config import (MAX_STATES, ExperimentConfig, atomic_write_text, load_config, load_sequence,
-                     write_csv)
+                     sequence_doc, write_csv)
 from .core import (DarkBasis, FieldParams, TargetState, _span_normal, bloch_coords, dark_basis,
                    field_for_span, pure_state_dyads)
 from .dynamics import recommended_duration, run_sequence, verify_map, write_trajectory_csv
@@ -71,11 +71,6 @@ def _stats(distances: np.ndarray) -> dict:
     }
 
 
-def _sequence_doc(steps, durations) -> dict:
-    # json writes the Envelope str-enum as its value
-    return {"steps": [{**asdict(fp), "duration": d} for fp, d in zip(steps, durations)]}
-
-
 def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     started = time.perf_counter()
     # the steps form one key (the config's drive at zero detuning), run for one duration;
@@ -85,22 +80,14 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     recommended_duration(slowest_rate(canonical), cfg.integrator.residual)
     grid = initial_state_grid(cfg.grid_resolution)
     result = optimize_sequence(cfg.steps, cfg.target, grid, cfg.optimizer)
-    # the search leaves the drive at its default; the steps take the config's
-    steps = [replace(fp, omega_peak=cfg.omega_peak, envelope=cfg.envelope)
-             for fp in result.sequence]
-
-    rate = slowest_rate(build_liouvillian(steps[0], cfg.rates, 1.0))
-    durations = [recommended_duration(rate, cfg.integrator.residual)] * len(steps)
     test_states = random_pure_states(cfg.optimizer.test_states, [cfg.optimizer.seed, 1])
-    test_distances = state_distances(test_states, steps, cfg.target)
+    test_distances = state_distances(test_states, result.sequence, cfg.target)
 
     doc = {
-        "sequence": {"mode": cfg.rates.mode.value, **_sequence_doc(steps, durations)},
+        "sequence": sequence_doc(result.sequence),
         "objective_rms": result.objective_value,
-        "objective_history": list(result.restart_history),
         "train_stats": _stats(result.per_state_distances),
         "test_stats": {**_stats(test_distances), "n_states": int(test_states.shape[0])},
-        "iterations": result.iterations,
         "restarts": [record._asdict() for record in result.restarts],
         "seed": cfg.optimizer.seed,
         "converged": result.converged,
@@ -111,8 +98,9 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, strict: bool) -> int:
     _report(f"optimize: objective_rms={result.objective_value:.3e} "
             f"converged={result.converged} -> {out_dir / 'result.json'}")
     if strict and not result.converged:
+        best = min(r.final_value for r in result.restarts)
         history = ", ".join(f"{r.final_value:.6e} ({r.termination})" for r in result.restarts)
-        print(f"optimize: not converged: best value {min(result.restart_history):.6e} is not "
+        print(f"optimize: not converged: best value {best:.6e} is not "
               f"below tol {cfg.optimizer.tol:g}; restarts: {history}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -146,7 +134,6 @@ def cmd_simulate(cfg: ExperimentConfig, sequence_path, out_dir: Path) -> int:
         row.update({name: float(values[i]) for name, values in columns.items()})
 
     doc = {
-        "n_pulses": len(steps),
         "mode": cfg.rates.mode.value,
         "pulses": [{"duration": float(traj.times[-1]), "propagator": traj.propagator,
                     "nfev": traj.nfev} for traj in per_pulse],
@@ -177,7 +164,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, n_states: int, strict: bool
     doc = {
         "mode": cfg.rates.mode.value,
         "residual": cfg.integrator.residual,
-        "n_states": n_states,
         "seed": seed,
         "max_distance": float(distances.max()),
         "mean_distance": float(distances.mean()),

@@ -30,6 +30,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "load_sequence",
+    "sequence_doc",
     "atomic_write_text",
     "write_csv",
 ]
@@ -178,7 +179,8 @@ _COMPLEX3 = _list(_list(read_number, 2, lambda pair: complex(*pair)), 3, np.arra
 
 _FIELD = {"theta": read_number, "phi": read_number, "mu_minus": read_number,
           "mu_plus": read_number, "xi": read_number, "delta": read_number}
-# a sequence file's mode and drive settings are the optimizer's; the config's are used instead
+# sequence_doc writes the _FIELD keys; a file's mode, drive and durations are accepted for
+# older result files and ignored: the config's drive is used and durations come from relaxation
 _SEQUENCE = {"mode": None, "steps": _list(_section(FieldParams, {
     **_FIELD, "omega_peak": None, "envelope": None, "duration": None}))}
 
@@ -257,6 +259,11 @@ def load_sequence(path, cfg: ExperimentConfig) -> list[FieldParams]:
     seq = _fields(doc.get("sequence") if type(doc) is dict else None, where, _SEQUENCE, ("steps",))
     return [_build(FieldParams, f"{where}.steps[{i}]", step, omega_peak=cfg.omega_peak,
                    envelope=cfg.envelope) for i, step in enumerate(seq["steps"])]
+
+
+def sequence_doc(steps) -> dict:
+    """A result file's ``sequence`` block: per step, exactly the keys ``load_sequence`` reads."""
+    return {"steps": [{name: getattr(fp, name) for name in _FIELD} for fp in steps]}
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -272,5 +272,4 @@ def transpose_convention_diagnostic(subspace: ZeroSubspace) -> dict:
     Returns the maximum principal angle between them and whether they coincide to 1e-9.
     """
     max_angle = float(principal_angles(subspace.left.T, subspace.left.T.conj()).max())
-    return {"coincide": bool(max_angle < 1e-9), "max_principal_angle_rad": max_angle,
-            "dim_conjugate": subspace.dimension, "dim_plain": subspace.dimension}
+    return {"coincide": bool(max_angle < 1e-9), "max_principal_angle_rad": max_angle}

@@ -29,7 +29,6 @@ default amplitude and envelope.  Results are deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -88,11 +87,6 @@ class OptimizationResult:
     def iterations(self) -> int:
         """Iterations summed over the restarts."""
         return sum(r.iterations for r in self.restarts)
-
-    @property
-    def restart_history(self) -> tuple[float, ...]:
-        """Best value so far after each restart."""
-        return tuple(accumulate((r.final_value for r in self.restarts), min))
 
 
 def initial_state_grid(resolution: int) -> np.ndarray:

@@ -17,8 +17,8 @@ from darkpulse import (DensityOperator, IntegratorSettings, Mode, OptimizerSetti
                        closed_form_zero_modes, compose_sequence, dark_basis, embed_ground,
                        hs_distance, initial_state_grid, optimize_sequence, pure_state_dyads,
                        relax_closed, verify_map, zero_subspace)
-from darkpulse.cli import _sequence_doc, bundled_config_path, main
-from darkpulse.config import load_config
+from darkpulse.cli import bundled_config_path, main
+from darkpulse.config import load_config, sequence_doc
 from darkpulse.optimize import random_pure_states
 from conftest import fold_repumped, random_density, random_field
 from witnesses import relax_repumped, repump_steady_state, steady_affine
@@ -155,8 +155,7 @@ def test_criterion_5_main_reproduction(main_run, rng):
 def test_criterion_6_stage_geometry(main_run, tmp_path):
     cfg, _, result = main_run
     sequence_file = tmp_path / "sequence.json"
-    # bloch-export reads no durations; any positive ones make a valid file
-    doc = _sequence_doc(result.sequence, [1.0] * len(result.sequence))
+    doc = sequence_doc(result.sequence)
     sequence_file.write_text(json.dumps({"sequence": doc}, indent=2) + "\n")
     out = tmp_path / "bloch"
     code = main(["bloch-export", "--config", str(bundled_config_path()),

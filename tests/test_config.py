@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from darkpulse import (ConfigError, DensityOperator, Envelope, IntegratorSettings, Mode,
                        OptimizerSettings, pure_state_dyads)
 from darkpulse.cli import bundled_config_path
-from darkpulse.config import MAX_PULSES, MAX_STATES, load_config, parse_config
+from darkpulse.config import (MAX_PULSES, MAX_STATES, load_config, load_sequence, parse_config,
+                              sequence_doc)
+from conftest import random_field
 
 
 def base_doc() -> dict:
@@ -157,6 +159,44 @@ class TestParseConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+
+class TestSequenceFile:
+    """``sequence_doc`` writes what ``load_sequence`` reads; the config supplies the drive."""
+
+    @pytest.fixture
+    def cfg(self):
+        return parse_config({**base_doc(), "omega_peak": 2.5, "envelope": "sine_squared"})
+
+    @pytest.fixture
+    def steps(self, rng, cfg):
+        return [random_field(rng, omega_peak=cfg.omega_peak, envelope=cfg.envelope)
+                for _ in range(5)]
+
+    def write(self, path, doc):
+        path.write_text(json.dumps({"sequence": doc}))
+        return path
+
+    def test_round_trip_is_bit_exact(self, tmp_path, cfg, steps):
+        assert all(fp.xi != 0.0 and fp.delta != 0.0 for fp in steps)
+        doc = sequence_doc(steps)
+        assert [list(step) for step in doc["steps"]] == \
+            [["theta", "phi", "mu_minus", "mu_plus", "xi", "delta"]] * len(steps)
+        assert load_sequence(self.write(tmp_path / "seq.json", doc), cfg) == steps
+
+    def test_older_files_load_to_the_same_steps(self, tmp_path, cfg, steps):
+        # mode, drive and duration are accepted and ignored: the config's drive applies
+        doc = sequence_doc(steps)
+        for step in doc["steps"]:
+            step.update(omega_peak=1.0, envelope="square", duration=805.0)
+        doc["mode"] = "beta"
+        assert load_sequence(self.write(tmp_path / "old.json", doc), cfg) == steps
+
+    def test_unknown_step_key_is_rejected(self, tmp_path, cfg, steps):
+        doc = sequence_doc(steps[:1])
+        doc["steps"][0]["durations"] = [1.0]
+        with pytest.raises(ConfigError, match=r"steps\[0\]: unknown key 'durations'"):
+            load_sequence(self.write(tmp_path / "bad.json", doc), cfg)
 
 
 # (type, field, the first value past its bound, the last value inside it)

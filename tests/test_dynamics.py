@@ -417,6 +417,23 @@ class TestRunSequence:
                     assert (block.propagator, block.nfev) == (single.propagator, single.nfev)
                     assert block.states[s].tobytes() == single.states[0].tobytes()
 
+    @pytest.mark.parametrize("envelope", [Envelope.SQUARE, Envelope.SINE_SQUARED],
+                             ids=["square", "sine_squared"])
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_snapshots_are_linear_in_the_input_states(self, rng, rates, envelope):
+        # the dynamics, not only the maps, carry a mixture to the same mixture of the
+        # outputs; the three states share one block, and so one solve per key
+        for n in (1, 2, 3):
+            steps = one_key_steps(rng, envelope, n=n, omega_peak=1.0)
+            rho1, rho2, p = random_density(rng), random_density(rng), rng.uniform()
+            blocks = run_sequence(stack(rho1, rho2, p * rho1 + (1.0 - p) * rho2), steps,
+                                  rates, tols(1e-6))
+            assert len(blocks) == n
+            for traj in blocks:
+                mixed = p * traj.states[0] + (1.0 - p) * traj.states[1]
+                assert np.abs(traj.states[2] - mixed).max() <= 1e-12
+
     @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
                              ids=["alpha", "beta"])
     def test_square_pulse_is_its_exact_witness(self, rng, rates):

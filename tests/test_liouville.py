@@ -339,8 +339,9 @@ class TestTransposeDiagnostic:
             left_conj, left_plain = svd_null_space(liou.m.conj().T), svd_null_space(liou.m.T)
             assert left_plain.shape == left_conj.shape
             angle = float(principal_angles(left_conj.T, left_plain.T).max())
-            result = transpose_convention_diagnostic(zero_subspace(liou))
-            assert result["dim_plain"] == result["dim_conjugate"] == left_plain.shape[0]
+            subspace = zero_subspace(liou)
+            result = transpose_convention_diagnostic(subspace)
+            assert left_plain.shape[0] == subspace.dimension
             assert abs(result["max_principal_angle_rad"] - angle) <= 1e-12
             assert result["coincide"] == (angle < 1e-9)
             decisions.add(result["coincide"])

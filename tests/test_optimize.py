@@ -199,23 +199,18 @@ class TestOptimizeSequence:
         a = optimize_sequence(2, target, grid, OptimizerSettings(seed=11, **kwargs))
         b = optimize_sequence(2, target, grid, OptimizerSettings(seed=11, **kwargs))
         assert a.objective_value == b.objective_value
-        assert a.iterations == b.iterations
-        assert a.restart_history == b.restart_history
+        # every record field, the final values and iteration counts among them
         assert a.restarts == b.restarts
         for fa, fb in zip(a.sequence, b.sequence):
             assert fa.angles == fb.angles
         assert np.array_equal(a.per_state_distances, b.per_state_distances)
 
-    def test_restart_history_non_increasing(self):
+    def test_restart_records_account_for_the_search(self):
         grid = initial_state_grid(3)
         result = optimize_sequence(2, small_target(), grid,
                                    OptimizerSettings(seed=5, restarts=4, max_iter=30, tol=1e-12))
-        history = np.array(result.restart_history)
-        assert np.all(np.diff(history) <= 0)
-        assert len(result.restarts) == len(history)
+        assert len(result.restarts) == 4
         assert sum(r.iterations for r in result.restarts) == result.iterations
-        best = np.minimum.accumulate([r.final_value for r in result.restarts])
-        assert tuple(best) == result.restart_history
         for record in result.restarts:
             assert record.function_evals >= record.iterations
             assert record.termination != "tol"  # tol 1e-12 is out of reach in 30
