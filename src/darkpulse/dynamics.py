@@ -5,7 +5,11 @@ the augmented state ``y = [r; 1]`` it is ``dy/dt = A(t) y`` with
 ``A = [[M, d], [0, 0]]`` (Van Loan 1978).  A square envelope makes ``A``
 constant, so one matrix exponential gives its exact snapshots.  Time-dependent
 envelopes are integrated by the package's own RK45 in numpy (Dormand-Prince 5(4)
-under local error control), so no command imports scipy; :func:`integrate_master`
+under local error control), so no command imports scipy.  It runs in the Hermitian
+coordinates ``r = (rho_ii, Re rho_ij, Im rho_ij for i < j)``, exact linear maps of
+``vec rho`` in which the generator, the feed and the states are real (the
+coherence-vector form), so each step makes real matrix products; the snapshots
+map back exactly.  :func:`integrate_master`
 runs it on a block of states through any one pulse, square ones included, and
 is the RK45 witness of :func:`run_sequence`, which drives a block of states
 through a sequence, and of :func:`verify_map`, which drives a batch of cases,
@@ -19,7 +23,8 @@ generator is invariant under ground-space unitaries, so fields that share
 spectrum.  The first field of a key in a call is its reference: it sets the
 key's duration and makes its propagator, the 65 snapshot propagators ``P_k``
 (the powers of a square pulse's exponential step, or one RK45 solve of the
-17-column propagator), which every field of the key applies as
+17-column propagator in the Hermitian coordinates), which every field of the key
+applies as
 ``rho(t_k) = U P_k[U^dagger rho U] U^dagger``; ``U`` is exactly 1 for the
 reference, so its states keep every bit.  A time-dependent key that does not
 recur integrates its states directly.  Nothing is kept between calls.
@@ -36,6 +41,8 @@ the same in both relaxation regimes; only the driven dynamics differ.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -191,6 +198,44 @@ def _stack(states, n_fields: int | None = None) -> np.ndarray:
     return states.astype(complex, copy=False)
 
 
+# The Hermitian coordinates r = (rho_ii, Re rho_ij, Im rho_ij for i < j) of a row-major
+# vec rho: r = _TO vec rho and vec rho = _BACK r.  _BACK holds only 0, 1 and +-i, and _TO
+# (its inverse) only 0, 1, 1/2 and +-i/2, so neither map rounds a product.  A Lindblad
+# generator maps Hermitian operators to Hermitian operators, so in these coordinates it is
+# the real matrix _TO M _BACK (the coherence-vector form; Alicki and Lendi, Quantum
+# Dynamical Semigroups and Applications, LNP 286 (1987)).
+def _coordinate_maps() -> tuple[np.ndarray, np.ndarray]:
+    """The maps ``_BACK`` and ``_TO`` between ``vec rho`` and the Hermitian coordinates.
+
+    Column c of ``_BACK`` is vec of the c-th basis operator: ``|i><i|``, then
+    ``|i><j| + |j><i|`` and ``i|i><j| - i|j><i|`` for i < j.  ``_TO`` is its inverse.
+    """
+    back = [[0j] * 16 for _ in range(16)]
+    c = 4
+    for i in range(4):
+        back[5 * i][i] = 1
+        for j in range(i + 1, 4):
+            back[4 * i + j][c] = back[4 * j + i][c] = 1
+            back[4 * i + j][c + 6], back[4 * j + i][c + 6] = 1j, -1j
+            c += 1
+    # from Python lists: building them by numpy item assignment raised peak RSS by 0.13 MB
+    to = [[back[r][c].conjugate() / (1 if c < 4 else 2) for r in range(16)] for c in range(16)]
+    return np.array(back), np.array(to)
+
+
+_BACK, _TO = _coordinate_maps()
+
+
+def _hermitian(liou: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, 16, 16) generators ``M0`` and ``Mdrive`` of ``liou`` and its feed, real.
+
+    Both are in the Hermitian coordinates; their imaginary parts, dropped here, are 0.
+    """
+    m0 = build_liouvillian(liou.field, liou.rates, 0.0).m
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives the solve a nan norm
+        return (_TO @ np.stack([m0, liou.m - m0]) @ _BACK).real, (_TO @ liou.d).real
+
+
 # Dormand and Prince's 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) as scipy's RK45
 # runs it: times _C and weights _A of stages 1..5 (stage 0 is the last step's final
 # derivative, stage 6 the new one), fifth-order weights _B, error weights _E, and
@@ -220,45 +265,58 @@ class Solution(NamedTuple):
     nfev: int
 
 
-def solve_ivp(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
-              tols: IntegratorSettings) -> Solution:
+def solve_ivp(generators: np.ndarray, envelope: Envelope, times: np.ndarray, y0: np.ndarray,
+              feed: np.ndarray, tols: IntegratorSettings) -> Solution:
     """RK45 of ``dY/dt = (M0 + E(t) Mdrive) Y + feed`` through one pulse, in numpy alone.
 
-    ``on`` is the generator at envelope 1, whose field carries the envelope,
-    which runs over ``times[-1]``; ``y0`` is a (16, n) block and ``feed``
-    broadcasts against it.  It takes scipy's RK45 steps without importing scipy:
-    the initial step of Hairer, Norsett and Wanner (Solving ODEs I, Sec. II.4),
-    an RMS error norm over the whole block with scale ``atol + max(|y|, |y_new|) rtol``,
-    step factors ``0.9 err^(-1/5)`` within [0.2, 10] and none above 1 right after a
-    rejection, a least step of 10 ulp of ``t``, and the quartic interpolant at ``times``.
+    ``generators`` stacks ``M0`` and ``Mdrive`` in the coordinates of the (16, n) block
+    ``y0``, whose dtype the solve keeps; ``envelope`` gives ``E`` over ``times[-1]``, and
+    ``feed`` broadcasts against ``y0``.  It takes scipy's RK45 steps, in scipy's arithmetic
+    order, without importing scipy: the initial step of Hairer, Norsett and Wanner (Solving
+    ODEs I, Sec. II.4), an RMS error norm over the whole block with scale
+    ``atol + max(|y|, |y_new|) rtol``, step factors ``0.9 err^(-1/5)`` within [0.2, 10] and
+    none above 1 right after a rejection, a least step of 10 ulp of ``t``, and the quartic
+    interpolant at ``times``.
 
     Returns a :class:`Solution`; raises :class:`StepSizeUnderflow` if the step falls
     below its least size or the error norm is not finite (a non-finite derivative).
     """
-    t_final = times[-1]
+    t_final = float(times[-1])
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    m0 = build_liouvillian(on.field, on.rates, 0.0).m
-    m_drive = on.m - m0
+    m0, m_drive = generators
 
-    def generators(ts):  # at all of a step's times at once; m0 + 1.0 * m_drive is exact
-        return m0 + on.field.envelope.value_at(ts, t_final)[:, None, None] * m_drive
+    def generator(t):
+        return m0 + envelope.value_at(np.array([t]), t_final)[0] * m_drive
 
-    stages = np.empty((7, *y0.shape), dtype=complex)
-    flat, out = stages.reshape(7, -1), np.empty((len(times), *y0.shape), dtype=complex)
+    shape, rtol, atol, grid = y0.shape, tols.rtol, tols.atol, times.tolist()
+    stages = np.empty((7, *shape), dtype=y0.dtype)
+    flat, out = stages.reshape(7, -1), np.empty((len(times), *shape), dtype=y0.dtype)
+    # the step's buffers, reused by every step: y and y_new, |y| and |y_new|, the error
+    # scale, a stage's input, a weighted sum of stages (as a block, flat, and its real and
+    # imaginary parts, which numpy's 2-norm sums in turn; a real block's are fixed zeros),
+    # and the generators at the stages' times
+    y = np.array(y0, order="C")
+    y_new, y_in, block = np.empty((3, *shape), dtype=y0.dtype)
+    abs_y, abs_new, scale = np.abs(y), np.empty(shape), np.empty(shape)
+    dy = block.reshape(-1)
+    re, im = dy.real, dy.imag
+    m = np.empty((len(_C), *m0.shape), dtype=m0.dtype)
+    # each stage s = 1..5: its weights, the stages they weigh, its generator and its buffer
+    rows = [(a, flat[:s], m[s - 1], stages[s]) for s, a in enumerate(_A, start=1)]
     root = y0.size ** 0.5  # an RMS norm is the 2-norm over root
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
-        stages[0] = generators(np.zeros(1))[0] @ y0 + feed
-        scale = tols.atol + np.abs(y0) * tols.rtol
-        d0, d1 = np.linalg.norm(y0 / scale) / root, np.linalg.norm(stages[0] / scale) / root
+        stages[0] = generator(0.0) @ y0 + feed
+        scale0 = atol + abs_y * rtol
+        d0, d1 = np.linalg.norm(y0 / scale0) / root, np.linalg.norm(stages[0] / scale0) / root
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
-        d2 = np.linalg.norm((generators(np.array([h0]))[0] @ (y0 + h0 * stages[0]) + feed
-                             - stages[0]) / scale) / root / h0
-        h_abs = min(100 * h0, t_final, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-                    else (0.01 / max(d1, d2)) ** 0.2)
-        t, y, nfev, k = 0.0, y0, 2, 0
+        d2 = np.linalg.norm((generator(h0) @ (y0 + h0 * stages[0]) + feed
+                             - stages[0]) / scale0) / root / h0
+        h_abs = float(min(100 * h0, t_final, max(1e-6, h0 * 1e-3)
+                          if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2))
+        t, nfev, k = 0.0, 2, 0
         while t < t_final:
-            min_step, rejected = 10 * np.spacing(t), False
+            min_step, rejected = 10 * math.ulp(t), False
             h_abs = max(h_abs, min_step)
             while True:
                 if h_abs < min_step:
@@ -266,28 +324,45 @@ def solve_ivp(on: Liouvillian, times: np.ndarray, y0: np.ndarray, feed: np.ndarr
                                             f"below 10 ulp of t")
                 t_new = min(t + h_abs, t_final)
                 h = t_new - t
-                m = generators(t + _C * h)
-                for s, a in enumerate(_A, start=1):
-                    stages[s] = m[s - 1] @ (y + (a @ flat[:s]).reshape(y.shape) * h) + feed
-                y_new = y + h * (_B @ flat[:6]).reshape(y.shape)
-                stages[6] = m[4] @ y_new + feed
+                # the generators at the step's stage times at once
+                np.multiply(envelope.value_at(t + _C * h, t_final)[:, None, None], m_drive,
+                            out=m)
+                m += m0
+                for a, weighed, generator_s, stage in rows:  # at y + (a . stages[:s]) h
+                    np.matmul(a, weighed, out=dy)
+                    dy *= h
+                    np.add(y, block, out=y_in)
+                    np.matmul(generator_s, y_in, out=stage)
+                    stage += feed
+                np.matmul(_B, flat[:6], out=dy)
+                dy *= h
+                np.add(y, block, out=y_new)
+                np.matmul(m[4], y_new, out=stages[6])
+                stages[6] += feed
                 nfev += 6
-                scale = tols.atol + np.maximum(np.abs(y), np.abs(y_new)) * tols.rtol
-                error = np.linalg.norm((_E @ flat).reshape(y.shape) * h / scale) / root
+                np.abs(y_new, out=abs_new)
+                np.maximum(abs_y, abs_new, out=scale)
+                scale *= rtol
+                scale += atol
+                np.matmul(_E, flat, out=dy)
+                dy *= h
+                block /= scale
+                error = math.sqrt(re @ re + im @ im) / root
                 if error < 1:
-                    factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
-                    h_abs = h * (min(1, factor) if rejected else factor)
+                    factor = 10.0 if error == 0 else min(10.0, 0.9 * error ** -0.2)
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
                     break
-                if not np.isfinite(error):
-                    raise StepSizeUnderflow(f"RK45 at t={t:.6g}: error norm {float(error)!r} "
+                if not math.isfinite(error):
+                    raise StepSizeUnderflow(f"RK45 at t={t:.6g}: error norm {error!r} "
                                             f"is not finite (a non-finite derivative)")
                 h_abs, rejected = h * max(0.2, 0.9 * error ** -0.2), True
-            j = np.searchsorted(times, t_new, side="right")
+            j = bisect.bisect_right(grid, t_new)
             if j > k:  # the outputs in (t, t_new] from the step's quartic interpolant
                 x = np.cumprod(np.tile((times[k:j] - t) / h, (4, 1)), axis=0)
-                out[k:j] = y + h * (x.T @ (_P.T @ flat)).reshape(-1, *y.shape)
+                out[k:j] = y + h * (x.T @ (_P.T @ flat)).reshape(-1, *shape)
                 k = j
-            t, y, stages[0] = t_new, y_new, stages[6]
+            t, y, y_new, abs_y, abs_new = t_new, y_new, y, abs_new, abs_y
+            stages[0] = stages[6]
     return Solution(out, nfev)
 
 
@@ -304,17 +379,28 @@ def _step(liou: Liouvillian, t_final: float) -> np.ndarray:
     return powers[:, :16]
 
 
-def _snapshots(propagator: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """The (S, 65, 16) snapshots of an (S, 4, 4) stack under one pulse's propagator.
+def _snapshots(propagator: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The (S, 65, 16) snapshots of S states under one pulse's propagator.
 
     ``propagator`` is the pulse's (65, 16, 17) stack of snapshot propagators,
-    applied to each augmented state ``[rho; 1]``.  Each state takes its own
-    matrix-vector products, so a state's snapshots are bit-identical to its
-    one-state run.
+    applied to each augmented state ``[rho; 1]``, and ``states`` an (S, 4, 4) or
+    (S, 16) stack in its coordinates.  Each state takes its own matrix-vector
+    products, so a state's snapshots are bit-identical to its one-state run.
     """
-    y0 = np.ones((len(matrices), 17, 1), dtype=complex)
-    y0[:, :16, 0] = matrices.reshape(-1, 16)
+    y0 = np.ones((len(states), 17, 1), dtype=propagator.dtype)
+    y0[:, :16, 0] = states.reshape(-1, 16)
     return (propagator[:, None] @ y0)[..., 0].transpose(1, 0, 2)
+
+
+def _solve_states(liou: Liouvillian, times: np.ndarray, r: np.ndarray,
+                  tols: IntegratorSettings) -> tuple[np.ndarray, int]:
+    """The (S, 65, 16) snapshots of an (S, 16) stack under one RK45 solve, and its ``nfev``.
+
+    States and snapshots are in the Hermitian coordinates.
+    """
+    generators, feed = _hermitian(liou)
+    y, nfev = solve_ivp(generators, liou.field.envelope, times, r.T, feed[:, None], tols)
+    return y.transpose(2, 0, 1), nfev
 
 
 def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
@@ -337,9 +423,8 @@ def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
     states = _stack(states)
     liou = build_liouvillian(fp, rates, 1.0)
     times = _readonly(np.linspace(0.0, t_final, MIN_SNAPSHOTS))
-    snapshots, nfev = solve_ivp(liou, times, states.reshape(-1, 16).T, liou.d[:, None], tols)
-    return _trajectory(times, snapshots.transpose(2, 0, 1), tols.atol, "rk45", nfev,
-                       dark_basis(fp))
+    snapshots, nfev = _solve_states(liou, times, (states.reshape(-1, 16) @ _TO.T).real, tols)
+    return _trajectory(times, snapshots @ _BACK.T, tols.atol, "rk45", nfev, dark_basis(fp))
 
 
 def recommended_duration(rate: float, residual: float) -> float:
@@ -383,9 +468,9 @@ def _key_table(fields, rates: Rates,
     which propagator they take: ``"exact"`` for a square envelope, else ``"rk45"``.
     Its propagator is its (65, 16, 17) stack of snapshot propagators: the
     powers of the exponential step (square), or one RK45 solve of ``[Phi | c]``
-    from ``[1 | 0]`` (the homogeneous flow and the repump feed's response).  A
-    time-dependent key that occurs once gets None: with no field to reuse it,
-    that solve costs more than its states' own.  The rotation is
+    from ``[1 | 0]`` (the homogeneous flow and the repump feed's response), real,
+    in the Hermitian coordinates.  A time-dependent key that occurs once gets
+    None, and its states take their own solve.  The rotation is
     ``U = V(fp) V(ref)^dagger``, exactly 1 for the key's first field.
     """
     keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in fields]
@@ -402,9 +487,9 @@ def _key_table(fields, rates: Rates,
             if name == "exact":
                 propagator = _step(liou, times[-1])
             elif keys.count(key) > 1:
-                feed = np.column_stack([np.zeros((16, 16), dtype=complex), liou.d])
-                propagator, nfev = solve_ivp(liou, times, np.eye(16, 17, dtype=complex), feed,
-                                             tols)
+                generators, feed = _hermitian(liou)
+                propagator, nfev = solve_ivp(generators, fp.envelope, times, np.eye(16, 17),
+                                             np.column_stack([np.zeros((16, 16)), feed]), tols)
             table[key] = _Key(i, liou, rate, times, name, propagator, nfev)
             frames[key] = _ground_frame(fp, basis).conj().T
         elif fp is not table[key].liou.field:
@@ -419,14 +504,17 @@ def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray,
 
     ``u`` (the rotation of :func:`_key_table`, one for all states or one each) takes
     them in as ``U^dagger rho U``, so a snapshot ``X`` is ``U X U^dagger`` in their
-    frame.  A lone key takes one RK45 solve, whose ``nfev`` is returned (else 0).
+    frame.  An RK45 key's states go in and its snapshots come back through the
+    Hermitian coordinates.  A lone key takes one RK45 solve, whose ``nfev`` is
+    returned (else 0).
     """
     matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
-    if key.propagator is None:
-        snapshots, nfev = solve_ivp(key.liou, key.times, matrices.reshape(-1, 16).T,
-                                    key.liou.d[:, None], tols)
-        return snapshots.transpose(2, 0, 1), nfev
-    return _snapshots(key.propagator, matrices), 0
+    if key.name == "exact":
+        return _snapshots(key.propagator, matrices), 0
+    r = (matrices.reshape(-1, 16) @ _TO.T).real  # drops anti-Hermitian roundoff
+    snapshots, nfev = (_solve_states(key.liou, key.times, r, tols) if key.propagator is None
+                       else (_snapshots(key.propagator, r), 0))
+    return snapshots @ _BACK.T, nfev
 
 
 def run_sequence(states, steps, rates: Rates,

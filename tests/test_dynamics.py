@@ -19,7 +19,7 @@ from darkpulse import (DensityOperator, Envelope, FieldParams, IntegratorSetting
                        recommended_duration, pure_state_dyads, relax_closed, run_sequence,
                        slowest_rate, verify_map)
 import darkpulse.dynamics as dynamics
-from darkpulse.dynamics import (_BLOCK, MIN_SNAPSHOTS, _expm,
+from darkpulse.dynamics import (_BACK, _BLOCK, MIN_SNAPSHOTS, _TO, _expm, _hermitian,
                                 _ground_frame, _monitor, _snapshots, _step, _symmetrized,
                                 _trajectory, write_trajectory_csv)
 from conftest import random_density, random_field, random_pure_ground
@@ -273,8 +273,14 @@ class TestPadeExpm:
             _expm(np.full((3, 3), np.nan))
 
 
-def scipy_rk45(on, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
-               settings: IntegratorSettings):
+def split(liou) -> np.ndarray:
+    """``liou``'s generator at envelope 0 and its drive part, as ``solve_ivp`` takes them."""
+    m0 = build_liouvillian(liou.field, liou.rates, 0.0).m
+    return np.stack([m0, liou.m - m0])
+
+
+def scipy_rk45(generators: np.ndarray, envelope, times: np.ndarray, y0: np.ndarray,
+               feed: np.ndarray, settings: IntegratorSettings):
     """Scipy's ``solve_ivp(method="RK45")`` on the system of ``dynamics.solve_ivp``, the oracle.
 
     Its right-hand side reads the package's own envelope at each time, so both
@@ -282,11 +288,11 @@ def scipy_rk45(on, times: np.ndarray, y0: np.ndarray, feed: np.ndarray,
     snapshots and the number of right-hand-side evaluations.
     """
     t_final = times[-1]
-    m0 = build_liouvillian(on.field, on.rates, 0.0).m
+    m0, m_drive = generators
 
     def rhs(t, y):
-        value = on.field.envelope.value_at(np.array([t]), t_final)[0]
-        return ((m0 + value * (on.m - m0)) @ y.reshape(y0.shape) + feed).ravel()
+        value = envelope.value_at(np.array([t]), t_final)[0]
+        return ((m0 + value * m_drive) @ y.reshape(y0.shape) + feed).ravel()
 
     sol = scipy.integrate.solve_ivp(rhs, (0.0, t_final), y0.ravel(), method="RK45",
                                     rtol=settings.rtol, atol=settings.atol, t_eval=times)
@@ -306,21 +312,24 @@ class TestDormandPrince:
         # Scipy releases without the interval-aware initial step (1.11 among them) skip
         # the clamp h0 <= t_final, which is inactive while 0.01 d0 / d1 < t_final, as
         # asserted here; the two rules then agree, so nfev is pinned on every release
+        # The same system runs in the vec coordinates (complex) and in the Hermitian
+        # coordinates (real), each in its own dtype
         settings = IntegratorSettings()
         liou = build_liouvillian(random_field(rng, omega_peak=omega, envelope=envelope), rates)
         times = np.linspace(0.0, 100.0, MIN_SNAPSHOTS)
         y0 = np.stack([random_density(rng).ravel() for _ in range(2)], axis=1)
-        feed = liou.d[:, None]
-        at_start = (liou if envelope is Envelope.SQUARE
-                    else build_liouvillian(liou.field, rates, 0.0))
-        scale = settings.atol + np.abs(y0) * settings.rtol
-        d0, d1 = (np.linalg.norm(y / scale) for y in (y0, at_start.m @ y0 + feed))
-        assert 0.01 * d0 / d1 < times[-1]
-        own = dynamics.solve_ivp(liou, times, y0, feed, settings)
-        oracle, nfev = scipy_rk45(liou, times, y0, feed, settings)
-        assert own.y.shape == (MIN_SNAPSHOTS, 16, 2)
-        assert own.nfev == nfev
-        assert np.abs(own.y - oracle).max() <= 1e-12
+        real, real_feed = _hermitian(liou)
+        for generators, y, feed in [(split(liou), y0, liou.d[:, None]),
+                                    (real, (_TO @ y0).real, real_feed[:, None])]:
+            at_start = generators[0] + envelope.value_at(np.zeros(1), 1.0)[0] * generators[1]
+            scale = settings.atol + np.abs(y) * settings.rtol
+            d0, d1 = (np.linalg.norm(z / scale) for z in (y, at_start @ y + feed))
+            assert 0.01 * d0 / d1 < times[-1]
+            own = dynamics.solve_ivp(generators, envelope, times, y, feed, settings)
+            oracle, nfev = scipy_rk45(generators, envelope, times, y, feed, settings)
+            assert own.y.shape == (MIN_SNAPSHOTS, 16, 2) and own.y.dtype == y.dtype
+            assert own.nfev == nfev
+            assert np.abs(own.y - oracle).max() <= 1e-12
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("envelope", list(Envelope), ids=lambda e: e.value)
@@ -328,14 +337,63 @@ class TestDormandPrince:
         # a non-finite derivative gives a non-finite error norm, which raises instead of
         # shrinking the step forever (scipy's RK45 loops on a nan step size)
         liou = build_liouvillian(random_field(rng, envelope=envelope), Rates.beta())
-        m = liou.m.copy()
-        m[3, 5] = value
+        generators = split(liou)
+        generators[1, 3, 5] = value
         started = time.perf_counter()
         with pytest.raises(StepSizeUnderflow, match=r"^RK45 at t=0: error norm nan is not "
                                                     r"finite \(a non-finite derivative\)$"):
-            dynamics.solve_ivp(replace(liou, m=m), np.linspace(0.0, 50.0, MIN_SNAPSHOTS),
+            dynamics.solve_ivp(generators, envelope, np.linspace(0.0, 50.0, MIN_SNAPSHOTS),
                                np.eye(16, 17, dtype=complex), liou.d[:, None], tols(1e-4))
         assert time.perf_counter() - started < 1.0
+
+
+class TestHermitianCoordinates:
+    """The real coordinates ``r = (rho_ii, Re rho_ij, Im rho_ij)`` that RK45 integrates in."""
+
+    def test_maps_are_exact_inverses(self, rng):
+        # the maps hold only 0, 1, 1/2, +-1, +-i and +-i/2, so no product rounds
+        assert np.array_equal(_BACK @ _TO, np.eye(16))
+        states = np.stack([random_density(rng) for _ in range(20)])
+        r = _TO @ states.reshape(-1, 16).T
+        assert np.array_equal(r.imag, np.zeros_like(r.imag))
+        assert np.array_equal(r.real[:4], states.diagonal(axis1=1, axis2=2).real.T)
+        assert np.array_equal(_BACK @ r.real, states.reshape(-1, 16).T)
+
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_generator_and_feed_are_real(self, rng, rates):
+        # the generator preserves Hermiticity bit for bit, so the imaginary part that
+        # _hermitian discards is exactly 0, at every amplitude and both envelope values
+        for omega in np.logspace(-2.0, 3.0, 6):
+            fp = random_field(rng, omega_peak=omega, envelope=Envelope.SINE_SQUARED)
+            liou = build_liouvillian(fp, rates)
+            for value in (0.0, 1.0):
+                m = _TO @ build_liouvillian(fp, rates, value).m @ _BACK
+                assert np.array_equal(m.imag, np.zeros((16, 16)))
+            full = _TO @ split(liou) @ _BACK
+            assert not full.imag.any() and not (_TO @ liou.d).imag.any()
+            generators, feed = _hermitian(liou)
+            assert np.array_equal(generators, full.real)
+            assert np.array_equal(feed, (_TO @ liou.d).real)
+
+    @pytest.mark.parametrize("omega", [3.0, 10.0])
+    @pytest.mark.parametrize("rates", [Rates.alpha(1.0), Rates.beta(1.0, 1.0, 1.0)],
+                             ids=["alpha", "beta"])
+    def test_key_propagator_matches_tight_complex_solve(self, rng, rates, omega):
+        # a recurring sine-squared key's 65 snapshot propagators, real, from the solve at
+        # the default tolerances and mapped back, against the complex solve at rtol 1e-13,
+        # atol 1e-16 (measured 6.3e-11 to 2.6e-10; the complex solve at the default
+        # tolerances reads 9.7e-11 to 5.4e-10)
+        fp = random_field(rng, omega_peak=omega, envelope=Envelope.SINE_SQUARED)
+        (_, key, _), _ = dynamics._key_table([fp, fp], rates, IntegratorSettings())
+        assert key.propagator.shape == (MIN_SNAPSHOTS, 16, 17) and key.propagator.dtype == float
+        mapped = _BACK @ key.propagator
+        mapped[..., :16] = mapped[..., :16] @ _TO
+        feed = np.column_stack([np.zeros((16, 16)), key.liou.d])
+        reference = dynamics.solve_ivp(split(key.liou), Envelope.SINE_SQUARED, key.times,
+                                       np.eye(16, 17, dtype=complex), feed,
+                                       IntegratorSettings(rtol=1e-13, atol=1e-16))
+        assert np.abs(mapped - reference.y).max() <= 1e-9
 
 
 def matched_gap(a: np.ndarray, b: np.ndarray) -> float:
