@@ -11,11 +11,13 @@ The drive is parameterized by two polarization angles (theta, phi), two
 relative phases (mu-, mu+), a global phase xi, a peak Rabi amplitude, a
 detuning, and an envelope.  For every such field the ground space splits into
 a two-dimensional dark subspace (decoupled from the drive) and one bright
-direction; ``dark_basis`` returns that geometry and ``field_for_span`` solves
-the inverse problem of aiming the dark subspace at a prescribed span.  Pure
-states are built from ground vectors by ``pure_state_dyads`` alone.  A state is
-checked once, where it enters (``DensityOperator.validate``); past that it is a
-plain ``(..., 4, 4)`` array.
+direction; ``dark_bases`` returns that geometry for a stack of fields (and
+``dark_basis`` for one), and ``field_for_span`` solves the inverse problem of
+aiming the dark subspace at a prescribed span.  Pure states are built from
+ground vectors by ``pure_state_dyads`` alone.  A state is checked once, where it
+enters (``DensityOperator.validate``); past that it is a plain ``(..., 4, 4)``
+array.  ``smallest_eigenvalues`` decides positivity for the validation and the
+integrator's monitor alike.
 """
 
 from __future__ import annotations
@@ -41,11 +43,14 @@ __all__ = [
     "bright_vector",
     "bright_vector_jacobian",
     "dark_basis",
+    "dark_bases",
     "field_for_span",
     "bloch_coords",
+    "smallest_eigenvalues",
 ]
 
 TWO_PI = 2.0 * np.pi
+EPS = float(np.finfo(float).eps)
 
 # indices in the ordered basis
 G_MINUS, G_PI, G_PLUS, EXCITED = 0, 1, 2, 3
@@ -156,13 +161,38 @@ class DensityOperator:
         herm = np.max(np.abs(matrices - matrices.swapaxes(-1, -2).conj()))
         if herm >= cls.HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-        min_eig = float(np.linalg.eigvalsh(matrices).min())
-        if min_eig < -cls.PSD_TOL:
+        min_eigs = smallest_eigenvalues(matrices, -cls.PSD_TOL)
+        if min_eigs is not None and (min_eig := float(min_eigs.min())) < -cls.PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
         traces = np.trace(matrices, axis1=-2, axis2=-1).real
         low, high = float(traces.min()), float(traces.max())
         if not (0.0 < low and high <= 1.0 + cls.TRACE_TOL):
             raise ValueError(f"trace {(high if 0.0 < low else low)!r} outside (0, 1]")
+
+
+def smallest_eigenvalues(stack: np.ndarray, floor: float | None = None) -> np.ndarray | None:
+    """The smallest eigenvalue of each matrix of a Hermitian (..., n, n) stack, nan if not finite.
+
+    Given a ``floor`` below 0, None instead when a Cholesky factorization of the stack
+    shifted by ``|floor| / 2`` shows every eigenvalue at least ``floor``: a completed one
+    is exact for a matrix within ``(n + 1) u`` times the shifted trace (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), so it counts where four
+    times that is below the shift.  Any other stack takes ``eigvalsh``, so the decision
+    is always the eigenvalues'.  Both read the lower triangle.
+    """
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if floor is not None and finite.all():
+        shift, n = -0.5 * floor, stack.shape[-1]
+        shifted = stack + shift * np.eye(n)
+        if np.trace(shifted, axis1=-2, axis2=-1).real.max() * 2 * (n + 1) * EPS < shift:
+            try:
+                np.linalg.cholesky(shifted)
+                return None
+            except np.linalg.LinAlgError:
+                pass
+    if not finite.all():
+        stack = np.where(finite[..., None, None], stack, 0.0)  # eigvalsh fails on these
+    return np.where(finite, np.linalg.eigvalsh(stack)[..., 0], np.nan)
 
 
 @dataclass(frozen=True)
@@ -171,7 +201,8 @@ class DarkBasis:
 
     ``n1`` and ``n2`` span the dark subspace, ``phi_perp`` is the unique ground
     direction that couples to the excited state, and ``projector`` is the 4x4
-    projector onto span{n1, n2}.
+    projector onto span{n1, n2}.  One basis holds (3,) vectors; the bases of a
+    stack of fields (:func:`dark_bases`) hold (S, 3) rows and (S, 4, 4) projectors.
     """
 
     n1: np.ndarray
@@ -288,20 +319,31 @@ def dark_basis(fp: FieldParams) -> DarkBasis:
     """Dark vectors, bright vector, and dark projector for a field configuration.
 
     Depends only on (theta, phi, mu-, mu+); amplitude, global phase, detuning,
-    and envelope do not move the dark subspace.
+    and envelope do not move the dark subspace.  The one-field case of
+    :func:`dark_bases`.
     """
-    th, ph, mm, mp = fp.theta, fp.phi, fp.mu_minus, fp.mu_plus
-    n1 = np.array([
+    return dark_bases(np.array(fp.angles))
+
+
+def dark_bases(angles: np.ndarray) -> DarkBasis:
+    """The dark bases of rows of angles (theta, phi, mu-, mu+), as one stacked DarkBasis.
+
+    Shape (..., 4) -> ``n1``, ``n2``, ``phi_perp`` (..., 3) and ``projector``
+    (..., 4, 4).  Every entry is computed elementwise, so a field's basis has the
+    same bits in a stack as alone.
+    """
+    th, ph, mm, mp = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    n1 = np.stack([
         np.exp(1j * mm) * np.cos(th) * np.sin(ph),
         np.sin(th),
         np.exp(1j * mp) * np.cos(th) * np.cos(ph),
-    ])
-    n2 = np.array([
+    ], axis=-1)
+    n2 = np.stack([
         -np.exp(-1j * mp) * np.cos(ph),
-        0.0,
+        np.zeros_like(th),
         np.exp(-1j * mm) * np.sin(ph),
-    ])
-    return DarkBasis(n1=n1, n2=n2, phi_perp=bright_vector(np.array(fp.angles)))
+    ], axis=-1)
+    return DarkBasis(n1=n1, n2=n2, phi_perp=bright_vector(angles))
 
 
 def _span_normal(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:

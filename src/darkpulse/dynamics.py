@@ -28,9 +28,12 @@ applies as
 ``rho(t_k) = U P_k[U^dagger rho U] U^dagger``; ``U`` is exactly 1 for the
 reference, so its states keep every bit.  A time-dependent key that does not
 recur integrates its states directly.  Nothing is kept between calls.
-Spectrum and trace do not change under ``U``, so :func:`verify_map` drives a
-key's cases in blocks of eight, monitors them in the key's frame, and rotates
-back only their final snapshots.
+The table makes all fields' dark bases and ground frames in one stacked call and
+all rotations in one product.  Spectrum and trace do not change under ``U``, so
+:func:`verify_map` drives a key's cases in blocks of eight, monitors them in the
+key's frame, and rotates back only their final snapshots.  It records no
+eigenvalue, so one Cholesky screen per block decides positivity, and only a block
+the screen refuses takes ``eigvalsh`` (``smallest_eigenvalues``).
 
 Pulse durations come from the spectral gap: driving for
 ``ln(1/residual) / |Re lambda_slow|`` (:func:`recommended_duration`) leaves the
@@ -49,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import IntegratorSettings, write_csv
-from .core import DarkBasis, DensityOperator, Envelope, FieldParams, _readonly, dark_basis
+from .core import (DarkBasis, DensityOperator, Envelope, FieldParams, _readonly, dark_bases,
+                   dark_basis, smallest_eigenvalues)
 from .errors import PositivityViolation, StepSizeUnderflow, TraceViolation, UnstableSpectrum
 from .liouville import Liouvillian, Rates, build_liouvillian, slowest_rate
 from .maps import _check_trace_one, hs_distance, relax_closed
@@ -136,23 +140,36 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _symmetrized(snapshots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _symmetrized(snapshots: np.ndarray, floor: float | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """An (S, n, 16) or (S, n, 4, 4) block of snapshots symmetrized against roundoff.
 
     Returns the read-only (S, n, 4, 4) stack with its smallest eigenvalues (nan if not
-    finite) and its traces, each (S, n); the flow itself preserves Hermiticity.
+    finite; None if a ``floor`` is given and the screen passes) and its traces, each
+    (S, n); the flow itself preserves Hermiticity.
     """
     snaps = snapshots.reshape(*snapshots.shape[:2], 4, 4)
     # one C-contiguous copy, made in place (the CSV trace column then sums in one order)
     stack = np.conj(snaps.swapaxes(-1, -2), order="C")
     stack += snaps
     stack *= 0.5
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    stack[~finite] = 0.0  # eigvalsh fails on these; the monitor raises on their nan
-    min_eigs = np.where(finite, np.linalg.eigvalsh(stack)[..., 0], np.nan)
+    # a snapshot with a non-finite entry is made all nan, so the products after it
+    # raise no floating-point warning and its eigenvalue reads nan
+    stack[~np.isfinite(stack).all(axis=(-2, -1))] = np.nan
+    min_eigs = smallest_eigenvalues(stack, floor)
     traces = np.trace(stack, axis1=-2, axis2=-1).real
     stack.setflags(write=False)
     return stack, min_eigs, traces
+
+
+def _floor(atol: float) -> float:
+    """The monitor's eigenvalue floor, ``-max(100 * atol, 1e-14)``.
+
+    Like the trace slack it has a least size: 1e-14 is 17 times a pure state's worst
+    eigenvalue rounding (-5.8e-16 over 2e5 random ones) and keeps the screen's shift
+    above the screen's rounding.
+    """
+    return -max(100.0 * atol, 1e-14)
 
 
 def _monitor(times: np.ndarray, min_eigs: np.ndarray, traces: np.ndarray, atol: float) -> None:
@@ -160,13 +177,13 @@ def _monitor(times: np.ndarray, min_eigs: np.ndarray, traces: np.ndarray, atol: 
 
     ``times`` holds the n times of every state, or a row per state.  Positivity
     and the trace are monitored, not enforced (the repump term is not of
-    Lindblad form): the earliest eigenvalue below ``-100 * atol`` (or nan) or
+    Lindblad form): the earliest eigenvalue below :func:`_floor` (or nan) or
     trace outside ``(0, 1 + slack]`` raises :class:`PositivityViolation` or
     :class:`TraceViolation`, naming the state's index and the time.
     """
     times = np.broadcast_to(times, min_eigs.shape)
     # the trace slack scales with the integrator tolerance like the floor
-    floor, slack = -100.0 * atol, max(DensityOperator.TRACE_TOL, 100.0 * atol)
+    floor, slack = _floor(atol), max(DensityOperator.TRACE_TOL, 100.0 * atol)
     below = np.argwhere(~(min_eigs.T >= floor))
     if below.size:
         k, s = below[0]
@@ -416,7 +433,7 @@ def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
     StepSizeUnderflow
         If the adaptive controller stalls.
     PositivityViolation
-        If any snapshot eigenvalue falls below -100 * atol.
+        If any snapshot eigenvalue falls below -max(100 * atol, 1e-14).
     TraceViolation
         If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
     """
@@ -443,11 +460,6 @@ def recommended_duration(rate: float, residual: float) -> float:
     return duration
 
 
-def _ground_frame(fp: FieldParams, basis: DarkBasis) -> np.ndarray:
-    """Columns ``n1, n2, e^{i xi} b`` of ``fp``'s basis: the unitary taking axis 3 to coupling."""
-    return np.column_stack([basis.n1, basis.n2, np.exp(1j * fp.xi) * basis.phi_perp])
-
-
 class _Key(NamedTuple):
     """A key's first field, generator, slowest rate, times and propagator (name, stack, nfev)."""
 
@@ -461,8 +473,8 @@ class _Key(NamedTuple):
 
 
 def _key_table(fields, rates: Rates,
-               tols: IntegratorSettings) -> list[tuple[DarkBasis, _Key, np.ndarray]]:
-    """Each field's dark basis, key and rotation: the only per-field set-up.
+               tols: IntegratorSettings) -> tuple[DarkBasis, list[_Key], np.ndarray]:
+    """The fields' stacked dark bases, each field's key, and their (S, 4, 4) rotations.
 
     The key is the only place that decides which fields share a propagator, and
     which propagator they take: ``"exact"`` for a square envelope, else ``"rk45"``.
@@ -471,12 +483,16 @@ def _key_table(fields, rates: Rates,
     from ``[1 | 0]`` (the homogeneous flow and the repump feed's response), real,
     in the Hermitian coordinates.  A time-dependent key that occurs once gets
     None, and its states take their own solve.  The rotation is
-    ``U = V(fp) V(ref)^dagger``, exactly 1 for the key's first field.
+    ``U = V(fp) V(ref)^dagger`` in the ground frames ``V = [n1, n2, e^{i xi} b]`` (the
+    unitaries taking axis 3 to each coupling), all made in one product, and exactly 1
+    for the key's first field.
     """
+    bases = dark_bases(np.reshape([fp.angles for fp in fields], (-1, 4)))
+    xi = np.array([fp.xi for fp in fields])
+    frames = np.stack([bases.n1, bases.n2, np.exp(1j * xi)[:, None] * bases.phi_perp], axis=-1)
     keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in fields]
-    table, frames, out = {}, {}, []
+    table, out = {}, []
     for i, (fp, key) in enumerate(zip(fields, keys)):
-        basis, u = dark_basis(fp), np.eye(4, dtype=complex)
         if key not in table:
             liou = build_liouvillian(fp, rates, 1.0)
             rate = slowest_rate(liou)
@@ -491,11 +507,12 @@ def _key_table(fields, rates: Rates,
                 propagator, nfev = solve_ivp(generators, fp.envelope, times, np.eye(16, 17),
                                              np.column_stack([np.zeros((16, 16)), feed]), tols)
             table[key] = _Key(i, liou, rate, times, name, propagator, nfev)
-            frames[key] = _ground_frame(fp, basis).conj().T
-        elif fp is not table[key].liou.field:
-            u[:3, :3] = _ground_frame(fp, basis) @ frames[key]
-        out.append((basis, table[key], u))
-    return out
+        out.append(table[key])
+    u = np.zeros((len(fields), 4, 4), dtype=complex)
+    u[:, :3, :3] = frames @ frames[[key.first for key in out]].conj().swapaxes(-1, -2)
+    u[:, 3, 3] = 1.0
+    u[np.array([fp is key.liou.field for fp, key in zip(fields, out)], dtype=bool)] = np.eye(4)
+    return bases, out, u
 
 
 def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray,
@@ -526,12 +543,14 @@ def run_sequence(states, steps, rates: Rates,
     to the pulse that made it, 0 to the others.
     """
     matrices = _stack(states)
+    bases, keys, rotations = _key_table(steps, rates, tols)
     out = []
-    for i, (basis, key, u) in enumerate(_key_table(steps, rates, tols)):
+    for i, (key, u) in enumerate(zip(keys, rotations)):
         snapshots, nfev = _drive(key, matrices, u, tols)
         snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
                      @ u.conj().T).reshape(snapshots.shape)
         nfev += key.nfev if i == key.first else 0
+        basis = DarkBasis(n1=bases.n1[i], n2=bases.n2[i], phi_perp=bases.phi_perp[i])
         out.append(_trajectory(key.times, snapshots, tols.atol, key.name, nfev, basis))
         matrices = out[-1].states[:, -1]
     return tuple(out)
@@ -557,17 +576,19 @@ def verify_map(states, fields, rates: Rates,
     """
     states = _stack(states, len(fields))
     _check_trace_one(states)  # the map's own check, made before any propagator is built
-    bases, table, u = zip(*_key_table(fields, rates, tols))
-    mapped = relax_closed(states, np.stack([basis.projector for basis in bases]))
-    u = np.stack(u)
+    bases, table, u = _key_table(fields, rates, tols)
+    mapped = relax_closed(states, bases.projector)
     finals = np.empty(states.shape, dtype=complex)
-    min_eigs, traces = np.empty((2, len(fields), MIN_SNAPSHOTS))
+    floor, traces = _floor(tols.atol), np.empty((len(fields), MIN_SNAPSHOTS))
+    min_eigs = np.full(traces.shape, np.inf)  # a block the screen passes keeps inf
     records = []
     for key in {key.first: key for key in table}.values():
         cases, nfev = np.flatnonzero([k is key for k in table]), key.nfev
         for block in np.split(cases, range(_BLOCK, len(cases), _BLOCK)):
             snapshots, solved = _drive(key, states[block], u[block], tols)
-            stack, min_eigs[block], traces[block] = _symmetrized(snapshots)
+            stack, eigs, traces[block] = _symmetrized(snapshots, floor)
+            if eigs is not None:
+                min_eigs[block] = eigs
             finals[block] = u[block] @ stack[:, -1] @ u[block].conj().swapaxes(-1, -2)
             nfev += solved
         records.append({"first_case": key.first, "duration": float(key.times[-1]),

@@ -41,6 +41,15 @@ def random_density(rng, ground_only: bool = False) -> np.ndarray:
     return full
 
 
+def hermitian_with_min_eigenvalue(rng, lam: float, n: int = 1) -> np.ndarray:
+    """n random trace-one Hermitian (n, 4, 4) matrices, each with smallest eigenvalue lam."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    eigs = rng.uniform(0.1, 1.0, size=(n, 4))
+    eigs[:, 1:] *= (1.0 - lam) / eigs[:, 1:].sum(axis=1, keepdims=True)
+    eigs[:, 0] = lam
+    return (q * eigs[:, None, :]) @ q.conj().swapaxes(-1, -2)
+
+
 def fold_repumped(rho: np.ndarray, steps) -> np.ndarray:
     """The steps applied with the literal lossy + repumped map, the beta-regime reference."""
     for fp in steps:

@@ -278,24 +278,27 @@ class TestSimulateCommand:
             assert row["hs_ode_vs_map"] < 1e-3
 
     def test_one_dark_basis_per_pulse(self, tmp_path, monkeypatch):
-        # run_sequence computes each pulse's basis once and its trajectory carries
-        # it to the CSV writer; the stored sequence has 4 pulses
+        # run_sequence's key table makes the bases of all 4 pulses of the stored
+        # sequence in one stacked call, and each trajectory carries its pulse's basis to
+        # the CSV writer; no one-field dark_basis call is made beside it
         import darkpulse.cli as cli
         import darkpulse.dynamics as dynamics
 
         calls = []
 
-        def counting(fp):
-            calls.append(fp)
-            return dark_basis(fp)
+        def counting(name, original):
+            def wrapper(arg):
+                calls.append(np.shape(arg) if name == "dark_bases" else name)
+                return original(arg)
+            return wrapper
 
-        dark_basis = dynamics.dark_basis
-        for module in (cli, dynamics):
-            monkeypatch.setattr(module, "dark_basis", counting)
+        for module, name in ((dynamics, "dark_bases"), (dynamics, "dark_basis"),
+                             (cli, "dark_basis")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert main(["simulate", "--config", str(bundled_config_path()), "--sequence",
                      str(ROOT / "perfbench" / "data" / "sequence.json"),
                      "--out", str(tmp_path / "sim")]) == 0
-        assert len(calls) == 4
+        assert calls == [(4, 4)]
 
     def test_beta_mode_with_unit_rates(self, tmp_path, optimized):
         cfg = write_config(tmp_path / "beta.json", mode="beta",
@@ -357,6 +360,23 @@ class TestVerifyCommand:
         assert result["certified"] is certified
         assert (result["max_distance"] <= 2.0 * result["residual"]) is certified
         assert certified or result["max_distance"] > 1e-2
+
+    def test_tiny_atol_keeps_the_floor_above_rounding(self, tmp_path):
+        # the eigenvalue floor is -max(100 * atol, 1e-14): at -100 * atol the untouched
+        # pure initial state failed on its eigenvalue rounding (-1.4e-16) with exit 4.
+        # atol reaches a square key only through the monitor, so every byte matches
+        doc = json.loads(bundled_config_path().read_text())
+        doc["envelope"] = "square"
+        texts = []
+        for atol in (1e-12, 1e-18, 1e-300):
+            doc["integrator"]["atol"] = atol
+            cfg = tmp_path / f"config-{atol!r}.json"
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / f"v-{atol!r}"
+            assert main(["verify", "--config", str(cfg), "--out", str(out), "--states", "5",
+                         "--seed", "3"]) == 0
+            texts.append(without_wall_time((out / "verify.json").read_text()))
+        assert texts[1] == texts[0] and texts[2] == texts[0]
 
     def test_threads_flag_has_no_effect(self, tmp_path, config_path):
         texts = []

@@ -7,8 +7,15 @@ from darkpulse import (AngleUnderdetermined, DegenerateSpan, DensityOperator,
                        Envelope, FieldParams, Rates, TargetState, bloch_coords,
                        build_hamiltonian, dark_basis, embed_ground, field_for_span,
                        pure_state_dyads)
-from darkpulse.core import bright_vector
-from conftest import random_density, random_field, random_pure_ground
+from darkpulse.core import bright_vector, dark_bases, smallest_eigenvalues
+from darkpulse.dynamics import _floor
+from conftest import (hermitian_with_min_eigenvalue, random_density, random_field,
+                      random_pure_ground)
+
+# the floors of the two callers of the positivity screen: DensityOperator.validate, and
+# verify_map's monitor at atol 1e-12 and 1e-6
+FLOORS = {"validate": -DensityOperator.PSD_TOL, "monitor-1e-12": _floor(1e-12),
+          "monitor-1e-6": _floor(1e-6)}
 
 
 class TestFieldParams:
@@ -75,6 +82,18 @@ class TestDensityOperator:
         with pytest.raises(ValueError) as batched:
             DensityOperator.validate(stack)
         assert str(batched.value) == str(single.value)
+
+    def test_failing_stack_names_the_eigvalsh_minimum(self, rng):
+        # the Cholesky screen refuses these stacks, and the message is the one the
+        # smallest eigvalsh eigenvalue gives, byte for byte
+        for lam in (-DensityOperator.PSD_TOL * (1 + 1e-3), -1e-3):
+            stack = hermitian_with_min_eigenvalue(rng, 0.05, 65)
+            stack[rng.integers(65)] = hermitian_with_min_eigenvalue(rng, lam)[0]
+            with pytest.raises(ValueError) as caught:
+                DensityOperator.validate(stack)
+            min_eig = float(np.linalg.eigvalsh(stack).min())
+            assert str(caught.value) == ("matrix is not positive semidefinite: "
+                                         f"min eigenvalue {min_eig:.3e}")
 
     def test_matrix_is_read_only(self):
         rho = DensityOperator(pure_state_dyads(np.array([0.0, 1.0, 0.0])))
@@ -149,7 +168,77 @@ class TestHamiltonian:
             build_hamiltonian(fp, -0.1)
 
 
+class TestSmallestEigenvalues:
+    @pytest.mark.parametrize("floor", FLOORS.values(), ids=FLOORS.keys())
+    def test_decision_is_the_eigvalsh_rule(self, rng, floor):
+        # blocks of 65 random trace-one states, one of them with its smallest eigenvalue
+        # just above and just below the floor, at 0, and far below the floor: the
+        # screen decides "every eigenvalue >= floor" as eigvalsh does, returns the
+        # eigvalsh minima whenever it refuses a block, and passes a block at 0 unread
+        for lam in (floor * (1 - 1e-3), floor * (1 + 1e-3), 0.0, 1e3 * floor):
+            for _ in range(25):
+                block = hermitian_with_min_eigenvalue(rng, 0.05, 65)
+                block[rng.integers(65)] = hermitian_with_min_eigenvalue(rng, lam)[0]
+                minima = np.linalg.eigvalsh(block)[:, 0]
+                rule = bool(minima.min() >= floor)
+                assert rule is (lam >= floor)
+                got = smallest_eigenvalues(block, floor)
+                assert (got is None or bool(got.min() >= floor)) is rule
+                assert got is None or np.array_equal(got, minima)
+                assert (got is None) is (lam == 0.0)
+                # the caller: validate passes or fails as the rule does, at its floor
+                if floor == -DensityOperator.PSD_TOL:
+                    if rule:
+                        DensityOperator.validate(block)
+                    else:
+                        with pytest.raises(ValueError, match="semidefinite"):
+                            DensityOperator.validate(block)
+
+    def test_non_finite_matrix_reads_nan(self, rng):
+        # numpy's Cholesky factorizes a nan matrix without complaint, so a stack with
+        # a non-finite entry is never screened; its matrix reads nan, the rest their minima
+        block = hermitian_with_min_eigenvalue(rng, 0.05, 5)
+        block[2, 1, 1] = np.inf
+        got = smallest_eigenvalues(block, _floor(1e-12))
+        assert np.isnan(got[2]) and not np.isnan(got[[0, 1, 3, 4]]).any()
+        assert np.array_equal(got[[0, 1, 3, 4]],
+                              np.linalg.eigvalsh(block[[0, 1, 3, 4]])[:, 0])
+
+    def test_screen_counts_only_where_its_rounding_is_below_the_shift(self):
+        # a trace of 3 at the floor -1e-14 lets the factorization's rounding reach the
+        # shift, so the positive definite stack takes eigvalsh instead
+        assert smallest_eigenvalues(np.eye(4) / 4.0, -1e-14) is None
+        assert smallest_eigenvalues(0.75 * np.eye(4), -1e-14) == 0.75
+
+
+def per_field_basis(fp: FieldParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n1``, ``n2`` and ``phi_perp`` of one field by the per-field formula: the oracle."""
+    th, ph, mm, mp = fp.theta, fp.phi, fp.mu_minus, fp.mu_plus
+    n1 = np.array([np.exp(1j * mm) * np.cos(th) * np.sin(ph), np.sin(th),
+                   np.exp(1j * mp) * np.cos(th) * np.cos(ph)])
+    n2 = np.array([-np.exp(-1j * mp) * np.cos(ph), 0.0, np.exp(-1j * mm) * np.sin(ph)])
+    return n1, n2, bright_vector(np.array(fp.angles))
+
+
 class TestDarkBasis:
+    def test_stacked_bases_equal_the_per_field_formula(self, rng):
+        # alone and in a stack of 2000, a field's basis has the per-field formula's bits
+        fields = [random_field(rng) for _ in range(1996)] + [
+            FieldParams(theta=theta, phi=0.3, mu_minus=0.0, mu_plus=5.0)
+            for theta in (0.0, np.pi / 2.0, np.pi, 1e-300)]
+        bases = dark_bases(np.array([fp.angles for fp in fields]))
+        assert bases.n1.shape == (2000, 3) and bases.projector.shape == (2000, 4, 4)
+        for i, fp in enumerate(fields):
+            n1, n2, perp = per_field_basis(fp)
+            d1, d2 = pure_state_dyads(np.stack([n1, n2]))
+            projector = d1 + d2
+            one = dark_basis(fp)
+            expected = [a.tobytes() for a in (n1, n2, perp, projector)]
+            assert [a.tobytes() for a in (one.n1, one.n2, one.phi_perp, one.projector)] == \
+                expected
+            assert [a[i].tobytes() for a in (bases.n1, bases.n2, bases.phi_perp,
+                                              bases.projector)] == expected
+
     def test_theta_half_pi_gives_pure_pi_dark_state(self):
         fp = FieldParams(theta=np.pi / 2.0, phi=0.8, mu_minus=0.3, mu_plus=1.2)
         assert np.allclose(dark_basis(fp).n1, [0.0, 1.0, 0.0], atol=1e-15)

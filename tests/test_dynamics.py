@@ -19,10 +19,11 @@ from darkpulse import (DensityOperator, Envelope, FieldParams, IntegratorSetting
                        recommended_duration, pure_state_dyads, relax_closed, run_sequence,
                        slowest_rate, verify_map)
 import darkpulse.dynamics as dynamics
-from darkpulse.dynamics import (_BACK, _BLOCK, MIN_SNAPSHOTS, _TO, _expm, _hermitian,
-                                _ground_frame, _monitor, _snapshots, _step, _symmetrized,
-                                _trajectory, write_trajectory_csv)
-from conftest import random_density, random_field, random_pure_ground
+from darkpulse.dynamics import (_BACK, _BLOCK, MIN_SNAPSHOTS, _TO, _expm, _floor, _hermitian,
+                                _monitor, _snapshots, _step, _symmetrized, _trajectory,
+                                write_trajectory_csv)
+from conftest import (hermitian_with_min_eigenvalue, random_density, random_field,
+                      random_pure_ground)
 
 
 def excited_state() -> np.ndarray:
@@ -39,6 +40,12 @@ def stack(*states: np.ndarray) -> np.ndarray:
 def tols(residual: float, **kwargs) -> IntegratorSettings:
     """The integrator settings at ``residual``, defaults elsewhere unless given."""
     return IntegratorSettings(residual=residual, **kwargs)
+
+
+def ground_frame(fp: FieldParams) -> np.ndarray:
+    """Columns ``n1, n2, e^{i xi} b`` of one field's basis, the key table's ground frame."""
+    basis = dark_basis(fp)
+    return np.column_stack([basis.n1, basis.n2, np.exp(1j * fp.xi) * basis.phi_perp])
 
 
 def augmented(liou) -> np.ndarray:
@@ -385,7 +392,7 @@ class TestHermitianCoordinates:
         # atol 1e-16 (measured 6.3e-11 to 2.6e-10; the complex solve at the default
         # tolerances reads 9.7e-11 to 5.4e-10)
         fp = random_field(rng, omega_peak=omega, envelope=Envelope.SINE_SQUARED)
-        (_, key, _), _ = dynamics._key_table([fp, fp], rates, IntegratorSettings())
+        _, (key, _), _ = dynamics._key_table([fp, fp], rates, IntegratorSettings())
         assert key.propagator.shape == (MIN_SNAPSHOTS, 16, 17) and key.propagator.dtype == float
         mapped = _BACK @ key.propagator
         mapped[..., :16] = mapped[..., :16] @ _TO
@@ -427,8 +434,7 @@ class TestRunSequence:
             canonical = FieldParams(theta=0.0, phi=0.0, mu_minus=0.0, mu_plus=0.0, xi=0.0,
                                     omega_peak=fp.omega_peak, delta=fp.delta)
             u = np.eye(4, dtype=complex)
-            u[:3, :3] = (_ground_frame(fp, dark_basis(fp))
-                         @ _ground_frame(canonical, dark_basis(canonical)).conj().T)
+            u[:3, :3] = ground_frame(fp) @ ground_frame(canonical).conj().T
             assert np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=1e-15)
             w = np.kron(u, u.conj())
             liou, liou_c = build_liouvillian(fp, rates), build_liouvillian(canonical, rates)
@@ -758,12 +764,14 @@ class TestVerifyMap:
         # every case of a one-key batch, rotated ones included, against the witness
         # run on that case's own generator for the batch's duration: the exponential
         # (scipy's) to 1e-12, RK45 to 1e-9 (its tolerance is 1e-9).  The five cases are one
-        # block, symmetrized once in the key's frame; each case's snapshots, rotated
-        # back with its own U, are its trajectory, and the last one its endpoint
+        # block, symmetrized once in the key's frame and passed by the positivity screen
+        # (no eigenvalue computed); each case's snapshots, rotated back with its own U
+        # (the batch's rotations, made in one product, bit for bit), are its trajectory,
+        # and the last one its endpoint
         stacks = []
 
-        def capturing(snapshots):
-            stacks.append(_symmetrized(snapshots))
+        def capturing(snapshots, floor=None):
+            stacks.append(_symmetrized(snapshots, floor))
             return stacks[-1]
 
         monkeypatch.setattr("darkpulse.dynamics._symmetrized", capturing)
@@ -772,12 +780,12 @@ class TestVerifyMap:
         distances = verify_map(states, fields, rates, tols(1e-3)).distances
         t_final = recommended_duration(slowest_rate(build_liouvillian(fields[0], rates)), 1e-3)
         bound = 1e-12 if envelope is Envelope.SQUARE else 1e-9
-        assert len(stacks) == 1
-        frame = _ground_frame(fields[0], dark_basis(fields[0])).conj().T
+        assert len(stacks) == 1 and stacks[0][1] is None
+        frame = ground_frame(fields[0]).conj().T
         for s, (rho0, fp, distance) in enumerate(zip(states, fields, distances)):
             u = np.eye(4, dtype=complex)
             if s:
-                u[:3, :3] = _ground_frame(fp, dark_basis(fp)) @ frame
+                u[:3, :3] = ground_frame(fp) @ frame
             own = u @ stacks[0][0][s] @ u.conj().T
             if envelope is Envelope.SQUARE:
                 witness = expm_snapshots(rho0[None], build_liouvillian(fp, rates), t_final)
@@ -796,9 +804,10 @@ class TestVerifyMap:
 
     @pytest.mark.parametrize("n_cases", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_one_snapshot_pass_and_eigvalsh_per_block(self, rng, monkeypatch, n_cases):
-        # the work grows with the number of blocks of a key's cases, not of cases;
-        # the one further eigvalsh validates the input stack
-        calls = {"_snapshots": 0, "eigvalsh": 0}
+        # the work grows with the number of blocks of a key's cases, not of cases; a
+        # passing batch decides positivity by one Cholesky screen per block, plus one
+        # that validates the input stack, and computes no eigenvalue
+        calls = {"_snapshots": 0, "cholesky": 0, "eigvalsh": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -810,9 +819,10 @@ class TestVerifyMap:
         states = np.stack([random_density(rng) for _ in fields])
         monkeypatch.setattr(dynamics, "_snapshots", counted("_snapshots", dynamics._snapshots))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         verify_map(states, fields, Rates.beta(), tols(1e-3))
         blocks = -(-n_cases // _BLOCK)
-        assert calls == {"_snapshots": blocks, "eigvalsh": blocks + 1}
+        assert calls == {"_snapshots": blocks, "cholesky": blocks + 1, "eigvalsh": 0}
 
     @pytest.mark.parametrize("excursion", ["trace", "eigenvalue"])
     def test_excursion_names_the_case_and_its_own_time(self, rng, monkeypatch, excursion):
@@ -842,6 +852,43 @@ class TestVerifyMap:
         with pytest.raises(error, match=rf"^state 3: snapshot at t={re.escape(f'{t:.6g}')} "
                                         rf"has {excursion}"):
             verify_map(states, fields, Rates.alpha(), tols(1e-3))
+
+    @pytest.mark.parametrize("atol", [1e-12, 1e-6])
+    def test_screen_decides_and_names_as_eigvalsh(self, rng, monkeypatch, atol):
+        # one block of 8 cases with one snapshot's smallest eigenvalue placed just above
+        # and just below the floor, at 0 and far below it: the monitor behind the
+        # Cholesky screen passes or raises as the eigvalsh rule does on the same
+        # snapshots, with the same message, byte for byte
+        floor = _floor(atol)
+        fields = one_key_steps(rng, Envelope.SQUARE, n=_BLOCK, omega_peak=1.0)
+        states = np.stack([random_density(rng) for _ in fields])
+        duration = recommended_duration(slowest_rate(build_liouvillian(fields[0], Rates.beta())),
+                                        1e-3)
+        times = np.linspace(0.0, duration, MIN_SNAPSHOTS)
+        original = dynamics._snapshots
+        for lam in (floor * (1 - 1e-3), floor * (1 + 1e-3), 0.0, 1e3 * floor):
+            for _ in range(5):
+                injected = []
+
+                def injecting(propagator, matrices):
+                    snapshots = original(propagator, matrices)
+                    snapshots[rng.integers(_BLOCK), rng.integers(MIN_SNAPSHOTS)] = \
+                        hermitian_with_min_eigenvalue(rng, lam)[0].reshape(16)
+                    injected.append(snapshots)
+                    return snapshots
+
+                monkeypatch.setattr(dynamics, "_snapshots", injecting)
+                messages = []
+                for check in (lambda: verify_map(states, fields, Rates.beta(),
+                                                 tols(1e-3, atol=atol)),
+                              lambda: _monitor(times, *_symmetrized(injected[0])[1:], atol)):
+                    try:
+                        check()
+                        messages.append(None)
+                    except PositivityViolation as exc:
+                        messages.append(str(exc))
+                assert messages[0] == messages[1]
+                assert (messages[0] is None) is (lam >= floor)
 
     def test_cases_of_two_keys_match_their_own_batches(self, rng):
         # interleaved keys share nothing: each case equals its run in a batch of
