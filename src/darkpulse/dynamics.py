@@ -26,8 +26,9 @@ key's duration and makes its propagator, the 65 snapshot propagators ``P_k``
 17-column propagator in the Hermitian coordinates), which every field of the key
 applies as
 ``rho(t_k) = U P_k[U^dagger rho U] U^dagger``; ``U`` is exactly 1 for the
-reference, so its states keep every bit.  A time-dependent key that does not
-recur integrates its states directly.  Nothing is kept between calls.
+reference, so its states keep every bit.  A state only applies its key's
+propagator, so its snapshots do not depend on the other states in its block or
+batch.  Nothing is kept between calls.
 The table makes all fields' dark bases and ground frames in one stacked call and
 all rotations in one product.  Spectrum and trace do not change under ``U``, so
 :func:`verify_map` drives a key's cases in blocks of eight, monitors them in the
@@ -409,17 +410,6 @@ def _snapshots(propagator: np.ndarray, states: np.ndarray) -> np.ndarray:
     return (propagator[:, None] @ y0)[..., 0].transpose(1, 0, 2)
 
 
-def _solve_states(liou: Liouvillian, times: np.ndarray, r: np.ndarray,
-                  tols: IntegratorSettings) -> tuple[np.ndarray, int]:
-    """The (S, 65, 16) snapshots of an (S, 16) stack under one RK45 solve, and its ``nfev``.
-
-    States and snapshots are in the Hermitian coordinates.
-    """
-    generators, feed = _hermitian(liou)
-    y, nfev = solve_ivp(generators, liou.field.envelope, times, r.T, feed[:, None], tols)
-    return y.transpose(2, 0, 1), nfev
-
-
 def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
                      tols: IntegratorSettings = IntegratorSettings()) -> Trajectory:
     """Integrate the master equation through one pulse with RK45, for an (S, 4, 4) stack.
@@ -438,10 +428,12 @@ def integrate_master(states, fp: FieldParams, rates: Rates, t_final: float,
         If any snapshot trace leaves (0, 1 + max(1e-12, 100 * atol)].
     """
     states = _stack(states)
-    liou = build_liouvillian(fp, rates, 1.0)
+    generators, feed = _hermitian(build_liouvillian(fp, rates, 1.0))
     times = _readonly(np.linspace(0.0, t_final, MIN_SNAPSHOTS))
-    snapshots, nfev = _solve_states(liou, times, (states.reshape(-1, 16) @ _TO.T).real, tols)
-    return _trajectory(times, snapshots @ _BACK.T, tols.atol, "rk45", nfev, dark_basis(fp))
+    r = (states.reshape(-1, 16) @ _TO.T).real
+    y, nfev = solve_ivp(generators, fp.envelope, times, r.T, feed[:, None], tols)
+    return _trajectory(times, y.transpose(2, 0, 1) @ _BACK.T, tols.atol, "rk45", nfev,
+                       dark_basis(fp))
 
 
 def recommended_duration(rate: float, residual: float) -> float:
@@ -468,7 +460,7 @@ class _Key(NamedTuple):
     rate: float
     times: np.ndarray
     name: str
-    propagator: np.ndarray | None
+    propagator: np.ndarray
     nfev: int
 
 
@@ -481,8 +473,7 @@ def _key_table(fields, rates: Rates,
     Its propagator is its (65, 16, 17) stack of snapshot propagators: the
     powers of the exponential step (square), or one RK45 solve of ``[Phi | c]``
     from ``[1 | 0]`` (the homogeneous flow and the repump feed's response), real,
-    in the Hermitian coordinates.  A time-dependent key that occurs once gets
-    None, and its states take their own solve.  The rotation is
+    in the Hermitian coordinates.  The rotation is
     ``U = V(fp) V(ref)^dagger`` in the ground frames ``V = [n1, n2, e^{i xi} b]`` (the
     unitaries taking axis 3 to each coupling), all made in one product, and exactly 1
     for the key's first field.
@@ -490,19 +481,18 @@ def _key_table(fields, rates: Rates,
     bases = dark_bases(np.reshape([fp.angles for fp in fields], (-1, 4)))
     xi = np.array([fp.xi for fp in fields])
     frames = np.stack([bases.n1, bases.n2, np.exp(1j * xi)[:, None] * bases.phi_perp], axis=-1)
-    keys = [(fp.omega_peak, fp.delta, fp.envelope) for fp in fields]
     table, out = {}, []
-    for i, (fp, key) in enumerate(zip(fields, keys)):
+    for i, fp in enumerate(fields):
+        key = (fp.omega_peak, fp.delta, fp.envelope)
         if key not in table:
             liou = build_liouvillian(fp, rates, 1.0)
             rate = slowest_rate(liou)
             times = _readonly(np.linspace(0.0, recommended_duration(rate, tols.residual),
                                           MIN_SNAPSHOTS))
             name = "exact" if fp.envelope is Envelope.SQUARE else "rk45"
-            propagator, nfev = None, 0
             if name == "exact":
-                propagator = _step(liou, times[-1])
-            elif keys.count(key) > 1:
+                propagator, nfev = _step(liou, times[-1]), 0
+            else:
                 generators, feed = _hermitian(liou)
                 propagator, nfev = solve_ivp(generators, fp.envelope, times, np.eye(16, 17),
                                              np.column_stack([np.zeros((16, 16)), feed]), tols)
@@ -515,23 +505,19 @@ def _key_table(fields, rates: Rates,
     return bases, out, u
 
 
-def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray,
-           tols: IntegratorSettings) -> tuple[np.ndarray, int]:
+def _drive(key: _Key, matrices: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The (S, 65, 16) snapshots of an (S, 4, 4) stack under ``key``'s propagator, in its frame.
 
     ``u`` (the rotation of :func:`_key_table`, one for all states or one each) takes
     them in as ``U^dagger rho U``, so a snapshot ``X`` is ``U X U^dagger`` in their
     frame.  An RK45 key's states go in and its snapshots come back through the
-    Hermitian coordinates.  A lone key takes one RK45 solve, whose ``nfev`` is
-    returned (else 0).
+    Hermitian coordinates.
     """
     matrices = u.conj().swapaxes(-1, -2) @ matrices @ u
     if key.name == "exact":
-        return _snapshots(key.propagator, matrices), 0
+        return _snapshots(key.propagator, matrices)
     r = (matrices.reshape(-1, 16) @ _TO.T).real  # drops anti-Hermitian roundoff
-    snapshots, nfev = (_solve_states(key.liou, key.times, r, tols) if key.propagator is None
-                       else (_snapshots(key.propagator, r), 0))
-    return snapshots @ _BACK.T, nfev
+    return _snapshots(key.propagator, r) @ _BACK.T
 
 
 def run_sequence(states, steps, rates: Rates,
@@ -539,17 +525,17 @@ def run_sequence(states, steps, rates: Rates,
     """Drive an (S, 4, 4) stack through a sequence of pulses, each for its key's duration.
 
     Returns one trajectory per pulse; each pulse starts from the previous
-    pulse's final snapshots.  A trajectory's ``nfev`` charges a solve's evaluations
-    to the pulse that made it, 0 to the others.
+    pulse's final snapshots.  A trajectory's ``nfev`` charges its key's solve to the
+    key's first pulse, 0 to the others.
     """
     matrices = _stack(states)
     bases, keys, rotations = _key_table(steps, rates, tols)
     out = []
     for i, (key, u) in enumerate(zip(keys, rotations)):
-        snapshots, nfev = _drive(key, matrices, u, tols)
+        snapshots = _drive(key, matrices, u)
         snapshots = (u @ snapshots.reshape(-1, MIN_SNAPSHOTS, 4, 4)
                      @ u.conj().T).reshape(snapshots.shape)
-        nfev += key.nfev if i == key.first else 0
+        nfev = key.nfev if i == key.first else 0
         basis = DarkBasis(n1=bases.n1[i], n2=bases.n2[i], phi_perp=bases.phi_perp[i])
         out.append(_trajectory(key.times, snapshots, tols.atol, key.name, nfev, basis))
         matrices = out[-1].states[:, -1]
@@ -558,7 +544,7 @@ def run_sequence(states, steps, rates: Rates,
 
 class MapCheck(NamedTuple):
     """Each case's distance, and each key's ``first_case``, ``duration``, ``slowest_rate``,
-    ``propagator`` and ``nfev`` (the evaluations of its shared solve and its cases' own).
+    ``propagator`` and ``nfev`` (the evaluations of its one solve, 0 for ``"exact"``).
     """
 
     distances: np.ndarray
@@ -583,16 +569,15 @@ def verify_map(states, fields, rates: Rates,
     min_eigs = np.full(traces.shape, np.inf)  # a block the screen passes keeps inf
     records = []
     for key in {key.first: key for key in table}.values():
-        cases, nfev = np.flatnonzero([k is key for k in table]), key.nfev
+        cases = np.flatnonzero([k is key for k in table])
         for block in np.split(cases, range(_BLOCK, len(cases), _BLOCK)):
-            snapshots, solved = _drive(key, states[block], u[block], tols)
+            snapshots = _drive(key, states[block], u[block])
             stack, eigs, traces[block] = _symmetrized(snapshots, floor)
             if eigs is not None:
                 min_eigs[block] = eigs
             finals[block] = u[block] @ stack[:, -1] @ u[block].conj().swapaxes(-1, -2)
-            nfev += solved
         records.append({"first_case": key.first, "duration": float(key.times[-1]),
-                        "slowest_rate": key.rate, "propagator": key.name, "nfev": nfev})
+                        "slowest_rate": key.rate, "propagator": key.name, "nfev": key.nfev})
     _monitor(np.stack([key.times for key in table]), min_eigs, traces, tols.atol)
     return MapCheck(hs_distance(finals, mapped), tuple(records))
 

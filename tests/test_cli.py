@@ -17,9 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darkpulse import OptimizerSettings, TargetState, initial_state_grid, optimize_sequence
+from darkpulse import (FieldParams, OptimizerSettings, TargetState, initial_state_grid,
+                       optimize_sequence)
 from darkpulse.cli import _write_json, build_parser, bundled_config_path, main
-from darkpulse.config import load_config, write_csv
+from darkpulse.config import load_config, sequence_doc, write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -212,8 +213,30 @@ class TestSimulateCommand:
                      "--states", "1"]) == 0
         doc = json.loads((tmp_path / "vs" / "verify.json").read_text())
         assert "propagator" not in doc
-        # the lone case takes its own solve, which its key's record counts
+        # the one case's key makes one solve, which its record counts
         assert [(key["propagator"], key["nfev"] > 0) for key in doc["keys"]] == [("rk45", True)]
+
+    def test_one_pulse_does_not_depend_on_the_state_count(self, tmp_path):
+        # a sine-squared key that occurs once makes the same propagator for any block,
+        # so the first state's trajectory and the pulse's nfev do not depend on how
+        # many states run with it
+        sequence = tmp_path / "one_step.json"
+        sequence.write_text(json.dumps({"sequence": sequence_doc(
+            [FieldParams(0.7, 1.1, 0.3, 2.0)])}))
+        doc = json.loads(bundled_config_path().read_text())
+        csvs, pulses = [], []
+        for n in (1, 3):
+            cfg = tmp_path / f"states{n}.json"
+            cfg.write_text(json.dumps(dict(doc, envelope="sine_squared",
+                                           initial_states=THREE_STATES[:n])))
+            out = tmp_path / f"sim{n}"
+            assert main(["simulate", "--config", str(cfg), "--sequence", str(sequence),
+                         "--out", str(out)]) == 0
+            csvs.append((out / "trajectory_state000_pulse00.csv").read_bytes())
+            pulses.append(json.loads((out / "summary.json").read_text())["pulses"])
+        assert csvs[0] == csvs[1]
+        assert pulses[0] == pulses[1]
+        assert pulses[0][0]["propagator"] == "rk45" and pulses[0][0]["nfev"] > 0
 
     def test_deterministic(self, tmp_path, config_path, optimized):
         texts = []
@@ -345,10 +368,8 @@ class TestVerifyCommand:
         pytest.param("sine_squared", 0.5, "1", False, id="sine_squared-0.5-False")])
     def test_certified_within_twice_the_residual(self, tmp_path, envelope, atol, states,
                                                  certified):
-        # one sine-squared case is a lone key, so its state takes its own RK45 solve;
-        # an absolute tolerance of 0.5 lets that solve cross the pulse in a few
-        # unchecked steps, so its endpoint misses the map by order one, far beyond
-        # the gap that the sine-squared duration leaves (about 2e-4)
+        # a sine-squared key misses the map by the gap its duration leaves (1.0e-4 for
+        # this case at an absolute tolerance of 0.5), far beyond twice the residual
         doc = json.loads(bundled_config_path().read_text())
         doc["envelope"] = envelope
         doc["integrator"]["atol"] = atol
@@ -359,7 +380,6 @@ class TestVerifyCommand:
         result = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert result["certified"] is certified
         assert (result["max_distance"] <= 2.0 * result["residual"]) is certified
-        assert certified or result["max_distance"] > 1e-2
 
     def test_tiny_atol_keeps_the_floor_above_rounding(self, tmp_path):
         # the eigenvalue floor is -max(100 * atol, 1e-14): at -100 * atol the untouched
