@@ -323,6 +323,12 @@ def solve_ivp(generators: np.ndarray, envelope: Envelope, times: np.ndarray, y0:
     # each stage s = 1..5: its weights, the stages they weigh, its generator and its buffer
     rows = [(a, flat[:s], m[s - 1], stages[s]) for s, a in enumerate(_A, start=1)]
     root = y0.size ** 0.5  # an RMS norm is the 2-norm over root
+    # bound once: a step's cost is the per-call overhead of some 30 small numpy calls, and
+    # np.dot gives np.matmul's bits on these shapes with less of it
+    dot, add, multiply, maximum, absolute = np.dot, np.add, np.multiply, np.maximum, np.abs
+    ulp, isfinite, sqrt, value_at, bisect_right = (math.ulp, math.isfinite, math.sqrt,
+                                                   envelope.value_at, bisect.bisect_right)
+    first_six, m_last, last = flat[:6], m[4], stages[6]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
         stages[0] = generator(0.0) @ y0 + feed
         scale0 = atol + abs_y * rtol
@@ -334,7 +340,7 @@ def solve_ivp(generators: np.ndarray, envelope: Envelope, times: np.ndarray, y0:
                           if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2))
         t, nfev, k = 0.0, 2, 0
         while t < t_final:
-            min_step, rejected = 10 * math.ulp(t), False
+            min_step, rejected = 10 * ulp(t), False
             h_abs = max(h_abs, min_step)
             while True:
                 if h_abs < min_step:
@@ -343,44 +349,43 @@ def solve_ivp(generators: np.ndarray, envelope: Envelope, times: np.ndarray, y0:
                 t_new = min(t + h_abs, t_final)
                 h = t_new - t
                 # the generators at the step's stage times at once
-                np.multiply(envelope.value_at(t + _C * h, t_final)[:, None, None], m_drive,
-                            out=m)
+                multiply(value_at(t + _C * h, t_final)[:, None, None], m_drive, out=m)
                 m += m0
                 for a, weighed, generator_s, stage in rows:  # at y + (a . stages[:s]) h
-                    np.matmul(a, weighed, out=dy)
+                    dot(a, weighed, out=dy)
                     dy *= h
-                    np.add(y, block, out=y_in)
-                    np.matmul(generator_s, y_in, out=stage)
+                    add(y, block, out=y_in)
+                    dot(generator_s, y_in, out=stage)
                     stage += feed
-                np.matmul(_B, flat[:6], out=dy)
+                dot(_B, first_six, out=dy)
                 dy *= h
-                np.add(y, block, out=y_new)
-                np.matmul(m[4], y_new, out=stages[6])
-                stages[6] += feed
+                add(y, block, out=y_new)
+                dot(m_last, y_new, out=last)
+                last += feed
                 nfev += 6
-                np.abs(y_new, out=abs_new)
-                np.maximum(abs_y, abs_new, out=scale)
+                absolute(y_new, out=abs_new)
+                maximum(abs_y, abs_new, out=scale)
                 scale *= rtol
                 scale += atol
-                np.matmul(_E, flat, out=dy)
+                dot(_E, flat, out=dy)
                 dy *= h
                 block /= scale
-                error = math.sqrt(re @ re + im @ im) / root
+                error = sqrt(re @ re + im @ im) / root
                 if error < 1:
                     factor = 10.0 if error == 0 else min(10.0, 0.9 * error ** -0.2)
                     h_abs = h * (min(1.0, factor) if rejected else factor)
                     break
-                if not math.isfinite(error):
+                if not isfinite(error):
                     raise StepSizeUnderflow(f"RK45 at t={t:.6g}: error norm {error!r} "
                                             f"is not finite (a non-finite derivative)")
                 h_abs, rejected = h * max(0.2, 0.9 * error ** -0.2), True
-            j = bisect.bisect_right(grid, t_new)
+            j = bisect_right(grid, t_new)
             if j > k:  # the outputs in (t, t_new] from the step's quartic interpolant
                 x = np.cumprod(np.tile((times[k:j] - t) / h, (4, 1)), axis=0)
                 out[k:j] = y + h * (x.T @ (_P.T @ flat)).reshape(-1, *shape)
                 k = j
             t, y, y_new, abs_y, abs_new = t_new, y_new, y, abs_new, abs_y
-            stages[0] = stages[6]
+            stages[0] = last
     return Solution(out, nfev)
 
 
@@ -582,18 +587,35 @@ def verify_map(states, fields, rates: Rates,
     return MapCheck(hs_distance(finals, mapped), tuple(records))
 
 
+# the trajectory CSV's columns: each snapshot's real diagonal and its upper triangle, whose
+# (rows, columns) are np.triu_indices(4, 1) as Python lists (that call at import raised
+# the peak RSS of runs that write no trajectory by 0.15 MB)
+_LABELS = ("gm", "gpi", "gp", "e")
+_UPPER = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+_CSV_HEADER = (["time"] + [f"pop_{l}" for l in _LABELS]
+               + [f"{part}_{_LABELS[a]}{_LABELS[b]}" for a, b in zip(*_UPPER)
+                  for part in ("re", "im")]
+               + ["trace", "dark_weight"])
+
+
 def write_trajectory_csv(traj: Trajectory, state: int, path) -> None:
-    """Write one state of a trajectory as CSV: time, entries, populations, trace, dark weight."""
-    labels = ("gm", "gpi", "gp", "e")
-    header = ["time"] + [f"{part}_{a}{b}" for a in labels for b in labels for part in ("re", "im")]
-    header += [f"pop_{l}" for l in labels] + ["trace", "dark_weight"]
+    """Write one state of a trajectory as CSV, each value once, in 19 columns.
+
+    The columns are ``time``; ``pop_a``, the real diagonal; ``re_ab`` and ``im_ab``
+    for a < b in row-major order; ``trace`` and ``dark_weight``.  A Hermitian
+    snapshot holds nothing more: ``rho_aa = pop_a``, ``rho_ab = re_ab + i im_ab`` and
+    ``rho_ba = conj(rho_ab)`` give back every entry exactly (a zero part may come back
+    as -0), since :func:`_symmetrized` makes the lower triangle the exact conjugate of
+    the upper and the diagonal exactly real.
+    """
     stack = traj.states[state]
     p = traj.basis.projector
+    coherences = stack[:, _UPPER[0], _UPPER[1]]
     table = np.column_stack([
         traj.times,
-        np.stack([stack.real, stack.imag], axis=-1).reshape(len(stack), 32),
         stack.diagonal(axis1=1, axis2=2).real,
+        np.stack([coherences.real, coherences.imag], axis=-1).reshape(len(stack), 12),
         np.trace(stack, axis1=1, axis2=2).real,
         np.trace(p @ stack @ p, axis1=1, axis2=2).real,
     ])
-    write_csv(path, header, table)
+    write_csv(path, _CSV_HEADER, table)

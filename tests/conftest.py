@@ -50,6 +50,22 @@ def hermitian_with_min_eigenvalue(rng, lam: float, n: int = 1) -> np.ndarray:
     return (q * eigs[:, None, :]) @ q.conj().swapaxes(-1, -2)
 
 
+def trajectory_states(table: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) snapshots held by the rows of a trajectory CSV's 19-column table.
+
+    Columns 1-4 are the real diagonal, and 5-16 the real and imaginary parts of the
+    upper triangle in row-major order, whose conjugates are the lower triangle.  Each
+    part is set on its own, so no complex arithmetic rounds it.
+    """
+    rho = np.zeros((len(table), 4, 4), dtype=complex)
+    i, j = np.triu_indices(4, 1)
+    rho.real[:, range(4), range(4)] = table[:, 1:5]
+    rho.real[:, i, j] = rho.real[:, j, i] = table[:, 5:17:2]
+    rho.imag[:, i, j] = table[:, 6:17:2]
+    rho.imag[:, j, i] = -table[:, 6:17:2]
+    return rho
+
+
 def fold_repumped(rho: np.ndarray, steps) -> np.ndarray:
     """The steps applied with the literal lossy + repumped map, the beta-regime reference."""
     for fp in steps:

@@ -1,8 +1,10 @@
 """Master-equation integration, duration selection, and map certification."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import csv
+import json
 import re
 import time
 import warnings
@@ -23,7 +25,9 @@ from darkpulse.dynamics import (_BACK, _BLOCK, MIN_SNAPSHOTS, _TO, _expm, _floor
                                 _monitor, _snapshots, _step, _symmetrized, _trajectory,
                                 write_trajectory_csv)
 from conftest import (hermitian_with_min_eigenvalue, random_density, random_field,
-                      random_pure_ground)
+                      random_pure_ground, trajectory_states)
+
+STORED_SEQUENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "sequence.json"
 
 
 def excited_state() -> np.ndarray:
@@ -337,6 +341,26 @@ class TestDormandPrince:
             assert own.y.shape == (MIN_SNAPSHOTS, 16, 2) and own.y.dtype == y.dtype
             assert own.nfev == nfev
             assert np.abs(own.y - oracle).max() <= 1e-12
+
+    def test_matches_scipy_on_a_key_solve(self):
+        # the production solve: a sine-squared key's 17 columns [Phi | c] from [1 | 0] over
+        # its whole recommended duration, for sine_export's first key (beta 1/1/1, Omega 1,
+        # T = 805.2).  Measured: 9680 evaluations on both sides, worst difference 3.5e-18
+        step = json.loads(STORED_SEQUENCE.read_text())["sequence"]["steps"][0]
+        fp = FieldParams(step["theta"], step["phi"], step["mu_minus"], step["mu_plus"],
+                         xi=step["xi"], omega_peak=1.0, envelope=Envelope.SINE_SQUARED)
+        settings = IntegratorSettings()
+        _, (key,), _ = dynamics._key_table([fp], Rates.beta(1.0, 1.0, 1.0), settings)
+        assert key.name == "rk45" and abs(key.times[-1] - 805.2) < 0.1
+        generators, feed = _hermitian(key.liou)
+        y0, feed = np.eye(16, 17), np.column_stack([np.zeros((16, 16)), feed])
+        scale = settings.atol + np.abs(y0) * settings.rtol
+        d0, d1 = (np.linalg.norm(z / scale) for z in (y0, generators[0] @ y0 + feed))
+        assert 0.01 * d0 / d1 < key.times[-1]  # as in the grid above
+        oracle, nfev = scipy_rk45(generators, Envelope.SINE_SQUARED, key.times, y0, feed,
+                                  settings)
+        assert key.nfev == nfev
+        assert np.abs(key.propagator - oracle).max() <= 1e-12
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("envelope", list(Envelope), ids=lambda e: e.value)
@@ -1003,13 +1027,16 @@ class TestTrajectoryExport:
         assert text == paths[1].read_text()
         header, first, *_ = text.splitlines()
         columns = header.split(",")
-        assert columns[0] == "time"
-        assert len(columns) == 1 + 32 + 4 + 2
+        # each value once: the real diagonal, the upper triangle, the trace and dark weight
+        assert columns == ["time", "pop_gm", "pop_gpi", "pop_gp", "pop_e",
+                           "re_gmgpi", "im_gmgpi", "re_gmgp", "im_gmgp", "re_gme", "im_gme",
+                           "re_gpigp", "im_gpigp", "re_gpie", "im_gpie", "re_gpe", "im_gpe",
+                           "trace", "dark_weight"]
         assert "." in first.split(",")[1] or "e" in first.split(",")[1]
         assert len(text.splitlines()) == 1 + len(traj.times)
 
     def test_matches_per_row_writer(self, rng, tmp_path):
-        # the per-row writer the array pass replaced is the oracle: every column
+        # a writer of one snapshot and one value at a time is the oracle: every column
         # byte-identical, the trace and dark weight included, for each state of a block
         for rates in (Rates.alpha(), Rates.beta()):
             fp = random_field(rng, omega_peak=1.0)
@@ -1024,24 +1051,44 @@ class TestTrajectoryExport:
                     assert ((tmp_path / "new.csv").read_bytes()
                             == (tmp_path / "old.csv").read_bytes())
 
+    @pytest.mark.parametrize("envelope", list(Envelope), ids=lambda e: e.value)
+    def test_snapshots_rebuild_from_the_csv(self, rng, tmp_path, envelope):
+        # the 19 columns hold each snapshot whole: rho_aa = pop_a, rho_ab = re_ab + i im_ab
+        # and rho_ba = conj(rho_ab) give back every entry exactly, and the parts the CSV
+        # leaves out are exact in the snapshots (Im rho_aa = 0, the lower triangle the
+        # conjugate of the upper), for each state of a sequence's block in both regimes.
+        # Equal as values: a coherence that is exactly 0 (the ground-only state's) comes
+        # back with Im -0 in the lower triangle
+        for rates in (Rates.alpha(), Rates.beta()):
+            rho0 = stack(random_density(rng), random_density(rng, ground_only=True))
+            steps = [random_field(rng, omega_peak=1.0, envelope=envelope) for _ in range(2)]
+            for traj in run_sequence(rho0, steps, rates):
+                assert not traj.states.diagonal(axis1=-2, axis2=-1).imag.any()
+                assert np.array_equal(traj.states.conj().swapaxes(-1, -2), traj.states)
+                for s in range(len(rho0)):
+                    write_trajectory_csv(traj, s, tmp_path / "traj.csv")
+                    table = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)
+                    assert table.shape == (MIN_SNAPSHOTS, 19)
+                    assert np.array_equal(table[:, 0], traj.times)
+                    assert np.array_equal(trajectory_states(table), traj.states[s])
+
 
 def per_row_writer(times, states, basis, path):
-    """One state's trajectory CSV written one snapshot and one entry at a time."""
+    """One state's trajectory CSV written one snapshot and one value at a time."""
     labels = ("gm", "gpi", "gp", "e")
-    header = ["time"]
-    for i in range(4):
-        for j in range(4):
-            header += [f"re_{labels[i]}{labels[j]}", f"im_{labels[i]}{labels[j]}"]
-    header += [f"pop_{l}" for l in labels] + ["trace", "dark_weight"]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    header = ["time"] + [f"pop_{l}" for l in labels]
+    for i, j in pairs:
+        header += [f"re_{labels[i]}{labels[j]}", f"im_{labels[i]}{labels[j]}"]
+    header += ["trace", "dark_weight"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         p = basis.projector
         for t, m in zip(times, states):
             row = [f"{t:.17g}"]
-            for i in range(4):
-                for j in range(4):
-                    row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
             row += [f"{m[i, i].real:.17g}" for i in range(4)]
+            for i, j in pairs:
+                row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
             row += [f"{float(np.trace(m).real):.17g}", f"{float(np.trace(p @ m @ p).real):.17g}"]
             writer.writerow(row)

@@ -13,6 +13,7 @@ import pytest
 from darkpulse import FieldParams
 from darkpulse.cli import bundled_config_path, main
 from darkpulse.core import bright_vector
+from conftest import trajectory_states
 
 ROOT = Path(__file__).resolve().parents[1]
 STORED_SEQUENCE = ROOT / "perfbench" / "data" / "sequence.json"
@@ -165,8 +166,7 @@ class TestGroundRotationCovariance:
         for key, table in plain_tables.items():
             other = rotated_tables[key]
             assert np.abs(other[:, 0] - table[:, 0]).max() <= 1e-13 * table[-1, 0]
-            rho = (table[:, 1:33:2] + 1j * table[:, 2:33:2]).reshape(-1, 4, 4)
-            rho_rotated = (other[:, 1:33:2] + 1j * other[:, 2:33:2]).reshape(-1, 4, 4)
+            rho, rho_rotated = trajectory_states(table), trajectory_states(other)
             assert np.abs(full @ rho @ full.conj().T - rho_rotated).max() <= 2e-12
             # the trace and the dark weight (the last two columns) do not move
             assert np.abs(other[:, -2:] - table[:, -2:]).max() <= 3e-12
